@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,8 +22,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, data, if_scores, network, stats, trainer
-from .errors import BlsBenchError, DataFormatError
+from . import __version__, data, network, stats, trainer
+from .errors import BlsBenchError, ConfigError, DataFormatError
 
 DATA_DIR_ENV = "BLSBENCH_DATA_DIR"
 
@@ -89,95 +90,19 @@ def _load_config_file(path: str) -> dict:
     return flat
 
 
-_MODEL_FLOAT_KEYS = {"c_reg", "mu", "delta", "epsilon"}
-_MODEL_INT_KEYS = {"m", "p", "l", "q", "seed", "k", "fold_seed"}
-
-
-def _merge_config(args: argparse.Namespace, keys) -> dict:
-    """File values first, then CLI flags override."""
-    resolved = {}
-    if getattr(args, "config", None):
-        file_vals = _load_config_file(args.config)
-        for key in keys:
-            if key in file_vals:
-                raw = file_vals[key]
-                if key in _MODEL_INT_KEYS:
-                    resolved[key] = int(raw)
-                elif key in _MODEL_FLOAT_KEYS:
-                    resolved[key] = raw if raw == if_scores.MEDIAN_HEURISTIC else float(raw)
-                else:
-                    resolved[key] = raw
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            resolved[key] = val
+def _merge_config(args) -> dict:
+    """Config-file values first, then the flags that were given override them."""
+    resolved = _load_config_file(args.config) if args.config else {}
+    resolved.update((k, v) for k, v in vars(args).items() if v is not None)
     return resolved
 
 
-_MODEL_KEYS = (
-    "variant", "c_reg", "m", "p", "l", "q", "mu", "delta", "epsilon", "seed",
-    "feature_activation", "enhancement_activation",
-)
-
-
-def _model_config(resolved: dict) -> trainer.ModelConfig:
-    variant = resolved.get("variant")
-    if variant is None:
-        raise DataFormatError("variant is required (flag --variant or config file)")
-    net = network.NetworkConfig(
-        m=int(resolved.get("m", 5)),
-        p=int(resolved.get("p", 10)),
-        l=int(resolved.get("l", 1)),
-        q=int(resolved.get("q", 25)),
-        feature_activation=resolved.get("feature_activation", "linear"),
-        enhancement_activation=resolved.get("enhancement_activation", "tanh"),
-        seed=int(resolved.get("seed", 0)),
-    )
-    kernel = None
-    delta = resolved.get("delta")
-    if variant == "if-bls":
-        kernel = if_scores.KernelParams(
-            mu=float(resolved.get("mu", 1.0)),
-            delta=float(delta) if delta is not None else fuzzy_default_delta(),
-            epsilon=resolved.get("epsilon", if_scores.MEDIAN_HEURISTIC),
-        )
-        delta = None
-    elif variant != "f-bls":
-        delta = None
-    return trainer.ModelConfig(
-        variant=variant,
-        network=net,
-        c_reg=float(resolved.get("c_reg", 1.0)),
-        delta=float(delta) if delta is not None else None,
-        kernel=kernel,
-    )
-
-
-def fuzzy_default_delta() -> float:
-    from .fuzzy import DEFAULT_DELTA
-
-    return DEFAULT_DELTA
-
-
-def _config_as_dict(cfg: trainer.ModelConfig) -> dict:
-    doc = {
-        "variant": cfg.variant,
-        "c_reg": cfg.c_reg,
-        "m": cfg.network.m,
-        "p": cfg.network.p,
-        "l": cfg.network.l,
-        "q": cfg.network.q,
-        "feature_activation": cfg.network.feature_activation,
-        "enhancement_activation": cfg.network.enhancement_activation,
-        "seed": cfg.network.seed,
-    }
-    if cfg.delta is not None:
-        doc["delta"] = cfg.delta
+def _manifest_config(cfg: trainer.ModelConfig) -> dict:
+    # The manifest records the if-bls kernel delta as kernel_delta.
+    flat = cfg.to_flat()
     if cfg.kernel is not None:
-        doc.update(
-            mu=cfg.kernel.mu, kernel_delta=cfg.kernel.delta, epsilon=cfg.kernel.epsilon
-        )
-    return doc
+        flat["kernel_delta"] = flat.pop("delta")
+    return flat
 
 
 # --- subcommands ----------------------------------------------------------
@@ -185,14 +110,13 @@ def _config_as_dict(cfg: trainer.ModelConfig) -> dict:
 
 def cmd_train(args) -> int:
     path = _resolve_data_path(args.data)
-    resolved = _merge_config(args, _MODEL_KEYS)
-    cfg = _model_config(resolved)
+    cfg = trainer.ModelConfig.from_flat(_merge_config(args))
     ds = data.load_csv(path, label_column=_label_column(args.label_column), header=not args.no_header)
     model = trainer.fit(ds.X, ds.labels, cfg)
     acc = trainer.accuracy(model, ds.X, ds.labels)
     trainer.save_model(model, args.out)
     _write_manifest(
-        args.out, "train", _config_as_dict(cfg), {"train": path},
+        args.out, "train", _manifest_config(cfg), {"train": path},
         {"model_seed": cfg.network.seed},
     )
     print(f"training accuracy: {acc:.4f}")
@@ -231,11 +155,13 @@ def cmd_predict(args) -> int:
 
 def cmd_cv(args) -> int:
     path = _resolve_data_path(args.data)
-    resolved = _merge_config(args, _MODEL_KEYS + ("k", "fold_seed"))
-    cfg = _model_config(resolved)
+    resolved = _merge_config(args)
+    cfg = trainer.ModelConfig.from_flat(resolved)
+    try:
+        k, fold_seed = int(resolved.get("k", 5)), int(resolved.get("fold_seed", 0))
+    except ValueError as exc:
+        raise ConfigError(f"k and fold_seed must be integers: {exc}") from None
     ds = data.load_csv(path, label_column=_label_column(args.label_column), header=not args.no_header)
-    k = int(resolved.get("k", 5))
-    fold_seed = int(resolved.get("fold_seed", 0))
     plan = data.make_folds(ds.n_samples, k, fold_seed)
     result = stats.cross_validate(ds, cfg, plan)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -246,7 +172,7 @@ def cmd_cv(args) -> int:
         writer.writerow(["mean", f"{result.mean_accuracy:.10f}"])
         writer.writerow(["std", f"{result.std_dev:.10f}"])
     _write_manifest(
-        args.out, "cv", _config_as_dict(cfg), {"data": path},
+        args.out, "cv", _manifest_config(cfg), {"data": path},
         {"model_seed": cfg.network.seed, "fold_seed": fold_seed},
     )
     print(f"mean accuracy: {result.mean_accuracy:.4f} (std {result.std_dev:.4f})")
@@ -257,27 +183,17 @@ def _parse_grid(args) -> stats.GridSpec:
     if args.grid == "paper":
         return stats.GridSpec.benchmark_default()
     flat = _load_config_file(args.grid)
-
-    def _list(key, cast, default=None):
-        if key not in flat:
-            if default is None:
-                raise DataFormatError(f"grid file is missing {key!r}")
-            return default
-        return tuple(cast(v) for v in flat[key].replace(",", " ").split())
-
-    return stats.GridSpec(
-        c_reg=_list("c_reg", float),
-        m=_list("m", int),
-        p=_list("p", int),
-        q=_list("q", int),
-        mu=_list("mu", float, (1.0,)),
-        delta=_list("delta", float, (1e-4,)),
-        epsilon=_list(
-            "epsilon",
-            lambda v: v if v == if_scores.MEDIAN_HEURISTIC else float(v),
-            (if_scores.MEDIAN_HEURISTIC,),
-        ),
-    )
+    lists = {}
+    for f in dataclasses.fields(stats.GridSpec):
+        if f.name in flat:
+            cast = trainer.FLAT_CASTS[f.name]
+            try:
+                lists[f.name] = tuple(cast(v) for v in flat[f.name].replace(",", " ").split())
+            except ValueError as exc:
+                raise DataFormatError(f"{args.grid}: bad {f.name!r} list: {exc}") from None
+        elif f.default is dataclasses.MISSING:
+            raise DataFormatError(f"grid file is missing {f.name!r}")
+    return stats.GridSpec(**lists)
 
 
 def cmd_gridsearch(args) -> int:
@@ -290,20 +206,16 @@ def cmd_gridsearch(args) -> int:
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["c_reg", "m", "p", "q", "mu", "delta", "epsilon", "mean_accuracy", "std_dev"]
-        writer.writerow(header)
+        # One column per grid key; csv writes a key the variant lacks as "".
+        keys = [f.name for f in dataclasses.fields(stats.GridSpec)]
+        writer.writerow(keys + ["mean_accuracy", "std_dev"])
         for r in results:
-            cfg = r.best_config
-            writer.writerow([
-                repr(cfg.c_reg), cfg.network.m, cfg.network.p, cfg.network.q,
-                "" if cfg.kernel is None else repr(cfg.kernel.mu),
-                "" if cfg.delta is None and cfg.kernel is None
-                else repr(cfg.delta if cfg.delta is not None else cfg.kernel.delta),
-                "" if cfg.kernel is None else str(cfg.kernel.epsilon),
-                f"{r.mean_accuracy:.10f}", f"{r.std_dev:.10f}",
-            ])
+            flat = r.best_config.to_flat()
+            writer.writerow(
+                [flat.get(k) for k in keys] + [f"{r.mean_accuracy:.10f}", f"{r.std_dev:.10f}"]
+            )
     _write_manifest(
-        args.out, "gridsearch", _config_as_dict(best.best_config), {"data": path},
+        args.out, "gridsearch", _manifest_config(best.best_config), {"data": path},
         {"model_seed": args.seed, "fold_seed": args.fold_seed},
     )
     bc = best.best_config
@@ -425,17 +337,19 @@ def _add_data_flags(p):
 
 
 def _add_model_flags(p):
+    cast = trainer.FLAT_CASTS
     p.add_argument("--variant", choices=trainer.VARIANTS)
     p.add_argument("--config", help="INI config file; flags override file values")
-    p.add_argument("--C", dest="c_reg", type=float, help="regularization parameter")
-    p.add_argument("--m", type=int, help="number of feature groups")
-    p.add_argument("--p", type=int, help="nodes per feature group")
-    p.add_argument("--l", type=int, help="number of enhancement groups")
-    p.add_argument("--q", type=int, help="nodes per enhancement group")
-    p.add_argument("--mu", type=float, help="Gaussian kernel width (if-bls)")
-    p.add_argument("--delta", type=float, help="radius offset (f-bls / if-bls)")
-    p.add_argument("--epsilon", help="neighborhood size or 'median_heuristic' (if-bls)")
-    p.add_argument("--seed", type=int, help="random layer seed")
+    p.add_argument("--C", dest="c_reg", type=cast["c_reg"], help="regularization parameter")
+    p.add_argument("--m", type=cast["m"], help="number of feature groups")
+    p.add_argument("--p", type=cast["p"], help="nodes per feature group")
+    p.add_argument("--l", type=cast["l"], help="number of enhancement groups")
+    p.add_argument("--q", type=cast["q"], help="nodes per enhancement group")
+    p.add_argument("--mu", type=cast["mu"], help="Gaussian kernel width (if-bls)")
+    p.add_argument("--delta", type=cast["delta"], help="radius offset (f-bls / if-bls)")
+    p.add_argument("--epsilon", type=cast["epsilon"],
+                   help="neighborhood size or 'median_heuristic' (if-bls)")
+    p.add_argument("--seed", type=cast["seed"], help="random layer seed")
     p.add_argument("--feature-activation", dest="feature_activation",
                    choices=sorted(network.FEATURE_ACTIVATIONS))
     p.add_argument("--enhancement-activation", dest="enhancement_activation",

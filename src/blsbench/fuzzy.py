@@ -20,7 +20,6 @@ __all__ = [
     "ClassGeometry",
     "signed_labels",
     "class_geometry",
-    "fuzzy_membership",
     "fuzzy_score_vector",
 ]
 
@@ -76,21 +75,6 @@ def class_geometry(X, labels) -> ClassGeometry:
         n_pos=int(pos.shape[0]),
         n_neg=int(neg.shape[0]),
     )
-
-
-def fuzzy_membership(x, label: int, geom: ClassGeometry, delta: float = DEFAULT_DELTA) -> float:
-    """Membership of a single sample: 1 - dist_to_own_center / (radius + delta)."""
-    if delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta!r}")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if label == 1:
-        center, radius = geom.center_pos, geom.radius_pos
-    elif label == -1:
-        center, radius = geom.center_neg, geom.radius_neg
-    else:
-        raise ConfigError(f"label must be +1 or -1, got {label!r}")
-    dist = float(np.linalg.norm(x - center))
-    return 1.0 - dist / (radius + delta)
 
 
 def fuzzy_score_vector(X, labels, delta: float = DEFAULT_DELTA) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "KernelParams",
     "IFScoreBreakdown",
     "gaussian_kernel",
-    "kernel_distance",
     "kernel_pairwise_distances",
     "kernel_class_radii",
     "kernel_membership",
@@ -83,16 +82,6 @@ def gaussian_kernel(A, B, mu: float) -> np.ndarray:
     if not (np.isfinite(mu) and mu > 0):
         raise ConfigError(f"mu must be positive, got {mu!r}")
     return np.exp(-pairwise_sq_dist(A, B) / (mu * mu))
-
-
-def kernel_distance(k_rr: float, k_ll: float, k_rl: float) -> float:
-    """RKHS distance between two points from their three kernel values."""
-    radicand = k_rr + k_ll - 2.0 * k_rl
-    if radicand < -_RADICAND_TOL:
-        raise InvalidKernel(
-            f"negative squared kernel distance {radicand}; kernel is not PSD"
-        )
-    return float(np.sqrt(max(radicand, 0.0)))
 
 
 def kernel_pairwise_distances(K) -> np.ndarray:

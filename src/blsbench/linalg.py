@@ -23,7 +23,6 @@ __all__ = [
     "solve_weighted_ridge_primal",
     "solve_weighted_ridge_dual",
     "pairwise_sq_dist",
-    "ridge_objective",
 ]
 
 
@@ -127,11 +126,3 @@ def pairwise_sq_dist(A, B) -> np.ndarray:
         diff = A[i] - B[j]
         d2[i, j] = diff @ diff
     return d2
-
-
-def ridge_objective(G, S, T, c_reg: float, W) -> float:
-    """Value of the weighted ridge objective at W (diagnostic helper)."""
-    G, S, T, c_reg = _check_ridge_args(G, S, T, c_reg)
-    W = as_matrix(W, "W")
-    resid = S[:, None] * (G @ W - T)
-    return 0.5 * c_reg * float(np.sum(resid * resid)) + 0.5 * float(np.sum(W * W))

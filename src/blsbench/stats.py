@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import stats as sp_stats
 
-from . import if_scores, network, trainer
+from . import if_scores, trainer
 from .data import Dataset, FoldPlan
 from .errors import ClassBalanceError, ConfigError
 from .trainer import ModelConfig
@@ -132,20 +132,20 @@ def cross_validate(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-hyperparameter candidate lists.
+    """Candidate lists for flat config keys (see ModelConfig.from_flat).
 
-    mu, delta, and epsilon apply only to the variants that use them; the
-    enumeration order (and tie-break order) is c_reg outermost, then m,
-    p, q, mu, delta, epsilon.
+    mu, delta, and epsilon apply only to the variants that use them and
+    default to the model defaults; the enumeration order (and tie-break
+    order) is c_reg outermost, then m, p, q, mu, delta, epsilon.
     """
 
     c_reg: tuple[float, ...]
     m: tuple[int, ...]
     p: tuple[int, ...]
     q: tuple[int, ...]
-    mu: tuple[float, ...] = (1.0,)
-    delta: tuple[float, ...] = (1e-4,)
-    epsilon: tuple[Union[float, str], ...] = (if_scores.MEDIAN_HEURISTIC,)
+    mu: tuple[float, ...] = (if_scores.KernelParams.mu,)
+    delta: tuple[float, ...] = (if_scores.KernelParams.delta,)
+    epsilon: tuple[Union[float, str], ...] = (if_scores.KernelParams.epsilon,)
 
     def __post_init__(self):
         for name in ("c_reg", "m", "p", "q", "mu", "delta", "epsilon"):
@@ -166,32 +166,12 @@ class GridSpec:
 
     def configs(self, variant: str, seed: int) -> list[ModelConfig]:
         """Materialize the Cartesian product for one variant."""
-        if variant not in trainer.VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
-        mus = self.mu if variant == "if-bls" else (None,)
-        deltas = self.delta if variant == "f-bls" else (None,)
-        kernel_deltas = self.delta if variant == "if-bls" else (None,)
-        epsilons = self.epsilon if variant == "if-bls" else (None,)
-        out = []
-        for c, m, p, q, mu, dlt, kdlt, eps in itertools.product(
-            self.c_reg, self.m, self.p, self.q, mus, deltas, kernel_deltas, epsilons
-        ):
-            net = network.NetworkConfig(m=m, p=p, q=q, seed=seed)
-            kernel = (
-                if_scores.KernelParams(mu=mu, delta=kdlt, epsilon=eps)
-                if variant == "if-bls"
-                else None
-            )
-            out.append(
-                ModelConfig(
-                    variant=variant,
-                    network=net,
-                    c_reg=c,
-                    delta=dlt,
-                    kernel=kernel,
-                )
-            )
-        return out
+        applies = ModelConfig(variant).to_flat()
+        keys = [f.name for f in fields(self) if f.name in applies]
+        return [
+            ModelConfig.from_flat({"variant": variant, "seed": seed, **dict(zip(keys, point))})
+            for point in itertools.product(*(getattr(self, k) for k in keys))
+        ]
 
 
 def grid_search(

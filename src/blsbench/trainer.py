@@ -11,8 +11,8 @@ then takes a per-row argmax over the class columns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import ClassBalanceError, ConfigError, DataFormatError, DimensionMi
 
 __all__ = [
     "VARIANTS",
+    "FLAT_CASTS",
     "ModelConfig",
     "TrainedModel",
     "fit",
@@ -68,6 +69,110 @@ class ModelConfig:
                 object.__setattr__(self, "kernel", if_scores.KernelParams())
         elif self.kernel is not None:
             raise ConfigError(f"kernel is only valid for if-bls, not {self.variant}")
+
+    @classmethod
+    def from_flat(cls, flat) -> "ModelConfig":
+        """Build a config from flat keys: CLI flags, INI values or a grid point.
+
+        Text values are parsed by FLAT_CASTS, missing keys take the field
+        defaults, and keys that do not apply to the variant are ignored.
+        """
+        vals = {}
+        for key, cast in FLAT_CASTS.items():
+            value = flat.get(key)
+            if isinstance(value, str):
+                try:
+                    value = cast(value)
+                except ValueError:
+                    raise ConfigError(f"{key} must be {cast.__name__}, got {value!r}") from None
+            if value is not None:
+                vals[key] = value
+
+        def take(keys):
+            return {k: vals[k] for k in keys if k in vals}
+
+        variant = vals.get("variant")
+        extra = take(("c_reg",))
+        if variant == "if-bls":
+            extra["kernel"] = if_scores.KernelParams(**take(_KERNEL_KEYS))
+        elif variant == "f-bls":
+            extra.update(take(("delta",)))
+        return cls(variant, network.NetworkConfig(**take(_NETWORK_KEYS)), **extra)
+
+    def to_flat(self) -> dict:
+        """The flat keys that apply to this config's variant, with their values."""
+        flat = {"variant": self.variant, "c_reg": self.c_reg, **vars(self.network)}
+        if self.delta is not None:
+            flat["delta"] = self.delta
+        if self.kernel is not None:
+            flat.update(vars(self.kernel))
+        return flat
+
+    def to_dict(self) -> dict:
+        """Nested form written into model files, floats as float.hex()."""
+
+        def group(obj):
+            return None if obj is None else {k: _hex(k, v) for k, v in vars(obj).items()}
+
+        doc = {k: _hex(k, getattr(self, k)) for k in ("variant", "c_reg", "delta")}
+        return {**doc, "kernel": group(self.kernel), "network": group(self.network)}
+
+    @classmethod
+    def from_dict(cls, doc) -> "ModelConfig":
+        """Inverse of to_dict, reading only the config keys of doc.
+
+        Raises ConfigError unless to_dict writes those keys back exactly; a
+        malformed doc may also raise KeyError, TypeError or ValueError.
+        """
+        flat = {k: doc[k] for k in ("variant", "c_reg", "delta")}
+        for group in ("network", "kernel"):
+            flat.update(doc[group] or {})
+        cfg = cls.from_flat({
+            k: float.fromhex(v) if isinstance(v, str) and v.startswith("0x") else v
+            for k, v in flat.items()
+        })
+        # Compared as JSON, so that false does not pass for 0 nor 1.0 for 1.
+        written = cfg.to_dict()
+        if json.dumps(written, sort_keys=True) != json.dumps(
+            {k: doc[k] for k in written}, sort_keys=True
+        ):
+            raise ConfigError("config fields differ from the ones a saved config has")
+        return cfg
+
+
+# --- flat config schema ---------------------------------------------------
+#
+# The flat keys are the scalar fields of ModelConfig, NetworkConfig and
+# KernelParams, shared by CLI flags, --config INI files, grid points and
+# gridsearch CSV columns. "delta" is ModelConfig.delta for f-bls and
+# KernelParams.delta for if-bls. Each key's cast follows its annotation.
+
+
+def _float_or_name(text: str):
+    """A number, or else a policy name for the field's own check (epsilon)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+_CASTS = {int: int, float: float, str: str, Union[float, str]: _float_or_name}
+
+FLAT_CASTS = {
+    key: _CASTS[hint]
+    for owner in (ModelConfig, network.NetworkConfig, if_scores.KernelParams)
+    for key, hint in get_type_hints(owner).items()
+    if hint in _CASTS
+}
+_NETWORK_KEYS = tuple(f.name for f in fields(network.NetworkConfig))
+_KERNEL_KEYS = tuple(f.name for f in fields(if_scores.KernelParams))
+
+
+def _hex(key: str, value):
+    """A field's value as model files hold it: floats as float.hex()."""
+    if value is None or isinstance(value, str):
+        return value
+    return int(value) if FLAT_CASTS[key] is int else float(value).hex()
 
 
 @dataclass(frozen=True)
@@ -222,37 +327,20 @@ def _encode_array(a: np.ndarray) -> dict:
     }
 
 
-def _decode_array(d: dict) -> np.ndarray:
-    a = np.array([float.fromhex(h) for h in d["hex"]], dtype=np.float64)
-    return a.reshape(d["shape"])
+def _decode_array(d: dict, shape: Optional[tuple] = None) -> np.ndarray:
+    """Decode an array that must have the given shape (default: 1-D)."""
+    hexes = d["hex"]
+    shape = list(shape or (len(hexes),))
+    if set(d) != {"shape", "hex"} or d["shape"] != shape or not isinstance(hexes, list):
+        raise DataFormatError(f"array {d['shape']!r} where {shape} was expected")
+    return np.array([float.fromhex(h) for h in hexes], dtype=np.float64).reshape(shape)
 
 
 def save_model(model: TrainedModel, path) -> None:
-    cfg = model.config
     doc = {
         "format": "blsbench-model",
         "version": MODEL_FORMAT_VERSION,
-        "variant": cfg.variant,
-        "c_reg": float(cfg.c_reg).hex(),
-        "delta": None if cfg.delta is None else float(cfg.delta).hex(),
-        "kernel": None
-        if cfg.kernel is None
-        else {
-            "mu": float(cfg.kernel.mu).hex(),
-            "delta": float(cfg.kernel.delta).hex(),
-            "epsilon": cfg.kernel.epsilon
-            if isinstance(cfg.kernel.epsilon, str)
-            else float(cfg.kernel.epsilon).hex(),
-        },
-        "network": {
-            "m": cfg.network.m,
-            "p": cfg.network.p,
-            "l": cfg.network.l,
-            "q": cfg.network.q,
-            "feature_activation": cfg.network.feature_activation,
-            "enhancement_activation": cfg.network.enhancement_activation,
-            "seed": cfg.network.seed,
-        },
+        **model.config.to_dict(),
         "input_dim": model.layer.input_dim,
         "class_labels": list(model.class_labels),
         "solve_branch_used": model.solve_branch_used,
@@ -273,49 +361,64 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "blsbench-model":
+    """Read a model file; a corrupt or inconsistent one raises DataFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # undecodable text or JSON
+        raise DataFormatError(f"{path} is not a JSON model file: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "blsbench-model":
         raise DataFormatError(f"{path} is not a model file")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise DataFormatError(
-            f"unsupported model format version {doc.get('version')!r}"
+            f"{path}: unsupported model format version {doc.get('version')!r}"
         )
-    kernel = None
-    if doc["kernel"] is not None:
-        eps = doc["kernel"]["epsilon"]
-        kernel = if_scores.KernelParams(
-            mu=float.fromhex(doc["kernel"]["mu"]),
-            delta=float.fromhex(doc["kernel"]["delta"]),
-            epsilon=eps if isinstance(eps, str) and not eps.startswith("0x") else float.fromhex(eps),
-        )
-    net = network.NetworkConfig(**doc["network"])
-    cfg = ModelConfig(
-        variant=doc["variant"],
-        network=net,
-        c_reg=float.fromhex(doc["c_reg"]),
-        delta=None if doc["delta"] is None else float.fromhex(doc["delta"]),
-        kernel=kernel,
-    )
+    try:
+        return _model_from_doc(dict(doc))
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError, DataFormatError too
+        raise DataFormatError(f"{path}: bad model file: {type(exc).__name__} {exc}") from None
+
+
+def _model_from_doc(doc: dict) -> TrainedModel:
+    """Decode a model document, consuming its keys; any key left is unknown."""
+    cfg = ModelConfig.from_dict(doc)
+    for key in ("format", "version", *cfg.to_dict()):
+        del doc[key]
+    net, input_dim = cfg.network, doc.pop("input_dim")
+    labels = doc.pop("class_labels")
+    if not isinstance(labels, list) or not all(isinstance(c, str) for c in labels):
+        raise DataFormatError("class_labels must be a list of strings")
+    branch = doc.pop("solve_branch_used")
+    if branch not in ("primal", "dual"):
+        raise DataFormatError(f"unknown solve branch {branch!r}")
+
+    def groups(key, count, shape):
+        arrays = doc.pop(key)
+        if not isinstance(arrays, list) or len(arrays) != count:
+            raise DataFormatError(f"{key} must hold {count} groups")
+        return tuple(_decode_array(d, shape) for d in arrays)
+
     layer = network.RandomLayer(
         config=net,
-        input_dim=int(doc["input_dim"]),
-        feature_weights=tuple(_decode_array(d) for d in doc["feature_weights"]),
-        feature_biases=tuple(_decode_array(d) for d in doc["feature_biases"]),
-        enhancement_weights=tuple(_decode_array(d) for d in doc["enhancement_weights"]),
-        enhancement_biases=tuple(_decode_array(d) for d in doc["enhancement_biases"]),
+        input_dim=input_dim,
+        feature_weights=groups("feature_weights", net.m, (input_dim, net.p)),
+        feature_biases=groups("feature_biases", net.m, (1, net.p)),
+        enhancement_weights=groups("enhancement_weights", net.l, (net.m * net.p, net.q)),
+        enhancement_biases=groups("enhancement_biases", net.l, (1, net.q)),
     )
-    return TrainedModel(
+    scores = doc.pop("score_vector")
+    model = TrainedModel(
         config=cfg,
         layer=layer,
-        w_out=_decode_array(doc["w_out"]),
+        w_out=_decode_array(doc.pop("w_out"), (net.width, len(labels))),
         norm_state=NormState(
-            feature_min=_decode_array(doc["norm_min"]),
-            feature_range=_decode_array(doc["norm_range"]),
+            feature_min=_decode_array(doc.pop("norm_min"), (input_dim,)),
+            feature_range=_decode_array(doc.pop("norm_range"), (input_dim,)),
         ),
-        class_labels=tuple(doc["class_labels"]),
-        solve_branch_used=doc["solve_branch_used"],
-        score_vector=None
-        if doc["score_vector"] is None
-        else _decode_array(doc["score_vector"]),
+        class_labels=tuple(labels),
+        solve_branch_used=branch,
+        score_vector=None if scores is None else _decode_array(scores),
     )
+    if doc:
+        raise DataFormatError(f"unknown keys {sorted(doc)}")
+    return model

@@ -90,6 +90,27 @@ class TestTrainPredict:
         assert doc["network"]["seed"] == 9  # flag beats file
         assert doc["network"]["m"] == 2
 
+    def test_epsilon_flag_parses_like_config_value(self, dataset_csv, tmp_path):
+        cfg = tmp_path / "eps.ini"
+        cfg.write_text("[model]\nepsilon = 0.5\n")
+        by_flag, by_file = tmp_path / "flag.json", tmp_path / "file.json"
+        res = run_cli("train", "--data", str(dataset_csv), "--variant", "if-bls",
+                      "--epsilon", "0.5", "--out", str(by_flag))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("train", "--data", str(dataset_csv), "--variant", "if-bls",
+                      "--config", str(cfg), "--out", str(by_file))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(by_flag.read_text())["kernel"]["epsilon"] == (0.5).hex()
+        assert by_flag.read_bytes() == by_file.read_bytes()
+
+    def test_non_numeric_config_value_is_runtime_error(self, dataset_csv, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[model]\nvariant = bls\nm = abc\n")
+        res = run_cli("train", "--data", str(dataset_csv), "--config", str(cfg),
+                      "--out", str(tmp_path / "m.json"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "'abc'" in res.stderr
+
 
 class TestCv:
     def test_writes_per_fold_rows(self, dataset_csv, tmp_path):
@@ -126,6 +147,14 @@ class TestGridSearch:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 2
         assert "best" in res.stdout
+
+    def test_non_numeric_grid_value_is_runtime_error(self, dataset_csv, tmp_path):
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nc_reg = 1, x\nm = 2\np = 4\nq = 6\n")
+        res = run_cli("gridsearch", "--data", str(dataset_csv), "--variant",
+                      "bls", "--grid", str(grid), "--out", str(tmp_path / "g.csv"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "'x'" in res.stderr
 
 
 class TestNoise:
@@ -193,3 +222,73 @@ class TestTopLevel:
     def test_no_command_is_usage_error(self):
         res = run_cli()
         assert res.returncode == 2
+
+
+# Config portion of model.json, manifest config block and gridsearch
+# parameter columns, recorded from the pre-schema CLI; none depend on BLAS.
+_NET = {"m": 2, "p": 3, "l": 1, "q": 4, "feature_activation": "linear",
+        "enhancement_activation": "tanh", "seed": 3}
+_MANIFEST = {"c_reg": 0.1, "enhancement_activation": "tanh", "feature_activation": "linear",
+             "l": 1, "m": 2, "p": 3, "q": 4, "seed": 3}
+_HEX_C, _HEX_DELTA, _HEX_HALF = "0x1.999999999999ap-4", "0x1.0624dd2f1a9fcp-10", "0x1.0000000000000p-1"
+SCHEMA_PINS = {
+    ("bls", "median_heuristic"): (
+        {"delta": None, "kernel": None},
+        {},
+        ["", "", ""],
+    ),
+    ("f-bls", "median_heuristic"): (
+        {"delta": _HEX_DELTA, "kernel": None},
+        {"delta": 0.001},
+        ["", "0.001", ""],
+    ),
+    ("if-bls", "median_heuristic"): (
+        {"delta": None,
+         "kernel": {"mu": _HEX_HALF, "delta": _HEX_DELTA, "epsilon": "median_heuristic"}},
+        {"mu": 0.5, "kernel_delta": 0.001, "epsilon": "median_heuristic"},
+        ["0.5", "0.001", "median_heuristic"],
+    ),
+    ("if-bls", "0.5"): (
+        {"delta": None, "kernel": {"mu": _HEX_HALF, "delta": _HEX_DELTA, "epsilon": _HEX_HALF}},
+        {"mu": 0.5, "kernel_delta": 0.001, "epsilon": 0.5},
+        ["0.5", "0.001", "0.5"],
+    ),
+}
+_ARRAY_KEYS = ["feature_weights", "feature_biases", "enhancement_weights",
+               "enhancement_biases", "w_out", "norm_min", "norm_range", "score_vector"]
+
+
+@pytest.mark.parametrize("variant,epsilon", list(SCHEMA_PINS))
+def test_config_schema_pinned(variant, epsilon, dataset_csv, tmp_path):
+    from blsbench import cli
+
+    model_part, manifest_part, grid_part = SCHEMA_PINS[variant, epsilon]
+    # One INI serves as --config and as a one-point grid; keys the variant
+    # does not use are ignored by both.
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nc_reg = 0.1\nm = 2\np = 3\nq = 4\ndelta = 0.001\nmu = 0.5\n"
+                   f"[kernel]\nepsilon = {epsilon}\n")
+    model = tmp_path / "model.json"
+    assert cli.main(["train", "--data", str(dataset_csv), "--variant", variant,
+                     "--config", str(ini), "--seed", "3", "--out", str(model)]) == 0
+    grid = tmp_path / "grid.csv"
+    assert cli.main(["gridsearch", "--data", str(dataset_csv), "--variant", variant,
+                     "--grid", str(ini), "--k", "3", "--seed", "3", "--out", str(grid)]) == 0
+
+    doc = json.loads(model.read_text())
+    expected = {"format": "blsbench-model", "version": 1, "variant": variant,
+                "c_reg": _HEX_C, **model_part, "network": _NET, "input_dim": 2,
+                "class_labels": ["a", "b"], "solve_branch_used": "primal"}
+    config_part = {k: v for k, v in doc.items() if k not in _ARRAY_KEYS}
+    assert json.dumps(config_part) == json.dumps(expected)  # values and key order
+    assert list(doc) == list(expected) + _ARRAY_KEYS
+
+    expected_manifest = {**_MANIFEST, "variant": variant, **manifest_part}
+    for path in (model, grid):
+        manifest = json.loads((tmp_path / f"{path.name}.manifest.json").read_text())
+        assert manifest["config"] == expected_manifest
+
+    rows = list(csv.reader(grid.open()))
+    assert rows[0] == ["c_reg", "m", "p", "q", "mu", "delta", "epsilon",
+                       "mean_accuracy", "std_dev"]
+    assert len(rows) == 2 and rows[1][:7] == ["0.1", "2", "3", "4"] + grid_part

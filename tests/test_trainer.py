@@ -1,8 +1,16 @@
+import copy
+import json
+import os
+import tempfile
+from functools import reduce
+from operator import getitem
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blsbench import fuzzy, linalg, network, trainer
-from blsbench.errors import ClassBalanceError, ConfigError
+from blsbench.errors import ClassBalanceError, ConfigError, DataFormatError
 from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, fit, load_model, predict, save_model
@@ -154,8 +162,6 @@ class TestPersistence:
         np.testing.assert_array_equal(a, b)
 
     def test_file_is_json_with_format_marker(self, blobs, tmp_path):
-        import json
-
         X, y = blobs
         model = fit(X, y, ModelConfig("bls", small_net()))
         path = tmp_path / "m.json"
@@ -167,5 +173,116 @@ class TestPersistence:
     def test_corrupt_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else", "version": 1}')
-        with pytest.raises(Exception):
+        with pytest.raises(DataFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.pop("w_out"),
+        lambda d: d.update(extra=1),
+        lambda d: d["network"].pop("l"),
+        lambda d: d.update(c_reg=None),
+        lambda d: d.update(delta=d["c_reg"]),
+        lambda d: d["w_out"]["hex"].__setitem__(0, "0xzz"),
+        lambda d: d["feature_weights"].pop(),
+        lambda d: d["w_out"].update(shape=d["w_out"]["shape"][::-1]),
+        lambda d: d["norm_min"].update(shape=[1], hex=d["norm_min"]["hex"][:1]),
+        lambda d: d["enhancement_biases"][0].update(shape=[1, 1], hex=["0x1p0"]),
+        lambda d: d.update(class_labels=["a", 2]),
+    ], ids=["missing-key", "unknown-key", "missing-field", "null-field", "foreign-delta",
+            "bad-hex", "group-count", "w_out-shape", "norm-length", "bias-shape",
+            "label-type"])
+    def test_inconsistent_file_rejected(self, corrupt, tmp_path):
+        path = tmp_path / "model.json"
+        doc = json.loads(_tiny_model_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="model.json"):
+            load_model(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(_tiny_model_text()[:-40])
+        with pytest.raises(DataFormatError, match="model.json"):
+            load_model(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_reloads_identically_or_is_rejected(self, data):
+        text = _tiny_model_text()
+        kind = data.draw(st.sampled_from(["truncate", "delete", "retype"]))
+        if kind == "truncate":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        else:
+            doc = json.loads(text)
+            path = data.draw(st.sampled_from(list(_json_paths(doc))))
+            parent = reduce(getitem, path[:-1], doc)
+            if kind == "delete":
+                del parent[path[-1]]
+            else:
+                old = parent[path[-1]]
+                parent[path[-1]] = data.draw(
+                    _JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+            text = json.dumps(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                loaded = load_model(path)
+            except DataFormatError:
+                return
+        # Only edits that keep the content (a dropped trailing newline, 1 -> 1.0,
+        # a null score vector) may load, and then to the same predictor.
+        original = _tiny_model()
+        assert loaded.config == original.config
+        assert loaded.class_labels == original.class_labels
+        assert loaded.solve_branch_used == original.solve_branch_used
+        for name in ("feature_weights", "feature_biases", "enhancement_weights",
+                     "enhancement_biases"):
+            for a, b in zip(getattr(loaded.layer, name), getattr(original.layer, name)):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.w_out, original.w_out)
+        np.testing.assert_array_equal(loaded.norm_state.feature_min, original.norm_state.feature_min)
+        np.testing.assert_array_equal(loaded.norm_state.feature_range,
+                                      original.norm_state.feature_range)
+        if loaded.score_vector is not None:
+            np.testing.assert_array_equal(loaded.score_vector, original.score_vector)
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(-2.0, 2.0), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def _json_paths(node, prefix=()):
+    """Key paths to every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+_TINY = {}
+
+
+def _tiny_model():
+    """A small if-bls model with a float epsilon, so every config field is set."""
+    if "model" not in _TINY:
+        X = np.array([[0.0, 0.1], [0.2, 0.0], [0.1, 0.3], [2.0, 2.1], [2.2, 1.9], [1.8, 2.0]])
+        y = ["a", "a", "a", "b", "b", "b"]
+        cfg = ModelConfig("if-bls", NetworkConfig(m=1, p=2, l=1, q=2, seed=1),
+                          c_reg=0.5, kernel=KernelParams(mu=0.5, epsilon=0.25))
+        _TINY["model"] = fit(X, y, cfg)
+    return _TINY["model"]
+
+
+def _tiny_model_text():
+    if "text" not in _TINY:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_model(_tiny_model(), path)
+            with open(path, encoding="utf-8") as fh:
+                _TINY["text"] = fh.read()
+    return _TINY["text"]
