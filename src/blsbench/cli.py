@@ -77,22 +77,37 @@ def _noise_level(text: str) -> float:
     return v
 
 
-def _load_config_file(path: str) -> dict:
-    """Flat key-value config with per-module sections; values are strings."""
+def _load_config_file(path: str, keys, error) -> dict:
+    """Flat key-value config with any sections; values are strings.
+
+    A missing or non-INI file raises DataFormatError, a key outside keys
+    raises error.
+    """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        flat = {
+            key.replace("-", "_"): value
+            for section in parser.sections()
+            for key, value in parser.items(section)
+        }
+    except configparser.Error as exc:  # e.g. no section header, a bad % in a value
+        raise DataFormatError(f"{path} is not an INI file: {' '.join(str(exc).split())}") from None
     if not read:
         raise DataFormatError(f"config file not found: {path}")
-    flat = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[key.replace("-", "_")] = value
+    unknown = sorted(set(flat) - set(keys))
+    if unknown:
+        raise error(f"{path}: unknown key {', '.join(map(repr, unknown))}")
     return flat
+
+
+# Keys a --config file may set: the model keys plus cv's fold settings.
+_CONFIG_KEYS = (*trainer.FLAT_CASTS, "k", "fold_seed")
 
 
 def _merge_config(args) -> dict:
     """Config-file values first, then the flags that were given override them."""
-    resolved = _load_config_file(args.config) if args.config else {}
+    resolved = _load_config_file(args.config, _CONFIG_KEYS, ConfigError) if args.config else {}
     resolved.update((k, v) for k, v in vars(args).items() if v is not None)
     return resolved
 
@@ -182,7 +197,8 @@ def cmd_cv(args) -> int:
 def _parse_grid(args) -> stats.GridSpec:
     if args.grid == "paper":
         return stats.GridSpec.benchmark_default()
-    flat = _load_config_file(args.grid)
+    keys = [f.name for f in dataclasses.fields(stats.GridSpec)]
+    flat = _load_config_file(args.grid, keys, DataFormatError)
     lists = {}
     for f in dataclasses.fields(stats.GridSpec):
         if f.name in flat:

@@ -53,6 +53,11 @@ def signed_labels(labels) -> np.ndarray:
 
 def class_geometry(X, labels) -> ClassGeometry:
     """Compute both class centers and radii from training samples."""
+    return _checked_geometry(X, labels)[2]
+
+
+def _checked_geometry(X, labels) -> tuple[np.ndarray, np.ndarray, ClassGeometry]:
+    """Check the samples and labels once; return them with the class geometry."""
     X = as_matrix(X, "X")
     t = signed_labels(labels)
     if t.shape[0] != X.shape[0]:
@@ -67,7 +72,7 @@ def class_geometry(X, labels) -> ClassGeometry:
     c_neg = neg.mean(axis=0)
     r_pos = float(np.sqrt(((pos - c_pos) ** 2).sum(axis=1).max()))
     r_neg = float(np.sqrt(((neg - c_neg) ** 2).sum(axis=1).max()))
-    return ClassGeometry(
+    return X, t, ClassGeometry(
         center_pos=c_pos,
         center_neg=c_neg,
         radius_pos=r_pos,
@@ -85,9 +90,7 @@ def fuzzy_score_vector(X, labels, delta: float = DEFAULT_DELTA) -> np.ndarray:
     """
     if delta <= 0:
         raise ConfigError(f"delta must be positive, got {delta!r}")
-    X = as_matrix(X, "X")
-    t = signed_labels(labels)
-    geom = class_geometry(X, t)
+    X, t, geom = _checked_geometry(X, labels)
     dist = np.empty(X.shape[0])
     radius = np.empty(X.shape[0])
     for sign, center, r in (

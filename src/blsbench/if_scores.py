@@ -27,11 +27,8 @@ __all__ = [
     "gaussian_kernel",
     "kernel_pairwise_distances",
     "kernel_class_radii",
-    "kernel_membership",
-    "non_membership",
     "if_score",
     "if_score_vector",
-    "resolve_epsilon",
 ]
 
 # Negative radicands larger than this are treated as an invalid kernel
@@ -89,6 +86,11 @@ def kernel_pairwise_distances(K) -> np.ndarray:
     K = as_matrix(K, "K")
     if K.shape[0] != K.shape[1]:
         raise ConfigError("kernel matrix must be square")
+    return _rkhs_distances(K)
+
+
+def _rkhs_distances(K: np.ndarray) -> np.ndarray:
+    """Pairwise RKHS distances sqrt(K_ii + K_jj - 2 K_ij) of a square kernel."""
     diag = np.diag(K)
     sq = diag[:, None] + diag[None, :] - 2.0 * K
     if sq.min() < -_RADICAND_TOL:
@@ -97,122 +99,95 @@ def kernel_pairwise_distances(K) -> np.ndarray:
         )
     np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
-    return np.sqrt(sq)
+    return np.sqrt(sq, out=sq)
 
 
-def _center_sq_dists(K: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Squared RKHS distance of every masked sample to its class centroid."""
-    n = int(mask.sum())
-    block = K[np.ix_(mask, mask)]
-    center_sq = block.sum() / (n * n)
-    cross = block.sum(axis=1) / n
-    sq = np.diag(K)[mask] + center_sq - 2.0 * cross
-    if sq.min() < -_RADICAND_TOL:
-        raise InvalidKernel(
-            f"negative squared center distance {sq.min()}; kernel is not PSD"
-        )
-    return np.maximum(sq, 0.0)
-
-
-def kernel_class_radii(K, labels) -> tuple[float, float]:
-    """Max RKHS distance of each class member to its class centroid.
+def _centroid_distances(K: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+    """RKHS distance of every sample to its class centroid, and both class radii.
 
     The class-sum term is computed once per class and shared across its
-    members.
+    members; a class radius is the largest distance among its members.
     """
-    K = as_matrix(K, "K")
-    t = signed_labels(labels)
-    if K.shape[0] != K.shape[1] or K.shape[0] != t.shape[0]:
-        raise ConfigError("kernel matrix must be N x N matching the labels")
+    dist = np.empty(t.shape[0])
     radii = []
     for sign in (1, -1):
         mask = t == sign
         if not mask.any():
             raise ClassBalanceError("both classes must have at least one sample")
-        radii.append(float(np.sqrt(_center_sq_dists(K, mask).max())))
-    return radii[0], radii[1]
+        n = int(mask.sum())
+        block = K[np.ix_(mask, mask)]
+        center_sq = block.sum() / (n * n)
+        cross = block.sum(axis=1) / n
+        sq = np.diag(K)[mask] + center_sq - 2.0 * cross
+        if sq.min() < -_RADICAND_TOL:
+            raise InvalidKernel(
+                f"negative squared center distance {sq.min()}; kernel is not PSD"
+            )
+        np.maximum(sq, 0.0, out=sq)
+        radii.append(float(np.sqrt(sq.max())))
+        dist[mask] = np.sqrt(sq)
+    return dist, tuple(radii)
 
 
-def kernel_membership(K, labels, radii: tuple[float, float], delta: float = DEFAULT_DELTA) -> np.ndarray:
-    """Membership per sample: 1 - centroid_distance / (class_radius + delta)."""
-    if delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta!r}")
+def kernel_class_radii(K, labels) -> tuple[float, float]:
+    """Max RKHS distance of each class member to its class centroid."""
     K = as_matrix(K, "K")
     t = signed_labels(labels)
-    r_pos, r_neg = radii
-    theta = np.empty(t.shape[0])
-    for sign, radius in ((1, r_pos), (-1, r_neg)):
-        mask = t == sign
-        if not mask.any():
-            raise ClassBalanceError("both classes must have at least one sample")
-        dist = np.sqrt(_center_sq_dists(K, mask))
-        theta[mask] = 1.0 - dist / (radius + delta)
-    return theta
+    if K.shape[0] != K.shape[1] or K.shape[0] != t.shape[0]:
+        raise ConfigError("kernel matrix must be N x N matching the labels")
+    return _centroid_distances(K, t)[1]
 
 
-def non_membership(K, labels, theta, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Heterogeneity ratio and non-membership per sample.
+def if_score(theta, theta_tilde) -> np.ndarray:
+    """Combine membership and non-membership into one weight, elementwise.
 
-    The ratio counts opposite-class points within kernel distance epsilon
-    over all points within that distance. A sample always sits in its own
-    neighborhood at distance zero, so the denominator is never empty.
-    Returns (hetero_ratio, non_membership).
+    Pure neighborhoods (theta_tilde = 0) keep their membership, samples
+    with theta <= theta_tilde get zero, and the rest interpolate.
     """
-    if not (np.isfinite(epsilon) and epsilon >= 0):
-        raise ConfigError(f"epsilon must be nonnegative, got {epsilon!r}")
-    K = as_matrix(K, "K")
-    t = signed_labels(labels)
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    dists = kernel_pairwise_distances(K)
-    within = dists <= epsilon
-    different = t[:, None] != t[None, :]
-    hetero = (within & different).sum(axis=1) / within.sum(axis=1)
-    return hetero, (1.0 - theta) * hetero
-
-
-def if_score(theta: float, theta_tilde: float) -> float:
-    """Combine membership and non-membership into one weight."""
-    if not (0.0 <= theta <= 1.0 and 0.0 <= theta_tilde <= 1.0):
+    theta = np.asarray(theta, dtype=np.float64)
+    theta_tilde = np.asarray(theta_tilde, dtype=np.float64)
+    if not ((0.0 <= theta) & (theta <= 1.0) & (0.0 <= theta_tilde) & (theta_tilde <= 1.0)).all():
         raise ConfigError("theta and theta_tilde must lie in [0, 1]")
-    if theta + theta_tilde > 1.0 + 1e-12:
+    if (theta + theta_tilde > 1.0 + 1e-12).any():
         raise ConfigError("theta + theta_tilde must not exceed 1")
-    if theta_tilde == 0.0:
-        return theta
-    if theta <= theta_tilde:
-        return 0.0
-    return (1.0 - theta_tilde) / (2.0 - theta - theta_tilde)
-
-
-def resolve_epsilon(K, policy: Union[float, str]) -> float:
-    """Turn an epsilon policy into a concrete value for this kernel matrix."""
-    if isinstance(policy, str):
-        if policy != MEDIAN_HEURISTIC:
-            raise ConfigError(f"unknown epsilon policy {policy!r}")
-        dists = kernel_pairwise_distances(K)
-        iu = np.triu_indices(dists.shape[0], k=1)
-        if iu[0].size == 0:
-            return 0.0
-        return float(np.median(dists[iu]))
-    return float(policy)
+    # The checks keep 2 - theta - theta_tilde >= 1 - 1e-12, so the mixed
+    # branch is finite everywhere.
+    mixed = (1.0 - theta_tilde) / (2.0 - theta - theta_tilde)
+    return np.where(theta_tilde == 0.0, theta, np.where(theta <= theta_tilde, 0.0, mixed))
 
 
 def if_score_vector(X, labels, params: KernelParams) -> tuple[np.ndarray, IFScoreBreakdown]:
-    """Full scoring pipeline: kernel, radii, membership, non-membership, score."""
+    """Full scoring pipeline: kernel, radii, membership, non-membership, score.
+
+    Builds the kernel, the centroid distances and the RKHS distance matrix
+    once each; the kernel is freed before the neighborhood step.
+    """
     X = as_matrix(X, "X")
     t = signed_labels(labels)
     if t.shape[0] != X.shape[0]:
         raise ConfigError(f"{t.shape[0]} labels for {X.shape[0]} samples")
     K = gaussian_kernel(X, X, params.mu)
-    radii = kernel_class_radii(K, t)
-    theta = kernel_membership(K, t, radii, params.delta)
+    dist, (r_pos, r_neg) = _centroid_distances(K, t)
+    theta = 1.0 - dist / (np.where(t == 1, r_pos, r_neg) + params.delta)
     # Centroid distances can exceed the radius by rounding on the member
     # that attains the max; keep theta inside [0, 1].
     np.clip(theta, 0.0, 1.0, out=theta)
-    epsilon = resolve_epsilon(K, params.epsilon)
-    hetero, theta_tilde = non_membership(K, t, theta, epsilon)
-    scores = np.array(
-        [if_score(th, tt) for th, tt in zip(theta, theta_tilde)]
-    )
+    dists = _rkhs_distances(K)
+    del K
+    if isinstance(params.epsilon, str):
+        # Both classes are present, so there is at least one pair.
+        epsilon = float(np.median(dists[np.triu_indices(dists.shape[0], k=1)]))
+    else:
+        epsilon = float(params.epsilon)
+    # The heterogeneity ratio is the opposite-class share of the points
+    # within epsilon. A sample always sits in its own neighborhood at
+    # distance zero, so the denominator is never empty.
+    within = dists <= epsilon
+    del dists
+    different = t[:, None] != t[None, :]
+    hetero = (within & different).sum(axis=1) / within.sum(axis=1)
+    theta_tilde = (1.0 - theta) * hetero
+    scores = if_score(theta, theta_tilde)
     breakdown = IFScoreBreakdown(
         membership=theta,
         non_membership=theta_tilde,

@@ -21,9 +21,6 @@ __all__ = [
     "NetworkConfig",
     "RandomLayer",
     "init_random_layer",
-    "feature_groups",
-    "enhancement_groups",
-    "assemble_state",
     "state_matrix",
 ]
 
@@ -133,52 +130,25 @@ def init_random_layer(cfg: NetworkConfig, input_dim: int) -> RandomLayer:
     )
 
 
-def feature_groups(layer: RandomLayer, X) -> np.ndarray:
-    """Map X through every feature group and concatenate the outputs."""
+def state_matrix(layer: RandomLayer, X) -> np.ndarray:
+    """Full forward pass: [feature groups, enhancement groups of those features].
+
+    Every feature group maps X; every enhancement group maps the
+    concatenated feature block of m*p columns.
+    """
     X = as_matrix(X, "X")
     if X.shape[1] != layer.input_dim:
         raise DimensionMismatch(
             f"X has {X.shape[1]} columns, layer expects {layer.input_dim}"
         )
     act = FEATURE_ACTIVATIONS[layer.config.feature_activation]
-    blocks = [
-        act(X @ W + b)
-        for W, b in zip(layer.feature_weights, layer.feature_biases)
-    ]
-    return np.concatenate(blocks, axis=1)
-
-
-def enhancement_groups(layer: RandomLayer, Fm) -> np.ndarray:
-    """Map the concatenated feature block through every enhancement group."""
-    Fm = as_matrix(Fm, "Fm")
-    expected = layer.config.m * layer.config.p
-    if Fm.shape[1] != expected:
-        raise DimensionMismatch(
-            f"Fm has {Fm.shape[1]} columns, expected m*p = {expected}"
-        )
+    Fm = np.concatenate(
+        [act(X @ W + b) for W, b in zip(layer.feature_weights, layer.feature_biases)],
+        axis=1,
+    )
     act = ENHANCEMENT_ACTIVATIONS[layer.config.enhancement_activation]
-    blocks = [
-        act(Fm @ W + b)
-        for W, b in zip(layer.enhancement_weights, layer.enhancement_biases)
-    ]
-    return np.concatenate(blocks, axis=1)
-
-
-def assemble_state(Fm, El) -> np.ndarray:
-    """Column-concatenate [feature block, enhancement block]."""
-    Fm = as_matrix(Fm, "Fm")
-    El = as_matrix(El, "El")
-    if Fm.shape[0] != El.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: {Fm.shape[0]} vs {El.shape[0]}"
-        )
-    if Fm.shape[1] == 0 or El.shape[1] == 0:
-        raise DimensionMismatch("both blocks must have at least one column")
+    El = np.concatenate(
+        [act(Fm @ W + b) for W, b in zip(layer.enhancement_weights, layer.enhancement_biases)],
+        axis=1,
+    )
     return np.concatenate([Fm, El], axis=1)
-
-
-def state_matrix(layer: RandomLayer, X) -> np.ndarray:
-    """Full forward pass: features, enhancements, concatenation."""
-    Fm = feature_groups(layer, X)
-    El = enhancement_groups(layer, Fm)
-    return assemble_state(Fm, El)

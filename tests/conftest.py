@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,10 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# CLI tests run `python -m blsbench.cli` in child processes; let those
+# import the package from an uninstalled checkout as well.
+_SRC = str(Path(__file__).parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def make_blobs(n_per_class, centers, std, seed, labels=("a", "b")):

@@ -2,7 +2,10 @@
 
 import numpy as np
 
-from blsbench.errors import ConfigError, InvalidKernel
+from blsbench import if_scores
+from blsbench.errors import ClassBalanceError, ConfigError, InvalidKernel
+from blsbench.fuzzy import DEFAULT_DELTA, signed_labels
+from blsbench.linalg import as_matrix
 
 # Negative radicands larger than this are an invalid kernel, not rounding.
 RADICAND_TOL = 1e-12
@@ -37,3 +40,134 @@ def ridge_objective(G, S, T, c_reg: float, W) -> float:
     """Value of the weighted ridge objective (C/2)||S(GW - T)||^2 + ||W||^2/2."""
     resid = np.asarray(S)[:, None] * (G @ W - T)
     return 0.5 * c_reg * float(np.sum(resid * resid)) + 0.5 * float(np.sum(W * W))
+
+
+# --- step-by-step IF scoring ----------------------------------------------
+#
+# The IF-BLS pipeline as a chain of separately checked steps, each taking
+# the full kernel matrix and sharing no code with the package beyond
+# gaussian_kernel: if_scores.if_score_vector must match it exactly.
+
+
+def center_sq_dists(K, mask):
+    """Squared RKHS distance of every masked sample to its class centroid."""
+    n = int(mask.sum())
+    block = K[np.ix_(mask, mask)]
+    center_sq = block.sum() / (n * n)
+    cross = block.sum(axis=1) / n
+    sq = np.diag(K)[mask] + center_sq - 2.0 * cross
+    if sq.min() < -RADICAND_TOL:
+        raise InvalidKernel(
+            f"negative squared center distance {sq.min()}; kernel is not PSD"
+        )
+    return np.maximum(sq, 0.0)
+
+
+def kernel_pairwise_distances(K):
+    """All pairwise RKHS distances from a full kernel matrix."""
+    K = as_matrix(K, "K")
+    if K.shape[0] != K.shape[1]:
+        raise ConfigError("kernel matrix must be square")
+    diag = np.diag(K)
+    sq = diag[:, None] + diag[None, :] - 2.0 * K
+    if sq.min() < -RADICAND_TOL:
+        raise InvalidKernel(
+            f"negative squared kernel distance {sq.min()}; kernel is not PSD"
+        )
+    np.maximum(sq, 0.0, out=sq)
+    np.fill_diagonal(sq, 0.0)
+    return np.sqrt(sq)
+
+
+def kernel_class_radii(K, labels):
+    """Max RKHS distance of each class member to its class centroid."""
+    K = as_matrix(K, "K")
+    t = signed_labels(labels)
+    if K.shape[0] != K.shape[1] or K.shape[0] != t.shape[0]:
+        raise ConfigError("kernel matrix must be N x N matching the labels")
+    radii = []
+    for sign in (1, -1):
+        mask = t == sign
+        if not mask.any():
+            raise ClassBalanceError("both classes must have at least one sample")
+        radii.append(float(np.sqrt(center_sq_dists(K, mask).max())))
+    return radii[0], radii[1]
+
+
+def kernel_membership(K, labels, radii, delta=DEFAULT_DELTA):
+    """Membership per sample: 1 - centroid_distance / (class_radius + delta)."""
+    if delta <= 0:
+        raise ConfigError(f"delta must be positive, got {delta!r}")
+    K = as_matrix(K, "K")
+    t = signed_labels(labels)
+    r_pos, r_neg = radii
+    theta = np.empty(t.shape[0])
+    for sign, radius in ((1, r_pos), (-1, r_neg)):
+        mask = t == sign
+        if not mask.any():
+            raise ClassBalanceError("both classes must have at least one sample")
+        dist = np.sqrt(center_sq_dists(K, mask))
+        theta[mask] = 1.0 - dist / (radius + delta)
+    return theta
+
+
+def non_membership(K, labels, theta, epsilon):
+    """(hetero_ratio, non_membership): opposite-class share of each
+    epsilon-neighborhood, and (1 - theta) times that share."""
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ConfigError(f"epsilon must be nonnegative, got {epsilon!r}")
+    K = as_matrix(K, "K")
+    t = signed_labels(labels)
+    theta = np.asarray(theta, dtype=np.float64).ravel()
+    dists = kernel_pairwise_distances(K)
+    within = dists <= epsilon
+    different = t[:, None] != t[None, :]
+    hetero = (within & different).sum(axis=1) / within.sum(axis=1)
+    return hetero, (1.0 - theta) * hetero
+
+
+def resolve_epsilon(K, policy):
+    """Turn an epsilon policy into a concrete value for this kernel matrix."""
+    if isinstance(policy, str):
+        if policy != if_scores.MEDIAN_HEURISTIC:
+            raise ConfigError(f"unknown epsilon policy {policy!r}")
+        dists = kernel_pairwise_distances(K)
+        iu = np.triu_indices(dists.shape[0], k=1)
+        if iu[0].size == 0:
+            return 0.0
+        return float(np.median(dists[iu]))
+    return float(policy)
+
+
+def if_score(theta: float, theta_tilde: float) -> float:
+    """Combine membership and non-membership into one weight."""
+    if not (0.0 <= theta <= 1.0 and 0.0 <= theta_tilde <= 1.0):
+        raise ConfigError("theta and theta_tilde must lie in [0, 1]")
+    if theta + theta_tilde > 1.0 + 1e-12:
+        raise ConfigError("theta + theta_tilde must not exceed 1")
+    if theta_tilde == 0.0:
+        return theta
+    if theta <= theta_tilde:
+        return 0.0
+    return (1.0 - theta_tilde) / (2.0 - theta - theta_tilde)
+
+
+def if_score_vector(X, labels, params):
+    """Reference pipeline: kernel, radii, membership, epsilon,
+    non-membership, then the scalar score rule per sample."""
+    X = as_matrix(X, "X")
+    t = signed_labels(labels)
+    K = if_scores.gaussian_kernel(X, X, params.mu)
+    radii = kernel_class_radii(K, t)
+    theta = kernel_membership(K, t, radii, params.delta)
+    np.clip(theta, 0.0, 1.0, out=theta)
+    epsilon = resolve_epsilon(K, params.epsilon)
+    hetero, theta_tilde = non_membership(K, t, theta, epsilon)
+    scores = np.array([if_score(th, tt) for th, tt in zip(theta, theta_tilde)])
+    return scores, if_scores.IFScoreBreakdown(
+        membership=theta,
+        non_membership=theta_tilde,
+        hetero_ratio=hetero,
+        score=scores,
+        epsilon_used=epsilon,
+    )

@@ -157,6 +157,25 @@ class TestGridSearch:
         assert res.stderr.startswith("error:") and "'x'" in res.stderr
 
 
+@pytest.mark.parametrize("text,needle", [
+    pytest.param("m = 3\n", "no section headers", id="no-header"),
+    pytest.param("[x]\nc_reg = 1\nm = 2\np = 4\nq = 6\nc_rge = 5\n", "unknown key 'c_rge'",
+                 id="unknown-key"),
+])
+@pytest.mark.parametrize("command,flag", [("train", "--config"), ("gridsearch", "--grid")])
+def test_bad_ini_file_is_runtime_error(command, flag, text, needle, dataset_csv, tmp_path, capsys):
+    from blsbench import cli
+
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    code = cli.main([command, "--data", str(dataset_csv), "--variant", "bls",
+                     flag, str(ini), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and needle in err and str(ini) in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestNoise:
     def test_writes_corrupted_copy(self, dataset_csv, tmp_path):
         out = tmp_path / "noisy.csv"

@@ -91,7 +91,8 @@ class TestMembership:
     def test_values_match_manual_formula(self):
         X, y, K = kernel_problem(seed=2)
         radii = if_scores.kernel_class_radii(K, y)
-        theta = if_scores.kernel_membership(K, y, radii, delta=1e-4)
+        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0, delta=1e-4))
+        theta = br.membership
         # manual for sample 0 (positive class)
         pos = np.flatnonzero(y == 1)
         n = len(pos)
@@ -100,8 +101,9 @@ class TestMembership:
         assert theta[0] == pytest.approx(expected, rel=1e-10)
 
     def test_bounded(self):
-        X, y, K = kernel_problem(seed=4)
-        theta = if_scores.kernel_membership(K, y, if_scores.kernel_class_radii(K, y))
+        X, y, _ = kernel_problem(seed=4)
+        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0))
+        theta = br.membership
         assert (theta > 0).all() and (theta <= 1).all()
 
 
@@ -114,8 +116,8 @@ class TestNonMembership:
         K = if_scores.gaussian_kernel(X, X, mu=2.0)
         D = if_scores.kernel_pairwise_distances(K)
         eps = (D[0, 1] + D[1, 3]) / 2  # admits gaps up to 1.0, rejects 1.5
-        theta = if_scores.kernel_membership(K, y, if_scores.kernel_class_radii(K, y))
-        hetero, tilde = if_scores.non_membership(K, y, theta, epsilon=eps)
+        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=2.0, epsilon=eps))
+        hetero, tilde, theta = br.hetero_ratio, br.non_membership, br.membership
         # Sample 1: neighborhood {0, 1, 2} -> one opposite out of three.
         assert hetero[1] == pytest.approx(1 / 3)
         # Sample 0: neighborhood {0, 1} -> no opposite.
@@ -126,18 +128,16 @@ class TestNonMembership:
         # Even with epsilon = 0 the denominator includes the sample itself.
         X = np.array([[0.0], [3.0], [6.0], [9.0]])
         y = np.array([1, 1, -1, -1])
-        K = if_scores.gaussian_kernel(X, X, mu=1.0)
-        theta = np.full(4, 0.5)
-        hetero, _ = if_scores.non_membership(K, y, theta, epsilon=0.0)
-        np.testing.assert_array_equal(hetero, 0.0)
+        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0, epsilon=0.0))
+        np.testing.assert_array_equal(br.hetero_ratio, 0.0)
 
     def test_ties_at_epsilon_included(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([1, -1])
         K = if_scores.gaussian_kernel(X, X, mu=1.0)
         D = if_scores.kernel_pairwise_distances(K)
-        hetero, _ = if_scores.non_membership(K, y, np.zeros(2), epsilon=D[0, 1])
-        assert hetero[0] == pytest.approx(0.5)
+        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0, epsilon=D[0, 1]))
+        assert br.hetero_ratio[0] == pytest.approx(0.5)
 
 
 class TestScore:
@@ -170,19 +170,22 @@ class TestScore:
 class TestEpsilonPolicy:
     def test_median_of_offdiagonal_distances(self):
         X = np.array([[0.0], [1.0], [3.0]])
+        y = np.array([1, 1, -1])
         K = if_scores.gaussian_kernel(X, X, mu=2.0)
         D = if_scores.kernel_pairwise_distances(K)
         uppers = [D[0, 1], D[0, 2], D[1, 2]]
-        assert if_scores.resolve_epsilon(K, "median_heuristic") == pytest.approx(
-            np.median(uppers))
+        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=2.0))
+        assert br.epsilon_used == pytest.approx(np.median(uppers))
 
     def test_fixed_value_passthrough(self):
-        K = np.eye(3)
-        assert if_scores.resolve_epsilon(K, 0.25) == 0.25
+        X, y, _ = kernel_problem(n=6)
+        _, br = if_scores.if_score_vector(X, y, KernelParams(epsilon=0.25))
+        assert br.epsilon_used == 0.25
 
     def test_unknown_policy_rejected(self):
+        X, y, _ = kernel_problem(n=6)
         with pytest.raises(ValueError):
-            if_scores.resolve_epsilon(np.eye(2), "mean_heuristic")
+            if_scores.if_score_vector(X, y, KernelParams(epsilon="mean_heuristic"))
 
 
 class TestVector:
@@ -193,7 +196,7 @@ class TestVector:
         assert (br.membership + br.non_membership <= 1 + 1e-12).all()
         assert (scores >= 0).all() and (scores <= 1).all()
         recomputed = np.array([
-            if_scores.if_score(t, nt)
+            oracles.if_score(t, nt)
             for t, nt in zip(np.clip(br.membership, 0, 1), br.non_membership)
         ])
         np.testing.assert_allclose(scores, recomputed, rtol=1e-12)
@@ -213,3 +216,28 @@ class TestVector:
         a, _ = if_scores.if_score_vector(X, y, KernelParams())
         b, _ = if_scores.if_score_vector(X, y, KernelParams())
         np.testing.assert_array_equal(a, b)
+
+
+def oracle_problem(seed):
+    """Two overlapping classes plus duplicated points with flipped labels."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.normal(0.0, 0.7, size=(14, 3)), rng.normal(1.0, 0.7, size=(14, 3))])
+    y = np.array([1] * 14 + [-1] * 14)
+    dup = rng.choice(28, size=5, replace=False)
+    return np.vstack([X, X[dup]]), np.concatenate([y, -y[dup]])
+
+
+@pytest.mark.parametrize("epsilon", ["median_heuristic", 0.3, 0.0])
+@pytest.mark.parametrize("mu", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_vector_matches_step_by_step_oracle_exactly(seed, mu, epsilon):
+    X, y = oracle_problem(seed)
+    params = KernelParams(mu=mu, epsilon=epsilon)
+    scores, br = if_scores.if_score_vector(X, y, params)
+    ref_scores, ref = oracles.if_score_vector(X, y, params)
+    np.testing.assert_array_equal(scores, ref_scores)
+    for name in ("score", "membership", "non_membership", "hetero_ratio"):
+        np.testing.assert_array_equal(getattr(br, name), getattr(ref, name), err_msg=name)
+    assert br.epsilon_used == ref.epsilon_used
+    # Duplicates with flipped labels always see each other, even at epsilon 0.
+    assert (br.hetero_ratio[-5:] > 0).all()

@@ -69,7 +69,7 @@ class TestForward:
     def test_linear_feature_groups_match_affine_map(self, small_layer):
         cfg, layer = small_layer
         X = np.random.default_rng(0).normal(size=(10, 6))
-        F = network.feature_groups(layer, X)
+        F = network.state_matrix(layer, X)[:, : cfg.m * cfg.p]
         assert F.shape == (10, cfg.m * cfg.p)
         manual = X @ layer.feature_weights[0] + layer.feature_biases[0]
         np.testing.assert_allclose(F[:, : cfg.p], manual)
@@ -77,16 +77,19 @@ class TestForward:
     def test_tanh_enhancement_bounded(self, small_layer):
         cfg, layer = small_layer
         X = np.random.default_rng(0).normal(size=(10, 6))
-        F = network.feature_groups(layer, X)
-        E = network.enhancement_groups(layer, F)
+        E = network.state_matrix(layer, X)[:, cfg.m * cfg.p:]
         assert E.shape == (10, cfg.l * cfg.q)
         assert np.abs(E).max() <= 1.0
 
     def test_state_matrix_is_concatenation(self, small_layer):
         cfg, layer = small_layer
         X = np.random.default_rng(0).normal(size=(8, 6))
-        F = network.feature_groups(layer, X)
-        E = network.enhancement_groups(layer, F)
+        # Linear feature groups, then tanh enhancement groups of all features.
+        F = np.hstack([X @ W + b for W, b in zip(layer.feature_weights, layer.feature_biases)])
+        E = np.hstack([
+            np.tanh(F @ W + b)
+            for W, b in zip(layer.enhancement_weights, layer.enhancement_biases)
+        ])
         G = network.state_matrix(layer, X)
         np.testing.assert_array_equal(G, np.hstack([F, E]))
         assert G.shape == (8, cfg.width)
@@ -102,15 +105,11 @@ class TestForward:
     def test_relu_enhancement(self):
         cfg = NetworkConfig(enhancement_activation="relu", seed=0)
         layer = init_random_layer(cfg, 3)
-        F = network.feature_groups(layer, np.random.default_rng(2).normal(size=(6, 3)))
-        E = network.enhancement_groups(layer, F)
+        G = network.state_matrix(layer, np.random.default_rng(2).normal(size=(6, 3)))
+        E = G[:, cfg.m * cfg.p:]
         assert (E >= 0).all() and (E > 0).any()
 
     def test_input_dim_mismatch_rejected(self, small_layer):
         _, layer = small_layer
         with pytest.raises(DimensionMismatch):
-            network.feature_groups(layer, np.ones((4, 5)))
-
-    def test_assemble_state_rejects_empty_block(self):
-        with pytest.raises(DimensionMismatch):
-            network.assemble_state(np.ones((3, 0)), np.ones((3, 2)))
+            network.state_matrix(layer, np.ones((4, 5)))
