@@ -12,27 +12,18 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__, data, network, stats, trainer
 from .errors import BlsBenchError, ConfigError, DataFormatError
 
 DATA_DIR_ENV = "BLSBENCH_DATA_DIR"
-
-
-def _label_column(value: str):
-    text = str(value).strip()
-    if text.lstrip("-").isdigit():
-        return int(text)
-    return text
 
 
 def _resolve_data_path(path: str) -> str:
@@ -42,6 +33,14 @@ def _resolve_data_path(path: str) -> str:
         if os.path.exists(candidate):
             return candidate
     return path
+
+
+def _load_dataset(args) -> tuple[str, data.Dataset]:
+    """The resolved --data path and the dataset read with --label-column and --no-header."""
+    path = _resolve_data_path(args.data)
+    label = args.label_column.strip()
+    label_column = int(label) if label.lstrip("-").isdigit() else label
+    return path, data.load_csv(path, label_column=label_column, header=not args.no_header)
 
 
 def _sha256(path: str) -> str:
@@ -124,9 +123,8 @@ def _manifest_config(cfg: trainer.ModelConfig) -> dict:
 
 
 def cmd_train(args) -> int:
-    path = _resolve_data_path(args.data)
     cfg = trainer.ModelConfig.from_flat(_merge_config(args))
-    ds = data.load_csv(path, label_column=_label_column(args.label_column), header=not args.no_header)
+    path, ds = _load_dataset(args)
     model = trainer.fit(ds.X, ds.labels, cfg)
     acc = trainer.accuracy(model, ds.X, ds.labels)
     trainer.save_model(model, args.out)
@@ -142,50 +140,37 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = trainer.load_model(args.model)
     path = _resolve_data_path(args.data)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows and not args.no_header:
-        rows = rows[1:]
-    if not rows:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("prediction\n")
+    _, X, _ = data.read_csv(path, header=not args.no_header)
+    if X.shape[0] == 0:
+        data.write_csv(args.out, [["prediction"]])
         print("empty test file; wrote empty predictions")
         return 0
-    try:
-        X = np.array([[float(c) for c in row] for row in rows])
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: non-numeric feature cell ({exc})") from None
     if X.shape[1] != model.layer.input_dim:
         raise DataFormatError(
             f"{path} has {X.shape[1]} feature columns, model expects {model.layer.input_dim}"
         )
     preds = trainer.predict(model, X)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("prediction\n")
-        for p in preds:
-            fh.write(p + "\n")
+    data.write_csv(args.out, [["prediction"], *([p] for p in preds)])
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 
 
 def cmd_cv(args) -> int:
-    path = _resolve_data_path(args.data)
     resolved = _merge_config(args)
     cfg = trainer.ModelConfig.from_flat(resolved)
     try:
         k, fold_seed = int(resolved.get("k", 5)), int(resolved.get("fold_seed", 0))
     except ValueError as exc:
         raise ConfigError(f"k and fold_seed must be integers: {exc}") from None
-    ds = data.load_csv(path, label_column=_label_column(args.label_column), header=not args.no_header)
+    path, ds = _load_dataset(args)
     plan = data.make_folds(ds.n_samples, k, fold_seed)
     result = stats.cross_validate(ds, cfg, plan)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fold", "accuracy"])
-        for i, acc in enumerate(result.per_fold_accuracy):
-            writer.writerow([i, "" if acc is None else f"{acc:.10f}"])
-        writer.writerow(["mean", f"{result.mean_accuracy:.10f}"])
-        writer.writerow(["std", f"{result.std_dev:.10f}"])
+    data.write_csv(args.out, [
+        ["fold", "accuracy"],
+        *([i, "" if acc is None else f"{acc:.10f}"] for i, acc in enumerate(result.per_fold_accuracy)),
+        ["mean", f"{result.mean_accuracy:.10f}"],
+        ["std", f"{result.std_dev:.10f}"],
+    ])
     _write_manifest(
         args.out, "cv", _manifest_config(cfg), {"data": path},
         {"model_seed": cfg.network.seed, "fold_seed": fold_seed},
@@ -213,23 +198,19 @@ def _parse_grid(args) -> stats.GridSpec:
 
 
 def cmd_gridsearch(args) -> int:
-    path = _resolve_data_path(args.data)
-    ds = data.load_csv(path, label_column=_label_column(args.label_column), header=not args.no_header)
+    path, ds = _load_dataset(args)
     grid = _parse_grid(args)
     plan = data.make_folds(ds.n_samples, args.k, args.fold_seed)
     best, results = stats.grid_search(
         ds, args.variant, grid, plan, seed=args.seed, jobs=args.jobs
     )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        # One column per grid key; csv writes a key the variant lacks as "".
-        keys = [f.name for f in dataclasses.fields(stats.GridSpec)]
-        writer.writerow(keys + ["mean_accuracy", "std_dev"])
-        for r in results:
-            flat = r.best_config.to_flat()
-            writer.writerow(
-                [flat.get(k) for k in keys] + [f"{r.mean_accuracy:.10f}", f"{r.std_dev:.10f}"]
-            )
+    # One column per grid key; csv writes a key the variant lacks (None) as "".
+    keys = [f.name for f in dataclasses.fields(stats.GridSpec)]
+    rows = [keys + ["mean_accuracy", "std_dev"]]
+    for r in results:
+        flat = r.best_config.to_flat()
+        rows.append([flat.get(k) for k in keys] + [f"{r.mean_accuracy:.10f}", f"{r.std_dev:.10f}"])
+    data.write_csv(args.out, rows)
     _write_manifest(
         args.out, "gridsearch", _manifest_config(best.best_config), {"data": path},
         {"model_seed": args.seed, "fold_seed": args.fold_seed},
@@ -244,14 +225,12 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    path = _resolve_data_path(args.data)
-    ds = data.load_csv(path, label_column=_label_column(args.label_column), header=not args.no_header)
+    path, ds = _load_dataset(args)
     noisy = data.inject_gaussian_noise(ds, args.level, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{i}" for i in range(noisy.n_features)] + ["label"])
-        for row, label in zip(noisy.X, noisy.labels):
-            writer.writerow([repr(float(v)) for v in row] + [label])
+    data.write_csv(args.out, [
+        [f"f{i}" for i in range(noisy.n_features)] + ["label"],
+        *([repr(float(v)) for v in row] + [label] for row, label in zip(noisy.X, noisy.labels)),
+    ])
     _write_manifest(
         args.out, "noise", {"level": args.level}, {"data": path},
         {"noise_seed": args.seed},
@@ -260,76 +239,44 @@ def cmd_noise(args) -> int:
     return 0
 
 
-def _read_accuracy_table(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or len(rows[0]) < 3:
-        raise DataFormatError(
-            f"{path}: expected a header of model names and at least one dataset row"
-        )
-    models = [c.strip() for c in rows[0][1:]]
-    datasets, acc = [], []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(models) + 1:
-            raise DataFormatError(f"{path}: row {r} has {len(row)} cells")
-        datasets.append(row[0].strip())
-        try:
-            acc.append([float(c) for c in row[1:]])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {r}: {exc}") from None
-    return datasets, models, np.array(acc)
-
-
 def cmd_stats(args) -> int:
-    datasets, models, acc = _read_accuracy_table(args.table)
+    names, acc, datasets = data.read_csv(args.table, text_column=0)
+    if not datasets or len(names) < 3:
+        raise DataFormatError(
+            f"{args.table}: expected a header of model names and at least one dataset row"
+        )
+    models = names[1:]
     table = stats.rank_models(acc, datasets, models)
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    def _path(name):
-        return os.path.join(args.out_dir, name)
-
-    with open(_path("ranks.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset"] + list(table.models))
-        for name, row in zip(table.datasets, table.ranks):
-            writer.writerow([name] + [f"{v:g}" for v in row])
-        writer.writerow(["average"] + [f"{v:.4f}" for v in table.average_rank])
-
     fried = stats.friedman_test(table)
-    with open(_path("friedman.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["chi2", "f_stat", "chi2_dof", "f_dof1", "f_dof2"])
-        writer.writerow([
-            f"{fried.chi2:.4f}", f"{fried.f_stat:.4f}", fried.chi2_dof,
-            fried.f_dof[0], fried.f_dof[1],
-        ])
-
-    with open(_path("wilcoxon.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_a", "model_b", "p_value", "decision"])
-        for i in range(len(models)):
-            for j in range(i + 1, len(models)):
-                try:
-                    res = stats.wilcoxon_signed_rank(acc[:, i], acc[:, j], args.alpha)
-                except BlsBenchError as exc:
-                    writer.writerow([models[i], models[j], "", str(exc)])
-                    continue
-                writer.writerow([
-                    models[i], models[j], f"{res.p_value:.6g}",
-                    "rejected" if res.reject else "not-rejected",
-                ])
-
-    with open(_path("win_tie_loss.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_a", "model_b", "wins_a", "ties", "wins_b", "threshold", "significant"])
-        for i in range(len(models)):
-            for j in range(i + 1, len(models)):
-                wtl = stats.win_tie_loss(acc[:, i], acc[:, j], args.tie_tol)
-                writer.writerow([
-                    models[i], models[j], wtl.wins_a, wtl.ties, wtl.wins_b,
-                    f"{wtl.threshold:.4f}", "yes" if wtl.significant else "no",
-                ])
-
+    wilcoxon = [["model_a", "model_b", "p_value", "decision"]]
+    win_tie_loss = [["model_a", "model_b", "wins_a", "ties", "wins_b", "threshold", "significant"]]
+    for i, j in itertools.combinations(range(len(models)), 2):
+        try:
+            res = stats.wilcoxon_signed_rank(acc[:, i], acc[:, j], args.alpha)
+        except BlsBenchError as exc:
+            wilcoxon.append([models[i], models[j], "", str(exc)])
+        else:
+            wilcoxon.append([models[i], models[j], f"{res.p_value:.6g}",
+                             "rejected" if res.reject else "not-rejected"])
+        wtl = stats.win_tie_loss(acc[:, i], acc[:, j], args.tie_tol)
+        win_tie_loss.append([models[i], models[j], wtl.wins_a, wtl.ties, wtl.wins_b,
+                             f"{wtl.threshold:.4f}", "yes" if wtl.significant else "no"])
+    reports = {
+        "ranks.csv": [
+            ["dataset", *table.models],
+            *([name, *(f"{v:g}" for v in row)] for name, row in zip(table.datasets, table.ranks)),
+            ["average", *(f"{v:.4f}" for v in table.average_rank)],
+        ],
+        "friedman.csv": [
+            ["chi2", "f_stat", "chi2_dof", "f_dof1", "f_dof2"],
+            [f"{fried.chi2:.4f}", f"{fried.f_stat:.4f}", fried.chi2_dof, *fried.f_dof],
+        ],
+        "wilcoxon.csv": wilcoxon,
+        "win_tie_loss.csv": win_tie_loss,
+    }
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, rows in reports.items():
+        data.write_csv(os.path.join(args.out_dir, name), rows)
     _write_manifest(
         os.path.join(args.out_dir, "stats"), "stats",
         {"alpha": args.alpha, "tie_tol": args.tie_tol}, {"table": args.table}, {},

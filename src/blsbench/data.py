@@ -1,4 +1,5 @@
-"""Dataset loading, fold planning, and Gaussian feature corruption."""
+"""Dataset loading, the CSV reader and writer, fold planning, and Gaussian
+feature corruption."""
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ __all__ = [
     "Dataset",
     "FoldPlan",
     "load_csv",
+    "read_csv",
+    "write_csv",
     "make_folds",
     "inject_gaussian_noise",
 ]
@@ -62,6 +65,62 @@ class FoldPlan:
         return np.nonzero(self.assignments != fold)[0]
 
 
+def read_csv(
+    path, header: bool = True, text_column: Union[int, str, None] = None
+) -> tuple[Optional[list[str]], np.ndarray, Optional[list[str]]]:
+    """Parse a CSV of numbers with at most one text column.
+
+    Returns (names, X, text): the stripped header cells (None when there is
+    no header row), the float matrix of every other column, and the
+    stripped cells of text_column (None when not requested). text_column
+    may be a zero-based index (negative counts from the end) or, with a
+    header, a column name. Every row must be as wide as the header, or as
+    the first row without one; a file may have no data rows. Errors are
+    DataFormatError naming the file, row and column.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    names = [c.strip() for c in rows.pop(0)] if header and rows else None
+    text = None if text_column is None else []
+    if not rows:
+        return names, np.empty((0, 0)), text
+    width = len(names) if names is not None else len(rows[0])
+    if width == 0:
+        raise DataFormatError(f"{path}: row 1 is empty")
+    if isinstance(text_column, str):
+        if names is None:
+            raise DataFormatError("label_column by name requires header=True")
+        if text_column not in names:
+            raise DataFormatError(f"{path}: no column named {text_column!r}")
+        text_idx = names.index(text_column)
+    else:
+        text_idx = None if text_column is None else text_column % width
+    values = []
+    for r, row in enumerate(rows, start=2 if header else 1):
+        if len(row) != width:
+            raise DataFormatError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+        vals = []
+        for c, cell in enumerate(row):
+            if c == text_idx:
+                text.append(cell.strip())
+                continue
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                col = names[c] if names else str(c)
+                raise DataFormatError(
+                    f"{path}: unparseable cell {cell!r} at row {r}, column {col}"
+                ) from None
+        values.append(vals)
+    return names, np.array(values, dtype=np.float64), text
+
+
+def write_csv(path, rows) -> None:
+    """Write rows as UTF-8 CSV with "\\n" line endings and minimal quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def load_csv(
     path,
     label_column: Union[int, str] = -1,
@@ -73,54 +132,14 @@ def load_csv(
     label_column may be a zero-based index (negative counts from the end)
     or, when a header is present, a column name.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    col_names = None
-    if header:
-        col_names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise DataFormatError(f"{path}: no data rows after the header")
-    width = len(rows[0])
-    if isinstance(label_column, str):
-        if col_names is None:
-            raise DataFormatError(
-                "label_column by name requires header=True"
-            )
-        if label_column not in col_names:
-            raise DataFormatError(
-                f"{path}: no column named {label_column!r}"
-            )
-        label_idx = col_names.index(label_column)
-    else:
-        label_idx = label_column % width
-    features, labels = [], []
-    first_data_line = 2 if header else 1
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DataFormatError(
-                f"{path}: row {r + first_data_line} has {len(row)} cells, expected {width}"
-            )
-        vals = []
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                continue
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                col = col_names[c] if col_names else str(c)
-                raise DataFormatError(
-                    f"{path}: unparseable cell {cell!r} at row {r + first_data_line}, "
-                    f"column {col}"
-                ) from None
-        features.append(vals)
-        labels.append(row[label_idx].strip())
-    X = as_matrix(np.array(features, dtype=np.float64), "features")
+    names, X, labels = read_csv(path, header, label_column)
+    if X.shape[0] == 0:
+        raise DataFormatError(
+            f"{path}: empty file" if names is None else f"{path}: no data rows after the header"
+        )
     return Dataset(
         name=name if name is not None else Path(path).stem,
-        X=X,
+        X=as_matrix(X, "features"),
         labels=tuple(labels),
         class_labels=tuple(sorted(set(labels))),
     )

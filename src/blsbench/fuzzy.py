@@ -53,33 +53,44 @@ def signed_labels(labels) -> np.ndarray:
 
 def class_geometry(X, labels) -> ClassGeometry:
     """Compute both class centers and radii from training samples."""
-    return _checked_geometry(X, labels)[2]
+    return _checked_geometry(X, labels)[0]
 
 
-def _checked_geometry(X, labels) -> tuple[np.ndarray, np.ndarray, ClassGeometry]:
-    """Check the samples and labels once; return them with the class geometry."""
+def _checked_geometry(X, labels) -> tuple[ClassGeometry, np.ndarray, np.ndarray]:
+    """Check the samples and labels once; return the class geometry and, per
+    sample, the distance to its class center and its class radius."""
     X = as_matrix(X, "X")
     t = signed_labels(labels)
     if t.shape[0] != X.shape[0]:
         raise ConfigError(
             f"{t.shape[0]} labels for {X.shape[0]} samples"
         )
-    pos = X[t == 1]
-    neg = X[t == -1]
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
-        raise ClassBalanceError("both classes must have at least one sample")
-    c_pos = pos.mean(axis=0)
-    c_neg = neg.mean(axis=0)
-    r_pos = float(np.sqrt(((pos - c_pos) ** 2).sum(axis=1).max()))
-    r_neg = float(np.sqrt(((neg - c_neg) ** 2).sum(axis=1).max()))
-    return X, t, ClassGeometry(
+    dist = np.empty(X.shape[0])
+    radius = np.empty(X.shape[0])
+    classes = []
+    for sign in (1, -1):
+        mask = t == sign
+        members = X[mask]
+        if members.shape[0] == 0:
+            raise ClassBalanceError("both classes must have at least one sample")
+        center = members.mean(axis=0)
+        d = np.sqrt(((members - center) ** 2).sum(axis=1))
+        # sqrt is monotone and correctly rounded, so the radius equals the
+        # square root of the largest squared distance exactly.
+        r = float(d.max())
+        dist[mask] = d
+        radius[mask] = r
+        classes.append((center, r, members.shape[0]))
+    (c_pos, r_pos, n_pos), (c_neg, r_neg, n_neg) = classes
+    geom = ClassGeometry(
         center_pos=c_pos,
         center_neg=c_neg,
         radius_pos=r_pos,
         radius_neg=r_neg,
-        n_pos=int(pos.shape[0]),
-        n_neg=int(neg.shape[0]),
+        n_pos=n_pos,
+        n_neg=n_neg,
     )
+    return geom, dist, radius
 
 
 def fuzzy_score_vector(X, labels, delta: float = DEFAULT_DELTA) -> np.ndarray:
@@ -90,14 +101,5 @@ def fuzzy_score_vector(X, labels, delta: float = DEFAULT_DELTA) -> np.ndarray:
     """
     if delta <= 0:
         raise ConfigError(f"delta must be positive, got {delta!r}")
-    X, t, geom = _checked_geometry(X, labels)
-    dist = np.empty(X.shape[0])
-    radius = np.empty(X.shape[0])
-    for sign, center, r in (
-        (1, geom.center_pos, geom.radius_pos),
-        (-1, geom.center_neg, geom.radius_neg),
-    ):
-        mask = t == sign
-        dist[mask] = np.sqrt(((X[mask] - center) ** 2).sum(axis=1))
-        radius[mask] = r
+    _, dist, radius = _checked_geometry(X, labels)
     return 1.0 - dist / (radius + delta)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -42,7 +42,6 @@ DEFAULT_TIE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class CvResult:
-    model_name: str
     dataset_name: str
     per_fold_accuracy: tuple[Optional[float], ...]
     mean_accuracy: float
@@ -88,7 +87,6 @@ def cross_validate(
     ds: Dataset,
     cfg: ModelConfig,
     plan: FoldPlan,
-    model_name: Optional[str] = None,
 ) -> CvResult:
     """Train on each fold's complement, test on the fold, aggregate.
 
@@ -121,7 +119,6 @@ def cross_validate(
     mean = float(np.mean(present))
     std = float(np.std(present, ddof=1)) if len(present) > 1 else 0.0
     return CvResult(
-        model_name=model_name if model_name is not None else cfg.variant,
         dataset_name=ds.name,
         per_fold_accuracy=tuple(per_fold),
         mean_accuracy=mean,
@@ -181,7 +178,6 @@ def grid_search(
     plan: FoldPlan,
     seed: int = 0,
     jobs: int = 1,
-    model_name: Optional[str] = None,
 ) -> tuple[CvResult, list[CvResult]]:
     """Exhaustively cross-validate every grid point and keep the best mean.
 
@@ -201,10 +197,7 @@ def grid_search(
     else:
         results = [_grid_eval_one((ds, cfg, plan)) for cfg in configs]
     best_idx = max(range(len(results)), key=lambda i: (results[i].mean_accuracy, -i))
-    best = results[best_idx]
-    if model_name is not None:
-        best = replace(best, model_name=model_name)
-    return best, results
+    return results[best_idx], results
 
 
 def _grid_eval_one(args) -> CvResult:

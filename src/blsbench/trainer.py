@@ -214,14 +214,12 @@ def fit(
     labels: Sequence,
     cfg: ModelConfig,
     score_override: Optional[np.ndarray] = None,
-    force_branch: Optional[str] = None,
 ) -> TrainedModel:
     """Train one model. labels may be any strings; classes are ordered
     lexicographically and targets are one-hot rows over that order.
 
     score_override replaces the variant's weight vector (used for
-    reduction checks); force_branch pins the primal or dual solver
-    regardless of the dimension rule.
+    reduction checks).
     """
     X = linalg.as_matrix(X, "X")
     labels = [str(v) for v in labels]
@@ -265,12 +263,7 @@ def fit(
     G = network.state_matrix(layer, Xn)
     T = _one_hot(indices, len(class_labels))
 
-    if force_branch is None:
-        branch = "primal" if cfg.network.width <= X.shape[0] else "dual"
-    elif force_branch in ("primal", "dual"):
-        branch = force_branch
-    else:
-        raise ConfigError(f"force_branch must be 'primal' or 'dual', got {force_branch!r}")
+    branch = "primal" if cfg.network.width <= X.shape[0] else "dual"
     if branch == "primal":
         w_out = linalg.solve_weighted_ridge_primal(G, scores, T, cfg.c_reg)
     else:

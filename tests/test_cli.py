@@ -66,6 +66,19 @@ class TestTrainPredict:
         agree = np.mean([p == t for p, t in zip(preds, truth)])
         assert agree == 1.0
 
+    def test_predicted_labels_are_quoted(self, tmp_path):
+        train = tmp_path / "train.csv"
+        train.write_text('x,label\n0.0,"yes, sure"\n0.2,"yes, sure"\n3.0,no\n3.2,no\n')
+        feats = tmp_path / "features.csv"
+        feats.write_text("x\n0.1\n3.1\n")
+        model, out = tmp_path / "model.json", tmp_path / "preds.csv"
+        res = run_cli("train", "--data", str(train), "--variant", "bls", "--m", "1",
+                      "--p", "2", "--q", "3", "--out", str(model))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("predict", "--model", str(model), "--data", str(feats), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert list(csv.reader(out.open(newline=""))) == [["prediction"], ["yes, sure"], ["no"]]
+
     def test_missing_variant_is_usage_error(self, dataset_csv, tmp_path):
         res = run_cli("train", "--data", str(dataset_csv),
                       "--out", str(tmp_path / "m.json"))
@@ -231,6 +244,116 @@ class TestStats:
         res = run_cli("stats", "--table", str(bad),
                       "--out-dir", str(tmp_path / "r"))
         assert res.returncode == 1
+
+
+class TestOutputsMatchLibrary:
+    """Each CSV the CLI writes equals the library result on the same inputs,
+    formatted the way the CLI formats it."""
+
+    MODEL_FLAGS = ["--m", "2", "--p", "3", "--q", "4"]
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        from blsbench import cli
+
+        d = tmp_path_factory.mktemp("outputs")
+        write_dataset(d / "data.csv")
+        rows = list(csv.reader((d / "data.csv").open(newline="")))
+        with open(d / "features.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(r[:-1] for r in rows)
+        with open(d / "table.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["dataset"] + pt.MODELS)
+            w.writerows([ds] + [repr(float(v)) for v in row] for ds, row in zip(pt.DATASETS, pt.ACCURACY))
+        (d / "grid.ini").write_text("[grid]\nc_reg = 0.1, 10\nm = 2\np = 3, 5\nq = 4\n")
+        data_flag = ["--data", str(d / "data.csv")]
+        for argv in (
+            ["noise", *data_flag, "--level", "20", "--seed", "1", "--out", str(d / "noisy.csv")],
+            ["cv", *data_flag, "--variant", "if-bls", *self.MODEL_FLAGS, "--k", "3",
+             "--out", str(d / "cv.csv")],
+            ["gridsearch", *data_flag, "--variant", "f-bls", "--grid", str(d / "grid.ini"),
+             "--k", "3", "--jobs", "1", "--out", str(d / "grid.csv")],
+            ["train", *data_flag, "--variant", "bls", *self.MODEL_FLAGS, "--out", str(d / "model.json")],
+            ["predict", "--model", str(d / "model.json"), "--data", str(d / "features.csv"),
+             "--out", str(d / "preds.csv")],
+            ["stats", "--table", str(d / "table.csv"), "--out-dir", str(d / "stats")],
+        ):
+            assert cli.main(argv) == 0, argv
+        return d
+
+    @staticmethod
+    def rows(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    def test_noise_reloads_exactly(self, run):
+        from blsbench import data
+
+        expected = data.inject_gaussian_noise(data.load_csv(run / "data.csv"), 20, 1)
+        noisy = data.load_csv(run / "noisy.csv")
+        np.testing.assert_array_equal(noisy.X, expected.X)
+        assert noisy.labels == expected.labels
+
+    def test_cv_rows(self, run):
+        from blsbench import data, stats, trainer
+
+        ds = data.load_csv(run / "data.csv")
+        cfg = trainer.ModelConfig.from_flat({"variant": "if-bls", "m": "2", "p": "3", "q": "4"})
+        result = stats.cross_validate(ds, cfg, data.make_folds(ds.n_samples, 3, 0))
+        assert self.rows(run / "cv.csv") == [
+            ["fold", "accuracy"],
+            *([str(i), f"{a:.10f}"] for i, a in enumerate(result.per_fold_accuracy)),
+            ["mean", f"{result.mean_accuracy:.10f}"],
+            ["std", f"{result.std_dev:.10f}"],
+        ]
+
+    def test_gridsearch_rows(self, run):
+        from blsbench import data, stats
+
+        ds = data.load_csv(run / "data.csv")
+        grid = stats.GridSpec(c_reg=(0.1, 10.0), m=(2,), p=(3, 5), q=(4,))
+        _, results = stats.grid_search(ds, "f-bls", grid, data.make_folds(ds.n_samples, 3, 0))
+        keys = ["c_reg", "m", "p", "q", "mu", "delta", "epsilon"]
+        assert self.rows(run / "grid.csv") == [
+            keys + ["mean_accuracy", "std_dev"],
+            *([str(r.best_config.to_flat().get(k, "")) for k in keys]
+              + [f"{r.mean_accuracy:.10f}", f"{r.std_dev:.10f}"] for r in results),
+        ]
+
+    def test_predictions(self, run):
+        from blsbench import data, trainer
+
+        model = trainer.load_model(run / "model.json")
+        X = data.load_csv(run / "data.csv").X
+        assert self.rows(run / "preds.csv") == [["prediction"], *([p] for p in trainer.predict(model, X))]
+
+    def test_stats_reports(self, run):
+        from blsbench import stats
+
+        acc = np.array(pt.ACCURACY, dtype=float)
+        table = stats.rank_models(acc, pt.DATASETS, pt.MODELS)
+        fried = stats.friedman_test(table)
+        assert self.rows(run / "stats" / "ranks.csv") == [
+            ["dataset", *pt.MODELS],
+            *([ds, *(f"{v:g}" for v in row)] for ds, row in zip(pt.DATASETS, table.ranks)),
+            ["average", *(f"{v:.4f}" for v in table.average_rank)],
+        ]
+        assert self.rows(run / "stats" / "friedman.csv") == [
+            ["chi2", "f_stat", "chi2_dof", "f_dof1", "f_dof2"],
+            [f"{fried.chi2:.4f}", f"{fried.f_stat:.4f}", *map(str, (fried.chi2_dof, *fried.f_dof))],
+        ]
+        wilcoxon = [["model_a", "model_b", "p_value", "decision"]]
+        win_tie_loss = [["model_a", "model_b", "wins_a", "ties", "wins_b", "threshold", "significant"]]
+        for i in range(len(pt.MODELS)):
+            for j in range(i + 1, len(pt.MODELS)):
+                a, b = pt.MODELS[i], pt.MODELS[j]
+                w = stats.wilcoxon_signed_rank(acc[:, i], acc[:, j])
+                wilcoxon.append([a, b, f"{w.p_value:.6g}", "rejected" if w.reject else "not-rejected"])
+                t = stats.win_tie_loss(acc[:, i], acc[:, j])
+                win_tie_loss.append([a, b, *map(str, (t.wins_a, t.ties, t.wins_b)),
+                                     f"{t.threshold:.4f}", "yes" if t.significant else "no"])
+        assert self.rows(run / "stats" / "wilcoxon.csv") == wilcoxon
+        assert self.rows(run / "stats" / "win_tie_loss.csv") == win_tie_loss
 
 
 class TestTopLevel:

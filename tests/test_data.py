@@ -13,6 +13,13 @@ CSV = """f1,f2,label
 """
 
 
+# The dataset loader and the feature-file reader of `predict` share one parser.
+READERS = [
+    pytest.param(data.load_csv, id="load_csv"),
+    pytest.param(lambda path: data.read_csv(path), id="feature_file"),
+]
+
+
 @pytest.fixture
 def csv_path(tmp_path):
     p = tmp_path / "toy.csv"
@@ -46,19 +53,28 @@ class TestLoadCsv:
         ds = data.load_csv(p, header=False)
         assert ds.n_samples == 2 and list(ds.labels) == ["pos", "neg"]
 
-    def test_bad_cell_reported_with_location(self, tmp_path):
+    @pytest.mark.parametrize("read", READERS)
+    def test_bad_cell_reported_with_location(self, read, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("a,b,label\n1,2,x\n1,oops,y\n")
+        p.write_text("a,b,c\n1,2,3\n1,oops,3\n")
         with pytest.raises(DataFormatError) as exc:
-            data.load_csv(p)
-        msg = str(exc.value)
-        assert "oops" in msg or ("row" in msg.lower() and "b" in msg)
+            read(p)
+        assert str(exc.value) == f"{p}: unparseable cell 'oops' at row 3, column b"
 
-    def test_ragged_row_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("a,b,c\n1,2,3\n1,3\n", "row 3 has 2 cells, expected 3", id="short-row"),
+        pytest.param("a,b,c\n1,2\n1,3\n", "row 2 has 2 cells, expected 3",
+                     id="rows-narrower-than-header"),
+        pytest.param("a\n1,x,3\n", "row 2 has 3 cells, expected 1", id="rows-wider-than-header"),
+        pytest.param("\n1,2,3\n", "row 1 is empty", id="empty-header"),
+    ])
+    @pytest.mark.parametrize("read", READERS)
+    def test_ragged_row_rejected(self, read, text, message, tmp_path):
         p = tmp_path / "ragged.csv"
-        p.write_text("a,b,label\n1,2,x\n1,y\n")
-        with pytest.raises(DataFormatError):
-            data.load_csv(p)
+        p.write_text(text)
+        with pytest.raises(DataFormatError) as exc:
+            read(p)
+        assert str(exc.value) == f"{p}: {message}"
 
 
 class TestFolds:

@@ -63,12 +63,16 @@ class TestFit:
         wide = fit(X, y, ModelConfig("bls", small_net(m=10, p=10, q=20)))  # 120
         assert wide.solve_branch_used == "dual"
 
-    def test_forced_branches_agree(self, blobs):
+    def test_primal_fit_matches_dual_solve(self, blobs):
+        # The primal branch fit takes must agree with the dual solve of the
+        # same system: the model's own state matrix, weights and targets.
         X, y = blobs
-        cfg = ModelConfig("bls", small_net())
-        wp = fit(X, y, cfg, force_branch="primal").w_out
-        wd = fit(X, y, cfg, force_branch="dual").w_out
-        np.testing.assert_allclose(wp, wd, rtol=1e-7)
+        model = fit(X, y, ModelConfig("bls", small_net()))
+        assert model.solve_branch_used == "primal"
+        G = network.state_matrix(model.layer, model.norm_state.apply(X))
+        T = np.where(np.asarray([str(v) for v in y])[:, None] == np.array(["a", "b"]), 1.0, 0.0)
+        wd = linalg.solve_weighted_ridge_dual(G, model.score_vector, T, model.config.c_reg)
+        np.testing.assert_allclose(model.w_out, wd, rtol=1e-7)
 
     def test_deterministic_given_seed(self, blobs):
         X, y = blobs
