@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--fold-seed", dest="fold_seed", type=int, default=0)
     p.add_argument("--seed", type=int, default=0, help="model seed shared by all configs")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, each fitting on one BLAS thread (default 1)")
     p.add_argument("--out", required=True, help="per-config CSV path")
     p.set_defaults(func=cmd_gridsearch, required_flags=())
 

@@ -8,9 +8,18 @@ for a diagonal sample-weight matrix S. The primal form factorizes an
 F x F system, the dual form an N x N system; they are algebraically
 identical via the push-through identity, and the caller picks whichever
 dimension is smaller.
+
+Fits run BLAS on one thread (see _single_threaded_blas); worker processes
+are the program's only parallelism.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +33,50 @@ __all__ = [
     "solve_weighted_ridge_dual",
     "pairwise_sq_dist",
 ]
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS numpy and scipy bundle.
+
+    Wheels ship it as <package>.libs/libscipy_openblas*.so, with a 64_
+    symbol suffix for the 64-bit-integer build; a numpy or scipy built
+    against another BLAS contributes nothing.
+    """
+    controls = []
+    for package in (np, scipy):
+        for path in glob.glob(os.path.dirname(package.__file__) + ".libs/*openblas*"):
+            lib = ctypes.CDLL(path)
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the body with the bundled OpenBLAS libraries at one thread each.
+
+    A fit is a chain of small BLAS calls, on which threads cost more than
+    they save, and the thread count decides how OpenBLAS splits its sums,
+    so it would change the bits of every result. The caller's counts are
+    restored on exit. They are per process: threads must not enter this
+    concurrently.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -108,21 +161,27 @@ def pairwise_sq_dist(A, B) -> np.ndarray:
     """Squared Euclidean distances between the rows of A and the rows of B.
 
     Uses the ||a||^2 + ||b||^2 - 2 a.b expansion; near-zero entries are
-    recomputed directly so identical rows come out exactly zero.
+    recomputed directly so identical rows come out exactly zero. When B is
+    A, the diagonal is set to zero without recomputing it.
     """
+    same = B is A
     A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
+    B = A if same else as_matrix(B, "B")
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(
             f"A has {A.shape[1]} columns but B has {B.shape[1]}"
         )
     a2 = np.einsum("ij,ij->i", A, A)
-    b2 = np.einsum("ij,ij->i", B, B)
+    b2 = a2 if same else np.einsum("ij,ij->i", B, B)
     d2 = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
     # The expansion loses precision near zero; fix up suspect pairs exactly.
     tol = 16.0 * np.finfo(np.float64).eps * (a2[:, None] + b2[None, :])
-    for i, j in zip(*np.nonzero(d2 <= tol)):
+    suspect = d2 <= tol
+    if same:
+        np.fill_diagonal(d2, 0.0)
+        np.fill_diagonal(suspect, False)
+    for i, j in zip(*np.nonzero(suspect)):
         diff = A[i] - B[j]
         d2[i, j] = diff @ diff
     return d2

@@ -183,14 +183,19 @@ def grid_search(
 
     The model seed is held fixed across configurations so they compete on
     identical random layers. Ties break toward the earlier enumeration
-    position regardless of evaluation order or job count. Returns the
-    winner plus every per-config result in enumeration order.
+    position regardless of evaluation order or job count. jobs is the
+    number of worker processes, at most one per config; results do not
+    depend on it. Returns the winner plus every per-config result in
+    enumeration order.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     configs = grid.configs(variant, seed)
-    if jobs > 1:
+    workers = min(jobs, len(configs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(_grid_eval_one, ((ds, cfg, plan) for cfg in configs))
             )

@@ -209,6 +209,7 @@ def _signed_from_indices(indices: np.ndarray) -> np.ndarray:
     return np.where(indices == 0, 1, -1)
 
 
+@linalg._single_threaded_blas()
 def fit(
     X,
     labels: Sequence,
@@ -280,6 +281,7 @@ def fit(
     )
 
 
+@linalg._single_threaded_blas()
 def decision_scores(model: TrainedModel, X_test) -> np.ndarray:
     """Raw output-layer activations, one column per class."""
     X_test = linalg.as_matrix(X_test, "X_test")

@@ -42,11 +42,29 @@ def ridge_objective(G, S, T, c_reg: float, W) -> float:
     return 0.5 * c_reg * float(np.sum(resid * resid)) + 0.5 * float(np.sum(W * W))
 
 
+def pairwise_sq_dist(A, B):
+    """Squared row distances by the ||a||^2 + ||b||^2 - 2 a.b expansion, with
+    every pair at or below the fix-up tolerance recomputed directly, the
+    diagonal of (A, A) included."""
+    A = as_matrix(A, "A")
+    B = as_matrix(B, "B")
+    a2 = np.einsum("ij,ij->i", A, A)
+    b2 = np.einsum("ij,ij->i", B, B)
+    d2 = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
+    np.maximum(d2, 0.0, out=d2)
+    tol = 16.0 * np.finfo(np.float64).eps * (a2[:, None] + b2[None, :])
+    for i, j in zip(*np.nonzero(d2 <= tol)):
+        diff = A[i] - B[j]
+        d2[i, j] = diff @ diff
+    return d2
+
+
 # --- step-by-step IF scoring ----------------------------------------------
 #
 # The IF-BLS pipeline as a chain of separately checked steps, each taking
-# the full kernel matrix and sharing no code with the package beyond
-# gaussian_kernel: if_scores.if_score_vector must match it exactly.
+# the full kernel matrix and sharing no code with the package's kernel or
+# scoring; the kernel is built on pairwise_sq_dist above.
+# if_scores.if_score_vector must match it exactly.
 
 
 def center_sq_dists(K, mask):
@@ -157,7 +175,7 @@ def if_score_vector(X, labels, params):
     non-membership, then the scalar score rule per sample."""
     X = as_matrix(X, "X")
     t = signed_labels(labels)
-    K = if_scores.gaussian_kernel(X, X, params.mu)
+    K = np.exp(-pairwise_sq_dist(X, X) / (params.mu * params.mu))
     radii = kernel_class_radii(K, t)
     theta = kernel_membership(K, t, radii, params.delta)
     np.clip(theta, 0.0, 1.0, out=theta)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -78,6 +79,26 @@ class TestTrainPredict:
         res = run_cli("predict", "--model", str(model), "--data", str(feats), "--out", str(out))
         assert res.returncode == 0, res.stderr
         assert list(csv.reader(out.open(newline=""))) == [["prediction"], ["yes, sure"], ["no"]]
+
+    def test_model_bytes_independent_of_blas_threads(self, tmp_path):
+        # A primal fit (N=1200, width 375) large enough for OpenBLAS to split
+        # its products across threads when it is allowed to.
+        X, y = make_blobs(600, [(0.0,) * 10, (0.8,) * 10], 1.0, seed=5)
+        train = tmp_path / "train.csv"
+        with open(train, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow([f"x{i}" for i in range(10)] + ["label"])
+            w.writerows([repr(float(v)) for v in row] + [lab] for row, lab in zip(X, y))
+        models = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"model{threads}.json"
+            res = run_cli("train", "--data", str(train), "--variant", "bls", "--m", "5",
+                          "--p", "10", "--q", "325", "--out", str(out),
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert res.returncode == 0, res.stderr
+            assert "primal" in res.stdout
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
 
     def test_missing_variant_is_usage_error(self, dataset_csv, tmp_path):
         res = run_cli("train", "--data", str(dataset_csv),
@@ -160,6 +181,33 @@ class TestGridSearch:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 2
         assert "best" in res.stdout
+
+    def test_jobs_do_not_change_bytes(self, dataset_csv, tmp_path):
+        from blsbench import cli
+
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nc_reg = 0.1, 10\nm = 2\np = 3, 5\nq = 4\n")
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"grid{jobs}.csv"
+            assert cli.main(["gridsearch", "--data", str(dataset_csv), "--variant", "f-bls",
+                             "--grid", str(grid), "--jobs", jobs, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_runtime_error(self, jobs, dataset_csv, tmp_path, capsys):
+        from blsbench import cli
+
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nc_reg = 1\nm = 2\np = 4\nq = 6\n")
+        out = tmp_path / "grid.csv"
+        code = cli.main(["gridsearch", "--data", str(dataset_csv), "--variant", "bls",
+                         "--grid", str(grid), "--jobs", jobs, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "jobs" in err
+        assert not out.exists()
 
     def test_non_numeric_grid_value_is_runtime_error(self, dataset_csv, tmp_path):
         grid = tmp_path / "grid.ini"

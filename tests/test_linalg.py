@@ -101,6 +101,17 @@ class TestPairwiseSqDist:
         D = linalg.pairwise_sq_dist(A, A.copy())
         assert D[0, 0] == 0.0
 
+    @pytest.mark.parametrize("n,d,offset", [(40, 3, 0.0), (400, 10, 0.0), (300, 10, 1e3)])
+    def test_self_distances_equal_full_fixup_reference(self, n, d, offset):
+        # pairwise_sq_dist(A, A) zeroes its diagonal instead of recomputing
+        # it; the reference recomputes every suspect pair, diagonal included.
+        rng = np.random.default_rng(n)
+        A = rng.normal(offset, 1.0, size=(n, d))
+        A[-5:] = A[:5]  # duplicated rows still go through the fix-up
+        D = linalg.pairwise_sq_dist(A, A)
+        np.testing.assert_array_equal(D, oracles.pairwise_sq_dist(A, A))
+        assert (np.diag(D) == 0.0).all() and (D[-5:, :5].diagonal() == 0.0).all()
+
     @given(arrays(np.float64, (4, 3), elements=st.floats(-100, 100)))
     @settings(max_examples=50, deadline=None)
     def test_nonnegative_and_symmetric(self, A):

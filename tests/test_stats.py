@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 
 from blsbench import data, stats
+from blsbench.errors import ConfigError
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig
 
@@ -69,6 +70,33 @@ class TestGridSearch:
         b2, r2 = stats.grid_search(ds, "f-bls", grid, plan, jobs=2)
         assert [r.mean_accuracy for r in r1] == [r.mean_accuracy for r in r2]
         assert b1.best_config == b2.best_config
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        ds = toy_dataset()
+        plan = data.make_folds(ds.n_samples, 5, seed=0)
+        grid = stats.GridSpec(c_reg=(1.0,), m=(2,), p=(4,), q=(5,))
+        with pytest.raises(ConfigError, match="jobs"):
+            stats.grid_search(ds, "bls", grid, plan, jobs=jobs)
+
+    def test_pool_never_larger_than_grid(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        ds = toy_dataset(seed=7)
+        plan = data.make_folds(ds.n_samples, 5, seed=0)
+        grid = stats.GridSpec(c_reg=(0.1, 10.0), m=(2,), p=(4,), q=(5,))
+        _, serial = stats.grid_search(ds, "bls", grid, plan, jobs=1)
+        _, pooled = stats.grid_search(ds, "bls", grid, plan, jobs=3)
+        assert sizes == [2]
+        assert pooled == serial
 
     def test_benchmark_grid_sizes(self):
         grid = stats.GridSpec.benchmark_default()

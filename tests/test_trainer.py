@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 import os
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blsbench import fuzzy, linalg, network, trainer
+from blsbench import data, fuzzy, linalg, network, stats, trainer
 from blsbench.errors import ClassBalanceError, ConfigError, DataFormatError
 from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, fit, load_model, predict, save_model
+from conftest import make_blobs
 
 
 def small_net(seed=0, **kw):
@@ -133,6 +135,53 @@ class TestFit:
         model = fit(X, y, ModelConfig("bls", small_net()))
         assert set(predict(model, X)) == {"u", "v", "w"}
         assert trainer.accuracy(model, X, y) == 1.0
+
+
+@contextlib.contextmanager
+def outer_blas_threads(n):
+    """Set every bundled OpenBLAS to n threads, as a caller of the library might."""
+    controls = linalg._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy bundle no OpenBLAS")
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(n)
+    try:
+        yield lambda: [get() for get, _ in controls]
+    finally:
+        for (_, put), k in zip(controls, saved):
+            put(k)
+
+
+class TestBlasThreads:
+    def test_fit_bits_independent_of_caller_threads(self):
+        # N=1200 and width 375: a primal fit whose products OpenBLAS would
+        # split across 2 threads.
+        X, y = make_blobs(600, [(0.0,) * 10, (0.8,) * 10], 1.0, seed=5)
+        cfg = ModelConfig("bls", small_net(m=5, p=10, q=325))
+        weights = []
+        for n in (1, 2):
+            with outer_blas_threads(n):
+                model = fit(X, y, cfg)
+            assert model.solve_branch_used == "primal"
+            weights.append(model.w_out.tobytes())
+        assert weights[0] == weights[1]
+
+    def test_caller_thread_count_restored(self, blobs):
+        X, y = blobs
+        ds = data.Dataset("blobs", X, y, ("a", "b"))
+        grid = stats.GridSpec(c_reg=(0.1, 10.0), m=(2,), p=(4,), q=(5,))
+        with outer_blas_threads(2) as threads:
+            with linalg._single_threaded_blas():
+                assert threads() == [1] * len(threads())
+            model = fit(X, y, ModelConfig("bls", small_net()))
+            assert threads() == [2] * len(threads())
+            predict(model, X)
+            stats.grid_search(ds, "bls", grid, data.make_folds(ds.n_samples, 5, 0))
+            assert threads() == [2] * len(threads())
+            with pytest.raises(ConfigError):
+                fit(X, y[:-1], ModelConfig("bls", small_net()))
+            assert threads() == [2] * len(threads())
 
 
 class TestNormalization:
