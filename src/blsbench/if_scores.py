@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ClassBalanceError, ConfigError, InvalidKernel
 from .fuzzy import DEFAULT_DELTA, signed_labels
-from .linalg import as_matrix, pairwise_sq_dist
+from .linalg import _sq_dist, as_matrix, pairwise_sq_dist
 
 __all__ = [
     "MEDIAN_HEURISTIC",
@@ -166,7 +166,15 @@ def if_score_vector(X, labels, params: KernelParams) -> tuple[np.ndarray, IFScor
     t = signed_labels(labels)
     if t.shape[0] != X.shape[0]:
         raise ConfigError(f"{t.shape[0]} labels for {X.shape[0]} samples")
-    K = gaussian_kernel(X, X, params.mu)
+    return _score_vector(X, t, params)
+
+
+def _score_vector(
+    X: np.ndarray, t: np.ndarray, params: KernelParams
+) -> tuple[np.ndarray, IFScoreBreakdown]:
+    """if_score_vector of checked samples X and +/-1 labels t."""
+    # gaussian_kernel(X, X, mu) without re-checking X.
+    K = np.exp(-_sq_dist(X, X) / (params.mu * params.mu))
     dist, (r_pos, r_neg) = _centroid_distances(K, t)
     theta = 1.0 - dist / (np.where(t == 1, r_pos, r_neg) + params.delta)
     # Centroid distances can exceed the radius by rounding on the member

@@ -9,6 +9,11 @@ F x F system, the dual form an N x N system; they are algebraically
 identical via the push-through identity, and the caller picks whichever
 dimension is smaller.
 
+Each public function checks its operands and then runs a private step
+(_solve, _sq_dist) that trusts them; trainer.fit, which validates its
+inputs once, calls the same steps directly, so each computation has one
+code path.
+
 Fits run BLAS on one thread (see _single_threaded_blas); worker processes
 are the program's only parallelism.
 """
@@ -119,18 +124,7 @@ def solve_weighted_ridge_primal(G, S, T, c_reg: float) -> np.ndarray:
 
     Preferred when the feature count of G does not exceed the sample count.
     """
-    G, S, T, c_reg = _check_ridge_args(G, S, T, c_reg)
-    s2 = S * S
-    A = G.T @ (s2[:, None] * G)
-    A[np.diag_indices_from(A)] += 1.0 / c_reg
-    rhs = G.T @ (s2[:, None] * T)
-    try:
-        factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationFailure(
-            f"Cholesky factorization of G'S^2G + I/C failed: {exc}"
-        ) from exc
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return _solve(*_check_ridge_args(G, S, T, c_reg), "primal")
 
 
 def solve_weighted_ridge_dual(G, S, T, c_reg: float) -> np.ndarray:
@@ -140,8 +134,24 @@ def solve_weighted_ridge_dual(G, S, T, c_reg: float) -> np.ndarray:
     exceeds the sample count. The N x N system matrix is nonsymmetric
     whenever S is not the identity, hence the general solve.
     """
-    G, S, T, c_reg = _check_ridge_args(G, S, T, c_reg)
-    s2 = S * S
+    return _solve(*_check_ridge_args(G, S, T, c_reg), "dual")
+
+
+def _solve(G, s, T, c_reg: float, branch: str) -> np.ndarray:
+    """The weighted ridge solution of checked operands by the "primal" or
+    "dual" system (see the public solvers)."""
+    s2 = s * s
+    if branch == "primal":
+        A = G.T @ (s2[:, None] * G)
+        A[np.diag_indices_from(A)] += 1.0 / c_reg
+        rhs = G.T @ (s2[:, None] * T)
+        try:
+            factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise FactorizationFailure(
+                f"Cholesky factorization of G'S^2G + I/C failed: {exc}"
+            ) from exc
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     M = s2[:, None] * (G @ G.T)
     M[np.diag_indices_from(M)] += 1.0 / c_reg
     try:
@@ -171,17 +181,28 @@ def pairwise_sq_dist(A, B) -> np.ndarray:
         raise DimensionMismatch(
             f"A has {A.shape[1]} columns but B has {B.shape[1]}"
         )
+    return _sq_dist(A, B)
+
+
+def _sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """pairwise_sq_dist of checked operands; B is A for self-distances."""
+    same = B is A
     a2 = np.einsum("ij,ij->i", A, A)
     b2 = a2 if same else np.einsum("ij,ij->i", B, B)
     d2 = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
-    # The expansion loses precision near zero; fix up suspect pairs exactly.
-    tol = 16.0 * np.finfo(np.float64).eps * (a2[:, None] + b2[None, :])
-    suspect = d2 <= tol
+    # The expansion loses precision near zero; pair (i, j) is suspect when
+    # d2 <= c (a2_i + b2_j). That bound is at most c (a2_i + max b2), as
+    # rounding is monotone, so rows whose minimum clears it hold no suspect
+    # pair. The diagonal of (A, A) is left out and set to zero.
+    c = 16.0 * np.finfo(np.float64).eps
+    if same:
+        np.fill_diagonal(d2, np.inf)
+    rows = np.flatnonzero(d2.min(axis=1, initial=np.inf) <= c * (a2 + b2.max(initial=0.0)))
     if same:
         np.fill_diagonal(d2, 0.0)
-        np.fill_diagonal(suspect, False)
-    for i, j in zip(*np.nonzero(suspect)):
-        diff = A[i] - B[j]
-        d2[i, j] = diff @ diff
+    # Recomputing a zeroed diagonal entry gives 0.0 again.
+    for i, j in zip(*np.nonzero(d2[rows] <= c * (a2[rows, None] + b2[None, :]))):
+        diff = A[rows[i]] - B[j]
+        d2[rows[i], j] = diff @ diff
     return d2

@@ -141,6 +141,11 @@ def state_matrix(layer: RandomLayer, X) -> np.ndarray:
         raise DimensionMismatch(
             f"X has {X.shape[1]} columns, layer expects {layer.input_dim}"
         )
+    return _forward(layer, X)
+
+
+def _forward(layer: RandomLayer, X: np.ndarray) -> np.ndarray:
+    """state_matrix of a checked X with layer.input_dim columns."""
     act = FEATURE_ACTIVATIONS[layer.config.feature_activation]
     Fm = np.concatenate(
         [act(X @ W + b) for W, b in zip(layer.feature_weights, layer.feature_biases)],

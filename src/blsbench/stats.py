@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from . import if_scores, trainer
 from .data import Dataset, FoldPlan
@@ -192,22 +191,16 @@ def grid_search(
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     configs = grid.configs(variant, seed)
     workers = min(jobs, len(configs))
+    args = (itertools.repeat(ds), configs, itertools.repeat(plan))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_grid_eval_one, ((ds, cfg, plan) for cfg in configs))
-            )
+            results = list(pool.map(cross_validate, *args))
     else:
-        results = [_grid_eval_one((ds, cfg, plan)) for cfg in configs]
+        results = list(map(cross_validate, *args))
     best_idx = max(range(len(results)), key=lambda i: (results[i].mean_accuracy, -i))
     return results[best_idx], results
-
-
-def _grid_eval_one(args) -> CvResult:
-    ds, cfg, plan = args
-    return cross_validate(ds, cfg, plan)
 
 
 def rank_models(
@@ -216,6 +209,8 @@ def rank_models(
     models: Optional[Sequence[str]] = None,
 ) -> RankTable:
     """Tie-averaged per-dataset ranks, 1 = best accuracy in the row."""
+    from scipy import stats as sp_stats  # slow to import; only two functions use it
+
     acc = np.asarray(accuracy, dtype=np.float64)
     if acc.ndim != 2:
         raise ConfigError("the accuracy table must be 2-D (datasets x models)")
@@ -272,6 +267,8 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
     p-value comes from the normal approximation with tie-corrected
     variance and a continuity correction.
     """
+    from scipy import stats as sp_stats
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

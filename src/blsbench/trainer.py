@@ -6,6 +6,12 @@ and solves the weighted ridge problem for the output weights, picking the
 primal or dual form by comparing the state width against the sample
 count. Prediction replays normalization and the frozen random layer,
 then takes a per-row argmax over the class columns.
+
+fit is the validation boundary: it checks X, the labels and the feature
+ranges once, then runs the private steps of the layer modules
+(fuzzy._scores, if_scores._score_vector, network._forward, linalg._solve),
+which trust their inputs. Each public layer function is its checks plus
+the same step.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Optional, Sequence, Union, get_type_hints
 import numpy as np
 
 from . import fuzzy, if_scores, linalg, network
-from .errors import ClassBalanceError, ConfigError, DataFormatError, DimensionMismatch
+from .errors import ClassBalanceError, ConfigError, DataFormatError, DimensionMismatch, NonFiniteInput
 
 __all__ = [
     "VARIANTS",
@@ -204,11 +210,6 @@ def _one_hot(indices: np.ndarray, n_classes: int) -> np.ndarray:
     return T
 
 
-def _signed_from_indices(indices: np.ndarray) -> np.ndarray:
-    # Class index 0 is the positive class, index 1 the negative class.
-    return np.where(indices == 0, 1, -1)
-
-
 @linalg._single_threaded_blas()
 def fit(
     X,
@@ -243,32 +244,33 @@ def fit(
                 f"{cfg.variant} requires at least 2 samples per class"
             )
 
-    norm = NormState(
-        feature_min=X.min(axis=0),
-        feature_range=X.max(axis=0) - X.min(axis=0),
-    )
+    feature_min = X.min(axis=0)
+    with np.errstate(over="ignore"):
+        feature_range = X.max(axis=0) - feature_min
+    # A finite range keeps every normalized entry in [0, 1].
+    overflow = np.flatnonzero(~np.isfinite(feature_range))
+    if overflow.size:
+        raise NonFiniteInput(f"X feature {overflow[0]} has a max - min range beyond float64")
+    norm = NormState(feature_min=feature_min, feature_range=feature_range)
     Xn = norm.apply(X)
 
+    # Class index 0 is the positive class, index 1 the negative class.
+    signed = np.where(indices == 0, 1, -1)
     if score_override is not None:
         scores = linalg.as_weights(score_override, X.shape[0], "score_override")
     elif cfg.variant == "bls":
         scores = np.ones(X.shape[0])
     elif cfg.variant == "f-bls":
-        signed = _signed_from_indices(indices)
-        scores = fuzzy.fuzzy_score_vector(Xn, signed, cfg.delta)
+        scores = fuzzy._scores(Xn, signed, cfg.delta)
     else:
-        signed = _signed_from_indices(indices)
-        scores, _ = if_scores.if_score_vector(Xn, signed, cfg.kernel)
+        scores, _ = if_scores._score_vector(Xn, signed, cfg.kernel)
 
     layer = network.init_random_layer(cfg.network, X.shape[1])
-    G = network.state_matrix(layer, Xn)
+    G = network._forward(layer, Xn)
     T = _one_hot(indices, len(class_labels))
 
     branch = "primal" if cfg.network.width <= X.shape[0] else "dual"
-    if branch == "primal":
-        w_out = linalg.solve_weighted_ridge_primal(G, scores, T, cfg.c_reg)
-    else:
-        w_out = linalg.solve_weighted_ridge_dual(G, scores, T, cfg.c_reg)
+    w_out = linalg._solve(G, scores, T, float(cfg.c_reg), branch)
 
     return TrainedModel(
         config=cfg,

@@ -21,18 +21,21 @@ def kernel_distance(k_rr: float, k_ll: float, k_rl: float) -> float:
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def fuzzy_membership(x, label: int, geom, delta: float) -> float:
-    """Membership of a single sample: 1 - dist_to_own_center / (radius + delta)."""
+def fuzzy_membership(x, label: int, X, labels, delta: float) -> float:
+    """Membership of a single sample x of class label (+1 or -1) in the
+    training set (X, labels): 1 - dist_to_own_center / (radius + delta),
+    where the center is the class mean and the radius the largest member
+    distance to it."""
     if delta <= 0:
         raise ConfigError(f"delta must be positive, got {delta!r}")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if label == 1:
-        center, radius = geom.center_pos, geom.radius_pos
-    elif label == -1:
-        center, radius = geom.center_neg, geom.radius_neg
-    else:
+    if label not in (1, -1):
         raise ConfigError(f"label must be +1 or -1, got {label!r}")
-    dist = float(np.linalg.norm(x - center))
+    members = as_matrix(X, "X")[np.asarray(labels) == label]
+    if members.shape[0] == 0:
+        raise ClassBalanceError(f"class {label} has no samples")
+    center = members.sum(axis=0) / members.shape[0]
+    radius = max(float(np.linalg.norm(m - center)) for m in members)
+    dist = float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel() - center))
     return 1.0 - dist / (radius + delta)
 
 

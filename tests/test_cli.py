@@ -413,6 +413,16 @@ class TestTopLevel:
         res = run_cli()
         assert res.returncode == 2
 
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # Only the stats subcommand needs scipy.stats; every other
+        # subcommand should not pay for importing it.
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, blsbench.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
 
 # Config portion of model.json, manifest config block and gridsearch
 # parameter columns, recorded from the pre-schema CLI; none depend on BLAS.

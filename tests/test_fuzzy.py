@@ -14,23 +14,32 @@ def tiny_problem():
     return X, y
 
 
+def centered_problem():
+    # tiny_problem plus a sample at each class mean, which leaves both means
+    # at (1, 0) and (10, 2); member distances are 1, 1, 0 and 2, 2, 0.
+    X, y = tiny_problem()
+    return np.vstack([X, [[1.0, 0.0], [10.0, 2.0]]]), np.append(y, [1, -1])
+
+
 class TestGeometry:
     def test_centers_are_class_means(self):
-        X, y = tiny_problem()
-        geom = fuzzy.class_geometry(X, y)
-        np.testing.assert_array_equal(geom.center_pos, [1.0, 0.0])
-        np.testing.assert_array_equal(geom.center_neg, [10.0, 2.0])
+        X, y = centered_problem()
+        scores = fuzzy.fuzzy_score_vector(X, y, delta=1e-4)
+        np.testing.assert_array_equal(scores[4:], 1.0)
+        assert (scores[:4] < 1.0).all()
 
     def test_radii_are_max_member_distance(self):
-        X, y = tiny_problem()
-        geom = fuzzy.class_geometry(X, y)
-        assert geom.radius_pos == pytest.approx(1.0)
-        assert geom.radius_neg == pytest.approx(2.0)
+        # With delta = 1 each score is 1 - dist / (radius + 1); a radius
+        # of 1 and 2 is the largest member distance, not the mean one.
+        X, y = centered_problem()
+        scores = fuzzy.fuzzy_score_vector(X, y, delta=1.0)
+        expected = [1 - 1 / 2, 1 - 1 / 2, 1 - 2 / 3, 1 - 2 / 3, 1.0, 1.0]
+        np.testing.assert_allclose(scores, expected, rtol=1e-15)
 
     def test_single_class_rejected(self):
         X = np.ones((3, 2))
         with pytest.raises(ClassBalanceError):
-            fuzzy.class_geometry(X, np.array([1, 1, 1]))
+            fuzzy.fuzzy_score_vector(X, np.array([1, 1, 1]))
 
 
 class TestMembership:
@@ -58,10 +67,9 @@ class TestMembership:
 
     def test_vector_matches_scalar_api(self):
         X, y = tiny_problem()
-        geom = fuzzy.class_geometry(X, y)
         vec = fuzzy.fuzzy_score_vector(X, y, delta=1e-4)
         for i in range(len(y)):
-            one = oracles.fuzzy_membership(X[i], y[i], geom, delta=1e-4)
+            one = oracles.fuzzy_membership(X[i], y[i], X, y, delta=1e-4)
             assert vec[i] == pytest.approx(one, rel=1e-12)
 
     def test_delta_keeps_boundary_sample_positive(self):

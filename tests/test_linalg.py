@@ -104,13 +104,24 @@ class TestPairwiseSqDist:
     @pytest.mark.parametrize("n,d,offset", [(40, 3, 0.0), (400, 10, 0.0), (300, 10, 1e3)])
     def test_self_distances_equal_full_fixup_reference(self, n, d, offset):
         # pairwise_sq_dist(A, A) zeroes its diagonal instead of recomputing
-        # it; the reference recomputes every suspect pair, diagonal included.
+        # it, and screens rows before testing pairs; the reference
+        # recomputes every suspect pair, diagonal included.
         rng = np.random.default_rng(n)
         A = rng.normal(offset, 1.0, size=(n, d))
         A[-5:] = A[:5]  # duplicated rows still go through the fix-up
         D = linalg.pairwise_sq_dist(A, A)
         np.testing.assert_array_equal(D, oracles.pairwise_sq_dist(A, A))
         assert (np.diag(D) == 0.0).all() and (D[-5:, :5].diagonal() == 0.0).all()
+        # Distinct operands: rows shared with A, rows of A moved by about
+        # the fix-up tolerance, and a zero row, so that screening rows by
+        # anything below the largest norm of B would miss suspect pairs.
+        near = A[1::7].copy()
+        near[:, 0] += np.sqrt(32 * np.finfo(np.float64).eps * (near**2).sum(axis=1)
+                              * rng.uniform(0.3, 1.2, len(near)))
+        B = np.vstack([A[::7], near, np.zeros((1, d))])
+        D = linalg.pairwise_sq_dist(A, B)
+        np.testing.assert_array_equal(D, oracles.pairwise_sq_dist(A, B))
+        assert (D[::7, :len(A[::7])].diagonal() == 0.0).all()
 
     @given(arrays(np.float64, (4, 3), elements=st.floats(-100, 100)))
     @settings(max_examples=50, deadline=None)

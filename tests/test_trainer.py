@@ -2,6 +2,7 @@ import contextlib
 import copy
 import json
 import os
+import sys
 import tempfile
 from functools import reduce
 from operator import getitem
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blsbench import data, fuzzy, linalg, network, stats, trainer
-from blsbench.errors import ClassBalanceError, ConfigError, DataFormatError
+from blsbench import data, fuzzy, if_scores, linalg, network, stats, trainer
+from blsbench.errors import ClassBalanceError, ConfigError, DataFormatError, NonFiniteInput
 from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, fit, load_model, predict, save_model
@@ -135,6 +136,66 @@ class TestFit:
         model = fit(X, y, ModelConfig("bls", small_net()))
         assert set(predict(model, X)) == {"u", "v", "w"}
         assert trainer.accuracy(model, X, y) == 1.0
+
+
+def corrupt(X, kind, rows):
+    """A copy of X with a non-finite entry, or with feature 1 spanning
+    [-1e308, 1e308], whose range overflows float64, in the given rows."""
+    X = X.copy()
+    if kind == "overflow":
+        X[rows[0], 1], X[rows[1], 1] = -1e308, 1e308
+    else:
+        X[rows[0], 1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind]
+    return X
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    @pytest.mark.parametrize("kind", ["nan", "+inf", "-inf", "overflow"])
+    def test_fit_rejects_non_finite(self, variant, kind, blobs):
+        X, y = blobs
+        message = "X feature 1" if kind == "overflow" else "X contains non-finite"
+        with pytest.raises(NonFiniteInput, match=message):
+            fit(corrupt(X, kind, [3, 7]), y, ModelConfig(variant, small_net()))
+
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    @pytest.mark.parametrize("kind", ["nan", "+inf", "-inf", "overflow"])
+    def test_cross_validate_rejects_non_finite(self, variant, kind, blobs):
+        X, y = blobs
+        plan = data.make_folds(len(y), 5, seed=0)
+        # Rows in the first training fold, so that its fit sees them.
+        ds = data.Dataset("bad", corrupt(X, kind, plan.train_indices(0)[:2]), y, ("a", "b"))
+        with pytest.raises(NonFiniteInput):
+            stats.cross_validate(ds, ModelConfig(variant, small_net()), plan)
+
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    def test_predict_rejects_nan_row(self, variant, blobs):
+        X, y = blobs
+        model = fit(X, y, ModelConfig(variant, small_net()))
+        with pytest.raises(NonFiniteInput, match="X_test"):
+            predict(model, corrupt(X, "nan", [5]))
+
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    @pytest.mark.parametrize("net,branch", [(small_net(), "primal"),
+                                            (small_net(m=10, p=10, q=20), "dual")])
+    def test_fit_checks_x_once(self, variant, net, branch, blobs, monkeypatch):
+        # Only the N x d input is scanned; the normalized X, the weights'
+        # inputs, the state matrix G and the targets T are not.
+        original, calls = linalg.as_matrix, []
+
+        def counting(a, name="matrix"):
+            calls.append((name, np.shape(a)))
+            return original(a, name)
+
+        bound = [m for n, m in list(sys.modules.items())
+                 if n.startswith("blsbench.") and getattr(m, "as_matrix", None) is original]
+        assert {linalg, fuzzy, if_scores, network, data} <= set(bound)
+        for module in bound:
+            monkeypatch.setattr(module, "as_matrix", counting)
+        X, y = blobs
+        model = fit(X, y, ModelConfig(variant, net))
+        assert model.solve_branch_used == branch
+        assert calls == [("X", X.shape)]
 
 
 @contextlib.contextmanager
