@@ -21,10 +21,6 @@ class ClassBalanceError(BlsBenchError, ValueError):
     """A required class is missing or has too few samples."""
 
 
-class InvalidKernel(BlsBenchError, ValueError):
-    """Kernel values are inconsistent with a positive-semidefinite kernel."""
-
-
 class DataFormatError(BlsBenchError, ValueError):
     """A dataset or table file could not be parsed."""
 

@@ -25,13 +25,15 @@ DEFAULT_DELTA = 1e-4
 
 
 def signed_labels(labels) -> np.ndarray:
-    """Validate a +/-1 label sequence and return it as an int array."""
+    """Validate a +/-1 label sequence holding both classes; return it as an int array."""
     t = np.asarray(labels)
     if t.ndim != 1:
         raise ConfigError("labels must be a flat sequence")
-    t = t.astype(np.int64, casting="unsafe")
     if not np.isin(t, (-1, 1)).all():
         raise ConfigError("labels must contain only +1 and -1")
+    t = t.astype(np.int64)
+    if not ((t == 1).any() and (t == -1).any()):
+        raise ClassBalanceError("both classes must have at least one sample")
     return t
 
 
@@ -51,14 +53,12 @@ def fuzzy_score_vector(X, labels, delta: float = DEFAULT_DELTA) -> np.ndarray:
 
 
 def _scores(X: np.ndarray, t: np.ndarray, delta: float) -> np.ndarray:
-    """fuzzy_score_vector of checked samples X and +/-1 labels t."""
+    """fuzzy_score_vector of checked samples X and +/-1 labels t, both classes present."""
     dist = np.empty(X.shape[0])
     radius = np.empty(X.shape[0])
     for sign in (1, -1):
         mask = t == sign
         members = X[mask]
-        if members.shape[0] == 0:
-            raise ClassBalanceError("both classes must have at least one sample")
         d = np.sqrt(((members - members.mean(axis=0)) ** 2).sum(axis=1))
         dist[mask] = d
         # sqrt is monotone and correctly rounded, so the radius equals the

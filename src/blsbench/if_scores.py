@@ -7,6 +7,13 @@ value driven by the fraction of opposite-class points inside its kernel
 epsilon-neighborhood. Both combine into a single score weight via a
 three-branch rule: pure neighborhoods keep their membership, samples
 dominated by non-membership drop to zero, and mixed cases interpolate.
+
+The only kernel built is that of the training samples with themselves,
+and its diagonal is exactly 1 (pairwise_sq_dist gives the (X, X)
+diagonal as 0.0). So the squared RKHS distance of samples i and j is
+2 - 2 K_ij, nonnegative and zero on the diagonal as K lies in [0, 1], and
+that of sample i to its class centroid is 1 + mean(K_cc) - 2 mean_j(K_ij)
+over its class block K_cc.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ClassBalanceError, ConfigError, InvalidKernel
+from .errors import ConfigError
 from .fuzzy import DEFAULT_DELTA, signed_labels
 from .linalg import _sq_dist, as_matrix, pairwise_sq_dist
 
@@ -25,15 +32,9 @@ __all__ = [
     "KernelParams",
     "IFScoreBreakdown",
     "gaussian_kernel",
-    "kernel_pairwise_distances",
-    "kernel_class_radii",
     "if_score",
     "if_score_vector",
 ]
-
-# Negative radicands larger than this are treated as an invalid kernel
-# rather than rounding noise.
-_RADICAND_TOL = 1e-12
 
 MEDIAN_HEURISTIC = "median_heuristic"
 
@@ -81,63 +82,6 @@ def gaussian_kernel(A, B, mu: float) -> np.ndarray:
     return np.exp(-pairwise_sq_dist(A, B) / (mu * mu))
 
 
-def kernel_pairwise_distances(K) -> np.ndarray:
-    """All pairwise RKHS distances from a full kernel matrix."""
-    K = as_matrix(K, "K")
-    if K.shape[0] != K.shape[1]:
-        raise ConfigError("kernel matrix must be square")
-    return _rkhs_distances(K)
-
-
-def _rkhs_distances(K: np.ndarray) -> np.ndarray:
-    """Pairwise RKHS distances sqrt(K_ii + K_jj - 2 K_ij) of a square kernel."""
-    diag = np.diag(K)
-    sq = diag[:, None] + diag[None, :] - 2.0 * K
-    if sq.min() < -_RADICAND_TOL:
-        raise InvalidKernel(
-            f"negative squared kernel distance {sq.min()}; kernel is not PSD"
-        )
-    np.maximum(sq, 0.0, out=sq)
-    np.fill_diagonal(sq, 0.0)
-    return np.sqrt(sq, out=sq)
-
-
-def _centroid_distances(K: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    """RKHS distance of every sample to its class centroid, and both class radii.
-
-    The class-sum term is computed once per class and shared across its
-    members; a class radius is the largest distance among its members.
-    """
-    dist = np.empty(t.shape[0])
-    radii = []
-    for sign in (1, -1):
-        mask = t == sign
-        if not mask.any():
-            raise ClassBalanceError("both classes must have at least one sample")
-        n = int(mask.sum())
-        block = K[np.ix_(mask, mask)]
-        center_sq = block.sum() / (n * n)
-        cross = block.sum(axis=1) / n
-        sq = np.diag(K)[mask] + center_sq - 2.0 * cross
-        if sq.min() < -_RADICAND_TOL:
-            raise InvalidKernel(
-                f"negative squared center distance {sq.min()}; kernel is not PSD"
-            )
-        np.maximum(sq, 0.0, out=sq)
-        radii.append(float(np.sqrt(sq.max())))
-        dist[mask] = np.sqrt(sq)
-    return dist, tuple(radii)
-
-
-def kernel_class_radii(K, labels) -> tuple[float, float]:
-    """Max RKHS distance of each class member to its class centroid."""
-    K = as_matrix(K, "K")
-    t = signed_labels(labels)
-    if K.shape[0] != K.shape[1] or K.shape[0] != t.shape[0]:
-        raise ConfigError("kernel matrix must be N x N matching the labels")
-    return _centroid_distances(K, t)[1]
-
-
 def if_score(theta, theta_tilde) -> np.ndarray:
     """Combine membership and non-membership into one weight, elementwise.
 
@@ -159,8 +103,8 @@ def if_score(theta, theta_tilde) -> np.ndarray:
 def if_score_vector(X, labels, params: KernelParams) -> tuple[np.ndarray, IFScoreBreakdown]:
     """Full scoring pipeline: kernel, radii, membership, non-membership, score.
 
-    Builds the kernel, the centroid distances and the RKHS distance matrix
-    once each; the kernel is freed before the neighborhood step.
+    Builds the kernel once and overwrites it with the RKHS distance matrix
+    after the centroid step.
     """
     X = as_matrix(X, "X")
     t = signed_labels(labels)
@@ -172,15 +116,30 @@ def if_score_vector(X, labels, params: KernelParams) -> tuple[np.ndarray, IFScor
 def _score_vector(
     X: np.ndarray, t: np.ndarray, params: KernelParams
 ) -> tuple[np.ndarray, IFScoreBreakdown]:
-    """if_score_vector of checked samples X and +/-1 labels t."""
+    """if_score_vector of checked samples X and +/-1 labels t, both classes present.
+
+    K has a unit diagonal: centroid distances are sqrt(1 + mean(K_cc) -
+    2 mean_j(K_ij)) and pairwise distances sqrt(2 - 2 K_ij)."""
     # gaussian_kernel(X, X, mu) without re-checking X.
     K = np.exp(-_sq_dist(X, X) / (params.mu * params.mu))
-    dist, (r_pos, r_neg) = _centroid_distances(K, t)
-    theta = 1.0 - dist / (np.where(t == 1, r_pos, r_neg) + params.delta)
+    dist = np.empty(t.shape[0])
+    radius = np.empty(t.shape[0])
+    for sign in (1, -1):
+        mask = t == sign
+        n = int(mask.sum())
+        block = K[np.ix_(mask, mask)]
+        # A squared norm, negative only by rounding.
+        sq = np.maximum(1.0 + block.sum() / (n * n) - 2.0 * (block.sum(axis=1) / n), 0.0)
+        dist[mask] = np.sqrt(sq)
+        radius[mask] = np.sqrt(sq.max())
+    theta = 1.0 - dist / (radius + params.delta)
     # Centroid distances can exceed the radius by rounding on the member
     # that attains the max; keep theta inside [0, 1].
     np.clip(theta, 0.0, 1.0, out=theta)
-    dists = _rkhs_distances(K)
+    # 2 - 2K in place of K.
+    K *= -2.0
+    K += 2.0
+    dists = np.sqrt(K, out=K)
     del K
     if isinstance(params.epsilon, str):
         # Both classes are present, so there is at least one pair.
@@ -196,11 +155,10 @@ def _score_vector(
     hetero = (within & different).sum(axis=1) / within.sum(axis=1)
     theta_tilde = (1.0 - theta) * hetero
     scores = if_score(theta, theta_tilde)
-    breakdown = IFScoreBreakdown(
+    return scores, IFScoreBreakdown(
         membership=theta,
         non_membership=theta_tilde,
         hetero_ratio=hetero,
         score=scores,
         epsilon_used=epsilon,
     )
-    return scores, breakdown

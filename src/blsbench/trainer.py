@@ -291,7 +291,12 @@ def decision_scores(model: TrainedModel, X_test) -> np.ndarray:
         raise DimensionMismatch(
             f"X_test has {X_test.shape[1]} features, model expects {model.layer.input_dim}"
         )
-    Xn = model.norm_state.apply(X_test)
+    # Test values outside the training range can normalize beyond float64.
+    with np.errstate(over="ignore"):
+        Xn = model.norm_state.apply(X_test)
+    overflow = np.flatnonzero(~np.isfinite(Xn).all(axis=0))
+    if overflow.size:
+        raise NonFiniteInput(f"X_test feature {overflow[0]} normalizes beyond float64")
     G = network.state_matrix(model.layer, Xn)
     return G @ model.w_out
 

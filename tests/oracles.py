@@ -3,12 +3,16 @@
 import numpy as np
 
 from blsbench import if_scores
-from blsbench.errors import ClassBalanceError, ConfigError, InvalidKernel
+from blsbench.errors import BlsBenchError, ClassBalanceError, ConfigError
 from blsbench.fuzzy import DEFAULT_DELTA, signed_labels
 from blsbench.linalg import as_matrix
 
 # Negative radicands larger than this are an invalid kernel, not rounding.
 RADICAND_TOL = 1e-12
+
+
+class InvalidKernel(BlsBenchError, ValueError):
+    """Kernel values are inconsistent with a positive-semidefinite kernel."""
 
 
 def kernel_distance(k_rr: float, k_ll: float, k_rl: float) -> float:
@@ -66,8 +70,10 @@ def pairwise_sq_dist(A, B):
 #
 # The IF-BLS pipeline as a chain of separately checked steps, each taking
 # the full kernel matrix and sharing no code with the package's kernel or
-# scoring; the kernel is built on pairwise_sq_dist above.
-# if_scores.if_score_vector must match it exactly.
+# scoring; the kernel is built on pairwise_sq_dist above. The geometry
+# steps accept any PSD kernel (criterion 6 feeds them a linear one) and
+# read its diagonal, where the package relies on the Gaussian unit
+# diagonal. if_scores.if_score_vector must match the pipeline exactly.
 
 
 def center_sq_dists(K, mask):

@@ -13,17 +13,12 @@ import pytest
 
 from blsbench import data, linalg, stats
 from blsbench.errors import ConfigError
-from blsbench.if_scores import (
-    KernelParams,
-    gaussian_kernel,
-    if_score_vector,
-    kernel_class_radii,
-    kernel_pairwise_distances,
-)
+from blsbench.if_scores import KernelParams, gaussian_kernel, if_score_vector
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, decision_scores, fit, predict
 
 import published_tables as pt
+from oracles import kernel_class_radii, kernel_pairwise_distances
 
 
 def report(num, ok, desc, detail=""):

@@ -80,6 +80,24 @@ class TestTrainPredict:
         assert res.returncode == 0, res.stderr
         assert list(csv.reader(out.open(newline=""))) == [["prediction"], ["yes, sure"], ["no"]]
 
+    def test_predict_names_overflowing_feature(self, tmp_path, capsys):
+        from blsbench import cli
+
+        # Feature x2 spans about 1e-300 in training; 1e10 normalizes beyond float64.
+        train = tmp_path / "train.csv"
+        train.write_text("x1,x2,label\n0.0,0.0,a\n0.2,1e-300,a\n3.0,0.0,b\n3.2,1e-300,b\n")
+        feats = tmp_path / "features.csv"
+        feats.write_text("x1,x2\n0.1,1e10\n")
+        model, out = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert cli.main(["train", "--data", str(train), "--variant", "bls", "--m", "1",
+                         "--p", "2", "--q", "3", "--out", str(model)]) == 0
+        capsys.readouterr()
+        code = cli.main(["predict", "--model", str(model), "--data", str(feats), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "X_test feature 1 normalizes beyond float64" in err
+        assert not out.exists()
+
     def test_model_bytes_independent_of_blas_threads(self, tmp_path):
         # A primal fit (N=1200, width 375) large enough for OpenBLAS to split
         # its products across threads when it is allowed to.

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from blsbench import fuzzy
-from blsbench.errors import ClassBalanceError
+from blsbench.errors import ClassBalanceError, ConfigError
 
 
 def tiny_problem():
@@ -91,3 +91,8 @@ class TestMembership:
     def test_signed_labels_validation(self):
         with pytest.raises(ValueError):
             fuzzy.signed_labels(np.array([1, 0, -1]))
+
+    def test_signed_labels_rejects_non_integers(self):
+        # Checked before the int cast, which would truncate them to +/-1.
+        with pytest.raises(ConfigError):
+            fuzzy.signed_labels([1.7, -1.2])

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from blsbench import if_scores
-from blsbench.errors import InvalidKernel
+from blsbench.errors import ClassBalanceError
 from blsbench.if_scores import KernelParams
 
 
@@ -46,14 +46,14 @@ class TestKernelDistance:
 
     def test_pairwise_matches_feature_space_norm(self):
         X, _, K = kernel_problem(mu=2.0)
-        D = if_scores.kernel_pairwise_distances(K)
+        D = oracles.kernel_pairwise_distances(K)
         i, j = 3, 17
         expected = np.sqrt(K[i, i] + K[j, j] - 2 * K[i, j])
         assert D[i, j] == pytest.approx(expected, rel=1e-12)
         assert np.diag(D).max() == 0.0
 
     def test_inconsistent_kernel_rejected(self):
-        with pytest.raises(InvalidKernel):
+        with pytest.raises(oracles.InvalidKernel):
             oracles.kernel_distance(1.0, 1.0, 1.5)
 
 
@@ -65,7 +65,7 @@ class TestClassRadii:
         X = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
         y = np.array([1, 1, -1, -1])
         K = if_scores.gaussian_kernel(X, X, mu=1.3)
-        r_pos, r_neg = if_scores.kernel_class_radii(K, y)
+        r_pos, r_neg = oracles.kernel_class_radii(K, y)
         k = K[0, 1]
         assert r_pos == pytest.approx(np.sqrt((1 - k) / 2), rel=1e-10)
         kn = K[2, 3]
@@ -79,7 +79,7 @@ class TestClassRadii:
         y = np.array([1] * 10 + [-1] * 10)
         mu = 1e4
         K = if_scores.gaussian_kernel(X, X, mu)
-        r_pos, _ = if_scores.kernel_class_radii(K, y)
+        r_pos, _ = oracles.kernel_class_radii(K, y)
         pos = X[y == 1]
         euclid = np.linalg.norm(pos - pos.mean(0), axis=1).max()
         # exp(-d^2/mu^2) ~ 1 - d^2/mu^2 makes the feature-space squared
@@ -90,7 +90,7 @@ class TestClassRadii:
 class TestMembership:
     def test_values_match_manual_formula(self):
         X, y, K = kernel_problem(seed=2)
-        radii = if_scores.kernel_class_radii(K, y)
+        radii = oracles.kernel_class_radii(K, y)
         _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0, delta=1e-4))
         theta = br.membership
         # manual for sample 0 (positive class)
@@ -114,7 +114,7 @@ class TestNonMembership:
         X = np.array([[0.0], [1.0], [1.5], [2.5]])
         y = np.array([1, 1, -1, -1])
         K = if_scores.gaussian_kernel(X, X, mu=2.0)
-        D = if_scores.kernel_pairwise_distances(K)
+        D = oracles.kernel_pairwise_distances(K)
         eps = (D[0, 1] + D[1, 3]) / 2  # admits gaps up to 1.0, rejects 1.5
         _, br = if_scores.if_score_vector(X, y, KernelParams(mu=2.0, epsilon=eps))
         hetero, tilde, theta = br.hetero_ratio, br.non_membership, br.membership
@@ -135,7 +135,7 @@ class TestNonMembership:
         X = np.array([[0.0], [1.0]])
         y = np.array([1, -1])
         K = if_scores.gaussian_kernel(X, X, mu=1.0)
-        D = if_scores.kernel_pairwise_distances(K)
+        D = oracles.kernel_pairwise_distances(K)
         _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0, epsilon=D[0, 1]))
         assert br.hetero_ratio[0] == pytest.approx(0.5)
 
@@ -172,7 +172,7 @@ class TestEpsilonPolicy:
         X = np.array([[0.0], [1.0], [3.0]])
         y = np.array([1, 1, -1])
         K = if_scores.gaussian_kernel(X, X, mu=2.0)
-        D = if_scores.kernel_pairwise_distances(K)
+        D = oracles.kernel_pairwise_distances(K)
         uppers = [D[0, 1], D[0, 2], D[1, 2]]
         _, br = if_scores.if_score_vector(X, y, KernelParams(mu=2.0))
         assert br.epsilon_used == pytest.approx(np.median(uppers))
@@ -211,6 +211,11 @@ class TestVector:
         np.testing.assert_array_equal(br.hetero_ratio, 0.0)
         np.testing.assert_allclose(scores, np.clip(br.membership, 0, 1))
 
+    def test_single_class_rejected(self):
+        X, _, _ = kernel_problem(n=6)
+        with pytest.raises(ClassBalanceError):
+            if_scores.if_score_vector(X, np.ones(6), KernelParams())
+
     def test_deterministic(self):
         X, y, _ = kernel_problem(seed=9)
         a, _ = if_scores.if_score_vector(X, y, KernelParams())
@@ -228,7 +233,7 @@ def oracle_problem(seed):
 
 
 @pytest.mark.parametrize("epsilon", ["median_heuristic", 0.3, 0.0])
-@pytest.mark.parametrize("mu", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("mu", [2.0**-5, 0.25, 1.0, 4.0, 2.0**5])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_vector_matches_step_by_step_oracle_exactly(seed, mu, epsilon):
     X, y = oracle_problem(seed)

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from functools import reduce
 from operator import getitem
 
@@ -174,6 +175,20 @@ class TestInputBoundary:
         model = fit(X, y, ModelConfig(variant, small_net()))
         with pytest.raises(NonFiniteInput, match="X_test"):
             predict(model, corrupt(X, "nan", [5]))
+
+    def test_predict_names_overflowing_feature(self, blobs):
+        # Feature 1 spans about 1e-300 in training, so 1e10 normalizes to
+        # about 1e310.
+        X, y = blobs
+        X = X.copy()
+        X[:, 1] *= 1e-300
+        model = fit(X, y, ModelConfig("bls", small_net()))
+        row = X[:1].copy()
+        row[0, 1] = 1e10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="X_test feature 1 normalizes beyond float64"):
+                predict(model, row)
 
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
     @pytest.mark.parametrize("net,branch", [(small_net(), "primal"),
