@@ -1,9 +1,9 @@
-"""Input-space fuzzy membership weights for binary training sets.
+"""Fuzzy membership weights for binary training sets.
 
-Each training sample receives a weight in (0, 1] that decreases with its
-distance to its own class center, relative to the class radius. Samples
-near a center keep full influence on the output-layer fit; far-flung
-samples (candidate outliers) are attenuated.
+This module owns the radius offset delta (its default and its check) and
+the membership 1 - d / (r + delta) that f-bls and if-bls share. d is a
+sample's distance to its class center (input space for f-bls, kernel space
+for if-bls) and r the largest d of its class, so outliers are attenuated.
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ __all__ = [
 DEFAULT_DELTA = 1e-4
 
 
+def _check_delta(delta) -> None:
+    """Raise ConfigError unless the radius offset is finite and positive."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise ConfigError(f"delta must be positive, got {delta!r}")
+
+
 def signed_labels(labels) -> np.ndarray:
     """Validate a +/-1 label sequence holding both classes; return it as an int array."""
     t = np.asarray(labels)
@@ -41,10 +47,9 @@ def fuzzy_score_vector(X, labels, delta: float = DEFAULT_DELTA) -> np.ndarray:
     """Per-sample membership weights for a full training set.
 
     On training members the distance never exceeds the class radius, so
-    every weight lies in (0, 1].
+    every weight lies in [0, 1].
     """
-    if delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta!r}")
+    _check_delta(delta)
     X = as_matrix(X, "X")
     t = signed_labels(labels)
     if t.shape[0] != X.shape[0]:
@@ -54,14 +59,17 @@ def fuzzy_score_vector(X, labels, delta: float = DEFAULT_DELTA) -> np.ndarray:
 
 def _scores(X: np.ndarray, t: np.ndarray, delta: float) -> np.ndarray:
     """fuzzy_score_vector of checked samples X and +/-1 labels t, both classes present."""
-    dist = np.empty(X.shape[0])
-    radius = np.empty(X.shape[0])
+    sq = np.empty(X.shape[0])
     for sign in (1, -1):
         mask = t == sign
         members = X[mask]
-        d = np.sqrt(((members - members.mean(axis=0)) ** 2).sum(axis=1))
-        dist[mask] = d
-        # sqrt is monotone and correctly rounded, so the radius equals the
-        # square root of the largest squared distance exactly.
-        radius[mask] = d.max()
+        sq[mask] = ((members - members.mean(axis=0)) ** 2).sum(axis=1)
+    return _membership(sq, t, delta)
+
+
+def _membership(sq: np.ndarray, t: np.ndarray, delta: float) -> np.ndarray:
+    """1 - d / (r + delta) of squared center distances sq and +/-1 labels t;
+    sqrt is monotone and correctly rounded, so no d exceeds its r."""
+    dist = np.sqrt(sq)
+    radius = np.where(t == 1, dist[t == 1].max(), dist[t == -1].max())
     return 1.0 - dist / (radius + delta)

@@ -7,6 +7,7 @@ value driven by the fraction of opposite-class points inside its kernel
 epsilon-neighborhood. Both combine into a single score weight via a
 three-branch rule: pure neighborhoods keep their membership, samples
 dominated by non-membership drop to zero, and mixed cases interpolate.
+The membership rule and the delta check are fuzzy's, shared with f-bls.
 
 The only kernel built is that of the training samples with themselves,
 and its diagonal is exactly 1 (pairwise_sq_dist gives the (X, X)
@@ -24,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError
-from .fuzzy import DEFAULT_DELTA, signed_labels
+from .fuzzy import DEFAULT_DELTA, _check_delta, _membership, signed_labels
 from .linalg import _sq_dist, as_matrix, pairwise_sq_dist
 
 __all__ = [
@@ -55,8 +56,7 @@ class KernelParams:
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ConfigError(f"mu must be positive, got {self.mu!r}")
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ConfigError(f"delta must be positive, got {self.delta!r}")
+        _check_delta(self.delta)
         if isinstance(self.epsilon, str):
             if self.epsilon != MEDIAN_HEURISTIC:
                 raise ConfigError(f"unknown epsilon policy {self.epsilon!r}")
@@ -94,8 +94,12 @@ def if_score(theta, theta_tilde) -> np.ndarray:
         raise ConfigError("theta and theta_tilde must lie in [0, 1]")
     if (theta + theta_tilde > 1.0 + 1e-12).any():
         raise ConfigError("theta + theta_tilde must not exceed 1")
-    # The checks keep 2 - theta - theta_tilde >= 1 - 1e-12, so the mixed
-    # branch is finite everywhere.
+    return _combine(theta, theta_tilde)
+
+
+def _combine(theta: np.ndarray, theta_tilde: np.ndarray) -> np.ndarray:
+    """if_score of float arrays inside its bounds, which keep
+    2 - theta - theta_tilde >= 1 - 1e-12: the mixed branch is finite."""
     mixed = (1.0 - theta_tilde) / (2.0 - theta - theta_tilde)
     return np.where(theta_tilde == 0.0, theta, np.where(theta <= theta_tilde, 0.0, mixed))
 
@@ -116,45 +120,40 @@ def if_score_vector(X, labels, params: KernelParams) -> tuple[np.ndarray, IFScor
 def _score_vector(
     X: np.ndarray, t: np.ndarray, params: KernelParams
 ) -> tuple[np.ndarray, IFScoreBreakdown]:
-    """if_score_vector of checked samples X and +/-1 labels t, both classes present.
-
-    K has a unit diagonal: centroid distances are sqrt(1 + mean(K_cc) -
-    2 mean_j(K_ij)) and pairwise distances sqrt(2 - 2 K_ij)."""
+    """if_score_vector of checked samples X and +/-1 labels t, both classes present."""
     # gaussian_kernel(X, X, mu) without re-checking X.
     K = np.exp(-_sq_dist(X, X) / (params.mu * params.mu))
-    dist = np.empty(t.shape[0])
-    radius = np.empty(t.shape[0])
+    sq = np.empty(t.shape[0])
     for sign in (1, -1):
         mask = t == sign
         n = int(mask.sum())
         block = K[np.ix_(mask, mask)]
         # A squared norm, negative only by rounding.
-        sq = np.maximum(1.0 + block.sum() / (n * n) - 2.0 * (block.sum(axis=1) / n), 0.0)
-        dist[mask] = np.sqrt(sq)
-        radius[mask] = np.sqrt(sq.max())
-    theta = 1.0 - dist / (radius + params.delta)
-    # Centroid distances can exceed the radius by rounding on the member
-    # that attains the max; keep theta inside [0, 1].
-    np.clip(theta, 0.0, 1.0, out=theta)
+        sq[mask] = np.maximum(1.0 + block.sum() / (n * n) - 2.0 * (block.sum(axis=1) / n), 0.0)
+    del block
+    theta = _membership(sq, t, params.delta)
     # 2 - 2K in place of K.
     K *= -2.0
     K += 2.0
     dists = np.sqrt(K, out=K)
     del K
     if isinstance(params.epsilon, str):
-        # Both classes are present, so there is at least one pair.
-        epsilon = float(np.median(dists[np.triu_indices(dists.shape[0], k=1)]))
+        # Both classes are present, so there is at least one pair. The
+        # median may partition the gathered copy in place.
+        epsilon = float(np.median(dists[np.triu(np.ones(dists.shape, dtype=bool), k=1)],
+                                  overwrite_input=True))
     else:
         epsilon = float(params.epsilon)
     # The heterogeneity ratio is the opposite-class share of the points
     # within epsilon. A sample always sits in its own neighborhood at
-    # distance zero, so the denominator is never empty.
+    # distance zero, so the denominator is never empty. It lies in [0, 1],
+    # as theta does, so theta_tilde keeps the bounds of if_score.
     within = dists <= epsilon
     del dists
     different = t[:, None] != t[None, :]
     hetero = (within & different).sum(axis=1) / within.sum(axis=1)
     theta_tilde = (1.0 - theta) * hetero
-    scores = if_score(theta, theta_tilde)
+    scores = _combine(theta, theta_tilde)
     return scores, IFScoreBreakdown(
         membership=theta,
         non_membership=theta_tilde,

@@ -66,8 +66,7 @@ class ModelConfig:
         if self.variant == "f-bls":
             if self.delta is None:
                 object.__setattr__(self, "delta", fuzzy.DEFAULT_DELTA)
-            elif self.delta <= 0:
-                raise ConfigError(f"delta must be positive, got {self.delta!r}")
+            fuzzy._check_delta(self.delta)
         elif self.delta is not None:
             raise ConfigError(f"delta is only valid for f-bls, not {self.variant}")
         if self.variant == "if-bls":

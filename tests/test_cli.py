@@ -155,6 +155,14 @@ class TestTrainPredict:
         assert json.loads(by_flag.read_text())["kernel"]["epsilon"] == (0.5).hex()
         assert by_flag.read_bytes() == by_file.read_bytes()
 
+    def test_nan_delta_is_runtime_error(self, dataset_csv, tmp_path):
+        out = tmp_path / "m.json"
+        res = run_cli("train", "--data", str(dataset_csv), "--variant", "f-bls",
+                      "--delta", "nan", "--out", str(out))
+        assert res.returncode == 1
+        assert "error: delta must be positive, got nan" in res.stderr
+        assert not out.exists()
+
     def test_non_numeric_config_value_is_runtime_error(self, dataset_csv, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[model]\nvariant = bls\nm = abc\n")
@@ -225,6 +233,18 @@ class TestGridSearch:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "jobs" in err
+        assert not out.exists()
+
+    def test_nan_delta_in_grid_is_runtime_error(self, dataset_csv, tmp_path, capsys):
+        from blsbench import cli
+
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nc_reg = 1\nm = 2\np = 4\nq = 6\ndelta = 0.001, nan\n")
+        out = tmp_path / "grid.csv"
+        code = cli.main(["gridsearch", "--data", str(dataset_csv), "--variant", "f-bls",
+                         "--grid", str(grid), "--out", str(out)])
+        assert code == 1
+        assert "delta must be positive, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_numeric_grid_value_is_runtime_error(self, dataset_csv, tmp_path):

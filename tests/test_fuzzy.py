@@ -79,6 +79,19 @@ class TestMembership:
         scores = fuzzy.fuzzy_score_vector(X, y, delta=1e-4)
         assert scores.min() > 0.0
 
+    def test_delta_below_radius_rounding_gives_zero(self):
+        # Every member of tiny_problem sits at its class radius (1 or 2),
+        # and r + 1e-17 rounds to r: the weights are exactly 0, not below.
+        X, y = tiny_problem()
+        scores = fuzzy.fuzzy_score_vector(X, y, delta=1e-17)
+        np.testing.assert_array_equal(scores, 0.0)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_delta_rejected(self, delta):
+        X, y = tiny_problem()
+        with pytest.raises(ConfigError, match="delta must be positive"):
+            fuzzy.fuzzy_score_vector(X, y, delta=delta)
+
     @given(st.floats(1e-6, 1.0))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_distance(self, delta):

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from blsbench import if_scores
-from blsbench.errors import ClassBalanceError
+from blsbench.errors import ClassBalanceError, ConfigError
 from blsbench.if_scores import KernelParams
 
 
@@ -34,6 +36,14 @@ class TestKernel:
     def test_invalid_mu_rejected(self):
         with pytest.raises(ValueError):
             if_scores.gaussian_kernel(np.ones((2, 2)), np.ones((2, 2)), mu=0.0)
+
+
+class TestKernelParams:
+    @pytest.mark.parametrize("field", ["mu", "delta"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be positive"):
+            KernelParams(**{field: value})
 
 
 class TestKernelDistance:
@@ -105,6 +115,16 @@ class TestMembership:
         _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0))
         theta = br.membership
         assert (theta > 0).all() and (theta <= 1).all()
+
+    def test_bounded_when_delta_is_below_radius_rounding(self):
+        # r + 1e-17 rounds to r, so the members at the radius get exactly 0;
+        # no centroid distance exceeds its radius, so none goes below.
+        X = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0], [10.0, 4.0]])
+        y = np.array([1, 1, -1, -1])
+        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=3.0, delta=1e-17))
+        theta = br.membership
+        assert (theta >= 0).all() and (theta <= 1).all()
+        assert theta.min() == 0.0
 
 
 class TestNonMembership:
@@ -197,7 +217,7 @@ class TestVector:
         assert (scores >= 0).all() and (scores <= 1).all()
         recomputed = np.array([
             oracles.if_score(t, nt)
-            for t, nt in zip(np.clip(br.membership, 0, 1), br.non_membership)
+            for t, nt in zip(br.membership, br.non_membership)
         ])
         np.testing.assert_allclose(scores, recomputed, rtol=1e-12)
 
@@ -209,7 +229,7 @@ class TestVector:
         params = KernelParams(mu=1.0, epsilon=0.01)
         scores, br = if_scores.if_score_vector(X, y, params)
         np.testing.assert_array_equal(br.hetero_ratio, 0.0)
-        np.testing.assert_allclose(scores, np.clip(br.membership, 0, 1))
+        np.testing.assert_allclose(scores, br.membership)
 
     def test_single_class_rejected(self):
         X, _, _ = kernel_problem(n=6)
@@ -222,21 +242,36 @@ class TestVector:
         b, _ = if_scores.if_score_vector(X, y, KernelParams())
         np.testing.assert_array_equal(a, b)
 
+    def test_peak_memory_is_the_distance_step(self):
+        # The peak is the two N x N temporaries of the squared distances;
+        # the median step must not add to it.
+        N = 600
+        X = np.random.default_rng(0).normal(size=(N, 10))
+        y = np.array([1, -1] * (N // 2))
+        tracemalloc.start()
+        try:
+            if_scores.if_score_vector(X, y, KernelParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * N * N * 8
 
-def oracle_problem(seed):
+
+def oracle_problem(seed, dups):
     """Two overlapping classes plus duplicated points with flipped labels."""
     rng = np.random.default_rng(seed)
     X = np.vstack([rng.normal(0.0, 0.7, size=(14, 3)), rng.normal(1.0, 0.7, size=(14, 3))])
     y = np.array([1] * 14 + [-1] * 14)
-    dup = rng.choice(28, size=5, replace=False)
+    dup = rng.choice(28, size=dups, replace=False)
     return np.vstack([X, X[dup]]), np.concatenate([y, -y[dup]])
 
 
 @pytest.mark.parametrize("epsilon", ["median_heuristic", 0.3, 0.0])
 @pytest.mark.parametrize("mu", [2.0**-5, 0.25, 1.0, 4.0, 2.0**5])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_vector_matches_step_by_step_oracle_exactly(seed, mu, epsilon):
-    X, y = oracle_problem(seed)
+# 33 samples give 528 pairs, an even count for the median; 34 give 561.
+@pytest.mark.parametrize("seed,dups", [(0, 5), (1, 5), (2, 6)], ids=["0", "1", "2-odd-pairs"])
+def test_vector_matches_step_by_step_oracle_exactly(seed, dups, mu, epsilon):
+    X, y = oracle_problem(seed, dups)
     params = KernelParams(mu=mu, epsilon=epsilon)
     scores, br = if_scores.if_score_vector(X, y, params)
     ref_scores, ref = oracles.if_score_vector(X, y, params)
@@ -245,4 +280,4 @@ def test_vector_matches_step_by_step_oracle_exactly(seed, mu, epsilon):
         np.testing.assert_array_equal(getattr(br, name), getattr(ref, name), err_msg=name)
     assert br.epsilon_used == ref.epsilon_used
     # Duplicates with flipped labels always see each other, even at epsilon 0.
-    assert (br.hetero_ratio[-5:] > 0).all()
+    assert (br.hetero_ratio[-dups:] > 0).all()

@@ -41,6 +41,11 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig("f-bls", small_net(), kernel=KernelParams())
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_delta_rejected(self, delta):
+        with pytest.raises(ConfigError, match="delta must be positive"):
+            ModelConfig("f-bls", small_net(), delta=delta)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig("deep-bls", small_net())
@@ -326,6 +331,17 @@ class TestPersistence:
         corrupt(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="model.json"):
+            load_model(path)
+
+    def test_nan_delta_rejected(self, blobs, tmp_path):
+        X, y = blobs
+        path = tmp_path / "model.json"
+        save_model(fit(X, y, ModelConfig("f-bls", small_net())), path)
+        doc = json.loads(path.read_text())
+        load_model(path)
+        doc["delta"] = "nan"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="delta must be positive"):
             load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path):
