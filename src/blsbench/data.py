@@ -26,12 +26,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix, string labels, and the fixed (lexicographic) class order."""
+    """Feature matrix and string labels."""
 
     name: str
     X: np.ndarray
     labels: tuple[str, ...]
-    class_labels: tuple[str, ...]
 
     def __post_init__(self):
         if self.X.shape[0] != len(self.labels):
@@ -56,7 +55,6 @@ class FoldPlan:
 
     k: int
     assignments: np.ndarray
-    seed: int
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignments == fold)[0]
@@ -121,28 +119,20 @@ def write_csv(path, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def load_csv(
-    path,
-    label_column: Union[int, str] = -1,
-    header: bool = True,
-    name: Optional[str] = None,
-) -> Dataset:
-    """Parse a numeric CSV with one label column.
+def load_csv(path, label_column: Union[int, str] = -1, header: bool = True) -> Dataset:
+    """Parse a numeric CSV with one label column into a Dataset named after
+    the file's stem.
 
     label_column may be a zero-based index (negative counts from the end)
-    or, when a header is present, a column name.
+    or, when a header is present, a column name. A file without data rows
+    raises DataFormatError.
     """
     names, X, labels = read_csv(path, header, label_column)
     if X.shape[0] == 0:
         raise DataFormatError(
             f"{path}: empty file" if names is None else f"{path}: no data rows after the header"
         )
-    return Dataset(
-        name=name if name is not None else Path(path).stem,
-        X=as_matrix(X, "features"),
-        labels=tuple(labels),
-        class_labels=tuple(sorted(set(labels))),
-    )
+    return Dataset(name=Path(path).stem, X=as_matrix(X, "features"), labels=tuple(labels))
 
 
 def make_folds(n: int, k: int, seed: int) -> FoldPlan:
@@ -154,7 +144,7 @@ def make_folds(n: int, k: int, seed: int) -> FoldPlan:
     perm = np.random.default_rng(seed).permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     assignments[perm] = np.arange(n) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def inject_gaussian_noise(ds: Dataset, level: float, seed: int) -> Dataset:
@@ -175,9 +165,4 @@ def inject_gaussian_noise(ds: Dataset, level: float, seed: int) -> Dataset:
         chosen = rng.choice(n, size=n_corrupt, replace=False)
         sigma = ds.X.std(axis=0)
         X[chosen] += rng.normal(0.0, 1.0, size=(n_corrupt, ds.n_features)) * sigma
-    return Dataset(
-        name=ds.name,
-        X=X,
-        labels=ds.labels,
-        class_labels=ds.class_labels,
-    )
+    return Dataset(name=ds.name, X=X, labels=ds.labels)

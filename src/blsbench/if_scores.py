@@ -33,11 +33,16 @@ __all__ = [
     "KernelParams",
     "IFScoreBreakdown",
     "gaussian_kernel",
-    "if_score",
     "if_score_vector",
 ]
 
 MEDIAN_HEURISTIC = "median_heuristic"
+
+
+def _check_mu(mu) -> None:
+    """Raise ConfigError unless the Gaussian width is finite and positive."""
+    if not (np.isfinite(mu) and mu > 0):
+        raise ConfigError(f"mu must be positive, got {mu!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,7 @@ class KernelParams:
     epsilon: Union[float, str] = MEDIAN_HEURISTIC
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise ConfigError(f"mu must be positive, got {self.mu!r}")
+        _check_mu(self.mu)
         _check_delta(self.delta)
         if isinstance(self.epsilon, str):
             if self.epsilon != MEDIAN_HEURISTIC:
@@ -77,29 +81,19 @@ class IFScoreBreakdown:
 
 def gaussian_kernel(A, B, mu: float) -> np.ndarray:
     """K(a, b) = exp(-||a - b||^2 / mu^2), entries in (0, 1]."""
-    if not (np.isfinite(mu) and mu > 0):
-        raise ConfigError(f"mu must be positive, got {mu!r}")
+    _check_mu(mu)
     return np.exp(-pairwise_sq_dist(A, B) / (mu * mu))
 
 
-def if_score(theta, theta_tilde) -> np.ndarray:
+def _combine(theta: np.ndarray, theta_tilde: np.ndarray) -> np.ndarray:
     """Combine membership and non-membership into one weight, elementwise.
 
     Pure neighborhoods (theta_tilde = 0) keep their membership, samples
-    with theta <= theta_tilde get zero, and the rest interpolate.
+    with theta <= theta_tilde get zero, and the rest interpolate. Both
+    arrays lie in [0, 1] with theta + theta_tilde <= 1 up to rounding,
+    which keeps 2 - theta - theta_tilde near or above 1: the mixed branch
+    is finite.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    theta_tilde = np.asarray(theta_tilde, dtype=np.float64)
-    if not ((0.0 <= theta) & (theta <= 1.0) & (0.0 <= theta_tilde) & (theta_tilde <= 1.0)).all():
-        raise ConfigError("theta and theta_tilde must lie in [0, 1]")
-    if (theta + theta_tilde > 1.0 + 1e-12).any():
-        raise ConfigError("theta + theta_tilde must not exceed 1")
-    return _combine(theta, theta_tilde)
-
-
-def _combine(theta: np.ndarray, theta_tilde: np.ndarray) -> np.ndarray:
-    """if_score of float arrays inside its bounds, which keep
-    2 - theta - theta_tilde >= 1 - 1e-12: the mixed branch is finite."""
     mixed = (1.0 - theta_tilde) / (2.0 - theta - theta_tilde)
     return np.where(theta_tilde == 0.0, theta, np.where(theta <= theta_tilde, 0.0, mixed))
 
@@ -147,7 +141,7 @@ def _score_vector(
     # The heterogeneity ratio is the opposite-class share of the points
     # within epsilon. A sample always sits in its own neighborhood at
     # distance zero, so the denominator is never empty. It lies in [0, 1],
-    # as theta does, so theta_tilde keeps the bounds of if_score.
+    # as theta does, so theta_tilde keeps the bounds of _combine.
     within = dists <= epsilon
     del dists
     different = t[:, None] != t[None, :]

@@ -29,7 +29,7 @@ import os
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, FactorizationFailure, NonFiniteInput
+from .errors import ConfigError, DimensionMismatch, FactorizationFailure, NonFiniteInput
 
 __all__ = [
     "as_matrix",
@@ -106,6 +106,12 @@ def as_weights(s, n: int, name: str = "weights") -> np.ndarray:
     return s
 
 
+def _check_c_reg(c_reg) -> None:
+    """Raise ConfigError unless the regularization C is finite and positive."""
+    if not (np.isfinite(c_reg) and c_reg > 0):
+        raise ConfigError(f"c_reg must be positive, got {c_reg!r}")
+
+
 def _check_ridge_args(G, S, T, c_reg):
     G = as_matrix(G, "G")
     T = as_matrix(T, "T")
@@ -114,8 +120,7 @@ def _check_ridge_args(G, S, T, c_reg):
             f"G has {G.shape[0]} rows but T has {T.shape[0]}"
         )
     S = as_weights(S, G.shape[0], "S")
-    if not (np.isfinite(c_reg) and c_reg > 0):
-        raise NonFiniteInput(f"c_reg must be a positive float, got {c_reg!r}")
+    _check_c_reg(c_reg)
     return G, S, T, float(c_reg)
 
 

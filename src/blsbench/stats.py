@@ -41,7 +41,6 @@ DEFAULT_TIE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class CvResult:
-    dataset_name: str
     per_fold_accuracy: tuple[Optional[float], ...]
     mean_accuracy: float
     std_dev: float
@@ -52,7 +51,6 @@ class CvResult:
 class RankTable:
     datasets: tuple[str, ...]
     models: tuple[str, ...]
-    accuracy: np.ndarray
     ranks: np.ndarray
     average_rank: np.ndarray
 
@@ -118,7 +116,6 @@ def cross_validate(
     mean = float(np.mean(present))
     std = float(np.std(present, ddof=1)) if len(present) > 1 else 0.0
     return CvResult(
-        dataset_name=ds.name,
         per_fold_accuracy=tuple(per_fold),
         mean_accuracy=mean,
         std_dev=std,
@@ -223,7 +220,6 @@ def rank_models(
     return RankTable(
         datasets=tuple(datasets) if datasets is not None else tuple(f"d{i}" for i in range(k)),
         models=tuple(models) if models is not None else tuple(f"m{j}" for j in range(d)),
-        accuracy=acc,
         ranks=ranks,
         average_rank=ranks.mean(axis=0),
     )

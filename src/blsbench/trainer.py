@@ -61,8 +61,7 @@ class ModelConfig:
             raise ConfigError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}"
             )
-        if not (np.isfinite(self.c_reg) and self.c_reg > 0):
-            raise ConfigError(f"c_reg must be positive, got {self.c_reg!r}")
+        linalg._check_c_reg(self.c_reg)
         if self.variant == "f-bls":
             if self.delta is None:
                 object.__setattr__(self, "delta", fuzzy.DEFAULT_DELTA)
@@ -200,7 +199,7 @@ class TrainedModel:
     norm_state: NormState
     class_labels: tuple[str, ...]
     solve_branch_used: str
-    score_vector: np.ndarray = field(repr=False, default=None)
+    score_vector: np.ndarray = field(repr=False)
 
 
 def _one_hot(indices: np.ndarray, n_classes: int) -> np.ndarray:
@@ -352,9 +351,7 @@ def save_model(model: TrainedModel, path) -> None:
         "w_out": _encode_array(model.w_out),
         "norm_min": _encode_array(model.norm_state.feature_min),
         "norm_range": _encode_array(model.norm_state.feature_range),
-        "score_vector": None
-        if model.score_vector is None
-        else _encode_array(model.score_vector),
+        "score_vector": _encode_array(model.score_vector),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -407,7 +404,6 @@ def _model_from_doc(doc: dict) -> TrainedModel:
         enhancement_weights=groups("enhancement_weights", net.l, (net.m * net.p, net.q)),
         enhancement_biases=groups("enhancement_biases", net.l, (1, net.q)),
     )
-    scores = doc.pop("score_vector")
     model = TrainedModel(
         config=cfg,
         layer=layer,
@@ -418,7 +414,7 @@ def _model_from_doc(doc: dict) -> TrainedModel:
         ),
         class_labels=tuple(labels),
         solve_branch_used=branch,
-        score_vector=None if scores is None else _decode_array(scores),
+        score_vector=_decode_array(doc.pop("score_vector")),
     )
     if doc:
         raise DataFormatError(f"unknown keys {sorted(doc)}")

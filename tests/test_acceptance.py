@@ -237,7 +237,7 @@ class TestAcceptance:
         y_noisy = y.copy()
         y_noisy[flip] *= -1
         labels = np.where(y_noisy == 1, "a", "b").astype(object)
-        ds = data.Dataset(f"noisy-blobs-{seed}", X, labels, ("a", "b"))
+        ds = data.Dataset(f"noisy-blobs-{seed}", X, labels)
         return ds, y_noisy, flip
 
     def test_09_robustness_to_flipped_outlier_labels(self):

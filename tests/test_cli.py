@@ -98,6 +98,59 @@ class TestTrainPredict:
         assert err.startswith("error:") and "X_test feature 1 normalizes beyond float64" in err
         assert not out.exists()
 
+    def test_nonpositive_c_is_runtime_error(self, dataset_csv, tmp_path, capsys):
+        from blsbench import cli
+
+        out = tmp_path / "model.json"
+        code = cli.main(["train", "--data", str(dataset_csv), "--variant", "bls",
+                         "--C", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "c_reg must be positive, got 0.0" in err
+        assert not out.exists()
+
+    def test_predict_wrong_column_count_names_file(self, dataset_csv, tmp_path, capsys):
+        from blsbench import cli
+
+        model, out = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert cli.main(["train", "--data", str(dataset_csv), "--variant", "bls",
+                         "--out", str(model)]) == 0
+        feats = tmp_path / "features.csv"
+        feats.write_text("x1,x2,x3\n0.1,0.2,0.3\n")
+        capsys.readouterr()
+        code = cli.main(["predict", "--model", str(model), "--data", str(feats), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and str(feats) in err
+        assert "3 feature columns, model expects 2" in err
+        assert not out.exists()
+
+    def test_header_only_feature_file_gives_header_only_predictions(self, dataset_csv, tmp_path):
+        from blsbench import cli
+
+        model, out = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert cli.main(["train", "--data", str(dataset_csv), "--variant", "bls",
+                         "--out", str(model)]) == 0
+        feats = tmp_path / "features.csv"
+        feats.write_text("x1,x2\n")
+        assert cli.main(["predict", "--model", str(model), "--data", str(feats),
+                         "--out", str(out)]) == 0
+        assert out.read_text() == "prediction\n"
+
+    def test_relative_data_path_resolves_against_data_dir(self, tmp_path, monkeypatch):
+        from blsbench import cli
+
+        store, work = tmp_path / "store", tmp_path / "work"
+        store.mkdir()
+        work.mkdir()
+        write_dataset(store / "blobs.csv")
+        monkeypatch.setenv("BLSBENCH_DATA_DIR", str(store))
+        monkeypatch.chdir(work)
+        assert cli.main(["train", "--data", "blobs.csv", "--variant", "bls",
+                         "--out", "model.json"]) == 0
+        manifest = json.loads((work / "model.json.manifest.json").read_text())
+        assert list(manifest["datasets"]) == [os.path.join(str(store), "blobs.csv")]
+
     def test_model_bytes_independent_of_blas_threads(self, tmp_path):
         # A primal fit (N=1200, width 375) large enough for OpenBLAS to split
         # its products across threads when it is allowed to.
@@ -196,6 +249,40 @@ class TestCv:
         assert outs[0] == outs[1]
 
 
+    def test_fold_without_a_class_writes_empty_cell(self, tmp_path):
+        from blsbench import cli, data
+
+        # One "b" sample: the fold that tests it trains on "a" alone.
+        path = tmp_path / "one_b.csv"
+        path.write_text("x,label\n" + "".join(f"{i / 10},a\n" for i in range(30)) + "5.0,b\n")
+        skipped = int(data.make_folds(31, 5, 0).assignments[30])
+        out = tmp_path / "cv.csv"
+        with pytest.warns(UserWarning, match=f"fold {skipped} of 'one_b' skipped"):
+            code = cli.main(["cv", "--data", str(path), "--variant", "bls", "--m", "1",
+                             "--p", "2", "--q", "3", "--out", str(out)])
+        assert code == 0
+        rows = list(csv.reader(out.open()))
+        folds = {int(r[0]): r[1] for r in rows[1:] if r[0].isdigit()}
+        assert folds[skipped] == ""
+        present = [float(v) for f, v in folds.items() if f != skipped]
+        assert len(present) == 4
+        mean = [r[1] for r in rows if r[0] == "mean"][0]
+        assert float(mean) == pytest.approx(np.mean(present), abs=1e-10)
+
+    def test_every_fold_degenerate_is_runtime_error(self, tmp_path, capsys):
+        from blsbench import cli
+
+        path = tmp_path / "one_class.csv"
+        path.write_text("x,label\n" + "".join(f"{i / 10},a\n" for i in range(10)))
+        out = tmp_path / "cv.csv"
+        with pytest.warns(UserWarning):
+            code = cli.main(["cv", "--data", str(path), "--variant", "bls", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "every fold of 'one_class' was degenerate" in err
+        assert not out.exists()
+
+
 class TestGridSearch:
     def test_small_grid_file(self, dataset_csv, tmp_path):
         grid = tmp_path / "grid.ini"
@@ -207,6 +294,16 @@ class TestGridSearch:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 2
         assert "best" in res.stdout
+
+    def test_paper_grid_parses_to_benchmark_default(self):
+        # Parsed only: the full sweep is far too large to run here.
+        import argparse
+
+        from blsbench import cli, stats
+
+        grid = cli._parse_grid(argparse.Namespace(grid="paper"))
+        assert grid == stats.GridSpec.benchmark_default()
+        assert len(grid.configs("bls", 0)) == 8470
 
     def test_jobs_do_not_change_bytes(self, dataset_csv, tmp_path):
         from blsbench import cli
@@ -323,6 +420,19 @@ class TestStats:
         expected = bstats.friedman_test(
             bstats.rank_models(pt.ACCURACY, pt.DATASETS, pt.MODELS))
         assert float(fr["chi2"]) == pytest.approx(expected.chi2, abs=1e-3)
+
+    def test_identical_columns_give_reason_as_decision(self, tmp_path):
+        from blsbench import cli
+
+        table = tmp_path / "accuracy.csv"
+        table.write_text("dataset,m1,m2,m3\n" + "".join(
+            f"d{i},0.{80 + i},0.{80 + i},0.{90 - 2 * i}\n" for i in range(6)))
+        out_dir = tmp_path / "reports"
+        assert cli.main(["stats", "--table", str(table), "--out-dir", str(out_dir)]) == 0
+        rows = list(csv.DictReader((out_dir / "wilcoxon.csv").open()))
+        same = [r for r in rows if (r["model_a"], r["model_b"]) == ("m1", "m2")][0]
+        assert same["p_value"] == "" and same["decision"] == "no nonzero pairs"
+        assert all(r["decision"] in ("rejected", "not-rejected") for r in rows if r is not same)
 
     def test_bad_table_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blsbench import data
-from blsbench.errors import DataFormatError
+from blsbench.errors import ConfigError, DataFormatError
 
 
 CSV = """f1,f2,label
@@ -33,8 +33,14 @@ class TestLoadCsv:
         assert ds.n_samples == 3 and ds.n_features == 2
         np.testing.assert_array_equal(ds.X[1], [3.5, 4.25])
         assert list(ds.labels) == ["yes", "no", "yes"]
-        assert ds.class_labels == ("no", "yes")  # lexicographic
         assert ds.name == "toy"
+
+    @pytest.mark.parametrize("text", ["f1,f2,label\n", ""], ids=["header-only", "empty"])
+    def test_file_without_data_rows_rejected(self, text, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="empty.csv"):
+            data.load_csv(path)
 
     def test_label_column_by_name(self, csv_path):
         ds = data.load_csv(csv_path, label_column="label")
@@ -99,6 +105,15 @@ class TestFolds:
         c = data.make_folds(50, 5, seed=10)
         assert not np.array_equal(a.assignments, c.assignments)
 
+    @pytest.mark.parametrize("n,k,message", [
+        (10, 1, "k must be >= 2, got 1"),
+        (10, 0, "k must be >= 2, got 0"),
+        (4, 5, "k = 5 exceeds the sample count 4"),
+    ])
+    def test_fold_count_out_of_range_rejected(self, n, k, message):
+        with pytest.raises(ConfigError, match=message):
+            data.make_folds(n, k, seed=0)
+
     @given(st.integers(10, 60), st.integers(2, 6), st.integers(0, 100))
     @settings(max_examples=40, deadline=None)
     def test_every_sample_in_exactly_one_fold(self, n, k, seed):
@@ -113,7 +128,7 @@ class TestNoise:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, 3)) * np.array([1.0, 5.0, 0.2])
         labels = np.array(["a", "b"] * (n // 2), dtype=object)
-        return data.Dataset("toy", X, labels, ("a", "b"))
+        return data.Dataset("toy", X, labels)
 
     def test_row_count_rule(self):
         ds = self.make_ds()

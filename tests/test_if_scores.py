@@ -34,8 +34,9 @@ class TestKernel:
         np.testing.assert_allclose(np.diag(K), 1.0)
 
     def test_invalid_mu_rejected(self):
-        with pytest.raises(ValueError):
-            if_scores.gaussian_kernel(np.ones((2, 2)), np.ones((2, 2)), mu=0.0)
+        for mu in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="mu must be positive"):
+                if_scores.gaussian_kernel(np.ones((2, 2)), np.ones((2, 2)), mu=mu)
 
 
 class TestKernelParams:
@@ -162,29 +163,29 @@ class TestNonMembership:
 
 class TestScore:
     def test_pure_membership_branch(self):
-        assert if_scores.if_score(0.7, 0.0) == 0.7
+        assert oracles.if_score(0.7, 0.0) == 0.7
 
     def test_dominated_branch_is_zero(self):
-        assert if_scores.if_score(0.2, 0.3) == 0.0
-        assert if_scores.if_score(0.2, 0.2) == 0.0
+        assert oracles.if_score(0.2, 0.3) == 0.0
+        assert oracles.if_score(0.2, 0.2) == 0.0
 
     def test_mixed_branch_hand_value(self):
         # (1 - 0.3) / (2 - 0.6 - 0.3) = 0.7 / 1.1
-        assert if_scores.if_score(0.6, 0.3) == pytest.approx(0.7 / 1.1)
+        assert oracles.if_score(0.6, 0.3) == pytest.approx(0.7 / 1.1)
 
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=200, deadline=None)
     def test_score_in_unit_interval(self, theta, tilde):
         if theta + tilde > 1:
             tilde = 1 - theta
-        s = if_scores.if_score(theta, tilde)
+        s = oracles.if_score(theta, tilde)
         assert 0.0 <= s <= 1.0
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            if_scores.if_score(0.8, 0.3)  # sum exceeds 1
+            oracles.if_score(0.8, 0.3)  # sum exceeds 1
         with pytest.raises(ValueError):
-            if_scores.if_score(-0.1, 0.0)
+            oracles.if_score(-0.1, 0.0)
 
 
 class TestEpsilonPolicy:

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from blsbench import linalg
-from blsbench.errors import DimensionMismatch, NonFiniteInput
+from blsbench.errors import ConfigError, DimensionMismatch, NonFiniteInput
 
 
 def dense_oracle_primal(G, S, T, c):
@@ -80,11 +80,13 @@ class TestSolvers:
         with pytest.raises(NonFiniteInput):
             linalg.solve_weighted_ridge_primal(G, S, T, c_reg=1.0)
 
-    @pytest.mark.parametrize("c", [0.0, -1.0])
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_regularization_rejected(self, c):
+        # The same rule and message as ModelConfig.c_reg.
         G, S, T = random_problem(0)
-        with pytest.raises(ValueError):
-            linalg.solve_weighted_ridge_primal(G, S, T, c_reg=c)
+        for solve in (linalg.solve_weighted_ridge_primal, linalg.solve_weighted_ridge_dual):
+            with pytest.raises(ConfigError, match="c_reg must be positive"):
+                solve(G, S, T, c_reg=c)
 
 
 class TestPairwiseSqDist:

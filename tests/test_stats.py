@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from blsbench import data, stats
-from blsbench.errors import ConfigError
+from blsbench.errors import ClassBalanceError, ConfigError
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig
 
@@ -17,7 +17,7 @@ def toy_dataset(seed=0, n=60):
         rng.normal(2.0, 0.5, size=(n - n // 2, 2)),
     ])
     labels = np.array(["a"] * (n // 2) + ["b"] * (n - n // 2), dtype=object)
-    return data.Dataset("toy", X, labels, ("a", "b"))
+    return data.Dataset("toy", X, labels)
 
 
 class TestCrossValidate:
@@ -44,6 +44,29 @@ class TestCrossValidate:
         a = stats.cross_validate(ds, cfg, plan)
         b = stats.cross_validate(ds, cfg, plan)
         assert a.per_fold_accuracy == b.per_fold_accuracy
+
+    def test_fold_without_a_class_is_skipped(self):
+        # The one "b" sample leaves its fold's training part with a single class.
+        ds = toy_dataset()
+        ds = data.Dataset("one-b", ds.X[:31], ds.labels[:31])
+        plan = data.make_folds(ds.n_samples, 5, seed=1)
+        skipped = int(plan.assignments[30])
+        cfg = ModelConfig("bls", NetworkConfig(m=2, p=5, l=1, q=5, seed=0))
+        with pytest.warns(UserWarning, match=f"fold {skipped} of 'one-b' skipped"):
+            res = stats.cross_validate(ds, cfg, plan)
+        assert res.per_fold_accuracy[skipped] is None
+        present = [a for a in res.per_fold_accuracy if a is not None]
+        assert len(present) == 4
+        assert res.mean_accuracy == pytest.approx(np.mean(present))
+        assert res.std_dev == pytest.approx(np.std(present, ddof=1))
+
+    def test_every_fold_degenerate_raises(self):
+        ds = toy_dataset()
+        ds = data.Dataset("one-class", ds.X[:20], ds.labels[:20])
+        plan = data.make_folds(ds.n_samples, 4, seed=1)
+        cfg = ModelConfig("bls", NetworkConfig(m=2, p=5, l=1, q=5, seed=0))
+        with pytest.warns(UserWarning), pytest.raises(ClassBalanceError, match="every fold"):
+            stats.cross_validate(ds, cfg, plan)
 
 
 class TestGridSearch:
@@ -98,6 +121,12 @@ class TestGridSearch:
         assert sizes == [2]
         assert pooled == serial
 
+    @pytest.mark.parametrize("name", ["c_reg", "m", "p", "q", "mu", "delta", "epsilon"])
+    def test_empty_list_rejected(self, name):
+        lists = {"c_reg": (1.0,), "m": (2,), "p": (4,), "q": (5,), name: ()}
+        with pytest.raises(ConfigError, match=f"grid list '{name}' must be nonempty"):
+            stats.GridSpec(**lists)
+
     def test_benchmark_grid_sizes(self):
         grid = stats.GridSpec.benchmark_default()
         assert len(grid.configs("bls", 0)) == 7 * 11 * 10 * 11
@@ -132,7 +161,7 @@ class TestFriedman:
         ranks = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
         table = stats.RankTable(
             datasets=["d1", "d2"], models=["a", "b", "c"],
-            accuracy=None, ranks=ranks, average_rank=ranks.mean(axis=0))
+            ranks=ranks, average_rank=ranks.mean(axis=0))
         res = stats.friedman_test(table)
         assert res.chi2 == pytest.approx(3.0)
         assert res.f_stat == pytest.approx(3.0)
@@ -140,12 +169,12 @@ class TestFriedman:
         assert res.f_dof == (2, 2)
 
     def test_perfect_agreement_makes_f_undefined(self):
-        from blsbench.errors import ConfigError
+        from blsbench.errors import ClassBalanceError, ConfigError
 
         ranks = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
         table = stats.RankTable(
             datasets=["d1", "d2"], models=["a", "b", "c"],
-            accuracy=None, ranks=ranks, average_rank=ranks.mean(axis=0))
+            ranks=ranks, average_rank=ranks.mean(axis=0))
         with pytest.raises(ConfigError):
             stats.friedman_test(table)
 
@@ -192,7 +221,7 @@ class TestWilcoxon:
     def test_identical_samples_raise(self):
         # All differences are zero; the comparison is undefined and should
         # surface as a structured error the caller can report per pair.
-        from blsbench.errors import ConfigError
+        from blsbench.errors import ClassBalanceError, ConfigError
 
         a = np.ones(10)
         with pytest.raises(ConfigError):

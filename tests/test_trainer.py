@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blsbench import data, fuzzy, if_scores, linalg, network, stats, trainer
-from blsbench.errors import ClassBalanceError, ConfigError, DataFormatError, NonFiniteInput
+from blsbench.errors import (
+    ClassBalanceError, ConfigError, DataFormatError, DimensionMismatch, NonFiniteInput,
+)
 from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, fit, load_model, predict, save_model
@@ -45,6 +47,11 @@ class TestModelConfig:
     def test_invalid_delta_rejected(self, delta):
         with pytest.raises(ConfigError, match="delta must be positive"):
             ModelConfig("f-bls", small_net(), delta=delta)
+
+    @pytest.mark.parametrize("c_reg", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_c_reg_rejected(self, c_reg):
+        with pytest.raises(ConfigError, match="c_reg must be positive"):
+            ModelConfig("bls", small_net(), c_reg=c_reg)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -170,7 +177,7 @@ class TestInputBoundary:
         X, y = blobs
         plan = data.make_folds(len(y), 5, seed=0)
         # Rows in the first training fold, so that its fit sees them.
-        ds = data.Dataset("bad", corrupt(X, kind, plan.train_indices(0)[:2]), y, ("a", "b"))
+        ds = data.Dataset("bad", corrupt(X, kind, plan.train_indices(0)[:2]), y)
         with pytest.raises(NonFiniteInput):
             stats.cross_validate(ds, ModelConfig(variant, small_net()), plan)
 
@@ -180,6 +187,12 @@ class TestInputBoundary:
         model = fit(X, y, ModelConfig(variant, small_net()))
         with pytest.raises(NonFiniteInput, match="X_test"):
             predict(model, corrupt(X, "nan", [5]))
+
+    def test_decision_scores_rejects_wrong_feature_count(self, blobs):
+        X, y = blobs
+        model = fit(X, y, ModelConfig("bls", small_net()))
+        with pytest.raises(DimensionMismatch, match="X_test has 3 features, model expects 2"):
+            trainer.decision_scores(model, np.hstack([X, X[:, :1]]))
 
     def test_predict_names_overflowing_feature(self, blobs):
         # Feature 1 spans about 1e-300 in training, so 1e10 normalizes to
@@ -250,7 +263,7 @@ class TestBlasThreads:
 
     def test_caller_thread_count_restored(self, blobs):
         X, y = blobs
-        ds = data.Dataset("blobs", X, y, ("a", "b"))
+        ds = data.Dataset("blobs", X, y)
         grid = stats.GridSpec(c_reg=(0.1, 10.0), m=(2,), p=(4,), q=(5,))
         with outer_blas_threads(2) as threads:
             with linalg._single_threaded_blas():
@@ -322,9 +335,10 @@ class TestPersistence:
         lambda d: d["norm_min"].update(shape=[1], hex=d["norm_min"]["hex"][:1]),
         lambda d: d["enhancement_biases"][0].update(shape=[1, 1], hex=["0x1p0"]),
         lambda d: d.update(class_labels=["a", 2]),
+        lambda d: d.update(score_vector=None),
     ], ids=["missing-key", "unknown-key", "missing-field", "null-field", "foreign-delta",
             "bad-hex", "group-count", "w_out-shape", "norm-length", "bias-shape",
-            "label-type"])
+            "label-type", "null-score-vector"])
     def test_inconsistent_file_rejected(self, corrupt, tmp_path):
         path = tmp_path / "model.json"
         doc = json.loads(_tiny_model_text())
@@ -376,8 +390,8 @@ class TestPersistence:
                 loaded = load_model(path)
             except DataFormatError:
                 return
-        # Only edits that keep the content (a dropped trailing newline, 1 -> 1.0,
-        # a null score vector) may load, and then to the same predictor.
+        # Only edits that keep the content (a dropped trailing newline, 1 -> 1.0)
+        # may load, and then to the same model.
         original = _tiny_model()
         assert loaded.config == original.config
         assert loaded.class_labels == original.class_labels
@@ -390,8 +404,7 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.norm_state.feature_min, original.norm_state.feature_min)
         np.testing.assert_array_equal(loaded.norm_state.feature_range,
                                       original.norm_state.feature_range)
-        if loaded.score_vector is not None:
-            np.testing.assert_array_equal(loaded.score_vector, original.score_vector)
+        np.testing.assert_array_equal(loaded.score_vector, original.score_vector)
 
 
 _JSON_VALUES = st.one_of(
