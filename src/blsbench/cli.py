@@ -38,8 +38,11 @@ def _resolve_data_path(path: str) -> str:
 def _load_dataset(args) -> tuple[str, data.Dataset]:
     """The resolved --data path and the dataset read with --label-column and --no-header."""
     path = _resolve_data_path(args.data)
-    label = args.label_column.strip()
-    label_column = int(label) if label.lstrip("-").isdigit() else label
+    label_column = args.label_column.strip()
+    try:
+        label_column = int(label_column)
+    except ValueError:  # a column name
+        pass
     return path, data.load_csv(path, label_column=label_column, header=not args.no_header)
 
 
@@ -111,6 +114,12 @@ def _merge_config(args) -> dict:
     return resolved
 
 
+def _warn_skipped(results) -> None:
+    """Print each distinct skipped-fold reason once, in enumeration order."""
+    for reason in dict.fromkeys(r for result in results for r in result.skipped):
+        print(f"warning: {reason}", file=sys.stderr)
+
+
 def _manifest_config(cfg: trainer.ModelConfig) -> dict:
     # The manifest records the if-bls kernel delta as kernel_delta.
     flat = cfg.to_flat()
@@ -165,6 +174,7 @@ def cmd_cv(args) -> int:
     path, ds = _load_dataset(args)
     plan = data.make_folds(ds.n_samples, k, fold_seed)
     result = stats.cross_validate(ds, cfg, plan)
+    _warn_skipped([result])
     data.write_csv(args.out, [
         ["fold", "accuracy"],
         *([i, "" if acc is None else f"{acc:.10f}"] for i, acc in enumerate(result.per_fold_accuracy)),
@@ -204,6 +214,7 @@ def cmd_gridsearch(args) -> int:
     best, results = stats.grid_search(
         ds, args.variant, grid, plan, seed=args.seed, jobs=args.jobs
     )
+    _warn_skipped(results)
     # One column per grid key; csv writes a key the variant lacks (None) as "".
     keys = [f.name for f in dataclasses.fields(stats.GridSpec)]
     rows = [keys + ["mean_accuracy", "std_dev"]]
@@ -246,6 +257,9 @@ def cmd_stats(args) -> int:
             f"{args.table}: expected a header of model names and at least one dataset row"
         )
     models = names[1:]
+    # A bad alpha is a run error; the per-pair handler below reports only
+    # degenerate pairs.
+    stats._check_alpha(args.alpha)
     table = stats.rank_models(acc, datasets, models)
     fried = stats.friedman_test(table)
     wilcoxon = [["model_a", "model_b", "p_value", "decision"]]

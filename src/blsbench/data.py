@@ -71,10 +71,10 @@ def read_csv(
     Returns (names, X, text): the stripped header cells (None when there is
     no header row), the float matrix of every other column, and the
     stripped cells of text_column (None when not requested). text_column
-    may be a zero-based index (negative counts from the end) or, with a
-    header, a column name. Every row must be as wide as the header, or as
-    the first row without one; a file may have no data rows. Errors are
-    DataFormatError naming the file, row and column.
+    may be a zero-based index in [-width, width) (negative counts from the
+    end) or, with a header, a column name. Every row must be as wide as
+    the header, or as the first row without one; a file may have no data
+    rows. Errors are DataFormatError naming the file, row and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -85,14 +85,19 @@ def read_csv(
     width = len(names) if names is not None else len(rows[0])
     if width == 0:
         raise DataFormatError(f"{path}: row 1 is empty")
+    text_idx = text_column
     if isinstance(text_column, str):
         if names is None:
             raise DataFormatError("label_column by name requires header=True")
         if text_column not in names:
             raise DataFormatError(f"{path}: no column named {text_column!r}")
         text_idx = names.index(text_column)
-    else:
-        text_idx = None if text_column is None else text_column % width
+    elif text_column is not None:
+        if not -width <= text_column < width:
+            raise DataFormatError(
+                f"{path}: column index {text_column} is outside a {width}-column file"
+            )
+        text_idx = text_column % width
     values = []
     for r, row in enumerate(rows, start=2 if header else 1):
         if len(row) != width:

@@ -1,6 +1,6 @@
-"""Dense matrix primitives and the two weighted ridge solvers.
+"""Dense matrix primitives and the weighted ridge solve.
 
-Both solvers minimize
+_solve minimizes
 
     (C/2) * ||S (G W - T)||_F^2 + (1/2) * ||W||_F^2
 
@@ -9,10 +9,10 @@ F x F system, the dual form an N x N system; they are algebraically
 identical via the push-through identity, and the caller picks whichever
 dimension is smaller.
 
-Each public function checks its operands and then runs a private step
-(_solve, _sq_dist) that trusts them; trainer.fit, which validates its
-inputs once, calls the same steps directly, so each computation has one
-code path.
+pairwise_sq_dist checks its operands and then runs the private _sq_dist,
+which trusts them. trainer.fit validates its inputs once; it and the
+private steps it runs call _solve and _sq_dist directly, so each
+computation has one code path.
 
 Fits run BLAS on one thread (see _single_threaded_blas); worker processes
 are the program's only parallelism.
@@ -29,13 +29,10 @@ import os
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, DimensionMismatch, FactorizationFailure, NonFiniteInput
+from .errors import DimensionMismatch, FactorizationFailure, NonFiniteInput
 
 __all__ = [
     "as_matrix",
-    "as_weights",
-    "solve_weighted_ridge_primal",
-    "solve_weighted_ridge_dual",
     "pairwise_sq_dist",
 ]
 
@@ -94,57 +91,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def as_weights(s, n: int, name: str = "weights") -> np.ndarray:
-    """Coerce to a length-n vector of sample weights in [0, 1]."""
-    s = np.asarray(s, dtype=np.float64).ravel()
-    if s.shape[0] != n:
-        raise DimensionMismatch(f"{name} has length {s.shape[0]}, expected {n}")
-    if not np.isfinite(s).all():
-        raise NonFiniteInput(f"{name} contains non-finite entries")
-    if (s < 0.0).any() or (s > 1.0).any():
-        raise NonFiniteInput(f"{name} entries must lie in [0, 1]")
-    return s
-
-
-def _check_c_reg(c_reg) -> None:
-    """Raise ConfigError unless the regularization C is finite and positive."""
-    if not (np.isfinite(c_reg) and c_reg > 0):
-        raise ConfigError(f"c_reg must be positive, got {c_reg!r}")
-
-
-def _check_ridge_args(G, S, T, c_reg):
-    G = as_matrix(G, "G")
-    T = as_matrix(T, "T")
-    if T.shape[0] != G.shape[0]:
-        raise DimensionMismatch(
-            f"G has {G.shape[0]} rows but T has {T.shape[0]}"
-        )
-    S = as_weights(S, G.shape[0], "S")
-    _check_c_reg(c_reg)
-    return G, S, T, float(c_reg)
-
-
-def solve_weighted_ridge_primal(G, S, T, c_reg: float) -> np.ndarray:
-    """Solve (G' S^2 G + I/C) W = G' S^2 T via a Cholesky factorization.
-
-    Preferred when the feature count of G does not exceed the sample count.
-    """
-    return _solve(*_check_ridge_args(G, S, T, c_reg), "primal")
-
-
-def solve_weighted_ridge_dual(G, S, T, c_reg: float) -> np.ndarray:
-    """Solve W = G' (I/C + S^2 G G')^{-1} S^2 T via an LU factorization.
-
-    Equivalent to the primal form; preferred when the feature count of G
-    exceeds the sample count. The N x N system matrix is nonsymmetric
-    whenever S is not the identity, hence the general solve.
-    """
-    return _solve(*_check_ridge_args(G, S, T, c_reg), "dual")
-
-
 def _solve(G, s, T, c_reg: float, branch: str) -> np.ndarray:
-    """The weighted ridge solution of checked operands by the "primal" or
-    "dual" system (see the public solvers)."""
+    """The weighted ridge output weights W for checked operands.
+
+    G is the N x F state matrix, s the N sample weights in [0, 1], T the
+    N x K targets and c_reg a positive C. branch "primal" solves
+    (G' S^2 G + I/C) W = G' S^2 T by a Cholesky factorization; it suits
+    F <= N. branch "dual" solves W = G' (I/C + S^2 G G')^{-1} S^2 T by an
+    LU factorization; it suits F > N, and its N x N system matrix is
+    nonsymmetric whenever S is not the identity, hence the general solve.
+    """
     s2 = s * s
     if branch == "primal":
         A = G.T @ (s2[:, None] * G)

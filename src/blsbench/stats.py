@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
@@ -45,6 +44,7 @@ class CvResult:
     mean_accuracy: float
     std_dev: float
     best_config: ModelConfig
+    skipped: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,14 @@ def cross_validate(
 ) -> CvResult:
     """Train on each fold's complement, test on the fold, aggregate.
 
-    A fold whose training complement is missing a class is skipped with a
-    warning and recorded as None; the aggregates cover the remaining
-    folds.
+    A fold whose training complement is missing a class is skipped: its
+    accuracy is None, the reason goes into skipped, and the aggregates
+    cover the remaining folds.
     """
     if plan.assignments.shape[0] != ds.n_samples:
         raise ConfigError("fold plan does not match the dataset size")
     per_fold: list[Optional[float]] = []
+    skipped: list[str] = []
     for fold in range(plan.k):
         tr = plan.train_indices(fold)
         te = plan.test_indices(fold)
@@ -101,9 +102,7 @@ def cross_validate(
         try:
             model = trainer.fit(ds.X[tr], tr_labels, cfg)
         except ClassBalanceError as exc:
-            warnings.warn(
-                f"fold {fold} of {ds.name!r} skipped: {exc}", stacklevel=2
-            )
+            skipped.append(f"fold {fold} of {ds.name!r} skipped: {exc}")
             per_fold.append(None)
             continue
         te_labels = [ds.labels[i] for i in te]
@@ -120,6 +119,7 @@ def cross_validate(
         mean_accuracy=mean,
         std_dev=std,
         best_config=cfg,
+        skipped=tuple(skipped),
     )
 
 
@@ -255,6 +255,12 @@ def friedman_test(ranks, n_datasets: Optional[int] = None) -> FriedmanResult:
     )
 
 
+def _check_alpha(alpha) -> None:
+    """Raise ConfigError unless the significance level lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
@@ -265,6 +271,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
     """
     from scipy import stats as sp_stats
 
+    _check_alpha(alpha)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -296,8 +303,10 @@ def win_tie_loss(a, b, tie_tol: float = DEFAULT_TIE_TOL) -> WinTieLoss:
 
     Differences within tie_tol count as ties; half of each side's ties
     contribute toward its victory total when testing the threshold
-    K/2 + 1.96*sqrt(K)/2.
+    K/2 + 1.96*sqrt(K)/2. tie_tol must be finite and non-negative.
     """
+    if not (np.isfinite(tie_tol) and tie_tol >= 0.0):
+        raise ConfigError(f"tie_tol must be finite and non-negative, got {tie_tol!r}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.shape[0] < 1:

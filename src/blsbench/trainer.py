@@ -10,8 +10,8 @@ then takes a per-row argmax over the class columns.
 fit is the validation boundary: it checks X, the labels and the feature
 ranges once, then runs the private steps of the layer modules
 (fuzzy._scores, if_scores._score_vector, network._forward, linalg._solve),
-which trust their inputs. Each public layer function is its checks plus
-the same step.
+which trust their inputs. The layers' remaining public functions are
+their checks plus the same step; the solve has no public entry.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ class ModelConfig:
             raise ConfigError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}"
             )
-        linalg._check_c_reg(self.c_reg)
+        if not (np.isfinite(self.c_reg) and self.c_reg > 0):
+            raise ConfigError(f"c_reg must be positive, got {self.c_reg!r}")
         if self.variant == "f-bls":
             if self.delta is None:
                 object.__setattr__(self, "delta", fuzzy.DEFAULT_DELTA)
@@ -209,18 +210,9 @@ def _one_hot(indices: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 @linalg._single_threaded_blas()
-def fit(
-    X,
-    labels: Sequence,
-    cfg: ModelConfig,
-    score_override: Optional[np.ndarray] = None,
-) -> TrainedModel:
+def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     """Train one model. labels may be any strings; classes are ordered
-    lexicographically and targets are one-hot rows over that order.
-
-    score_override replaces the variant's weight vector (used for
-    reduction checks).
-    """
+    lexicographically and targets are one-hot rows over that order."""
     X = linalg.as_matrix(X, "X")
     labels = [str(v) for v in labels]
     if len(labels) != X.shape[0]:
@@ -254,9 +246,7 @@ def fit(
 
     # Class index 0 is the positive class, index 1 the negative class.
     signed = np.where(indices == 0, 1, -1)
-    if score_override is not None:
-        scores = linalg.as_weights(score_override, X.shape[0], "score_override")
-    elif cfg.variant == "bls":
+    if cfg.variant == "bls":
         scores = np.ones(X.shape[0])
     elif cfg.variant == "f-bls":
         scores = fuzzy._scores(Xn, signed, cfg.delta)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from blsbench import data, linalg, stats
+from blsbench import data, fuzzy, if_scores, linalg, stats
 from blsbench.errors import ConfigError
 from blsbench.if_scores import KernelParams, gaussian_kernel, if_score_vector
 from blsbench.network import NetworkConfig
@@ -115,8 +115,8 @@ class TestAcceptance:
             G = rng.normal(size=(n, f))
             T = rng.normal(size=(n, k))
             S = rng.uniform(0.05, 1.0, size=n)
-            Wp = linalg.solve_weighted_ridge_primal(G, S, T, c)
-            Wd = linalg.solve_weighted_ridge_dual(G, S, T, c)
+            Wp = linalg._solve(G, S, T, c, "primal")
+            Wd = linalg._solve(G, S, T, c, "dual")
             Gl = G.astype(np.longdouble)
             S2 = np.diag(S.astype(np.longdouble) ** 2)
             A = Gl.T @ S2 @ Gl + np.eye(f, dtype=np.longdouble) / np.longdouble(c)
@@ -193,7 +193,12 @@ class TestAcceptance:
         report(7, ok, "score bounds hold and all three score branches fire",
                f"violations={violations} branch hits={branches}")
 
-    def test_08_all_ones_scores_reduce_to_plain_variant(self):
+    def test_08_all_ones_scores_reduce_to_plain_variant(self, monkeypatch):
+        # fit takes its weights from these steps; all-ones weights in their
+        # place must leave nothing but the plain bls solve.
+        monkeypatch.setattr(fuzzy, "_scores", lambda Xn, signed, delta: np.ones(len(signed)))
+        monkeypatch.setattr(if_scores, "_score_vector",
+                            lambda Xn, signed, kernel: (np.ones(len(signed)), None))
         rng = np.random.default_rng(99)
         mismatch = 0
         for trial in range(20):
@@ -204,17 +209,16 @@ class TestAcceptance:
             ])
             y = ["a"] * (n // 2) + ["b"] * (n - n // 2)
             net = NetworkConfig(m=3, p=4, l=1, q=6, seed=trial)
-            ones = np.ones(n)
             base = fit(X, y, ModelConfig("bls", net))
             for variant in ("f-bls", "if-bls"):
-                alt = fit(X, y, ModelConfig(variant, net), score_override=ones)
+                alt = fit(X, y, ModelConfig(variant, net))
                 if not np.array_equal(
                         decision_scores(base, X), decision_scores(alt, X)):
                     mismatch += 1
                 if predict(base, X) != predict(alt, X):
                     mismatch += 1
         report(8, mismatch == 0,
-               "all-ones score override reproduces plain variant bitwise",
+               "all-ones weights reproduce plain variant bitwise",
                f"mismatching runs={mismatch}/40")
 
     @staticmethod

@@ -28,6 +28,13 @@ def write_dataset(path, n=60, seed=3):
     return path
 
 
+def one_b_csv(tmp_path):
+    """30 "a" samples and one "b": the fold that tests the "b" trains on "a" alone."""
+    path = tmp_path / "one_b.csv"
+    path.write_text("x,label\n" + "".join(f"{i / 10},a\n" for i in range(30)) + "5.0,b\n")
+    return path
+
+
 @pytest.fixture
 def dataset_csv(tmp_path):
     return write_dataset(tmp_path / "blobs.csv")
@@ -107,6 +114,36 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "c_reg must be positive, got 0.0" in err
+        assert not out.exists()
+
+    def test_rank_deficient_primal_is_factorization_error(self, tmp_path, capsys):
+        # At C = 1e100 the ridge term vanishes next to the Gram matrix of 75
+        # state columns built from 2 features, and the Cholesky fails.
+        from blsbench import cli
+
+        path = write_dataset(tmp_path / "blobs100.csv", n=100)
+        out = tmp_path / "model.json"
+        code = cli.main(["train", "--data", str(path), "--variant", "bls",
+                         "--C", "1e100", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: Cholesky factorization of G'S^2G + I/C failed: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label,message", [
+        ("3", "column index 3 is outside a 3-column file"),
+        ("--1", "no column named '--1'"),
+    ])
+    def test_bad_label_column_is_runtime_error(self, label, message, dataset_csv, tmp_path,
+                                               capsys):
+        from blsbench import cli
+
+        out = tmp_path / "model.json"
+        code = cli.main(["train", "--data", str(dataset_csv), f"--label-column={label}",
+                         "--variant", "bls", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {dataset_csv}: {message}\n"
         assert not out.exists()
 
     def test_predict_wrong_column_count_names_file(self, dataset_csv, tmp_path, capsys):
@@ -249,18 +286,18 @@ class TestCv:
         assert outs[0] == outs[1]
 
 
-    def test_fold_without_a_class_writes_empty_cell(self, tmp_path):
+    def test_fold_without_a_class_writes_empty_cell(self, tmp_path, capsys):
         from blsbench import cli, data
 
-        # One "b" sample: the fold that tests it trains on "a" alone.
-        path = tmp_path / "one_b.csv"
-        path.write_text("x,label\n" + "".join(f"{i / 10},a\n" for i in range(30)) + "5.0,b\n")
+        path = one_b_csv(tmp_path)
         skipped = int(data.make_folds(31, 5, 0).assignments[30])
         out = tmp_path / "cv.csv"
-        with pytest.warns(UserWarning, match=f"fold {skipped} of 'one_b' skipped"):
-            code = cli.main(["cv", "--data", str(path), "--variant", "bls", "--m", "1",
-                             "--p", "2", "--q", "3", "--out", str(out)])
+        code = cli.main(["cv", "--data", str(path), "--variant", "bls", "--m", "1",
+                         "--p", "2", "--q", "3", "--out", str(out)])
         assert code == 0
+        assert capsys.readouterr().err == (
+            f"warning: fold {skipped} of 'one_b' skipped: training data contains a single class\n"
+        )
         rows = list(csv.reader(out.open()))
         folds = {int(r[0]): r[1] for r in rows[1:] if r[0].isdigit()}
         assert folds[skipped] == ""
@@ -275,8 +312,7 @@ class TestCv:
         path = tmp_path / "one_class.csv"
         path.write_text("x,label\n" + "".join(f"{i / 10},a\n" for i in range(10)))
         out = tmp_path / "cv.csv"
-        with pytest.warns(UserWarning):
-            code = cli.main(["cv", "--data", str(path), "--variant", "bls", "--out", str(out)])
+        code = cli.main(["cv", "--data", str(path), "--variant", "bls", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "every fold of 'one_class' was degenerate" in err
@@ -317,6 +353,25 @@ class TestGridSearch:
                              "--grid", str(grid), "--jobs", jobs, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_skipped_fold_warns_once_for_any_jobs(self, tmp_path):
+        # Every config skips the same fold; its reason is printed once, and
+        # worker processes add nothing to stderr.
+        from blsbench import data
+
+        path = one_b_csv(tmp_path)
+        skipped = int(data.make_folds(31, 5, 0).assignments[30])
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nc_reg = 0.1, 10\nm = 1\np = 2\nq = 3\n")
+        errs = []
+        for jobs in ("1", "2"):
+            res = run_cli("gridsearch", "--data", str(path), "--variant", "bls", "--grid",
+                          str(grid), "--jobs", jobs, "--out", str(tmp_path / f"grid{jobs}.csv"))
+            assert res.returncode == 0, res.stderr
+            errs.append(res.stderr)
+        assert errs[0] == errs[1] == (
+            f"warning: fold {skipped} of 'one_b' skipped: training data contains a single class\n"
+        )
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_runtime_error(self, jobs, dataset_csv, tmp_path, capsys):
@@ -433,6 +488,21 @@ class TestStats:
         same = [r for r in rows if (r["model_a"], r["model_b"]) == ("m1", "m2")][0]
         assert same["p_value"] == "" and same["decision"] == "no nonzero pairs"
         assert all(r["decision"] in ("rejected", "not-rejected") for r in rows if r is not same)
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tie-tol", "-1", "tie_tol must be finite and non-negative, got -1.0"),
+        ("--alpha", "7", "alpha must lie in (0, 1), got 7.0"),
+    ])
+    def test_bad_test_parameter_is_runtime_error(self, flag, value, message, table_csv,
+                                                 tmp_path, capsys):
+        from blsbench import cli
+
+        out_dir = tmp_path / "reports"
+        code = cli.main(["stats", "--table", str(table_csv), flag, value,
+                         "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
 
     def test_bad_table_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -53,6 +53,16 @@ class TestLoadCsv:
         assert list(ds.labels) == ["x", "y"]
         np.testing.assert_array_equal(ds.X, [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_label_column_index_out_of_range_rejected(self, header, tmp_path):
+        # A 3-column file takes indices -3..2; 3 must not wrap round to 0.
+        p = tmp_path / "three.csv"
+        p.write_text(("a,b,c\n" if header else "") + "1,2,3\n4,5,6\n")
+        for index in (3, -4):
+            with pytest.raises(DataFormatError, match=f"three.csv: column index {index} "):
+                data.load_csv(p, label_column=index, header=header)
+        assert data.load_csv(p, label_column=-3, header=header).labels == ("1", "4")
+
     def test_headerless(self, tmp_path):
         p = tmp_path / "raw.csv"
         p.write_text("1,2,pos\n3,4,neg\n")

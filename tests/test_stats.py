@@ -52,8 +52,10 @@ class TestCrossValidate:
         plan = data.make_folds(ds.n_samples, 5, seed=1)
         skipped = int(plan.assignments[30])
         cfg = ModelConfig("bls", NetworkConfig(m=2, p=5, l=1, q=5, seed=0))
-        with pytest.warns(UserWarning, match=f"fold {skipped} of 'one-b' skipped"):
-            res = stats.cross_validate(ds, cfg, plan)
+        res = stats.cross_validate(ds, cfg, plan)
+        assert res.skipped == (
+            f"fold {skipped} of 'one-b' skipped: training data contains a single class",
+        )
         assert res.per_fold_accuracy[skipped] is None
         present = [a for a in res.per_fold_accuracy if a is not None]
         assert len(present) == 4
@@ -65,7 +67,7 @@ class TestCrossValidate:
         ds = data.Dataset("one-class", ds.X[:20], ds.labels[:20])
         plan = data.make_folds(ds.n_samples, 4, seed=1)
         cfg = ModelConfig("bls", NetworkConfig(m=2, p=5, l=1, q=5, seed=0))
-        with pytest.warns(UserWarning), pytest.raises(ClassBalanceError, match="every fold"):
+        with pytest.raises(ClassBalanceError, match="every fold"):
             stats.cross_validate(ds, cfg, plan)
 
 
@@ -234,6 +236,12 @@ class TestWilcoxon:
         res = stats.wilcoxon_signed_rank(a, b)
         assert res.reject and res.p_value < 0.05
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -0.1, np.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        a = np.arange(1.0, 11.0)
+        with pytest.raises(ConfigError, match=r"alpha must lie in \(0, 1\)"):
+            stats.wilcoxon_signed_rank(a, a - 1.0, alpha)
+
 
 class TestWinTieLoss:
     def test_counts_with_tolerance(self):
@@ -260,3 +268,12 @@ class TestWinTieLoss:
         fwd = stats.win_tie_loss(a, b)
         rev = stats.win_tie_loss(b, a)
         assert (fwd.wins_a, fwd.ties, fwd.wins_b) == (rev.wins_b, rev.ties, rev.wins_a)
+
+    @pytest.mark.parametrize("tie_tol", [-1.0, -1e-12, np.nan, np.inf])
+    def test_negative_or_non_finite_tie_tol_rejected(self, tie_tol):
+        with pytest.raises(ConfigError, match="tie_tol must be finite and non-negative"):
+            stats.win_tie_loss(np.ones(5), np.zeros(5), tie_tol)
+
+    def test_zero_tie_tol_counts_exact_ties_only(self):
+        res = stats.win_tie_loss(np.array([1.0, 0.5, 0.2]), np.array([1.0, 0.6, 0.1]), 0.0)
+        assert (res.wins_a, res.ties, res.wins_b) == (1, 1, 1)

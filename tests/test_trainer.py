@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from blsbench import data, fuzzy, if_scores, linalg, network, stats, trainer
 from blsbench.errors import (
-    ClassBalanceError, ConfigError, DataFormatError, DimensionMismatch, NonFiniteInput,
+    ClassBalanceError, ConfigError, DataFormatError, DimensionMismatch, FactorizationFailure,
+    NonFiniteInput,
 )
 from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
@@ -87,7 +88,7 @@ class TestFit:
         assert model.solve_branch_used == "primal"
         G = network.state_matrix(model.layer, model.norm_state.apply(X))
         T = np.where(np.asarray([str(v) for v in y])[:, None] == np.array(["a", "b"]), 1.0, 0.0)
-        wd = linalg.solve_weighted_ridge_dual(G, model.score_vector, T, model.config.c_reg)
+        wd = linalg._solve(G, model.score_vector, T, model.config.c_reg, "dual")
         np.testing.assert_allclose(model.w_out, wd, rtol=1e-7)
 
     def test_deterministic_given_seed(self, blobs):
@@ -119,14 +120,16 @@ class TestFit:
         Xn = model.norm_state.apply(X)
         G = network.state_matrix(model.layer, Xn)
         T = np.where(np.asarray([str(v) for v in y])[:, None] == np.array(["a", "b"]), 1.0, 0.0)
-        W = linalg.solve_weighted_ridge_primal(G, model.score_vector, T, 2.0)
+        W = linalg._solve(G, model.score_vector, T, 2.0, "primal")
         np.testing.assert_allclose(model.w_out, W, rtol=1e-8)
 
-    def test_score_override_is_used(self, blobs):
-        X, y = blobs
-        override = np.full(len(y), 0.5)
-        model = fit(X, y, ModelConfig("bls", small_net()), score_override=override)
-        np.testing.assert_array_equal(model.score_vector, override)
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    def test_rank_deficient_primal_raises_factorization_failure(self, variant, blobs_overlap):
+        # 75 state columns from 2 features leave the Gram matrix singular,
+        # and 1/C = 1e-100 cannot lift it.
+        X, y = blobs_overlap
+        with pytest.raises(FactorizationFailure, match="Cholesky factorization"):
+            fit(X, y, ModelConfig(variant, NetworkConfig(), c_reg=1e100))
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
