@@ -11,7 +11,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .linalg import as_matrix
 
 __all__ = [
     "Dataset",
@@ -74,7 +73,8 @@ def read_csv(
     may be a zero-based index in [-width, width) (negative counts from the
     end) or, with a header, a column name. Every row must be as wide as
     the header, or as the first row without one; a file may have no data
-    rows. Errors are DataFormatError naming the file, row and column.
+    rows. Every number must be finite. Errors are DataFormatError naming
+    the file, row and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -88,7 +88,7 @@ def read_csv(
     text_idx = text_column
     if isinstance(text_column, str):
         if names is None:
-            raise DataFormatError("label_column by name requires header=True")
+            raise DataFormatError(f"{path}: column name {text_column!r} needs a header row")
         if text_column not in names:
             raise DataFormatError(f"{path}: no column named {text_column!r}")
         text_idx = names.index(text_column)
@@ -99,7 +99,8 @@ def read_csv(
             )
         text_idx = text_column % width
     values = []
-    for r, row in enumerate(rows, start=2 if header else 1):
+    first = 2 if header else 1
+    for r, row in enumerate(rows, start=first):
         if len(row) != width:
             raise DataFormatError(f"{path}: row {r} has {len(row)} cells, expected {width}")
         vals = []
@@ -115,7 +116,18 @@ def read_csv(
                     f"{path}: unparseable cell {cell!r} at row {r}, column {col}"
                 ) from None
         values.append(vals)
-    return names, np.array(values, dtype=np.float64), text
+    X = np.array(values, dtype=np.float64)
+    # float() also parses "nan", "inf" and overflowing numbers such as "1e999".
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, c = (int(i) for i in bad[0])
+        if text_idx is not None and c >= text_idx:
+            c += 1
+        col = names[c] if names else str(c)
+        raise DataFormatError(
+            f"{path}: non-finite cell {rows[r][c]!r} at row {r + first}, column {col}"
+        )
+    return names, X, text
 
 
 def write_csv(path, rows) -> None:
@@ -130,14 +142,16 @@ def load_csv(path, label_column: Union[int, str] = -1, header: bool = True) -> D
 
     label_column may be a zero-based index (negative counts from the end)
     or, when a header is present, a column name. A file without data rows
-    raises DataFormatError.
+    or without a feature column raises DataFormatError.
     """
     names, X, labels = read_csv(path, header, label_column)
     if X.shape[0] == 0:
         raise DataFormatError(
             f"{path}: empty file" if names is None else f"{path}: no data rows after the header"
         )
-    return Dataset(name=Path(path).stem, X=as_matrix(X, "features"), labels=tuple(labels))
+    if X.shape[1] == 0:
+        raise DataFormatError(f"{path}: no feature columns besides the label")
+    return Dataset(name=Path(path).stem, X=X, labels=tuple(labels))
 
 
 def make_folds(n: int, k: int, seed: int) -> FoldPlan:

@@ -8,6 +8,8 @@ epsilon-neighborhood. Both combine into a single score weight via a
 three-branch rule: pure neighborhoods keep their membership, samples
 dominated by non-membership drop to zero, and mixed cases interpolate.
 The membership rule and the delta check are fuzzy's, shared with f-bls.
+trainer.fit checks its inputs and runs the if-bls step _score_vector
+directly.
 
 The only kernel built is that of the training samples with themselves,
 and its diagonal is exactly 1 (pairwise_sq_dist gives the (X, X)
@@ -25,24 +27,18 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError
-from .fuzzy import DEFAULT_DELTA, _check_delta, _membership, signed_labels
-from .linalg import _sq_dist, as_matrix, pairwise_sq_dist
+from .fuzzy import DEFAULT_DELTA, _check_delta, _membership
+from .linalg import _sq_dist
+# Unused here: bench/tracing.py times linalg calls through these bindings.
+from .linalg import as_matrix, pairwise_sq_dist  # noqa: F401
 
 __all__ = [
     "MEDIAN_HEURISTIC",
     "KernelParams",
     "IFScoreBreakdown",
-    "gaussian_kernel",
-    "if_score_vector",
 ]
 
 MEDIAN_HEURISTIC = "median_heuristic"
-
-
-def _check_mu(mu) -> None:
-    """Raise ConfigError unless the Gaussian width is finite and positive."""
-    if not (np.isfinite(mu) and mu > 0):
-        raise ConfigError(f"mu must be positive, got {mu!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,8 @@ class KernelParams:
     epsilon: Union[float, str] = MEDIAN_HEURISTIC
 
     def __post_init__(self):
-        _check_mu(self.mu)
+        if not (np.isfinite(self.mu) and self.mu > 0):
+            raise ConfigError(f"mu must be positive, got {self.mu!r}")
         _check_delta(self.delta)
         if isinstance(self.epsilon, str):
             if self.epsilon != MEDIAN_HEURISTIC:
@@ -79,12 +76,6 @@ class IFScoreBreakdown:
     epsilon_used: float
 
 
-def gaussian_kernel(A, B, mu: float) -> np.ndarray:
-    """K(a, b) = exp(-||a - b||^2 / mu^2), entries in (0, 1]."""
-    _check_mu(mu)
-    return np.exp(-pairwise_sq_dist(A, B) / (mu * mu))
-
-
 def _combine(theta: np.ndarray, theta_tilde: np.ndarray) -> np.ndarray:
     """Combine membership and non-membership into one weight, elementwise.
 
@@ -98,24 +89,15 @@ def _combine(theta: np.ndarray, theta_tilde: np.ndarray) -> np.ndarray:
     return np.where(theta_tilde == 0.0, theta, np.where(theta <= theta_tilde, 0.0, mixed))
 
 
-def if_score_vector(X, labels, params: KernelParams) -> tuple[np.ndarray, IFScoreBreakdown]:
-    """Full scoring pipeline: kernel, radii, membership, non-membership, score.
-
-    Builds the kernel once and overwrites it with the RKHS distance matrix
-    after the centroid step.
-    """
-    X = as_matrix(X, "X")
-    t = signed_labels(labels)
-    if t.shape[0] != X.shape[0]:
-        raise ConfigError(f"{t.shape[0]} labels for {X.shape[0]} samples")
-    return _score_vector(X, t, params)
-
-
 def _score_vector(
     X: np.ndarray, t: np.ndarray, params: KernelParams
 ) -> tuple[np.ndarray, IFScoreBreakdown]:
-    """if_score_vector of checked samples X and +/-1 labels t, both classes present."""
-    # gaussian_kernel(X, X, mu) without re-checking X.
+    """Full scoring pipeline of checked samples X and +/-1 labels t, both
+    classes present: kernel, radii, membership, non-membership, score.
+
+    Builds the kernel exp(-||x_i - x_j||^2 / mu^2) once and overwrites it
+    with the RKHS distance matrix after the centroid step.
+    """
     K = np.exp(-_sq_dist(X, X) / (params.mu * params.mu))
     sq = np.empty(t.shape[0])
     for sign in (1, -1):

@@ -89,12 +89,14 @@ def cross_validate(
 
     A fold whose training complement is missing a class is skipped: its
     accuracy is None, the reason goes into skipped, and the aggregates
-    cover the remaining folds.
+    cover the remaining folds. If every fold is skipped, ClassBalanceError
+    lists their distinct reasons.
     """
     if plan.assignments.shape[0] != ds.n_samples:
         raise ConfigError("fold plan does not match the dataset size")
     per_fold: list[Optional[float]] = []
     skipped: list[str] = []
+    reasons: list[str] = []
     for fold in range(plan.k):
         tr = plan.train_indices(fold)
         te = plan.test_indices(fold)
@@ -103,6 +105,7 @@ def cross_validate(
             model = trainer.fit(ds.X[tr], tr_labels, cfg)
         except ClassBalanceError as exc:
             skipped.append(f"fold {fold} of {ds.name!r} skipped: {exc}")
+            reasons.append(str(exc))
             per_fold.append(None)
             continue
         te_labels = [ds.labels[i] for i in te]
@@ -110,7 +113,8 @@ def cross_validate(
     present = [a for a in per_fold if a is not None]
     if not present:
         raise ClassBalanceError(
-            f"every fold of {ds.name!r} was degenerate for {cfg.variant}"
+            f"every fold of {ds.name!r} was degenerate for {cfg.variant}: "
+            + "; ".join(dict.fromkeys(reasons))
         )
     mean = float(np.mean(present))
     std = float(np.std(present, ddof=1)) if len(present) > 1 else 0.0
@@ -187,6 +191,9 @@ def grid_search(
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     configs = grid.configs(variant, seed)
+    # A config whose every fold is degenerate aborts the grid. fit's
+    # ClassBalanceError depends only on the labels, the folds and the
+    # variant, never on a grid point, so every other config would fail alike.
     workers = min(jobs, len(configs))
     args = (itertools.repeat(ds), configs, itertools.repeat(plan))
     if workers > 1:
@@ -211,8 +218,8 @@ def rank_models(
     acc = np.asarray(accuracy, dtype=np.float64)
     if acc.ndim != 2:
         raise ConfigError("the accuracy table must be 2-D (datasets x models)")
-    if np.isnan(acc).any():
-        raise ConfigError("the accuracy table contains NaN entries")
+    if not np.isfinite(acc).all():
+        raise ConfigError("the accuracy table contains non-finite entries")
     k, d = acc.shape
     ranks = np.vstack(
         [sp_stats.rankdata(-row, method="average") for row in acc]

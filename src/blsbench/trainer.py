@@ -10,8 +10,9 @@ then takes a per-row argmax over the class columns.
 fit is the validation boundary: it checks X, the labels and the feature
 ranges once, then runs the private steps of the layer modules
 (fuzzy._scores, if_scores._score_vector, network._forward, linalg._solve),
-which trust their inputs. The layers' remaining public functions are
-their checks plus the same step; the solve has no public entry.
+which trust their inputs. The weights and the solve have no other
+entry; network.state_matrix, which prediction calls, is _forward behind
+its checks.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "TrainedModel",
     "fit",
     "predict",
+    "accuracy",
     "decision_scores",
     "save_model",
     "load_model",

@@ -4,7 +4,7 @@ import numpy as np
 
 from blsbench import if_scores
 from blsbench.errors import BlsBenchError, ClassBalanceError, ConfigError
-from blsbench.fuzzy import DEFAULT_DELTA, signed_labels
+from blsbench.fuzzy import DEFAULT_DELTA
 from blsbench.linalg import as_matrix
 
 # Negative radicands larger than this are an invalid kernel, not rounding.
@@ -43,6 +43,16 @@ def fuzzy_membership(x, label: int, X, labels, delta: float) -> float:
     return 1.0 - dist / (radius + delta)
 
 
+def signed_labels(labels) -> np.ndarray:
+    """A +/-1 label sequence holding both classes, as an int array."""
+    t = np.asarray(labels)
+    if t.ndim != 1 or not np.isin(t, (-1, 1)).all():
+        raise ConfigError("labels must be a flat sequence of +1 and -1")
+    if not ((t == 1).any() and (t == -1).any()):
+        raise ClassBalanceError("both classes must have at least one sample")
+    return t.astype(np.int64)
+
+
 def ridge_objective(G, S, T, c_reg: float, W) -> float:
     """Value of the weighted ridge objective (C/2)||S(GW - T)||^2 + ||W||^2/2."""
     resid = np.asarray(S)[:, None] * (G @ W - T)
@@ -66,14 +76,19 @@ def pairwise_sq_dist(A, B):
     return d2
 
 
+def gaussian_kernel(A, B, mu: float):
+    """K(a, b) = exp(-||a - b||^2 / mu^2) on pairwise_sq_dist above."""
+    return np.exp(-pairwise_sq_dist(A, B) / (mu * mu))
+
+
 # --- step-by-step IF scoring ----------------------------------------------
 #
 # The IF-BLS pipeline as a chain of separately checked steps, each taking
 # the full kernel matrix and sharing no code with the package's kernel or
-# scoring; the kernel is built on pairwise_sq_dist above. The geometry
-# steps accept any PSD kernel (criterion 6 feeds them a linear one) and
-# read its diagonal, where the package relies on the Gaussian unit
-# diagonal. if_scores.if_score_vector must match the pipeline exactly.
+# scoring; the kernel is gaussian_kernel above. The geometry steps accept
+# any PSD kernel (criterion 6 feeds them a linear one) and read its
+# diagonal, where the package relies on the Gaussian unit diagonal.
+# if_scores._score_vector must match the pipeline exactly.
 
 
 def center_sq_dists(K, mask):
@@ -184,7 +199,7 @@ def if_score_vector(X, labels, params):
     non-membership, then the scalar score rule per sample."""
     X = as_matrix(X, "X")
     t = signed_labels(labels)
-    K = np.exp(-pairwise_sq_dist(X, X) / (params.mu * params.mu))
+    K = gaussian_kernel(X, X, params.mu)
     radii = kernel_class_radii(K, t)
     theta = kernel_membership(K, t, radii, params.delta)
     np.clip(theta, 0.0, 1.0, out=theta)

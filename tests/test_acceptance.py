@@ -13,7 +13,7 @@ import pytest
 
 from blsbench import data, fuzzy, if_scores, linalg, stats
 from blsbench.errors import ConfigError
-from blsbench.if_scores import KernelParams, gaussian_kernel, if_score_vector
+from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, decision_scores, fit, predict
 
@@ -173,7 +173,7 @@ class TestAcceptance:
             y = np.array([1] * half + [-1] * (n - half))
             eps = 0.05 if trial % 3 == 0 else "median_heuristic"
             mu = float(rng.choice([0.3, 1.0, 3.0]))
-            scores, br = if_score_vector(
+            scores, br = if_scores._score_vector(
                 X, y, KernelParams(mu=mu, epsilon=eps))
             theta = np.clip(br.membership, 0.0, 1.0)
             tilde = br.non_membership
@@ -255,7 +255,7 @@ class TestAcceptance:
             ds, y_noisy, flip = self._noisy_blobs(seed)
             span = ds.X.max(axis=0) - ds.X.min(axis=0)
             Xn = (ds.X - ds.X.min(axis=0)) / span
-            scores, _ = if_score_vector(Xn, y_noisy, kern)
+            scores, _ = if_scores._score_vector(Xn, y_noisy, kern)
             clean = np.setdiff1d(np.arange(ds.n_samples), flip)
             if (scores[flip] < np.median(scores[clean])).all():
                 score_trials_ok += 1

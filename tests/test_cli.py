@@ -146,6 +146,54 @@ class TestTrainPredict:
         assert err == f"error: {dataset_csv}: {message}\n"
         assert not out.exists()
 
+    def test_label_column_name_without_header_is_runtime_error(self, dataset_csv, tmp_path,
+                                                               capsys):
+        from blsbench import cli
+
+        out = tmp_path / "model.json"
+        code = cli.main(["train", "--data", str(dataset_csv), "--no-header",
+                         "--label-column", "label", "--variant", "bls", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {dataset_csv}: column name 'label' needs a header row\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv", "noise"])
+    def test_label_only_file_is_runtime_error(self, command, tmp_path, capsys):
+        from blsbench import cli
+
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n" + "a\nb\n" * 5)
+        out = tmp_path / "out"
+        flags = ["--level", "10"] if command == "noise" else ["--variant", "bls"]
+        code = cli.main([command, "--data", str(path), *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: no feature columns besides the label\n"
+        assert not out.exists()
+
+    def test_non_finite_cell_names_file_row_and_column(self, dataset_csv, tmp_path, capsys):
+        from blsbench import cli
+
+        model, out = tmp_path / "model.json", tmp_path / "preds.csv"
+        rows = dataset_csv.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([*rows[:3], "1e999,0.5,a", *rows[3:]]) + "\n")
+        assert cli.main(["train", "--data", str(bad), "--variant", "bls",
+                         "--out", str(model)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: non-finite cell '1e999' at row 4, column x1\n"
+        )
+        assert cli.main(["train", "--data", str(dataset_csv), "--variant", "bls",
+                         "--out", str(model)]) == 0
+        feats = tmp_path / "features.csv"
+        feats.write_text("x1,x2\n0.1,0.2\n0.3,nan\n")
+        capsys.readouterr()
+        code = cli.main(["predict", "--model", str(model), "--data", str(feats), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {feats}: non-finite cell 'nan' at row 3, column x2\n"
+        assert not out.exists()
+
     def test_predict_wrong_column_count_names_file(self, dataset_csv, tmp_path, capsys):
         from blsbench import cli
 
@@ -315,8 +363,28 @@ class TestCv:
         code = cli.main(["cv", "--data", str(path), "--variant", "bls", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:") and "every fold of 'one_class' was degenerate" in err
+        assert err == ("error: every fold of 'one_class' was degenerate for bls: "
+                       "training data contains a single class\n")
         assert not out.exists()
+        # f-bls on one "b": the fold that tests it trains on "a" alone, every
+        # other fold on one "b". The reasons follow fold order, and the grid
+        # stops at its first config.
+        from blsbench import data
+
+        path = one_b_csv(tmp_path)
+        skipped = int(data.make_folds(31, 5, 0).assignments[30])
+        reasons = ["training data contains a single class" if fold == skipped
+                   else "f-bls requires at least 2 samples per class" for fold in range(5)]
+        expected = ("error: every fold of 'one_b' was degenerate for f-bls: "
+                    + "; ".join(dict.fromkeys(reasons)) + "\n")
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nc_reg = 0.1, 10\nm = 1\np = 2\nq = 3\n")
+        for args in (["cv", "--variant", "f-bls"],
+                     ["gridsearch", "--variant", "f-bls", "--grid", str(grid)]):
+            code = cli.main([*args, "--data", str(path), "--out", str(out)])
+            assert code == 1
+            assert capsys.readouterr().err == expected
+            assert not out.exists()
 
 
 class TestGridSearch:
@@ -510,6 +578,19 @@ class TestStats:
         res = run_cli("stats", "--table", str(bad),
                       "--out-dir", str(tmp_path / "r"))
         assert res.returncode == 1
+
+    def test_non_finite_accuracy_is_runtime_error(self, tmp_path, capsys):
+        from blsbench import cli
+
+        table = tmp_path / "accuracy.csv"
+        table.write_text("dataset,m1,m2,m3\n" + "".join(
+            f"d{i},0.{80 + i},0.{70 + i},{'inf' if i == 4 else 0.5}\n" for i in range(6)))
+        out_dir = tmp_path / "reports"
+        assert cli.main(["stats", "--table", str(table), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}: non-finite cell 'inf' at row 6, column m3\n"
+        )
+        assert not out_dir.exists()
 
 
 class TestOutputsMatchLibrary:

@@ -46,6 +46,14 @@ class TestLoadCsv:
         ds = data.load_csv(csv_path, label_column="label")
         assert list(ds.labels) == ["yes", "no", "yes"]
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_file_without_feature_columns_rejected(self, header, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text(("label\n" if header else "") + "a\nb\n")
+        with pytest.raises(DataFormatError) as exc:
+            data.load_csv(p, header=header)
+        assert str(exc.value) == f"{p}: no feature columns besides the label"
+
     def test_label_column_by_index(self, tmp_path):
         p = tmp_path / "first.csv"
         p.write_text("cls,a,b\nx,1,2\ny,3,4\n")
@@ -76,6 +84,22 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError) as exc:
             read(p)
         assert str(exc.value) == f"{p}: unparseable cell 'oops' at row 3, column b"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", " -Infinity", "1e999"])
+    @pytest.mark.parametrize("read", READERS)
+    def test_non_finite_cell_reported_with_location(self, read, cell, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"a,b,c\n1,2,3\n1,{cell},3\n")
+        with pytest.raises(DataFormatError) as exc:
+            read(p)
+        assert str(exc.value) == f"{p}: non-finite cell {cell!r} at row 3, column b"
+
+    def test_non_finite_cell_column_counts_the_label(self, tmp_path):
+        p = tmp_path / "first.csv"
+        p.write_text("x,1,2\ny,3,inf\n")
+        with pytest.raises(DataFormatError) as exc:
+            data.load_csv(p, label_column=0, header=False)
+        assert str(exc.value) == f"{p}: non-finite cell 'inf' at row 2, column 2"
 
     @pytest.mark.parametrize("text,message", [
         pytest.param("a,b,c\n1,2,3\n1,3\n", "row 3 has 2 cells, expected 3", id="short-row"),

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from blsbench import fuzzy
 from blsbench.errors import ClassBalanceError, ConfigError
+from blsbench.trainer import ModelConfig, fit
 
 
 def tiny_problem():
@@ -24,7 +25,7 @@ def centered_problem():
 class TestGeometry:
     def test_centers_are_class_means(self):
         X, y = centered_problem()
-        scores = fuzzy.fuzzy_score_vector(X, y, delta=1e-4)
+        scores = fuzzy._scores(X, y, 1e-4)
         np.testing.assert_array_equal(scores[4:], 1.0)
         assert (scores[:4] < 1.0).all()
 
@@ -32,14 +33,15 @@ class TestGeometry:
         # With delta = 1 each score is 1 - dist / (radius + 1); a radius
         # of 1 and 2 is the largest member distance, not the mean one.
         X, y = centered_problem()
-        scores = fuzzy.fuzzy_score_vector(X, y, delta=1.0)
+        scores = fuzzy._scores(X, y, 1.0)
         expected = [1 - 1 / 2, 1 - 1 / 2, 1 - 2 / 3, 1 - 2 / 3, 1.0, 1.0]
         np.testing.assert_allclose(scores, expected, rtol=1e-15)
 
     def test_single_class_rejected(self):
+        # _scores needs both classes; fit, its one caller, checks for them.
         X = np.ones((3, 2))
         with pytest.raises(ClassBalanceError):
-            fuzzy.fuzzy_score_vector(X, np.array([1, 1, 1]))
+            fit(X, ["a"] * 3, ModelConfig("f-bls"))
 
 
 class TestMembership:
@@ -47,7 +49,7 @@ class TestMembership:
         # Sample (0,0): distance 1 from its center, radius 1
         #   -> 1 - 1/(1 + delta).
         X, y = tiny_problem()
-        scores = fuzzy.fuzzy_score_vector(X, y, delta=1e-4)
+        scores = fuzzy._scores(X, y, 1e-4)
         expected0 = 1.0 - 1.0 / (1.0 + 1e-4)
         assert scores[0] == pytest.approx(expected0, rel=1e-12)
         # Sample (10,0): distance 2 from (10,2), radius 2.
@@ -56,18 +58,18 @@ class TestMembership:
     def test_center_sample_scores_one(self):
         X = np.array([[0.0], [1.0], [-1.0], [5.0], [7.0]])
         y = np.array([1, 1, 1, -1, -1])
-        scores = fuzzy.fuzzy_score_vector(X, y, delta=0.5)
+        scores = fuzzy._scores(X, y, 0.5)
         assert scores[0] == pytest.approx(1.0)
 
     def test_scores_in_unit_interval(self, blobs):
         X, labels = blobs
         y = np.where(labels == "a", 1, -1)
-        scores = fuzzy.fuzzy_score_vector(X, y, delta=1e-4)
+        scores = fuzzy._scores(X, y, 1e-4)
         assert (scores >= 0.0).all() and (scores <= 1.0).all()
 
     def test_vector_matches_scalar_api(self):
         X, y = tiny_problem()
-        vec = fuzzy.fuzzy_score_vector(X, y, delta=1e-4)
+        vec = fuzzy._scores(X, y, 1e-4)
         for i in range(len(y)):
             one = oracles.fuzzy_membership(X[i], y[i], X, y, delta=1e-4)
             assert vec[i] == pytest.approx(one, rel=1e-12)
@@ -76,36 +78,26 @@ class TestMembership:
         # The farthest member of a class sits exactly at the radius; the
         # slack term must keep its membership strictly above zero.
         X, y = tiny_problem()
-        scores = fuzzy.fuzzy_score_vector(X, y, delta=1e-4)
+        scores = fuzzy._scores(X, y, 1e-4)
         assert scores.min() > 0.0
 
     def test_delta_below_radius_rounding_gives_zero(self):
         # Every member of tiny_problem sits at its class radius (1 or 2),
         # and r + 1e-17 rounds to r: the weights are exactly 0, not below.
         X, y = tiny_problem()
-        scores = fuzzy.fuzzy_score_vector(X, y, delta=1e-17)
+        scores = fuzzy._scores(X, y, 1e-17)
         np.testing.assert_array_equal(scores, 0.0)
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
     def test_invalid_delta_rejected(self, delta):
-        X, y = tiny_problem()
         with pytest.raises(ConfigError, match="delta must be positive"):
-            fuzzy.fuzzy_score_vector(X, y, delta=delta)
+            fuzzy._check_delta(delta)
 
     @given(st.floats(1e-6, 1.0))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_distance(self, delta):
         X = np.array([[0.0], [4.0], [1.0], [9.0], [11.0]])
         y = np.array([1, 1, 1, -1, -1])
-        scores = fuzzy.fuzzy_score_vector(X, y, delta=delta)
+        scores = fuzzy._scores(X, y, delta)
         # samples 0 (dist 5/3), 2 (dist 2/3) from center 5/3: closer scores higher
         assert scores[2] > scores[0]
-
-    def test_signed_labels_validation(self):
-        with pytest.raises(ValueError):
-            fuzzy.signed_labels(np.array([1, 0, -1]))
-
-    def test_signed_labels_rejects_non_integers(self):
-        # Checked before the int cast, which would truncate them to +/-1.
-        with pytest.raises(ConfigError):
-            fuzzy.signed_labels([1.7, -1.2])

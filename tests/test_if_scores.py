@@ -8,6 +8,7 @@ import oracles
 from blsbench import if_scores
 from blsbench.errors import ClassBalanceError, ConfigError
 from blsbench.if_scores import KernelParams
+from blsbench.trainer import ModelConfig, fit
 
 
 def kernel_problem(seed=0, n=30, mu=1.0):
@@ -17,7 +18,7 @@ def kernel_problem(seed=0, n=30, mu=1.0):
         rng.normal(1.5, 0.5, size=(n - n // 2, 2)),
     ])
     y = np.array([1] * (n // 2) + [-1] * (n - n // 2))
-    K = if_scores.gaussian_kernel(X, X, mu)
+    K = oracles.gaussian_kernel(X, X, mu)
     return X, y, K
 
 
@@ -25,18 +26,13 @@ class TestKernel:
     def test_matches_direct_exponential(self):
         rng = np.random.default_rng(3)
         A, B = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
-        K = if_scores.gaussian_kernel(A, B, mu=1.7)
+        K = oracles.gaussian_kernel(A, B, 1.7)
         direct = np.exp(-((A[:, None] - B[None, :]) ** 2).sum(-1) / 1.7 ** 2)
         np.testing.assert_allclose(K, direct, rtol=1e-12)
 
     def test_self_similarity_is_one(self):
         _, _, K = kernel_problem()
         np.testing.assert_allclose(np.diag(K), 1.0)
-
-    def test_invalid_mu_rejected(self):
-        for mu in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ConfigError, match="mu must be positive"):
-                if_scores.gaussian_kernel(np.ones((2, 2)), np.ones((2, 2)), mu=mu)
 
 
 class TestKernelParams:
@@ -75,7 +71,7 @@ class TestClassRadii:
         # kernel similarity.
         X = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
         y = np.array([1, 1, -1, -1])
-        K = if_scores.gaussian_kernel(X, X, mu=1.3)
+        K = oracles.gaussian_kernel(X, X, 1.3)
         r_pos, r_neg = oracles.kernel_class_radii(K, y)
         k = K[0, 1]
         assert r_pos == pytest.approx(np.sqrt((1 - k) / 2), rel=1e-10)
@@ -89,7 +85,7 @@ class TestClassRadii:
         X = rng.normal(size=(20, 3))
         y = np.array([1] * 10 + [-1] * 10)
         mu = 1e4
-        K = if_scores.gaussian_kernel(X, X, mu)
+        K = oracles.gaussian_kernel(X, X, mu)
         r_pos, _ = oracles.kernel_class_radii(K, y)
         pos = X[y == 1]
         euclid = np.linalg.norm(pos - pos.mean(0), axis=1).max()
@@ -102,7 +98,7 @@ class TestMembership:
     def test_values_match_manual_formula(self):
         X, y, K = kernel_problem(seed=2)
         radii = oracles.kernel_class_radii(K, y)
-        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0, delta=1e-4))
+        _, br = if_scores._score_vector(X, y, KernelParams(mu=1.0, delta=1e-4))
         theta = br.membership
         # manual for sample 0 (positive class)
         pos = np.flatnonzero(y == 1)
@@ -113,7 +109,7 @@ class TestMembership:
 
     def test_bounded(self):
         X, y, _ = kernel_problem(seed=4)
-        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0))
+        _, br = if_scores._score_vector(X, y, KernelParams(mu=1.0))
         theta = br.membership
         assert (theta > 0).all() and (theta <= 1).all()
 
@@ -122,7 +118,7 @@ class TestMembership:
         # no centroid distance exceeds its radius, so none goes below.
         X = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0], [10.0, 4.0]])
         y = np.array([1, 1, -1, -1])
-        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=3.0, delta=1e-17))
+        _, br = if_scores._score_vector(X, y, KernelParams(mu=3.0, delta=1e-17))
         theta = br.membership
         assert (theta >= 0).all() and (theta <= 1).all()
         assert theta.min() == 0.0
@@ -134,10 +130,10 @@ class TestNonMembership:
         # its same-class neighbor while the middle pair see each other.
         X = np.array([[0.0], [1.0], [1.5], [2.5]])
         y = np.array([1, 1, -1, -1])
-        K = if_scores.gaussian_kernel(X, X, mu=2.0)
+        K = oracles.gaussian_kernel(X, X, 2.0)
         D = oracles.kernel_pairwise_distances(K)
         eps = (D[0, 1] + D[1, 3]) / 2  # admits gaps up to 1.0, rejects 1.5
-        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=2.0, epsilon=eps))
+        _, br = if_scores._score_vector(X, y, KernelParams(mu=2.0, epsilon=eps))
         hetero, tilde, theta = br.hetero_ratio, br.non_membership, br.membership
         # Sample 1: neighborhood {0, 1, 2} -> one opposite out of three.
         assert hetero[1] == pytest.approx(1 / 3)
@@ -149,15 +145,15 @@ class TestNonMembership:
         # Even with epsilon = 0 the denominator includes the sample itself.
         X = np.array([[0.0], [3.0], [6.0], [9.0]])
         y = np.array([1, 1, -1, -1])
-        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0, epsilon=0.0))
+        _, br = if_scores._score_vector(X, y, KernelParams(mu=1.0, epsilon=0.0))
         np.testing.assert_array_equal(br.hetero_ratio, 0.0)
 
     def test_ties_at_epsilon_included(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([1, -1])
-        K = if_scores.gaussian_kernel(X, X, mu=1.0)
+        K = oracles.gaussian_kernel(X, X, 1.0)
         D = oracles.kernel_pairwise_distances(K)
-        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0, epsilon=D[0, 1]))
+        _, br = if_scores._score_vector(X, y, KernelParams(mu=1.0, epsilon=D[0, 1]))
         assert br.hetero_ratio[0] == pytest.approx(0.5)
 
 
@@ -192,27 +188,27 @@ class TestEpsilonPolicy:
     def test_median_of_offdiagonal_distances(self):
         X = np.array([[0.0], [1.0], [3.0]])
         y = np.array([1, 1, -1])
-        K = if_scores.gaussian_kernel(X, X, mu=2.0)
+        K = oracles.gaussian_kernel(X, X, 2.0)
         D = oracles.kernel_pairwise_distances(K)
         uppers = [D[0, 1], D[0, 2], D[1, 2]]
-        _, br = if_scores.if_score_vector(X, y, KernelParams(mu=2.0))
+        _, br = if_scores._score_vector(X, y, KernelParams(mu=2.0))
         assert br.epsilon_used == pytest.approx(np.median(uppers))
 
     def test_fixed_value_passthrough(self):
         X, y, _ = kernel_problem(n=6)
-        _, br = if_scores.if_score_vector(X, y, KernelParams(epsilon=0.25))
+        _, br = if_scores._score_vector(X, y, KernelParams(epsilon=0.25))
         assert br.epsilon_used == 0.25
 
     def test_unknown_policy_rejected(self):
         X, y, _ = kernel_problem(n=6)
         with pytest.raises(ValueError):
-            if_scores.if_score_vector(X, y, KernelParams(epsilon="mean_heuristic"))
+            if_scores._score_vector(X, y, KernelParams(epsilon="mean_heuristic"))
 
 
 class TestVector:
     def test_breakdown_consistency(self):
         X, y, _ = kernel_problem(seed=8, n=40)
-        scores, br = if_scores.if_score_vector(X, y, KernelParams(mu=1.0))
+        scores, br = if_scores._score_vector(X, y, KernelParams(mu=1.0))
         np.testing.assert_array_equal(scores, br.score)
         assert (br.membership + br.non_membership <= 1 + 1e-12).all()
         assert (scores >= 0).all() and (scores <= 1).all()
@@ -228,19 +224,20 @@ class TestVector:
         X = np.array([[0.0], [0.2], [5.0], [5.2]])
         y = np.array([1, 1, -1, -1])
         params = KernelParams(mu=1.0, epsilon=0.01)
-        scores, br = if_scores.if_score_vector(X, y, params)
+        scores, br = if_scores._score_vector(X, y, params)
         np.testing.assert_array_equal(br.hetero_ratio, 0.0)
         np.testing.assert_allclose(scores, br.membership)
 
     def test_single_class_rejected(self):
+        # _score_vector needs both classes; fit, its one caller, checks for them.
         X, _, _ = kernel_problem(n=6)
         with pytest.raises(ClassBalanceError):
-            if_scores.if_score_vector(X, np.ones(6), KernelParams())
+            fit(X, ["a"] * 6, ModelConfig("if-bls"))
 
     def test_deterministic(self):
         X, y, _ = kernel_problem(seed=9)
-        a, _ = if_scores.if_score_vector(X, y, KernelParams())
-        b, _ = if_scores.if_score_vector(X, y, KernelParams())
+        a, _ = if_scores._score_vector(X, y, KernelParams())
+        b, _ = if_scores._score_vector(X, y, KernelParams())
         np.testing.assert_array_equal(a, b)
 
     def test_peak_memory_is_the_distance_step(self):
@@ -251,7 +248,7 @@ class TestVector:
         y = np.array([1, -1] * (N // 2))
         tracemalloc.start()
         try:
-            if_scores.if_score_vector(X, y, KernelParams())
+            if_scores._score_vector(X, y, KernelParams())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -274,7 +271,7 @@ def oracle_problem(seed, dups):
 def test_vector_matches_step_by_step_oracle_exactly(seed, dups, mu, epsilon):
     X, y = oracle_problem(seed, dups)
     params = KernelParams(mu=mu, epsilon=epsilon)
-    scores, br = if_scores.if_score_vector(X, y, params)
+    scores, br = if_scores._score_vector(X, y, params)
     ref_scores, ref = oracles.if_score_vector(X, y, params)
     np.testing.assert_array_equal(scores, ref_scores)
     for name in ("score", "membership", "non_membership", "hetero_ratio"):

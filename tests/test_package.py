@@ -1,6 +1,7 @@
 """Package-wide invariants of the blsbench modules."""
 
 import importlib
+import inspect
 import pkgutil
 
 import numpy as np
@@ -23,6 +24,19 @@ def test_every_all_entry_resolves(name):
     module = importlib.import_module(f"blsbench.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", [
+    n for n in MODULES if hasattr(importlib.import_module(f"blsbench.{n}"), "__all__")
+])
+def test_every_public_function_is_in_all(name):
+    # The tracer wraps only the functions a module's __all__ names, so a
+    # public function left out of it hides its time in its caller's.
+    module = importlib.import_module(f"blsbench.{name}")
+    public = [n for n, obj in vars(module).items()
+              if not n.startswith("_") and inspect.isfunction(obj)
+              and obj.__module__ == module.__name__]
+    assert sorted(set(public) - set(module.__all__)) == []
 
 
 # The benchmark's tracer (bench/tracing.py) times a layer function by

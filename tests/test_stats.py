@@ -67,8 +67,23 @@ class TestCrossValidate:
         ds = data.Dataset("one-class", ds.X[:20], ds.labels[:20])
         plan = data.make_folds(ds.n_samples, 4, seed=1)
         cfg = ModelConfig("bls", NetworkConfig(m=2, p=5, l=1, q=5, seed=0))
-        with pytest.raises(ClassBalanceError, match="every fold"):
+        with pytest.raises(ClassBalanceError) as exc:
             stats.cross_validate(ds, cfg, plan)
+        assert str(exc.value) == (
+            "every fold of 'one-class' was degenerate for bls: "
+            "training data contains a single class"
+        )
+        # The distinct reasons follow fold order: the fold that tests the one
+        # "b" trains on "a" alone, and every other fold trains on one "b".
+        ds = data.Dataset("one-b", ds.X[:19], (*ds.labels[:18], "b"))
+        plan = data.make_folds(19, 4, seed=1)
+        reasons = ["training data contains a single class" if fold == plan.assignments[18]
+                   else "f-bls requires at least 2 samples per class" for fold in range(4)]
+        with pytest.raises(ClassBalanceError) as exc:
+            stats.cross_validate(ds, ModelConfig("f-bls", cfg.network), plan)
+        assert str(exc.value) == (
+            "every fold of 'one-b' was degenerate for f-bls: " + "; ".join(dict.fromkeys(reasons))
+        )
 
 
 class TestGridSearch:
@@ -146,6 +161,12 @@ class TestRanks:
         acc = np.array([[0.9, 0.8, 0.9, 0.7]])
         table = stats.rank_models(acc)
         np.testing.assert_array_equal(table.ranks[0], [1.5, 3, 1.5, 4])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_accuracy_rejected(self, bad):
+        acc = np.array([[0.9, 0.8], [0.7, bad]])
+        with pytest.raises(ConfigError, match="non-finite"):
+            stats.rank_models(acc)
 
     def test_row_rank_sums_invariant(self):
         rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blsbench import data, fuzzy, if_scores, linalg, network, stats, trainer
+from blsbench import data, if_scores, linalg, network, stats, trainer
 from blsbench.errors import (
     ClassBalanceError, ConfigError, DataFormatError, DimensionMismatch, FactorizationFailure,
     NonFiniteInput,
@@ -21,6 +21,7 @@ from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, fit, load_model, predict, save_model
 from conftest import make_blobs
+import oracles
 
 
 def small_net(seed=0, **kw):
@@ -108,7 +109,8 @@ class TestFit:
         model = fit(X, y, ModelConfig("f-bls", small_net()))
         Xn = model.norm_state.apply(X)
         signed = np.where(np.asarray([str(v) for v in y]) == "a", 1, -1)
-        expected = fuzzy.fuzzy_score_vector(Xn, signed, delta=1e-4)
+        expected = [oracles.fuzzy_membership(x, t, Xn, signed, delta=1e-4)
+                    for x, t in zip(Xn, signed)]
         np.testing.assert_allclose(model.score_vector, expected, rtol=1e-10)
 
     def test_output_weights_solve_weighted_ridge(self, blobs):
@@ -225,7 +227,7 @@ class TestInputBoundary:
 
         bound = [m for n, m in list(sys.modules.items())
                  if n.startswith("blsbench.") and getattr(m, "as_matrix", None) is original]
-        assert {linalg, fuzzy, if_scores, network, data} <= set(bound)
+        assert {linalg, if_scores, network} <= set(bound)
         for module in bound:
             monkeypatch.setattr(module, "as_matrix", counting)
         X, y = blobs
