@@ -54,14 +54,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path: str, command: str, config: dict, datasets: dict, seeds: dict):
+def _write_manifest(out_path: str, command: str, config: dict, inputs: list, seeds: dict):
     doc = {
         "tool": "blsbench",
         "version": __version__,
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": config,
-        "datasets": {p: _sha256(p) for p in datasets.values()},
+        "datasets": {p: _sha256(p) for p in inputs},
         "seeds": seeds,
     }
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
@@ -79,11 +79,10 @@ def _noise_level(text: str) -> float:
     return v
 
 
-def _load_config_file(path: str, keys, error) -> dict:
+def _load_config_file(path: str, keys) -> dict:
     """Flat key-value config with any sections; values are strings.
 
-    A missing or non-INI file raises DataFormatError, a key outside keys
-    raises error.
+    A missing or non-INI file, or a key outside keys, raises DataFormatError.
     """
     parser = configparser.ConfigParser()
     try:
@@ -99,7 +98,7 @@ def _load_config_file(path: str, keys, error) -> dict:
         raise DataFormatError(f"config file not found: {path}")
     unknown = sorted(set(flat) - set(keys))
     if unknown:
-        raise error(f"{path}: unknown key {', '.join(map(repr, unknown))}")
+        raise DataFormatError(f"{path}: unknown key {', '.join(map(repr, unknown))}")
     return flat
 
 
@@ -109,7 +108,7 @@ _CONFIG_KEYS = (*trainer.FLAT_CASTS, "k", "fold_seed")
 
 def _merge_config(args) -> dict:
     """Config-file values first, then the flags that were given override them."""
-    resolved = _load_config_file(args.config, _CONFIG_KEYS, ConfigError) if args.config else {}
+    resolved = _load_config_file(args.config, _CONFIG_KEYS) if args.config else {}
     resolved.update((k, v) for k, v in vars(args).items() if v is not None)
     return resolved
 
@@ -138,7 +137,7 @@ def cmd_train(args) -> int:
     acc = trainer.accuracy(model, ds.X, ds.labels)
     trainer.save_model(model, args.out)
     _write_manifest(
-        args.out, "train", _manifest_config(cfg), {"train": path},
+        args.out, "train", _manifest_config(cfg), [path],
         {"model_seed": cfg.network.seed},
     )
     print(f"training accuracy: {acc:.4f}")
@@ -182,7 +181,7 @@ def cmd_cv(args) -> int:
         ["std", f"{result.std_dev:.10f}"],
     ])
     _write_manifest(
-        args.out, "cv", _manifest_config(cfg), {"data": path},
+        args.out, "cv", _manifest_config(cfg), [path],
         {"model_seed": cfg.network.seed, "fold_seed": fold_seed},
     )
     print(f"mean accuracy: {result.mean_accuracy:.4f} (std {result.std_dev:.4f})")
@@ -193,7 +192,7 @@ def _parse_grid(args) -> stats.GridSpec:
     if args.grid == "paper":
         return stats.GridSpec.benchmark_default()
     keys = [f.name for f in dataclasses.fields(stats.GridSpec)]
-    flat = _load_config_file(args.grid, keys, DataFormatError)
+    flat = _load_config_file(args.grid, keys)
     lists = {}
     for f in dataclasses.fields(stats.GridSpec):
         if f.name in flat:
@@ -223,7 +222,7 @@ def cmd_gridsearch(args) -> int:
         rows.append([flat.get(k) for k in keys] + [f"{r.mean_accuracy:.10f}", f"{r.std_dev:.10f}"])
     data.write_csv(args.out, rows)
     _write_manifest(
-        args.out, "gridsearch", _manifest_config(best.best_config), {"data": path},
+        args.out, "gridsearch", _manifest_config(best.best_config), [path],
         {"model_seed": args.seed, "fold_seed": args.fold_seed},
     )
     bc = best.best_config
@@ -243,7 +242,7 @@ def cmd_noise(args) -> int:
         *([repr(float(v)) for v in row] + [label] for row, label in zip(noisy.X, noisy.labels)),
     ])
     _write_manifest(
-        args.out, "noise", {"level": args.level}, {"data": path},
+        args.out, "noise", {"level": args.level}, [path],
         {"noise_seed": args.seed},
     )
     print(f"wrote corrupted dataset to {args.out}")
@@ -252,34 +251,34 @@ def cmd_noise(args) -> int:
 
 def cmd_stats(args) -> int:
     names, acc, datasets = data.read_csv(args.table, text_column=0)
-    if not datasets or len(names) < 3:
+    if len(datasets) < 2 or len(names) < 3:
         raise DataFormatError(
-            f"{args.table}: expected a header of model names and at least one dataset row"
+            f"{args.table}: expected a header of model names and at least two dataset rows"
         )
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {args.alpha!r}")
     models = names[1:]
-    # A bad alpha is a run error; the per-pair handler below reports only
-    # degenerate pairs.
-    stats._check_alpha(args.alpha)
-    table = stats.rank_models(acc, datasets, models)
-    fried = stats.friedman_test(table)
+    ranks = stats.rank_models(acc)
+    average_rank = ranks.mean(axis=0)
+    fried = stats.friedman_test(average_rank, len(datasets))
     wilcoxon = [["model_a", "model_b", "p_value", "decision"]]
     win_tie_loss = [["model_a", "model_b", "wins_a", "ties", "wins_b", "threshold", "significant"]]
     for i, j in itertools.combinations(range(len(models)), 2):
         try:
-            res = stats.wilcoxon_signed_rank(acc[:, i], acc[:, j], args.alpha)
-        except BlsBenchError as exc:
+            p_value = stats.wilcoxon_signed_rank(acc[:, i], acc[:, j]).p_value
+        except BlsBenchError as exc:  # a degenerate pair, e.g. identical columns
             wilcoxon.append([models[i], models[j], "", str(exc)])
         else:
-            wilcoxon.append([models[i], models[j], f"{res.p_value:.6g}",
-                             "rejected" if res.reject else "not-rejected"])
+            wilcoxon.append([models[i], models[j], f"{p_value:.6g}",
+                             "rejected" if p_value < args.alpha else "not-rejected"])
         wtl = stats.win_tie_loss(acc[:, i], acc[:, j], args.tie_tol)
         win_tie_loss.append([models[i], models[j], wtl.wins_a, wtl.ties, wtl.wins_b,
                              f"{wtl.threshold:.4f}", "yes" if wtl.significant else "no"])
     reports = {
         "ranks.csv": [
-            ["dataset", *table.models],
-            *([name, *(f"{v:g}" for v in row)] for name, row in zip(table.datasets, table.ranks)),
-            ["average", *(f"{v:.4f}" for v in table.average_rank)],
+            ["dataset", *models],
+            *([name, *(f"{v:g}" for v in row)] for name, row in zip(datasets, ranks)),
+            ["average", *(f"{v:.4f}" for v in average_rank)],
         ],
         "friedman.csv": [
             ["chi2", "f_stat", "chi2_dof", "f_dof1", "f_dof2"],
@@ -293,7 +292,7 @@ def cmd_stats(args) -> int:
         data.write_csv(os.path.join(args.out_dir, name), rows)
     _write_manifest(
         os.path.join(args.out_dir, "stats"), "stats",
-        {"alpha": args.alpha, "tie_tol": args.tie_tol}, {"table": args.table}, {},
+        {"alpha": args.alpha, "tie_tol": args.tie_tol}, [args.table], {},
     )
     print(
         f"friedman chi2={fried.chi2:.4f} F={fried.f_stat:.4f}; "
@@ -402,10 +401,7 @@ def main(argv=None) -> int:
             parser.error(f"--{flag} is required (directly or via --config)")
     try:
         return args.func(args)
-    except BlsBenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BlsBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,8 @@
 The statistics follow the standard multi-classifier comparison protocol:
 tie-averaged ranks per dataset, the Friedman chi-square and its F-form,
 pairwise Wilcoxon signed-rank tests, and pairwise win-tie-loss counts
-against the K/2 + 1.96*sqrt(K)/2 victory threshold.
+against the K/2 + 1.96*sqrt(K)/2 victory threshold. Each function returns
+its statistics; the caller picks the significance level and the names.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .trainer import ModelConfig
 
 __all__ = [
     "CvResult",
-    "RankTable",
     "GridSpec",
     "FriedmanResult",
     "WilcoxonResult",
@@ -48,14 +48,6 @@ class CvResult:
 
 
 @dataclass(frozen=True)
-class RankTable:
-    datasets: tuple[str, ...]
-    models: tuple[str, ...]
-    ranks: np.ndarray
-    average_rank: np.ndarray
-
-
-@dataclass(frozen=True)
 class FriedmanResult:
     chi2: float
     f_stat: float
@@ -67,7 +59,6 @@ class FriedmanResult:
 class WilcoxonResult:
     statistic: float
     p_value: float
-    reject: bool
     n_nonzero: int
 
 
@@ -207,12 +198,9 @@ def grid_search(
     return results[best_idx], results
 
 
-def rank_models(
-    accuracy,
-    datasets: Optional[Sequence[str]] = None,
-    models: Optional[Sequence[str]] = None,
-) -> RankTable:
-    """Tie-averaged per-dataset ranks, 1 = best accuracy in the row."""
+def rank_models(accuracy) -> np.ndarray:
+    """Tie-averaged ranks of a datasets x models accuracy table, 1 = best
+    accuracy in the row."""
     from scipy import stats as sp_stats  # slow to import; only two functions use it
 
     acc = np.asarray(accuracy, dtype=np.float64)
@@ -220,55 +208,33 @@ def rank_models(
         raise ConfigError("the accuracy table must be 2-D (datasets x models)")
     if not np.isfinite(acc).all():
         raise ConfigError("the accuracy table contains non-finite entries")
-    k, d = acc.shape
-    ranks = np.vstack(
-        [sp_stats.rankdata(-row, method="average") for row in acc]
-    )
-    return RankTable(
-        datasets=tuple(datasets) if datasets is not None else tuple(f"d{i}" for i in range(k)),
-        models=tuple(models) if models is not None else tuple(f"m{j}" for j in range(d)),
-        ranks=ranks,
-        average_rank=ranks.mean(axis=0),
-    )
+    return np.vstack([sp_stats.rankdata(-row, method="average") for row in acc])
 
 
-def friedman_test(ranks, n_datasets: Optional[int] = None) -> FriedmanResult:
-    """Friedman chi-square over average ranks, plus the F-distributed form.
+def friedman_test(average_rank, n_datasets: int) -> FriedmanResult:
+    """Friedman chi-square over each model's average rank on n_datasets
+    datasets, plus the Iman-Davenport F form.
 
-    Accepts either a RankTable or a plain sequence of average ranks with
-    an explicit dataset count.
+    When every dataset ranks the models alike, chi2 = K(D-1) and f_stat is
+    inf, the limit of the F form.
     """
-    if isinstance(ranks, RankTable):
-        avg = ranks.average_rank
-        k = ranks.ranks.shape[0]
-    else:
-        if n_datasets is None:
-            raise ConfigError("n_datasets is required with a plain rank sequence")
-        avg = np.asarray(ranks, dtype=np.float64)
-        k = int(n_datasets)
+    avg = np.asarray(average_rank, dtype=np.float64)
+    k = int(n_datasets)
     d = avg.shape[0]
     if k < 2 or d < 2:
         raise ConfigError(f"need at least 2 datasets and 2 models, got K={k}, D={d}")
-    chi2 = 12.0 * k / (d * (d + 1)) * (float(np.sum(avg**2)) - d * (d + 1) ** 2 / 4.0)
+    # Dividing last keeps chi2 exactly K(D-1), so F is inf, on a unanimous table.
+    chi2 = 12.0 * k * (float(np.sum(avg**2)) - d * (d + 1) ** 2 / 4.0) / (d * (d + 1))
     denom = k * (d - 1) - chi2
-    if denom == 0.0:
-        raise ConfigError("F statistic undefined: K(D-1) equals chi-square")
-    f_stat = chi2 * (k - 1) / denom
     return FriedmanResult(
         chi2=chi2,
-        f_stat=f_stat,
+        f_stat=chi2 * (k - 1) / denom if denom else math.inf,
         chi2_dof=d - 1,
         f_dof=(d - 1, (k - 1) * (d - 1)),
     )
 
 
-def _check_alpha(alpha) -> None:
-    """Raise ConfigError unless the significance level lies in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
-
-
-def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
+def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     Zero differences are dropped; the remaining absolute differences are
@@ -278,7 +244,6 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
     """
     from scipy import stats as sp_stats
 
-    _check_alpha(alpha)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -302,7 +267,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
         raise ConfigError("zero variance: all differences are tied")
     z = (w - mean + 0.5) / math.sqrt(var)
     p = min(1.0, 2.0 * sp_stats.norm.cdf(z))
-    return WilcoxonResult(statistic=w, p_value=p, reject=p < alpha, n_nonzero=n)
+    return WilcoxonResult(statistic=w, p_value=p, n_nonzero=n)
 
 
 def win_tie_loss(a, b, tie_tol: float = DEFAULT_TIE_TOL) -> WinTieLoss:

@@ -541,7 +541,7 @@ class TestStats:
         # full-precision average ranks, so compare to the recomputed value
         from blsbench import stats as bstats
         expected = bstats.friedman_test(
-            bstats.rank_models(pt.ACCURACY, pt.DATASETS, pt.MODELS))
+            bstats.rank_models(pt.ACCURACY).mean(axis=0), len(pt.DATASETS))
         assert float(fr["chi2"]) == pytest.approx(expected.chi2, abs=1e-3)
 
     def test_identical_columns_give_reason_as_decision(self, tmp_path):
@@ -560,6 +560,10 @@ class TestStats:
     @pytest.mark.parametrize("flag,value,message", [
         ("--tie-tol", "-1", "tie_tol must be finite and non-negative, got -1.0"),
         ("--alpha", "7", "alpha must lie in (0, 1), got 7.0"),
+        ("--alpha", "0", "alpha must lie in (0, 1), got 0.0"),
+        ("--alpha", "1", "alpha must lie in (0, 1), got 1.0"),
+        ("--alpha", "-0.1", "alpha must lie in (0, 1), got -0.1"),
+        ("--alpha", "nan", "alpha must lie in (0, 1), got nan"),
     ])
     def test_bad_test_parameter_is_runtime_error(self, flag, value, message, table_csv,
                                                  tmp_path, capsys):
@@ -570,6 +574,47 @@ class TestStats:
                          "--out-dir", str(out_dir)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_decisions_follow_alpha(self, table_csv, tmp_path):
+        from blsbench import cli, stats
+
+        out_dir = tmp_path / "reports"
+        assert cli.main(["stats", "--table", str(table_csv), "--alpha", "0.01",
+                         "--out-dir", str(out_dir)]) == 0
+        rows = list(csv.DictReader((out_dir / "wilcoxon.csv").open()))
+        idx = {m: i for i, m in enumerate(pt.MODELS)}
+        acc = np.array(pt.ACCURACY, dtype=float)
+        p_values = [stats.wilcoxon_signed_rank(acc[:, idx[r["model_a"]]],
+                                               acc[:, idx[r["model_b"]]]).p_value
+                    for r in rows]
+        assert [r["decision"] == "rejected" for r in rows] == [p < 0.01 for p in p_values]
+        # Two of the 21 pairs rejected at the default 0.05 are kept at 0.01.
+        assert len(rows) == 21
+        assert (sum(p < 0.01 for p in p_values), sum(p < 0.05 for p in p_values)) == (13, 15)
+
+    def test_unanimous_table_gives_infinite_f(self, tmp_path):
+        # A beats B beats C on every dataset: chi2 = K(D-1) = 10 and F is inf.
+        table = tmp_path / "accuracy.csv"
+        table.write_text("dataset,A,B,C\n" + "".join(
+            f"d{i},0.9{i},0.8{i},0.7{i}\n" for i in range(5)))
+        out_dir = tmp_path / "reports"
+        res = run_cli("stats", "--table", str(table), "--out-dir", str(out_dir))
+        assert res.returncode == 0, res.stderr
+        for name in ("ranks.csv", "friedman.csv", "wilcoxon.csv", "win_tie_loss.csv"):
+            assert (out_dir / name).exists(), name
+        assert (out_dir / "friedman.csv").read_text().splitlines()[1] == "10.0000,inf,2,2,8"
+
+    def test_one_dataset_row_is_runtime_error(self, tmp_path, capsys):
+        from blsbench import cli
+
+        table = tmp_path / "accuracy.csv"
+        table.write_text("dataset,m1,m2\nd1,0.9,0.8\n")
+        out_dir = tmp_path / "reports"
+        assert cli.main(["stats", "--table", str(table), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}: expected a header of model names and at least two dataset rows\n"
+        )
         assert not out_dir.exists()
 
     def test_bad_table_is_runtime_error(self, tmp_path):
@@ -678,12 +723,12 @@ class TestOutputsMatchLibrary:
         from blsbench import stats
 
         acc = np.array(pt.ACCURACY, dtype=float)
-        table = stats.rank_models(acc, pt.DATASETS, pt.MODELS)
-        fried = stats.friedman_test(table)
+        ranks = stats.rank_models(acc)
+        fried = stats.friedman_test(ranks.mean(axis=0), len(pt.DATASETS))
         assert self.rows(run / "stats" / "ranks.csv") == [
             ["dataset", *pt.MODELS],
-            *([ds, *(f"{v:g}" for v in row)] for ds, row in zip(pt.DATASETS, table.ranks)),
-            ["average", *(f"{v:.4f}" for v in table.average_rank)],
+            *([ds, *(f"{v:g}" for v in row)] for ds, row in zip(pt.DATASETS, ranks)),
+            ["average", *(f"{v:.4f}" for v in ranks.mean(axis=0))],
         ]
         assert self.rows(run / "stats" / "friedman.csv") == [
             ["chi2", "f_stat", "chi2_dof", "f_dof1", "f_dof2"],
@@ -695,7 +740,8 @@ class TestOutputsMatchLibrary:
             for j in range(i + 1, len(pt.MODELS)):
                 a, b = pt.MODELS[i], pt.MODELS[j]
                 w = stats.wilcoxon_signed_rank(acc[:, i], acc[:, j])
-                wilcoxon.append([a, b, f"{w.p_value:.6g}", "rejected" if w.reject else "not-rejected"])
+                wilcoxon.append([a, b, f"{w.p_value:.6g}",
+                                 "rejected" if w.p_value < 0.05 else "not-rejected"])
                 t = stats.win_tie_loss(acc[:, i], acc[:, j])
                 win_tie_loss.append([a, b, *map(str, (t.wins_a, t.ties, t.wins_b)),
                                      f"{t.threshold:.4f}", "yes" if t.significant else "no"])

@@ -1,5 +1,6 @@
 """Package-wide invariants of the blsbench modules."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import blsbench
-from blsbench import data, if_scores, linalg, network, stats, trainer
+from blsbench import cli, data, if_scores, linalg, network, stats, trainer
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(blsbench.__path__))
 
@@ -37,6 +38,19 @@ def test_every_public_function_is_in_all(name):
               if not n.startswith("_") and inspect.isfunction(obj)
               and obj.__module__ == module.__name__]
     assert sorted(set(public) - set(module.__all__)) == []
+
+
+def test_cli_reaches_only_public_names():
+    # The CLI is a client of the library: a private name it reaches is a
+    # rule that two modules must keep in step.
+    tree = ast.parse(inspect.getsource(cli))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for alias in node.names}
+    private = sorted(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in modules and node.attr.startswith("_"))
+    assert private == []
 
 
 # The benchmark's tracer (bench/tracing.py) times a layer function by
