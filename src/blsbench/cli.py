@@ -69,16 +69,6 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: list, see
         fh.write("\n")
 
 
-def _noise_level(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= v <= 100.0:
-        raise argparse.ArgumentTypeError(f"noise level must be in [0, 100], got {v}")
-    return v
-
-
 def _load_config_file(path: str, keys) -> dict:
     """Flat key-value config with any sections; values are strings.
 
@@ -376,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise", help="write a Gaussian-corrupted copy of a dataset")
     _add_data_flags(p)
-    p.add_argument("--level", type=_noise_level, required=True,
+    p.add_argument("--level", type=float, required=True,
                    help="percent of samples to corrupt, 0-100")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

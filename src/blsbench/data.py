@@ -4,6 +4,7 @@ feature corruption."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -74,7 +75,7 @@ def read_csv(
     end) or, with a header, a column name. Every row must be as wide as
     the header, or as the first row without one; a file may have no data
     rows. Every number must be finite. Errors are DataFormatError naming
-    the file, row and column.
+    the file, row and column of the first bad row or cell in file order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -99,8 +100,7 @@ def read_csv(
             )
         text_idx = text_column % width
     values = []
-    first = 2 if header else 1
-    for r, row in enumerate(rows, start=first):
+    for r, row in enumerate(rows, start=2 if header else 1):
         if len(row) != width:
             raise DataFormatError(f"{path}: row {r} has {len(row)} cells, expected {width}")
         vals = []
@@ -109,25 +109,17 @@ def read_csv(
                 text.append(cell.strip())
                 continue
             try:
-                vals.append(float(cell))
+                v = float(cell)
             except ValueError:
+                v = None
+            # float() also parses "nan", "inf" and overflowing numbers such as "1e999".
+            if v is None or not math.isfinite(v):
                 col = names[c] if names else str(c)
-                raise DataFormatError(
-                    f"{path}: unparseable cell {cell!r} at row {r}, column {col}"
-                ) from None
+                kind = "unparseable" if v is None else "non-finite"
+                raise DataFormatError(f"{path}: {kind} cell {cell!r} at row {r}, column {col}")
+            vals.append(v)
         values.append(vals)
-    X = np.array(values, dtype=np.float64)
-    # float() also parses "nan", "inf" and overflowing numbers such as "1e999".
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        r, c = (int(i) for i in bad[0])
-        if text_idx is not None and c >= text_idx:
-            c += 1
-        col = names[c] if names else str(c)
-        raise DataFormatError(
-            f"{path}: non-finite cell {rows[r][c]!r} at row {r + first}, column {col}"
-        )
-    return names, X, text
+    return names, np.array(values, dtype=np.float64), text
 
 
 def write_csv(path, rows) -> None:

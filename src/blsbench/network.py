@@ -30,7 +30,9 @@ def _linear(z):
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    # exp(-z) overflows to inf for z below about -709, and 1 / (1 + inf) is the limit 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _relu(z):

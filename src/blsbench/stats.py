@@ -208,7 +208,9 @@ def rank_models(accuracy) -> np.ndarray:
         raise ConfigError("the accuracy table must be 2-D (datasets x models)")
     if not np.isfinite(acc).all():
         raise ConfigError("the accuracy table contains non-finite entries")
-    return np.vstack([sp_stats.rankdata(-row, method="average") for row in acc])
+    if acc.shape[0] == 0:
+        raise ConfigError("the accuracy table has no dataset rows")
+    return sp_stats.rankdata(-acc, method="average", axis=1)
 
 
 def friedman_test(average_rank, n_datasets: int) -> FriedmanResult:
@@ -219,6 +221,8 @@ def friedman_test(average_rank, n_datasets: int) -> FriedmanResult:
     inf, the limit of the F form.
     """
     avg = np.asarray(average_rank, dtype=np.float64)
+    if not isinstance(n_datasets, (int, np.integer)):
+        raise ConfigError(f"n_datasets must be an integer, got {n_datasets!r}")
     k = int(n_datasets)
     d = avg.shape[0]
     if k < 2 or d < 2:
@@ -263,8 +267,6 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, tie_counts = np.unique(ranks, return_counts=True)
     var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-    if var <= 0.0:
-        raise ConfigError("zero variance: all differences are tied")
     z = (w - mean + 0.5) / math.sqrt(var)
     p = min(1.0, 2.0 * sp_stats.norm.cdf(z))
     return WilcoxonResult(statistic=w, p_value=p, n_nonzero=n)

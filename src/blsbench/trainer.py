@@ -201,14 +201,17 @@ class TrainedModel:
     w_out: np.ndarray
     norm_state: NormState
     class_labels: tuple[str, ...]
-    solve_branch_used: str
     score_vector: np.ndarray = field(repr=False)
 
+    @property
+    def solve_branch_used(self) -> str:
+        """The system fit solved, from the width and the training-row count."""
+        return _solve_branch(self.config.network.width, self.score_vector.shape[0])
 
-def _one_hot(indices: np.ndarray, n_classes: int) -> np.ndarray:
-    T = np.zeros((indices.shape[0], n_classes))
-    T[np.arange(indices.shape[0]), indices] = 1.0
-    return T
+
+def _solve_branch(width: int, n_samples: int) -> str:
+    """Solve the smaller system: primal is width x width, dual is N x N."""
+    return "primal" if width <= n_samples else "dual"
 
 
 @linalg._single_threaded_blas()
@@ -257,9 +260,8 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
 
     layer = network.init_random_layer(cfg.network, X.shape[1])
     G = network._forward(layer, Xn)
-    T = _one_hot(indices, len(class_labels))
-
-    branch = "primal" if cfg.network.width <= X.shape[0] else "dual"
+    T = np.eye(len(class_labels))[indices]
+    branch = _solve_branch(cfg.network.width, X.shape[0])
     w_out = linalg._solve(G, scores, T, float(cfg.c_reg), branch)
 
     return TrainedModel(
@@ -268,7 +270,6 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
         w_out=np.ascontiguousarray(w_out),
         norm_state=norm,
         class_labels=class_labels,
-        solve_branch_used=branch,
         score_vector=scores,
     )
 
@@ -376,11 +377,11 @@ def _model_from_doc(doc: dict) -> TrainedModel:
         del doc[key]
     net, input_dim = cfg.network, doc.pop("input_dim")
     labels = doc.pop("class_labels")
-    if not isinstance(labels, list) or not all(isinstance(c, str) for c in labels):
-        raise DataFormatError("class_labels must be a list of strings")
+    # fit writes the sorted set of its training labels, at least two.
+    if not (isinstance(labels, list) and all(isinstance(c, str) for c in labels)
+            and len(labels) >= 2 and labels == sorted(set(labels))):
+        raise DataFormatError("class_labels must be at least two distinct strings, sorted")
     branch = doc.pop("solve_branch_used")
-    if branch not in ("primal", "dual"):
-        raise DataFormatError(f"unknown solve branch {branch!r}")
 
     def groups(key, count, shape):
         arrays = doc.pop(key)
@@ -405,9 +406,13 @@ def _model_from_doc(doc: dict) -> TrainedModel:
             feature_range=_decode_array(doc.pop("norm_range"), (input_dim,)),
         ),
         class_labels=tuple(labels),
-        solve_branch_used=branch,
         score_vector=_decode_array(doc.pop("score_vector")),
     )
+    if branch != model.solve_branch_used:
+        raise DataFormatError(
+            f"solve_branch_used {branch!r} contradicts width {net.width} "
+            f"and {model.score_vector.shape[0]} training rows"
+        )
     if doc:
         raise DataFormatError(f"unknown keys {sorted(doc)}")
     return model

@@ -105,6 +105,28 @@ class TestTrainPredict:
         assert err.startswith("error:") and "X_test feature 1 normalizes beyond float64" in err
         assert not out.exists()
 
+    def test_predict_with_label_less_model_is_runtime_error(self, dataset_csv, tmp_path,
+                                                            capsys):
+        from blsbench import cli
+
+        model, out = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert cli.main(["train", "--data", str(dataset_csv), "--variant", "bls",
+                         "--out", str(model)]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["class_labels"] = []
+        doc["w_out"] = {"shape": [doc["w_out"]["shape"][0], 0], "hex": []}
+        model.write_text(json.dumps(doc))
+        feats = tmp_path / "features.csv"
+        feats.write_text("x1,x2\n0.1,0.2\n")
+        code = cli.main(["predict", "--model", str(model), "--data", str(feats),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {model}: bad model file:") and err.count("\n") == 1
+        assert "class_labels" in err
+        assert not out.exists()
+
     def test_nonpositive_c_is_runtime_error(self, dataset_csv, tmp_path, capsys):
         from blsbench import cli
 
@@ -323,6 +345,19 @@ class TestCv:
         accs = [float(r["accuracy"]) for r in fold_rows]
         assert all(0.0 <= a <= 1.0 for a in accs)
 
+    def test_non_integer_fold_count_in_config_is_runtime_error(self, dataset_csv, tmp_path,
+                                                                capsys):
+        from blsbench import cli
+
+        cfg = tmp_path / "cv.ini"
+        cfg.write_text("[cv]\nk = abc\n")
+        out = tmp_path / "cv.csv"
+        assert cli.main(["cv", "--data", str(dataset_csv), "--variant", "bls",
+                         "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k and fold_seed must be integers:") and "'abc'" in err
+        assert not out.exists()
+
     def test_deterministic_across_runs(self, dataset_csv, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -467,6 +502,18 @@ class TestGridSearch:
         assert "delta must be positive, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_file_without_a_required_key_is_runtime_error(self, dataset_csv, tmp_path,
+                                                               capsys):
+        from blsbench import cli
+
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nc_reg = 1\nm = 2\np = 4\n")
+        out = tmp_path / "g.csv"
+        assert cli.main(["gridsearch", "--data", str(dataset_csv), "--variant", "bls",
+                         "--grid", str(grid), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: grid file is missing 'q'\n"
+        assert not out.exists()
+
     def test_non_numeric_grid_value_is_runtime_error(self, dataset_csv, tmp_path):
         grid = tmp_path / "grid.ini"
         grid.write_text("[grid]\nc_reg = 1, x\nm = 2\np = 4\nq = 6\n")
@@ -477,6 +524,7 @@ class TestGridSearch:
 
 
 @pytest.mark.parametrize("text,needle", [
+    pytest.param(None, "config file not found", id="missing-file"),
     pytest.param("m = 3\n", "no section headers", id="no-header"),
     pytest.param("[x]\nc_reg = 1\nm = 2\np = 4\nq = 6\nc_rge = 5\n", "unknown key 'c_rge'",
                  id="unknown-key"),
@@ -486,7 +534,8 @@ def test_bad_ini_file_is_runtime_error(command, flag, text, needle, dataset_csv,
     from blsbench import cli
 
     ini = tmp_path / "bad.ini"
-    ini.write_text(text)
+    if text is not None:
+        ini.write_text(text)
     code = cli.main([command, "--data", str(dataset_csv), "--variant", "bls",
                      flag, str(ini), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -508,10 +557,23 @@ class TestNoise:
         changed = (orig != noisy).any(axis=1).sum()
         assert changed == round(0.2 * len(orig))
 
-    def test_out_of_range_level_is_usage_error(self, dataset_csv, tmp_path):
-        res = run_cli("noise", "--data", str(dataset_csv), "--level", "101",
-                      "--seed", "1", "--out", str(tmp_path / "n.csv"))
-        assert res.returncode == 2
+    def test_out_of_range_level_is_runtime_error(self, dataset_csv, tmp_path):
+        # The library owns the range check, so the message is its ConfigError.
+        out = tmp_path / "n.csv"
+        res = run_cli("noise", "--data", str(dataset_csv), "--level", "150",
+                      "--seed", "1", "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr == "error: noise level must be in [0, 100], got 150.0\n"
+        assert not out.exists()
+
+    def test_non_numeric_level_is_usage_error(self, dataset_csv, tmp_path, capsys):
+        from blsbench import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["noise", "--data", str(dataset_csv), "--level", "ten",
+                      "--out", str(tmp_path / "n.csv")])
+        assert exc.value.code == 2
+        assert "argument --level" in capsys.readouterr().err
 
 
 class TestStats:

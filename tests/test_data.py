@@ -94,6 +94,18 @@ class TestLoadCsv:
             read(p)
         assert str(exc.value) == f"{p}: non-finite cell {cell!r} at row 3, column b"
 
+    @pytest.mark.parametrize("cells,message", [
+        (("inf", "oops"), "non-finite cell 'inf' at row 2, column b"),
+        (("oops", "inf"), "unparseable cell 'oops' at row 2, column b"),
+    ], ids=["non-finite-first", "unparseable-first"])
+    @pytest.mark.parametrize("read", READERS)
+    def test_first_bad_cell_in_file_order_reported(self, read, cells, message, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"a,b,c\n1,{cells[0]},3\n1,{cells[1]},3\n")
+        with pytest.raises(DataFormatError) as exc:
+            read(p)
+        assert str(exc.value) == f"{p}: {message}"
+
     def test_non_finite_cell_column_counts_the_label(self, tmp_path):
         p = tmp_path / "first.csv"
         p.write_text("x,1,2\ny,3,inf\n")
@@ -115,6 +127,16 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError) as exc:
             read(p)
         assert str(exc.value) == f"{p}: {message}"
+
+
+class TestDataset:
+    @pytest.mark.parametrize("n,labels,message", [
+        (3, ("a", "b"), "2 labels for 3 rows"),
+        (1, ("a",), "a dataset needs at least 2 samples"),
+    ])
+    def test_inconsistent_dataset_rejected(self, n, labels, message):
+        with pytest.raises(ConfigError, match=message):
+            data.Dataset("d", np.zeros((n, 2)), labels)
 
 
 class TestFolds:

@@ -43,6 +43,12 @@ class TestKernelParams:
             KernelParams(**{field: value})
 
 
+    @pytest.mark.parametrize("epsilon", [-0.5, np.nan, np.inf])
+    def test_invalid_epsilon_rejected(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon must be nonnegative"):
+            KernelParams(epsilon=epsilon)
+
+
 class TestKernelDistance:
     def test_identical_points_distance_zero(self):
         assert oracles.kernel_distance(1.0, 1.0, 1.0) == 0.0

@@ -120,3 +120,7 @@ class TestValidation:
     def test_as_matrix_rejects_1d(self):
         with pytest.raises(DimensionMismatch):
             linalg.as_matrix(np.ones(3), "m")
+
+    def test_pairwise_sq_dist_rejects_column_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="A has 2 columns but B has 3"):
+            linalg.pairwise_sq_dist(np.ones((4, 2)), np.ones((5, 3)))

@@ -23,6 +23,7 @@ class TestConfig:
         ("m", 0), ("p", -1), ("l", 0), ("q", 0),
         ("feature_activation", "relu"),
         ("enhancement_activation", "linear"),
+        ("seed", -1),
     ])
     def test_invalid_config_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -42,6 +43,11 @@ class TestInit:
         assert all(b.shape == (1, cfg.p) for b in layer.feature_biases)
         assert len(layer.enhancement_weights) == cfg.l
         assert all(w.shape == (cfg.m * cfg.p, cfg.q) for w in layer.enhancement_weights)
+
+    @pytest.mark.parametrize("input_dim", [0, 2.0])
+    def test_bad_input_dim_rejected(self, input_dim):
+        with pytest.raises(ConfigError, match="input_dim must be an integer >= 1"):
+            init_random_layer(NetworkConfig(), input_dim)
 
     def test_deterministic_per_seed(self):
         cfg = NetworkConfig(seed=9)

@@ -30,6 +30,12 @@ class TestCrossValidate:
         assert all(0.0 <= a <= 1.0 for a in res.per_fold_accuracy)
         assert res.mean_accuracy == pytest.approx(np.mean(res.per_fold_accuracy))
 
+    def test_plan_for_another_size_rejected(self):
+        ds = toy_dataset()
+        plan = data.make_folds(ds.n_samples + 1, 5, seed=1)
+        with pytest.raises(ConfigError, match="fold plan does not match the dataset size"):
+            stats.cross_validate(ds, ModelConfig("bls"), plan)
+
     def test_std_uses_sample_dof(self):
         ds = toy_dataset()
         plan = data.make_folds(ds.n_samples, 5, seed=1)
@@ -168,6 +174,14 @@ class TestRanks:
         with pytest.raises(ConfigError, match="non-finite"):
             stats.rank_models(acc)
 
+    @pytest.mark.parametrize("acc,message", [
+        (np.ones(3), "must be 2-D"),
+        (np.empty((0, 3)), "no dataset rows"),
+    ], ids=["1-D", "no-rows"])
+    def test_malformed_table_rejected(self, acc, message):
+        with pytest.raises(ConfigError, match=message):
+            stats.rank_models(acc)
+
     def test_row_rank_sums_invariant(self):
         rng = np.random.default_rng(0)
         acc = rng.uniform(size=(6, 5))
@@ -207,6 +221,18 @@ class TestFriedman:
         ref = scipy.stats.friedmanchisquare(*acc.T)
         assert res.chi2 == pytest.approx(ref.statistic, rel=1e-10)
 
+    @pytest.mark.parametrize("average_rank,n_datasets", [
+        ([1.5, 1.5], 1), ([1.0], 5),
+    ], ids=["one-dataset", "one-model"])
+    def test_too_small_comparison_rejected(self, average_rank, n_datasets):
+        with pytest.raises(ConfigError, match="need at least 2 datasets and 2 models"):
+            stats.friedman_test(average_rank, n_datasets)
+
+    @pytest.mark.parametrize("n_datasets", [3.7, 3.0, "3"])
+    def test_non_integer_dataset_count_rejected(self, n_datasets):
+        with pytest.raises(ConfigError, match="n_datasets must be an integer"):
+            stats.friedman_test([1.0, 2.0], n_datasets)
+
     def test_accepts_published_average_ranks(self):
         res = stats.friedman_test(pt.AVERAGE_RANKS, n_datasets=28)
         assert res.chi2 == pytest.approx(pt.FRIEDMAN_CHI2, abs=1e-3)
@@ -238,6 +264,15 @@ class TestWilcoxon:
         b = a - 1.0  # a always wins
         res = stats.wilcoxon_signed_rank(a, b)
         assert res.statistic == 0.0
+
+    @pytest.mark.parametrize("a,b,message", [
+        (np.ones(6), np.ones(5), "equal-length flat sequences"),
+        (np.ones((3, 2)), np.ones((3, 2)), "equal-length flat sequences"),
+        (np.arange(4.0), np.zeros(4), "need at least 5 pairs"),
+    ], ids=["lengths", "2-D", "four-pairs"])
+    def test_malformed_pairs_rejected(self, a, b, message):
+        with pytest.raises(ConfigError, match=message):
+            stats.wilcoxon_signed_rank(a, b)
 
     def test_identical_samples_raise(self):
         # All differences are zero; the comparison is undefined and should
@@ -279,6 +314,13 @@ class TestWinTieLoss:
     def test_negative_or_non_finite_tie_tol_rejected(self, tie_tol):
         with pytest.raises(ConfigError, match="tie_tol must be finite and non-negative"):
             stats.win_tie_loss(np.ones(5), np.zeros(5), tie_tol)
+
+    @pytest.mark.parametrize("a,b", [
+        (np.ones(3), np.ones(2)), (np.ones((2, 2)), np.ones((2, 2))), (np.ones(0), np.ones(0)),
+    ], ids=["lengths", "2-D", "empty"])
+    def test_malformed_pairs_rejected(self, a, b):
+        with pytest.raises(ConfigError, match="equal-length nonempty flat sequences"):
+            stats.win_tie_loss(a, b)
 
     def test_zero_tie_tol_counts_exact_ties_only(self):
         res = stats.win_tie_loss(np.array([1.0, 0.5, 0.2]), np.array([1.0, 0.6, 0.1]), 0.0)

@@ -213,6 +213,16 @@ class TestInputBoundary:
             with pytest.raises(NonFiniteInput, match="X_test feature 1 normalizes beyond float64"):
                 predict(model, row)
 
+    def test_sigmoid_predicts_far_outside_training_range(self, blobs):
+        # The activation's exp overflows to inf on these rows, and its
+        # limit 0 is the output.
+        X, y = blobs
+        net = small_net(feature_activation="sigmoid", enhancement_activation="sigmoid")
+        model = fit(X, y, ModelConfig("bls", net))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(predict(model, X * 1e4)) == len(y)
+
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
     @pytest.mark.parametrize("net,branch", [(small_net(), "primal"),
                                             (small_net(m=10, p=10, q=20), "dual")])
@@ -351,6 +361,41 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="model.json"):
             load_model(path)
+
+    # The tiny model has width 4 and 6 training rows, so fit solved the primal.
+    @pytest.mark.parametrize("corrupt,needle", [
+        (lambda d: d.update(version=2), "unsupported model format version 2"),
+        (lambda d: d.update(class_labels=[], w_out={"shape": [4, 0], "hex": []}),
+         "class_labels must be at least two distinct strings, sorted"),
+        (lambda d: d.update(class_labels=["a", "a"]),
+         "class_labels must be at least two distinct strings, sorted"),
+        (lambda d: d.update(class_labels=["b", "a"]),
+         "class_labels must be at least two distinct strings, sorted"),
+        (lambda d: d.update(solve_branch_used="dual"),
+         "solve_branch_used 'dual' contradicts width 4 and 6 training rows"),
+        (lambda d: d.update(score_vector={"shape": [1], "hex": ["0x1.0000000000000p+0"]}),
+         "solve_branch_used 'primal' contradicts width 4 and 1 training rows"),
+    ], ids=["version", "no-labels", "duplicate-labels", "unsorted-labels", "flipped-branch",
+            "score-vector-length"])
+    def test_file_fit_cannot_write_rejected(self, corrupt, needle, tmp_path):
+        path = tmp_path / "model.json"
+        doc = json.loads(_tiny_model_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(str(path)) and needle in str(exc.value)
+
+    def test_dual_model_round_trip(self, blobs, tmp_path):
+        X, y = blobs  # 80 samples, width 120
+        model = fit(X, y, ModelConfig("f-bls", small_net(m=10, p=10, q=20)))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert json.loads(path.read_text())["solve_branch_used"] == "dual"
+        assert loaded.solve_branch_used == "dual"
+        np.testing.assert_array_equal(loaded.w_out, model.w_out)
+        np.testing.assert_array_equal(loaded.score_vector, model.score_vector)
 
     def test_nan_delta_rejected(self, blobs, tmp_path):
         X, y = blobs
