@@ -146,13 +146,20 @@ def load_csv(path, label_column: Union[int, str] = -1, header: bool = True) -> D
     return Dataset(name=Path(path).stem, X=X, labels=tuple(labels))
 
 
+def _rng(seed, name: str) -> np.random.Generator:
+    """numpy seeds its generators from nonnegative integers only."""
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def make_folds(n: int, k: int, seed: int) -> FoldPlan:
     """Deterministic shuffled round-robin fold assignment."""
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
     if k > n:
         raise ConfigError(f"k = {k} exceeds the sample count {n}")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = _rng(seed, "fold seed").permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     assignments[perm] = np.arange(n) % k
     return FoldPlan(k=k, assignments=assignments)
@@ -168,11 +175,11 @@ def inject_gaussian_noise(ds: Dataset, level: float, seed: int) -> Dataset:
     """
     if not (0.0 <= level <= 100.0):
         raise ConfigError(f"noise level must be in [0, 100], got {level!r}")
+    rng = _rng(seed, "noise seed")
     n = ds.n_samples
     n_corrupt = int(round(level / 100.0 * n))
     X = ds.X.copy()
     if n_corrupt > 0:
-        rng = np.random.default_rng(seed)
         chosen = rng.choice(n, size=n_corrupt, replace=False)
         sigma = ds.X.std(axis=0)
         X[chosen] += rng.normal(0.0, 1.0, size=(n_corrupt, ds.n_features)) * sigma

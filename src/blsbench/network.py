@@ -110,8 +110,7 @@ def init_random_layer(cfg: NetworkConfig, input_dim: int) -> RandomLayer:
     from the config seed, so layouts are reproducible and groups are
     independent of one another.
     """
-    if not isinstance(input_dim, int) or input_dim < 1:
-        raise ConfigError(f"input_dim must be an integer >= 1, got {input_dim!r}")
+    _check_input_dim(input_dim)
     fw, fb = [], []
     for i in range(cfg.m):
         rng = _group_rng(cfg.seed, _FEATURE_STREAM, i)
@@ -130,6 +129,11 @@ def init_random_layer(cfg: NetworkConfig, input_dim: int) -> RandomLayer:
         enhancement_weights=tuple(ew),
         enhancement_biases=tuple(eb),
     )
+
+
+def _check_input_dim(input_dim) -> None:
+    if not isinstance(input_dim, int) or input_dim < 1:
+        raise ConfigError(f"input_dim must be an integer >= 1, got {input_dim!r}")
 
 
 def state_matrix(layer: RandomLayer, X) -> np.ndarray:

@@ -115,37 +115,6 @@ class ModelConfig:
             flat.update(vars(self.kernel))
         return flat
 
-    def to_dict(self) -> dict:
-        """Nested form written into model files, floats as float.hex()."""
-
-        def group(obj):
-            return None if obj is None else {k: _hex(k, v) for k, v in vars(obj).items()}
-
-        doc = {k: _hex(k, getattr(self, k)) for k in ("variant", "c_reg", "delta")}
-        return {**doc, "kernel": group(self.kernel), "network": group(self.network)}
-
-    @classmethod
-    def from_dict(cls, doc) -> "ModelConfig":
-        """Inverse of to_dict, reading only the config keys of doc.
-
-        Raises ConfigError unless to_dict writes those keys back exactly; a
-        malformed doc may also raise KeyError, TypeError or ValueError.
-        """
-        flat = {k: doc[k] for k in ("variant", "c_reg", "delta")}
-        for group in ("network", "kernel"):
-            flat.update(doc[group] or {})
-        cfg = cls.from_flat({
-            k: float.fromhex(v) if isinstance(v, str) and v.startswith("0x") else v
-            for k, v in flat.items()
-        })
-        # Compared as JSON, so that false does not pass for 0 nor 1.0 for 1.
-        written = cfg.to_dict()
-        if json.dumps(written, sort_keys=True) != json.dumps(
-            {k: doc[k] for k in written}, sort_keys=True
-        ):
-            raise ConfigError("config fields differ from the ones a saved config has")
-        return cfg
-
 
 # --- flat config schema ---------------------------------------------------
 #
@@ -173,13 +142,6 @@ FLAT_CASTS = {
 }
 _NETWORK_KEYS = tuple(f.name for f in fields(network.NetworkConfig))
 _KERNEL_KEYS = tuple(f.name for f in fields(if_scores.KernelParams))
-
-
-def _hex(key: str, value):
-    """A field's value as model files hold it: floats as float.hex()."""
-    if value is None or isinstance(value, str):
-        return value
-    return int(value) if FLAT_CASTS[key] is int else float(value).hex()
 
 
 @dataclass(frozen=True)
@@ -214,6 +176,17 @@ def _solve_branch(width: int, n_samples: int) -> str:
     return "primal" if width <= n_samples else "dual"
 
 
+def _classes(labels, variant: str) -> tuple[str, ...]:
+    """The classes of fit and of a model file: the sorted distinct labels,
+    at least 2, and exactly 2 for f-bls and if-bls."""
+    classes = tuple(sorted(set(labels)))
+    if len(classes) < 2:
+        raise ClassBalanceError("training data contains a single class")
+    if variant != "bls" and len(classes) != 2:
+        raise ClassBalanceError(f"{variant} requires exactly 2 classes, got {len(classes)}")
+    return classes
+
+
 @linalg._single_threaded_blas()
 def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     """Train one model. labels may be any strings; classes are ordered
@@ -222,22 +195,12 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     labels = [str(v) for v in labels]
     if len(labels) != X.shape[0]:
         raise ConfigError(f"{len(labels)} labels for {X.shape[0]} samples")
-    class_labels = tuple(sorted(set(labels)))
-    if len(class_labels) < 2:
-        raise ClassBalanceError("training data contains a single class")
+    class_labels = _classes(labels, cfg.variant)
     index_of = {c: i for i, c in enumerate(class_labels)}
     indices = np.array([index_of[v] for v in labels])
 
-    if cfg.variant in ("f-bls", "if-bls"):
-        if len(class_labels) != 2:
-            raise ClassBalanceError(
-                f"{cfg.variant} requires exactly 2 classes, got {len(class_labels)}"
-            )
-        counts = np.bincount(indices, minlength=2)
-        if counts.min() < 2:
-            raise ClassBalanceError(
-                f"{cfg.variant} requires at least 2 samples per class"
-            )
+    if cfg.variant != "bls" and np.bincount(indices).min() < 2:
+        raise ClassBalanceError(f"{cfg.variant} requires at least 2 samples per class")
 
     feature_min = X.min(axis=0)
     with np.errstate(over="ignore"):
@@ -308,51 +271,59 @@ def accuracy(model: TrainedModel, X, labels: Sequence) -> float:
 
 # --- persistence ----------------------------------------------------------
 #
-# Structured JSON with all floats hex-encoded (float.hex) so round-trips
-# are bit-exact.
+# _document is the one statement of the model-file format. Floats are written
+# as float.hex() so round trips are bit-exact. load_model accepts a file only
+# if the decoded model's document matches it: arrays by their shape as
+# written, everything else as JSON.
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=np.float64)
+def _hex(key: str, value):
+    """A field's value as model files hold it: floats as float.hex()."""
+    if value is None or isinstance(value, str):
+        return value
+    return int(value) if FLAT_CASTS[key] is int else float(value).hex()
+
+
+def _document(model: TrainedModel) -> dict:
+    """A model file's content, its arrays still numpy arrays."""
+    cfg = model.config
+
+    def group(obj):
+        return None if obj is None else {k: _hex(k, v) for k, v in vars(obj).items()}
+
     return {
-        "shape": list(a.shape),
-        "hex": [float(v).hex() for v in a.ravel()],
-    }
-
-
-def _decode_array(d: dict, shape: Optional[tuple] = None) -> np.ndarray:
-    """Decode an array that must have the given shape (default: 1-D)."""
-    hexes = d["hex"]
-    shape = list(shape or (len(hexes),))
-    if set(d) != {"shape", "hex"} or d["shape"] != shape or not isinstance(hexes, list):
-        raise DataFormatError(f"array {d['shape']!r} where {shape} was expected")
-    return np.array([float.fromhex(h) for h in hexes], dtype=np.float64).reshape(shape)
-
-
-def save_model(model: TrainedModel, path) -> None:
-    doc = {
         "format": "blsbench-model",
         "version": MODEL_FORMAT_VERSION,
-        **model.config.to_dict(),
+        **{k: _hex(k, getattr(cfg, k)) for k in ("variant", "c_reg", "delta")},
+        "kernel": group(cfg.kernel),
+        "network": group(cfg.network),
         "input_dim": model.layer.input_dim,
         "class_labels": list(model.class_labels),
         "solve_branch_used": model.solve_branch_used,
-        "feature_weights": [_encode_array(w) for w in model.layer.feature_weights],
-        "feature_biases": [_encode_array(b) for b in model.layer.feature_biases],
-        "enhancement_weights": [_encode_array(w) for w in model.layer.enhancement_weights],
-        "enhancement_biases": [_encode_array(b) for b in model.layer.enhancement_biases],
-        "w_out": _encode_array(model.w_out),
-        "norm_min": _encode_array(model.norm_state.feature_min),
-        "norm_range": _encode_array(model.norm_state.feature_range),
-        "score_vector": _encode_array(model.score_vector),
+        "feature_weights": model.layer.feature_weights,
+        "feature_biases": model.layer.feature_biases,
+        "enhancement_weights": model.layer.enhancement_weights,
+        "enhancement_biases": model.layer.enhancement_biases,
+        "w_out": model.w_out,
+        "norm_min": model.norm_state.feature_min,
+        "norm_range": model.norm_state.feature_range,
+        "score_vector": model.score_vector,
     }
+
+
+def _encode_array(a: np.ndarray) -> dict:
+    return {"shape": list(a.shape), "hex": list(map(float.hex, a.ravel().tolist()))}
+
+
+def save_model(model: TrainedModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(_document(model), fh, indent=1, default=_encode_array)
         fh.write("\n")
 
 
 def load_model(path) -> TrainedModel:
-    """Read a model file; a corrupt or inconsistent one raises DataFormatError."""
+    """Read a model file; raise DataFormatError unless saving the decoded model
+    writes the same document, up to how array hex values are spelled."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -365,54 +336,71 @@ def load_model(path) -> TrainedModel:
             f"{path}: unsupported model format version {doc.get('version')!r}"
         )
     try:
-        return _model_from_doc(dict(doc))
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigError, DataFormatError too
+        model = _model_from_doc(doc)
+        built = _document(model)
+        for key in sorted(doc.keys() | built.keys()):
+            found, written = _as_json(doc, key), _as_json(built, key)
+            if found != written:
+                raise DataFormatError(f"{key} is {found} where saving the model writes {written}")
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # ConfigError too
         raise DataFormatError(f"{path}: bad model file: {type(exc).__name__} {exc}") from None
+    return model
+
+
+def _as_json(doc: dict, key: str) -> str:
+    """doc[key] as JSON, arrays reduced to their shape, cut to 120 characters."""
+    if key not in doc:
+        return "missing"
+    text = json.dumps(doc[key], sort_keys=True, default=lambda a: {"shape": list(a.shape)})
+    return text if len(text) <= 120 else text[:117] + "..."
 
 
 def _model_from_doc(doc: dict) -> TrainedModel:
-    """Decode a model document, consuming its keys; any key left is unknown."""
-    cfg = ModelConfig.from_dict(doc)
-    for key in ("format", "version", *cfg.to_dict()):
-        del doc[key]
-    net, input_dim = cfg.network, doc.pop("input_dim")
-    labels = doc.pop("class_labels")
-    # fit writes the sorted set of its training labels, at least two.
-    if not (isinstance(labels, list) and all(isinstance(c, str) for c in labels)
-            and len(labels) >= 2 and labels == sorted(set(labels))):
-        raise DataFormatError("class_labels must be at least two distinct strings, sorted")
-    branch = doc.pop("solve_branch_used")
+    """The model a document decodes to, each array in the shape that the
+    config, input_dim and the classes give it. Decoding takes each array's
+    "hex" list out of doc, leaving what load_model compares."""
+    flat = {k: doc[k] for k in ("variant", "c_reg", "delta")}
+    for group in ("network", "kernel"):
+        flat.update(doc[group] if isinstance(doc[group], dict) else {})
+    cfg = ModelConfig.from_flat({
+        k: float.fromhex(v) if isinstance(v, str) and v.startswith("0x") else v
+        for k, v in flat.items()
+    })
+    net, input_dim = cfg.network, doc["input_dim"]
+    network._check_input_dim(input_dim)
+    try:
+        labels = _classes([str(c) for c in doc["class_labels"]], cfg.variant)
+    except (TypeError, ClassBalanceError) as exc:
+        raise DataFormatError(f"class_labels: {exc}") from None
 
-    def groups(key, count, shape):
-        arrays = doc.pop(key)
-        if not isinstance(arrays, list) or len(arrays) != count:
-            raise DataFormatError(f"{key} must hold {count} groups")
-        return tuple(_decode_array(d, shape) for d in arrays)
+    def arrays(key, shape, count=None):
+        """doc[key] as one array, or as a tuple of count arrays."""
+        try:
+            out = []
+            for d in [doc[key]] if count is None else [doc[key][i] for i in range(count)]:
+                hexes = d.pop("hex")
+                if not isinstance(hexes, list):
+                    raise TypeError(f"hex is a {type(hexes).__name__}")
+                out.append(np.array(list(map(float.fromhex, hexes))).reshape(shape))
+        except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{key}: {type(exc).__name__} {exc}") from None
+        if not all(np.isfinite(a).all() for a in out):
+            raise DataFormatError(f"{key} holds a non-finite value")
+        return out[0] if count is None else tuple(out)
 
     layer = network.RandomLayer(
         config=net,
         input_dim=input_dim,
-        feature_weights=groups("feature_weights", net.m, (input_dim, net.p)),
-        feature_biases=groups("feature_biases", net.m, (1, net.p)),
-        enhancement_weights=groups("enhancement_weights", net.l, (net.m * net.p, net.q)),
-        enhancement_biases=groups("enhancement_biases", net.l, (1, net.q)),
+        feature_weights=arrays("feature_weights", (input_dim, net.p), net.m),
+        feature_biases=arrays("feature_biases", (1, net.p), net.m),
+        enhancement_weights=arrays("enhancement_weights", (net.m * net.p, net.q), net.l),
+        enhancement_biases=arrays("enhancement_biases", (1, net.q), net.l),
     )
-    model = TrainedModel(
+    return TrainedModel(
         config=cfg,
         layer=layer,
-        w_out=_decode_array(doc.pop("w_out"), (net.width, len(labels))),
-        norm_state=NormState(
-            feature_min=_decode_array(doc.pop("norm_min"), (input_dim,)),
-            feature_range=_decode_array(doc.pop("norm_range"), (input_dim,)),
-        ),
-        class_labels=tuple(labels),
-        score_vector=_decode_array(doc.pop("score_vector")),
+        w_out=arrays("w_out", (net.width, len(labels))),
+        norm_state=NormState(arrays("norm_min", (input_dim,)), arrays("norm_range", (input_dim,))),
+        class_labels=labels,
+        score_vector=arrays("score_vector", (-1,)),
     )
-    if branch != model.solve_branch_used:
-        raise DataFormatError(
-            f"solve_branch_used {branch!r} contradicts width {net.width} "
-            f"and {model.score_vector.shape[0]} training rows"
-        )
-    if doc:
-        raise DataFormatError(f"unknown keys {sorted(doc)}")
-    return model

@@ -544,6 +544,23 @@ def test_bad_ini_file_is_runtime_error(command, flag, text, needle, dataset_csv,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,flag,needle", [
+    ("noise", "--seed", "noise seed"),
+    ("cv", "--fold-seed", "fold seed"),
+    ("gridsearch", "--fold-seed", "fold seed"),
+])
+def test_negative_seed_is_runtime_error(command, flag, needle, dataset_csv, tmp_path):
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[grid]\nc_reg = 1\nm = 2\np = 4\nq = 6\n")
+    extra = {"noise": ["--level", "20"], "cv": ["--variant", "bls"],
+             "gridsearch": ["--variant", "bls", "--grid", str(grid)]}[command]
+    out = tmp_path / "out.csv"
+    res = run_cli(command, "--data", str(dataset_csv), *extra, flag, "-1", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr == f"error: {needle} must be a nonnegative integer, got -1\n"
+    assert not out.exists() and not (tmp_path / "out.csv.manifest.json").exists()
+
+
 class TestNoise:
     def test_writes_corrupted_copy(self, dataset_csv, tmp_path):
         out = tmp_path / "noisy.csv"

@@ -170,6 +170,12 @@ class TestFolds:
         with pytest.raises(ConfigError, match=message):
             data.make_folds(n, k, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError) as exc:
+            data.make_folds(10, 2, seed)
+        assert str(exc.value) == f"fold seed must be a nonnegative integer, got {seed!r}"
+
     @given(st.integers(10, 60), st.integers(2, 6), st.integers(0, 100))
     @settings(max_examples=40, deadline=None)
     def test_every_sample_in_exactly_one_fold(self, n, k, seed):
@@ -231,6 +237,13 @@ class TestNoise:
         a = data.inject_gaussian_noise(ds, level=20, seed=7)
         b = data.inject_gaussian_noise(ds, level=20, seed=7)
         np.testing.assert_array_equal(a.X, b.X)
+
+    @pytest.mark.parametrize("level", [0, 20])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed, level):
+        with pytest.raises(ConfigError) as exc:
+            data.inject_gaussian_noise(self.make_ds(), level=level, seed=seed)
+        assert str(exc.value) == f"noise seed must be a nonnegative integer, got {seed!r}"
 
     def test_invalid_level_rejected(self):
         ds = self.make_ds()

@@ -338,45 +338,63 @@ class TestPersistence:
         with pytest.raises(DataFormatError):
             load_model(path)
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda d: d.pop("w_out"),
-        lambda d: d.update(extra=1),
-        lambda d: d["network"].pop("l"),
-        lambda d: d.update(c_reg=None),
-        lambda d: d.update(delta=d["c_reg"]),
-        lambda d: d["w_out"]["hex"].__setitem__(0, "0xzz"),
-        lambda d: d["feature_weights"].pop(),
-        lambda d: d["w_out"].update(shape=d["w_out"]["shape"][::-1]),
-        lambda d: d["norm_min"].update(shape=[1], hex=d["norm_min"]["hex"][:1]),
-        lambda d: d["enhancement_biases"][0].update(shape=[1, 1], hex=["0x1p0"]),
-        lambda d: d.update(class_labels=["a", 2]),
-        lambda d: d.update(score_vector=None),
+    # Each case names the key its message must name.
+    @pytest.mark.parametrize("corrupt,key", [
+        (lambda d: d.pop("w_out"), "w_out"),
+        (lambda d: d.update(extra=1), "extra"),
+        (lambda d: d["network"].pop("l"), "network"),
+        (lambda d: d.update(c_reg=None), "c_reg"),
+        (lambda d: d.update(delta=d["c_reg"]), "delta"),
+        (lambda d: d["w_out"]["hex"].__setitem__(0, "0xzz"), "w_out"),
+        (lambda d: d["feature_weights"].pop(), "feature_weights"),
+        (lambda d: d["w_out"].update(shape=d["w_out"]["shape"][::-1]), "w_out"),
+        (lambda d: d["norm_min"].update(shape=[1], hex=d["norm_min"]["hex"][:1]), "norm_min"),
+        (lambda d: d["enhancement_biases"][0].update(shape=[1, 1], hex=["0x1p0"]),
+         "enhancement_biases"),
+        (lambda d: d.update(class_labels=["a", 2]), "class_labels"),
+        (lambda d: d.update(score_vector=None), "score_vector"),
+        (lambda d: d["score_vector"].update(shape=[-1]), "score_vector"),
+        (lambda d: d["w_out"].update(dtype="float64"), "w_out"),
+        (lambda d: d["feature_biases"][0].update(hex="00"), "feature_biases"),
+        (lambda d: d["feature_biases"][0].update(shape=[1.0, 2]), "feature_biases"),
+        (lambda d: d.update(input_dim=-1), "input_dim"),
     ], ids=["missing-key", "unknown-key", "missing-field", "null-field", "foreign-delta",
             "bad-hex", "group-count", "w_out-shape", "norm-length", "bias-shape",
-            "label-type", "null-score-vector"])
-    def test_inconsistent_file_rejected(self, corrupt, tmp_path):
+            "label-type", "null-score-vector", "shape-minus-one", "unknown-array-key",
+            "hex-not-a-list", "float-shape", "negative-input-dim"])
+    def test_inconsistent_file_rejected(self, corrupt, key, tmp_path):
         path = tmp_path / "model.json"
         doc = json.loads(_tiny_model_text())
         corrupt(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataFormatError, match="model.json"):
+        with pytest.raises(DataFormatError) as exc:
             load_model(path)
+        assert str(exc.value).startswith(f"{path}: ") and key in str(exc.value)
 
     # The tiny model has width 4 and 6 training rows, so fit solved the primal.
     @pytest.mark.parametrize("corrupt,needle", [
         (lambda d: d.update(version=2), "unsupported model format version 2"),
+        (lambda d: d.update(version=1.0), "version is 1.0 where saving the model writes 1"),
         (lambda d: d.update(class_labels=[], w_out={"shape": [4, 0], "hex": []}),
-         "class_labels must be at least two distinct strings, sorted"),
+         "class_labels: training data contains a single class"),
         (lambda d: d.update(class_labels=["a", "a"]),
-         "class_labels must be at least two distinct strings, sorted"),
+         "class_labels: training data contains a single class"),
         (lambda d: d.update(class_labels=["b", "a"]),
-         "class_labels must be at least two distinct strings, sorted"),
+         'class_labels is ["b", "a"] where saving the model writes ["a", "b"]'),
         (lambda d: d.update(solve_branch_used="dual"),
-         "solve_branch_used 'dual' contradicts width 4 and 6 training rows"),
+         'solve_branch_used is "dual" where saving the model writes "primal"'),
         (lambda d: d.update(score_vector={"shape": [1], "hex": ["0x1.0000000000000p+0"]}),
-         "solve_branch_used 'primal' contradicts width 4 and 1 training rows"),
-    ], ids=["version", "no-labels", "duplicate-labels", "unsorted-labels", "flipped-branch",
-            "score-vector-length"])
+         'solve_branch_used is "primal" where saving the model writes "dual"'),
+        (lambda d: d["w_out"]["hex"].__setitem__(1, "nan"), "w_out holds a non-finite value"),
+        (lambda d: d["norm_min"]["hex"].__setitem__(0, "inf"),
+         "norm_min holds a non-finite value"),
+        (lambda d: d["score_vector"]["hex"].__setitem__(2, "-inf"),
+         "score_vector holds a non-finite value"),
+        (lambda d: d["norm_range"]["hex"].__setitem__(0, "0x1p+1024"),
+         "norm_range: OverflowError"),
+    ], ids=["version", "float-version", "no-labels", "duplicate-labels", "unsorted-labels",
+            "flipped-branch", "score-vector-length", "nan-w_out", "inf-norm_min",
+            "inf-score_vector", "overflowing-hex"])
     def test_file_fit_cannot_write_rejected(self, corrupt, needle, tmp_path):
         path = tmp_path / "model.json"
         doc = json.loads(_tiny_model_text())
@@ -384,7 +402,52 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError) as exc:
             load_model(path)
-        assert str(exc.value).startswith(str(path)) and needle in str(exc.value)
+        assert str(exc.value).startswith(f"{path}: ") and needle in str(exc.value)
+
+    def test_overflowing_config_hex_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = json.loads(_tiny_model_text())
+        doc["c_reg"] = "0x1p+1024"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="model.json: bad model file: OverflowError"):
+            load_model(path)
+
+    @pytest.mark.parametrize("variant", ["f-bls", "if-bls"])
+    def test_three_classes_rejected_for_two_class_variants(self, variant, tmp_path):
+        X, y = _TINY_DATA
+        path = tmp_path / "model.json"
+        save_model(fit(X, y, ModelConfig(variant, NetworkConfig(m=1, p=2, l=1, q=2))), path)
+        doc = json.loads(path.read_text())
+        doc["class_labels"] = ["a", "b", "c"]
+        doc["w_out"] = {"shape": [4, 3], "hex": ["0x1p-1"] * 12}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert f"class_labels: {variant} requires exactly 2 classes, got 3" in str(exc.value)
+
+    def test_respelled_hex_loads_and_saves_canonically(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = json.loads(_tiny_model_text())
+        doc["w_out"]["hex"] = [h.replace("0x", "0X").replace("+", "") for h in doc["w_out"]["hex"]]
+        path.write_text(json.dumps(doc))
+        save_model(load_model(path), path)
+        assert path.read_text() == _tiny_model_text()
+
+    @settings(max_examples=20, deadline=None)
+    @given(variant=st.sampled_from(trainer.VARIANTS), branch=st.sampled_from(["primal", "dual"]),
+           seed=st.integers(0, 2**16), c_reg=st.floats(1e-3, 1e3))
+    def test_save_load_save_is_byte_identical(self, variant, branch, seed, c_reg):
+        X, y = make_blobs(6, [(0.0, 0.0, 0.0), (1.5, 1.0, 0.5)], 0.7, seed=seed)
+        shape = dict(m=1, p=2, l=1, q=3) if branch == "primal" else dict(m=2, p=4, l=2, q=5)
+        model = fit(X, y, ModelConfig(variant, NetworkConfig(seed=seed, **shape), c_reg=c_reg))
+        assert model.solve_branch_used == branch
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+            save_model(model, first)
+            save_model(load_model(first), second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
 
     def test_dual_model_round_trip(self, blobs, tmp_path):
         X, y = blobs  # 80 samples, width 120
@@ -440,21 +503,11 @@ class TestPersistence:
                 loaded = load_model(path)
             except DataFormatError:
                 return
-        # Only edits that keep the content (a dropped trailing newline, 1 -> 1.0)
-        # may load, and then to the same model.
-        original = _tiny_model()
-        assert loaded.config == original.config
-        assert loaded.class_labels == original.class_labels
-        assert loaded.solve_branch_used == original.solve_branch_used
-        for name in ("feature_weights", "feature_biases", "enhancement_weights",
-                     "enhancement_biases"):
-            for a, b in zip(getattr(loaded.layer, name), getattr(original.layer, name)):
-                np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(loaded.w_out, original.w_out)
-        np.testing.assert_array_equal(loaded.norm_state.feature_min, original.norm_state.feature_min)
-        np.testing.assert_array_equal(loaded.norm_state.feature_range,
-                                      original.norm_state.feature_range)
-        np.testing.assert_array_equal(loaded.score_vector, original.score_vector)
+            # Only edits that keep the document (a dropped trailing newline)
+            # may load, and then to a model that saves back to the same bytes.
+            save_model(loaded, path)
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == _tiny_model_text()
 
 
 _JSON_VALUES = st.one_of(
@@ -475,11 +528,16 @@ def _json_paths(node, prefix=()):
 _TINY = {}
 
 
+_TINY_DATA = (
+    np.array([[0.0, 0.1], [0.2, 0.0], [0.1, 0.3], [2.0, 2.1], [2.2, 1.9], [1.8, 2.0]]),
+    ["a", "a", "a", "b", "b", "b"],
+)
+
+
 def _tiny_model():
     """A small if-bls model with a float epsilon, so every config field is set."""
     if "model" not in _TINY:
-        X = np.array([[0.0, 0.1], [0.2, 0.0], [0.1, 0.3], [2.0, 2.1], [2.2, 1.9], [1.8, 2.0]])
-        y = ["a", "a", "a", "b", "b", "b"]
+        X, y = _TINY_DATA
         cfg = ModelConfig("if-bls", NetworkConfig(m=1, p=2, l=1, q=2, seed=1),
                           c_reg=0.5, kernel=KernelParams(mu=0.5, epsilon=0.25))
         _TINY["model"] = fit(X, y, cfg)
