@@ -21,6 +21,7 @@ __all__ = [
     "write_csv",
     "make_folds",
     "inject_gaussian_noise",
+    "check_seed",
 ]
 
 
@@ -146,11 +147,11 @@ def load_csv(path, label_column: Union[int, str] = -1, header: bool = True) -> D
     return Dataset(name=Path(path).stem, X=X, labels=tuple(labels))
 
 
-def _rng(seed, name: str) -> np.random.Generator:
-    """numpy seeds its generators from nonnegative integers only."""
-    if not isinstance(seed, int) or seed < 0:
+def check_seed(seed, name: str) -> int:
+    """seed as an int; numpy seeds its generators from nonnegative integers only."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"{name} must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return int(seed)
 
 
 def make_folds(n: int, k: int, seed: int) -> FoldPlan:
@@ -159,7 +160,7 @@ def make_folds(n: int, k: int, seed: int) -> FoldPlan:
         raise ConfigError(f"k must be >= 2, got {k}")
     if k > n:
         raise ConfigError(f"k = {k} exceeds the sample count {n}")
-    perm = _rng(seed, "fold seed").permutation(n)
+    perm = np.random.default_rng(check_seed(seed, "fold seed")).permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     assignments[perm] = np.arange(n) % k
     return FoldPlan(k=k, assignments=assignments)
@@ -175,7 +176,7 @@ def inject_gaussian_noise(ds: Dataset, level: float, seed: int) -> Dataset:
     """
     if not (0.0 <= level <= 100.0):
         raise ConfigError(f"noise level must be in [0, 100], got {level!r}")
-    rng = _rng(seed, "noise seed")
+    rng = np.random.default_rng(check_seed(seed, "noise seed"))
     n = ds.n_samples
     n_corrupt = int(round(level / 100.0 * n))
     X = ds.X.copy()

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_seed
 from .errors import ConfigError, DimensionMismatch
 from .linalg import as_matrix
 
@@ -72,8 +73,7 @@ class NetworkConfig:
             raise ConfigError(
                 f"unknown enhancement activation {self.enhancement_activation!r}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
 
     @property
     def width(self) -> int:
@@ -91,6 +91,9 @@ class RandomLayer:
     feature_biases: tuple[np.ndarray, ...] = field(repr=False)
     enhancement_weights: tuple[np.ndarray, ...] = field(repr=False)
     enhancement_biases: tuple[np.ndarray, ...] = field(repr=False)
+
+    def __post_init__(self):
+        _check_input_dim(self.input_dim)
 
 
 # Segment tags keep the feature and enhancement streams independent even
@@ -110,7 +113,7 @@ def init_random_layer(cfg: NetworkConfig, input_dim: int) -> RandomLayer:
     from the config seed, so layouts are reproducible and groups are
     independent of one another.
     """
-    _check_input_dim(input_dim)
+    _check_input_dim(input_dim)  # before numpy draws with it
     fw, fb = [], []
     for i in range(cfg.m):
         rng = _group_rng(cfg.seed, _FEATURE_STREAM, i)

@@ -18,6 +18,7 @@ its checks.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union, get_type_hints
 
@@ -340,19 +341,27 @@ def load_model(path) -> TrainedModel:
         built = _document(model)
         for key in sorted(doc.keys() | built.keys()):
             found, written = _as_json(doc, key), _as_json(built, key)
-            if found != written:
-                raise DataFormatError(f"{key} is {found} where saving the model writes {written}")
+            if found != written:  # quote both from 40 characters before they differ
+                at = max(0, len(os.path.commonprefix((found, written))) - 40)
+                raise DataFormatError(
+                    f"{key} is {_cut(found, at)} where saving the model writes {_cut(written, at)}"
+                )
     except (KeyError, OverflowError, TypeError, ValueError) as exc:  # ConfigError too
         raise DataFormatError(f"{path}: bad model file: {type(exc).__name__} {exc}") from None
     return model
 
 
 def _as_json(doc: dict, key: str) -> str:
-    """doc[key] as JSON, arrays reduced to their shape, cut to 120 characters."""
+    """doc[key] as JSON, arrays reduced to their shape."""
     if key not in doc:
         return "missing"
-    text = json.dumps(doc[key], sort_keys=True, default=lambda a: {"shape": list(a.shape)})
-    return text if len(text) <= 120 else text[:117] + "..."
+    return json.dumps(doc[key], sort_keys=True, default=lambda a: {"shape": list(a.shape)})
+
+
+def _cut(text: str, start: int) -> str:
+    """117 characters of text from start, with "..." where either end is cut."""
+    end = start + 117
+    return ("..." if start else "") + text[start:end] + ("..." if end < len(text) else "")
 
 
 def _model_from_doc(doc: dict) -> TrainedModel:
@@ -367,7 +376,6 @@ def _model_from_doc(doc: dict) -> TrainedModel:
         for k, v in flat.items()
     })
     net, input_dim = cfg.network, doc["input_dim"]
-    network._check_input_dim(input_dim)
     try:
         labels = _classes([str(c) for c in doc["class_labels"]], cfg.variant)
     except (TypeError, ClassBalanceError) as exc:

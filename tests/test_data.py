@@ -170,11 +170,15 @@ class TestFolds:
         with pytest.raises(ConfigError, match=message):
             data.make_folds(n, k, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, np.int64(-1)])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ConfigError) as exc:
             data.make_folds(10, 2, seed)
         assert str(exc.value) == f"fold seed must be a nonnegative integer, got {seed!r}"
+
+    def test_numpy_integer_seed_accepted(self):
+        a = data.make_folds(23, 5, np.int64(3))
+        np.testing.assert_array_equal(a.assignments, data.make_folds(23, 5, 3).assignments)
 
     @given(st.integers(10, 60), st.integers(2, 6), st.integers(0, 100))
     @settings(max_examples=40, deadline=None)
@@ -237,6 +241,11 @@ class TestNoise:
         a = data.inject_gaussian_noise(ds, level=20, seed=7)
         b = data.inject_gaussian_noise(ds, level=20, seed=7)
         np.testing.assert_array_equal(a.X, b.X)
+
+    def test_numpy_integer_seed_accepted(self):
+        ds = self.make_ds()
+        a = data.inject_gaussian_noise(ds, level=20, seed=np.int64(7))
+        np.testing.assert_array_equal(a.X, data.inject_gaussian_noise(ds, level=20, seed=7).X)
 
     @pytest.mark.parametrize("level", [0, 20])
     @pytest.mark.parametrize("seed", [-1, 1.5])

@@ -29,6 +29,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             NetworkConfig(**{field: value})
 
+    def test_numpy_integer_seed_stored_as_int(self):
+        cfg = NetworkConfig(seed=np.int64(7))
+        assert type(cfg.seed) is int and cfg == NetworkConfig(seed=7)
+
     def test_frozen(self):
         cfg = NetworkConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):

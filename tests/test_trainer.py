@@ -404,6 +404,46 @@ class TestPersistence:
             load_model(path)
         assert str(exc.value).startswith(f"{path}: ") and needle in str(exc.value)
 
+    # Values whose JSON runs past 120 characters, changed only near the end.
+    @pytest.mark.parametrize("corrupt,key", [
+        (lambda d: d["feature_weights"].append(d["feature_weights"][-1]), "feature_weights"),
+        (lambda d: d["feature_weights"][-1].update(shape=[3, 2]), "feature_weights"),
+        (lambda d: d["feature_weights"][-1].update(shape=[-1]), "feature_weights"),
+        (lambda d: d["feature_biases"][-1].update(shape=[1.0, 3]), "feature_biases"),
+        (lambda d: d["feature_biases"][-1].update(dtype="float64"), "feature_biases"),
+        (lambda d: d["class_labels"].insert(-2, d["class_labels"].pop()), "class_labels"),
+        (lambda d: d.update(class_labels=d["class_labels"][:-1] + d["class_labels"][-2:-1],
+                            w_out={"shape": [26, 29], "hex": d["w_out"]["hex"][:26 * 29]}),
+         "class_labels"),
+    ], ids=["extra-group", "transposed-shape", "shape-minus-one", "float-shape",
+            "unknown-array-key", "unsorted-labels", "duplicate-labels"])
+    def test_late_difference_in_long_value_rejected(self, corrupt, key, tmp_path):
+        rng = np.random.default_rng(0)
+        labels = [f"class{i:02d}" for i in range(30)]
+        cfg = ModelConfig("bls", NetworkConfig(m=8, p=3, l=1, q=2))
+        path = tmp_path / "model.json"
+        save_model(fit(rng.normal(size=(30, 2)), labels, cfg), path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: ") and key in str(exc.value)
+
+    def test_long_mismatch_message_shows_the_difference(self, tmp_path):
+        labels = [f"class{i:02d}" for i in range(30)]
+        path = tmp_path / "model.json"
+        save_model(fit(np.arange(60.0).reshape(30, 2) % 7, labels, ModelConfig("bls")), path)
+        doc = json.loads(path.read_text())
+        doc["class_labels"][-2:] = doc["class_labels"][:-3:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as exc:
+            load_model(path)
+        found, written = str(exc.value).split("class_labels is ")[1].split(" where saving")
+        assert found.startswith("...") and found.endswith('"class29", "class28"]')
+        assert written.startswith(" the model writes ...")
+        assert written.endswith('"class28", "class29"]')
+
     def test_overflowing_config_hex_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         doc = json.loads(_tiny_model_text())
