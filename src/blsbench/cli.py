@@ -76,7 +76,7 @@ def _load_config_file(path: str, keys) -> dict:
     """
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
         flat = {
             key.replace("-", "_"): value
             for section in parser.sections()
@@ -84,6 +84,9 @@ def _load_config_file(path: str, keys) -> dict:
         }
     except configparser.Error as exc:  # e.g. no section header, a bad % in a value
         raise DataFormatError(f"{path} is not an INI file: {' '.join(str(exc).split())}") from None
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise DataFormatError(f"{path} is not UTF-8 text: byte {bad:#04x}: {exc.reason}") from None
     if not read:
         raise DataFormatError(f"config file not found: {path}")
     unknown = sorted(set(flat) - set(keys))

@@ -78,8 +78,12 @@ def read_csv(
     rows. Every number must be finite. Errors are DataFormatError naming
     the file, row and column of the first bad row or cell in file order.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:  # its offset counts from a read buffer, not the file
+        bad = exc.object[exc.start]
+        raise DataFormatError(f"{path} is not UTF-8 text: byte {bad:#04x}: {exc.reason}") from None
     names = [c.strip() for c in rows.pop(0)] if header and rows else None
     text = None if text_column is None else []
     if not rows:

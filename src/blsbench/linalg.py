@@ -12,7 +12,9 @@ dimension is smaller.
 pairwise_sq_dist checks its operands and then runs the private _sq_dist,
 which trusts them. trainer.fit validates its inputs once; it and the
 private steps it runs call _solve and _sq_dist directly, so each
-computation has one code path.
+computation has one code path. _solve is _system, the part C leaves
+alone, then _solve_system; stats' cross-validation engine builds the
+first once per state matrix and runs the second once per C.
 
 Fits run BLAS on one thread (see _single_threaded_blas); worker processes
 are the program's only parallelism.
@@ -101,11 +103,28 @@ def _solve(G, s, T, c_reg: float, branch: str) -> np.ndarray:
     LU factorization; it suits F > N, and its N x N system matrix is
     nonsymmetric whenever S is not the identity, hence the general solve.
     """
+    A, rhs = _system(G, s, T, branch)
+    return _solve_system(A, rhs, c_reg, branch, G)
+
+
+def _system(G, s, T, branch: str) -> tuple[np.ndarray, np.ndarray]:
+    """The part of _solve's system that C leaves alone: the primal G' S^2 G
+    and G' S^2 T, or the dual S^2 G G' and S^2 T.
+
+    G.T @ G would go to syrk, whose rounding differs; these products are
+    the ones that every fit has solved.
+    """
     s2 = s * s
     if branch == "primal":
-        A = G.T @ (s2[:, None] * G)
-        A[np.diag_indices_from(A)] += 1.0 / c_reg
-        rhs = G.T @ (s2[:, None] * T)
+        return G.T @ (s2[:, None] * G), G.T @ (s2[:, None] * T)
+    return s2[:, None] * (G @ G.T), s2[:, None] * T
+
+
+def _solve_system(A: np.ndarray, rhs: np.ndarray, c_reg: float, branch: str, G) -> np.ndarray:
+    """_solve from _system's A and rhs; A is overwritten. The dual branch
+    maps its solution back through G, which the primal branch does not use."""
+    A[np.diag_indices_from(A)] += 1.0 / c_reg
+    if branch == "primal":
         try:
             factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
@@ -113,13 +132,10 @@ def _solve(G, s, T, c_reg: float, branch: str) -> np.ndarray:
                 f"Cholesky factorization of G'S^2G + I/C failed: {exc}"
             ) from exc
         return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    M = s2[:, None] * (G @ G.T)
-    M[np.diag_indices_from(M)] += 1.0 / c_reg
-    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
+    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     if not np.diag(lu).all() or not np.isfinite(lu).all():
         raise FactorizationFailure("I/C + S^2GG' is singular")
-    y = scipy.linalg.lu_solve((lu, piv), s2[:, None] * T, check_finite=False)
-    return G.T @ y
+    return G.T @ scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 def pairwise_sq_dist(A, B) -> np.ndarray:

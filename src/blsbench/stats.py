@@ -1,5 +1,25 @@
 """Cross-validation, grid search, and the benchmark statistics battery.
 
+cross_validate and grid_search run one fold-major engine, which computes
+each quantity at the level where it varies:
+
+- per fold: fit's checks of the training part and its normalization, the
+  class indices and one-hot targets, and the test rows with
+  decision_scores' checks;
+- per weighting (none for bls, delta for f-bls, the kernel parameters for
+  if-bls): the sample weight vector;
+- per network (m, p, q and the rest of NetworkConfig): the random layer,
+  the training state matrix, the C-free part of the ridge system
+  (linalg._system) and the test state matrix;
+- per C: the solve (linalg._solve_system), the test scores, their argmax
+  and the accuracy.
+
+Every fold accuracy equals that of fit and accuracy on the same fold, bit
+for bit: the steps are fit's and decision_scores' own. A cell is one fold,
+weighting and network with all its C values; grid_search's worker
+processes each receive the dataset and the fold plan once and then run
+cells, and the results merge in enumeration order.
+
 The statistics follow the standard multi-classifier comparison protocol:
 tie-averaged ranks per dataset, the Friedman chi-square and its F-form,
 pairwise Wilcoxon signed-rank tests, and pairwise win-tie-loss counts
@@ -16,9 +36,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import if_scores, trainer
+from . import if_scores, linalg, network, trainer
 from .data import Dataset, FoldPlan
-from .errors import ClassBalanceError, ConfigError
+from .errors import BlsBenchError, ClassBalanceError, ConfigError, FactorizationFailure
 from .trainer import ModelConfig
 
 __all__ = [
@@ -78,33 +98,65 @@ def cross_validate(
 ) -> CvResult:
     """Train on each fold's complement, test on the fold, aggregate.
 
+    The one-config case of the engine that grid_search runs (see the
+    module docstring); each fold's accuracy is that of fit and accuracy.
     A fold whose training complement is missing a class is skipped: its
     accuracy is None, the reason goes into skipped, and the aggregates
     cover the remaining folds. If every fold is skipped, ClassBalanceError
     lists their distinct reasons.
     """
+    return _evaluate(ds, [cfg], plan, jobs=1)[0]
+
+
+def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int) -> list[CvResult]:
+    """The CvResult of each config, in order, from jobs processes at most."""
     if plan.assignments.shape[0] != ds.n_samples:
         raise ConfigError("fold plan does not match the dataset size")
+    # Configs that differ only in C share a cell. Weightings are the outer
+    # loop, so that each worker computes a fold's weight vector once.
+    weightings: dict = {}
+    for i, cfg in enumerate(configs):
+        weightings.setdefault((cfg.delta, cfg.kernel), {}).setdefault(cfg.network, []).append(i)
+    cells = [(fold, group) for fold in range(plan.k)
+             for networks in weightings.values() for group in networks.values()]
+    tasks = [(fold, configs[group[0]], tuple(configs[i].c_reg for i in group))
+             for fold, group in cells]
+    workers = min(jobs, len(configs), len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(ds, plan)) as pool:
+            results = list(pool.map(_worker_cell, tasks))
+    else:
+        results = list(map(_Engine(ds, plan).cell, tasks))
+    outcomes = [[None] * plan.k for _ in configs]
+    for (fold, group), result in zip(cells, results):
+        for i, outcome in zip(group, result):
+            outcomes[i][fold] = outcome
+    return [_aggregate(ds.name, cfg, row) for cfg, row in zip(configs, outcomes)]
+
+
+def _aggregate(name: str, cfg: ModelConfig, outcomes: list) -> CvResult:
+    """A config's CvResult from its fold outcomes: an accuracy, the
+    ClassBalanceError that skips the fold, or another error, raised here so
+    that the first one in config and fold order is the one reported."""
     per_fold: list[Optional[float]] = []
     skipped: list[str] = []
     reasons: list[str] = []
-    for fold in range(plan.k):
-        tr = plan.train_indices(fold)
-        te = plan.test_indices(fold)
-        tr_labels = [ds.labels[i] for i in tr]
-        try:
-            model = trainer.fit(ds.X[tr], tr_labels, cfg)
-        except ClassBalanceError as exc:
-            skipped.append(f"fold {fold} of {ds.name!r} skipped: {exc}")
-            reasons.append(str(exc))
+    for fold, outcome in enumerate(outcomes):
+        if isinstance(outcome, ClassBalanceError):
+            skipped.append(f"fold {fold} of {name!r} skipped: {outcome}")
+            reasons.append(str(outcome))
             per_fold.append(None)
-            continue
-        te_labels = [ds.labels[i] for i in te]
-        per_fold.append(trainer.accuracy(model, ds.X[te], te_labels))
+        elif isinstance(outcome, BlsBenchError):
+            raise outcome
+        else:
+            per_fold.append(outcome)
     present = [a for a in per_fold if a is not None]
     if not present:
         raise ClassBalanceError(
-            f"every fold of {ds.name!r} was degenerate for {cfg.variant}: "
+            f"every fold of {name!r} was degenerate for {cfg.variant}: "
             + "; ".join(dict.fromkeys(reasons))
         )
     mean = float(np.mean(present))
@@ -116,6 +168,95 @@ def cross_validate(
         best_config=cfg,
         skipped=tuple(skipped),
     )
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """A fold that passed fit's and decision_scores' checks: the normalized
+    training rows, their class indices and one-hot targets, and the
+    normalized test rows with their class indices (-1 for a class that the
+    training part lacks)."""
+
+    Xn: np.ndarray
+    indices: np.ndarray
+    T: np.ndarray
+    Xn_test: np.ndarray
+    test_indices: np.ndarray
+
+
+class _Engine:
+    """The cells of one dataset and fold plan.
+
+    A cell is a fold, a config whose weighting and network it uses, and
+    the C values that share them. The last fold and the last weight vector
+    are kept, so cells in _evaluate's order build each of them once.
+    """
+
+    def __init__(self, ds: Dataset, plan: FoldPlan):
+        self.ds, self.plan = ds, plan
+        self._last: dict = {}
+
+    def _memo(self, slot: str, key, make):
+        """make(), made again only when key is not the slot's last key."""
+        if self._last.get(slot, (None,))[0] != key:
+            self._last.pop(slot, None)  # free the old value before making the new one
+            self._last[slot] = (key, make())
+        return self._last[slot][1]
+
+    def _fold(self, fold: int, variant: str) -> Union[_Fold, BlsBenchError]:
+        """The fold's checked parts, or the error that fit or decision_scores
+        would raise on them."""
+        ds = self.ds
+        train, test = self.plan.train_indices(fold), self.plan.test_indices(fold)
+        try:
+            Xn, norm, classes, indices = trainer._prepare(
+                ds.X[train], [ds.labels[i] for i in train], variant)
+            Xn_test = trainer._test_rows(norm, ds.n_features, ds.X[test])
+        except BlsBenchError as exc:
+            return exc
+        index_of = {c: i for i, c in enumerate(classes)}
+        test_indices = np.array([index_of.get(str(ds.labels[i]), -1) for i in test])
+        return _Fold(Xn, indices, np.eye(len(classes))[indices], Xn_test, test_indices)
+
+    @linalg._single_threaded_blas()
+    def cell(self, task) -> list:
+        """The fold outcome of each C of a (fold, config, C values) task."""
+        fold, cfg, c_regs = task
+        part = self._memo("fold", (fold, cfg.variant), lambda: self._fold(fold, cfg.variant))
+        if isinstance(part, BlsBenchError):
+            return [part] * len(c_regs)
+        s = self._memo("weights", (fold, cfg.delta, cfg.kernel),
+                       lambda: trainer._sample_weights(part.Xn, part.indices, cfg))
+        layer = network.init_random_layer(cfg.network, self.ds.n_features)
+        G = network._forward(layer, part.Xn)
+        branch = trainer._solve_branch(cfg.network.width, G.shape[0])
+        A, rhs = linalg._system(G, s, part.T, branch)
+        if branch == "primal":
+            G = None  # only the dual maps its solution back through G
+        G_test = network.state_matrix(layer, part.Xn_test)  # as decision_scores builds it
+        outcomes = []
+        for c_reg in c_regs:
+            try:
+                W = linalg._solve_system(A.copy(), rhs, float(c_reg), branch, G)
+            except FactorizationFailure as exc:
+                outcomes.append(exc)
+                continue
+            predicted = np.argmax(G_test @ np.ascontiguousarray(W), axis=1)
+            outcomes.append(np.count_nonzero(predicted == part.test_indices) / len(predicted))
+        return outcomes
+
+
+_worker_engine: Optional[_Engine] = None
+
+
+def _start_worker(ds: Dataset, plan: FoldPlan) -> None:
+    """Pool initializer: each worker receives the dataset and the plan once."""
+    global _worker_engine
+    _worker_engine = _Engine(ds, plan)
+
+
+def _worker_cell(task) -> list:
+    return _worker_engine.cell(task)
 
 
 @dataclass(frozen=True)
@@ -175,9 +316,10 @@ def grid_search(
     The model seed is held fixed across configurations so they compete on
     identical random layers. Ties break toward the earlier enumeration
     position regardless of evaluation order or job count. jobs is the
-    number of worker processes, at most one per config; results do not
-    depend on it. Returns the winner plus every per-config result in
-    enumeration order.
+    number of worker processes, at most one per config and one per cell
+    (a fold with one weighting and one network, see the module docstring);
+    results do not depend on it. Returns the winner plus every per-config
+    result in enumeration order.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -185,15 +327,7 @@ def grid_search(
     # A config whose every fold is degenerate aborts the grid. fit's
     # ClassBalanceError depends only on the labels, the folds and the
     # variant, never on a grid point, so every other config would fail alike.
-    workers = min(jobs, len(configs))
-    args = (itertools.repeat(ds), configs, itertools.repeat(plan))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(cross_validate, *args))
-    else:
-        results = list(map(cross_validate, *args))
+    results = _evaluate(ds, configs, plan, jobs)
     best_idx = max(range(len(results)), key=lambda i: (results[i].mean_accuracy, -i))
     return results[best_idx], results
 

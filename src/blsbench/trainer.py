@@ -8,11 +8,12 @@ count. Prediction replays normalization and the frozen random layer,
 then takes a per-row argmax over the class columns.
 
 fit is the validation boundary: it checks X, the labels and the feature
-ranges once, then runs the private steps of the layer modules
+ranges once (_prepare), then runs the private steps of the layer modules
 (fuzzy._scores, if_scores._score_vector, network._forward, linalg._solve),
-which trust their inputs. The weights and the solve have no other
-entry; network.state_matrix, which prediction calls, is _forward behind
-its checks.
+which trust their inputs. network.state_matrix, which prediction calls,
+is _forward behind its checks. stats' cross-validation engine runs the
+same checks and steps, _prepare, _sample_weights and _test_rows included,
+each once per fold, weighting or network instead of once per fit.
 """
 
 from __future__ import annotations
@@ -188,20 +189,22 @@ def _classes(labels, variant: str) -> tuple[str, ...]:
     return classes
 
 
-@linalg._single_threaded_blas()
-def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
-    """Train one model. labels may be any strings; classes are ordered
-    lexicographically and targets are one-hot rows over that order."""
+def _prepare(X, labels: Sequence, variant: str):
+    """fit's checks of its training data, then its normalization.
+
+    Returns the normalized X, its NormState, the classes and each row's
+    class index. Class index 0 is the positive class of f-bls and if-bls.
+    """
     X = linalg.as_matrix(X, "X")
     labels = [str(v) for v in labels]
     if len(labels) != X.shape[0]:
         raise ConfigError(f"{len(labels)} labels for {X.shape[0]} samples")
-    class_labels = _classes(labels, cfg.variant)
+    class_labels = _classes(labels, variant)
     index_of = {c: i for i, c in enumerate(class_labels)}
     indices = np.array([index_of[v] for v in labels])
 
-    if cfg.variant != "bls" and np.bincount(indices).min() < 2:
-        raise ClassBalanceError(f"{cfg.variant} requires at least 2 samples per class")
+    if variant != "bls" and np.bincount(indices).min() < 2:
+        raise ClassBalanceError(f"{variant} requires at least 2 samples per class")
 
     feature_min = X.min(axis=0)
     with np.errstate(over="ignore"):
@@ -211,21 +214,45 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     if overflow.size:
         raise NonFiniteInput(f"X feature {overflow[0]} has a max - min range beyond float64")
     norm = NormState(feature_min=feature_min, feature_range=feature_range)
-    Xn = norm.apply(X)
+    return norm.apply(X), norm, class_labels, indices
 
-    # Class index 0 is the positive class, index 1 the negative class.
-    signed = np.where(indices == 0, 1, -1)
+
+def _sample_weights(Xn: np.ndarray, indices: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """The variant's per-sample weights of _prepare's normalized rows and class indices."""
     if cfg.variant == "bls":
-        scores = np.ones(X.shape[0])
-    elif cfg.variant == "f-bls":
-        scores = fuzzy._scores(Xn, signed, cfg.delta)
-    else:
-        scores, _ = if_scores._score_vector(Xn, signed, cfg.kernel)
+        return np.ones(Xn.shape[0])
+    signed = np.where(indices == 0, 1, -1)
+    if cfg.variant == "f-bls":
+        return fuzzy._scores(Xn, signed, cfg.delta)
+    return if_scores._score_vector(Xn, signed, cfg.kernel)[0]
 
-    layer = network.init_random_layer(cfg.network, X.shape[1])
+
+def _test_rows(norm: NormState, input_dim: int, X_test) -> np.ndarray:
+    """decision_scores' checks of its rows, then their normalization."""
+    X_test = linalg.as_matrix(X_test, "X_test")
+    if X_test.shape[1] != input_dim:
+        raise DimensionMismatch(
+            f"X_test has {X_test.shape[1]} features, model expects {input_dim}"
+        )
+    # Test values outside the training range can normalize beyond float64.
+    with np.errstate(over="ignore"):
+        Xn = norm.apply(X_test)
+    overflow = np.flatnonzero(~np.isfinite(Xn).all(axis=0))
+    if overflow.size:
+        raise NonFiniteInput(f"X_test feature {overflow[0]} normalizes beyond float64")
+    return Xn
+
+
+@linalg._single_threaded_blas()
+def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
+    """Train one model. labels may be any strings; classes are ordered
+    lexicographically and targets are one-hot rows over that order."""
+    Xn, norm, class_labels, indices = _prepare(X, labels, cfg.variant)
+    scores = _sample_weights(Xn, indices, cfg)
+    layer = network.init_random_layer(cfg.network, Xn.shape[1])
     G = network._forward(layer, Xn)
     T = np.eye(len(class_labels))[indices]
-    branch = _solve_branch(cfg.network.width, X.shape[0])
+    branch = _solve_branch(cfg.network.width, Xn.shape[0])
     w_out = linalg._solve(G, scores, T, float(cfg.c_reg), branch)
 
     return TrainedModel(
@@ -241,19 +268,8 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
 @linalg._single_threaded_blas()
 def decision_scores(model: TrainedModel, X_test) -> np.ndarray:
     """Raw output-layer activations, one column per class."""
-    X_test = linalg.as_matrix(X_test, "X_test")
-    if X_test.shape[1] != model.layer.input_dim:
-        raise DimensionMismatch(
-            f"X_test has {X_test.shape[1]} features, model expects {model.layer.input_dim}"
-        )
-    # Test values outside the training range can normalize beyond float64.
-    with np.errstate(over="ignore"):
-        Xn = model.norm_state.apply(X_test)
-    overflow = np.flatnonzero(~np.isfinite(Xn).all(axis=0))
-    if overflow.size:
-        raise NonFiniteInput(f"X_test feature {overflow[0]} normalizes beyond float64")
-    G = network.state_matrix(model.layer, Xn)
-    return G @ model.w_out
+    Xn = _test_rows(model.norm_state, model.layer.input_dim, X_test)
+    return network.state_matrix(model.layer, Xn) @ model.w_out
 
 
 def predict(model: TrainedModel, X_test) -> list[str]:
@@ -275,7 +291,8 @@ def accuracy(model: TrainedModel, X, labels: Sequence) -> float:
 # _document is the one statement of the model-file format. Floats are written
 # as float.hex() so round trips are bit-exact. load_model accepts a file only
 # if the decoded model's document matches it: arrays by their shape as
-# written, everything else as JSON.
+# written, everything else as JSON. What that comparison cannot see has one
+# owner each: _classes, _model_from_doc's finite check, _check_score_vector.
 
 
 def _hex(key: str, value):
@@ -324,7 +341,8 @@ def save_model(model: TrainedModel, path) -> None:
 
 def load_model(path) -> TrainedModel:
     """Read a model file; raise DataFormatError unless saving the decoded model
-    writes the same document, up to how array hex values are spelled."""
+    writes the same document, up to how array hex values are spelled, and
+    its values pass the rules the comparison cannot see."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -346,6 +364,9 @@ def load_model(path) -> TrainedModel:
                 raise DataFormatError(
                     f"{key} is {_cut(found, at)} where saving the model writes {_cut(written, at)}"
                 )
+        _check_score_vector(model)
+    except DataFormatError as exc:  # names its key
+        raise DataFormatError(f"{path}: bad model file: {exc}") from None
     except (KeyError, OverflowError, TypeError, ValueError) as exc:  # ConfigError too
         raise DataFormatError(f"{path}: bad model file: {type(exc).__name__} {exc}") from None
     return model
@@ -372,7 +393,7 @@ def _model_from_doc(doc: dict) -> TrainedModel:
     for group in ("network", "kernel"):
         flat.update(doc[group] if isinstance(doc[group], dict) else {})
     cfg = ModelConfig.from_flat({
-        k: float.fromhex(v) if isinstance(v, str) and v.startswith("0x") else v
+        k: _fromhex(k, v) if isinstance(v, str) and v.startswith("0x") else v
         for k, v in flat.items()
     })
     net, input_dim = cfg.network, doc["input_dim"]
@@ -389,8 +410,10 @@ def _model_from_doc(doc: dict) -> TrainedModel:
                 hexes = d.pop("hex")
                 if not isinstance(hexes, list):
                     raise TypeError(f"hex is a {type(hexes).__name__}")
-                out.append(np.array(list(map(float.fromhex, hexes))).reshape(shape))
-        except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+                out.append(np.array([_fromhex(key, h) for h in hexes]).reshape(shape))
+        except DataFormatError:
+            raise
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{key}: {type(exc).__name__} {exc}") from None
         if not all(np.isfinite(a).all() for a in out):
             raise DataFormatError(f"{key} holds a non-finite value")
@@ -412,3 +435,26 @@ def _model_from_doc(doc: dict) -> TrainedModel:
         class_labels=labels,
         score_vector=arrays("score_vector", (-1,)),
     )
+
+
+def _fromhex(key: str, text) -> float:
+    """float.fromhex, its errors naming the key."""
+    try:
+        return float.fromhex(text)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{key}: {type(exc).__name__} {exc}") from None
+
+
+def _check_score_vector(model: TrainedModel) -> None:
+    """The rule for the weights fit writes: one per training row, and fit
+    trains on at least one row per class (two for f-bls and if-bls); each
+    weight is 1.0 for bls and lies in [0, 1] otherwise."""
+    scores, variant = model.score_vector, model.config.variant
+    least = len(model.class_labels) * (1 if variant == "bls" else 2)
+    if scores.shape[0] < least:
+        raise DataFormatError(
+            f"score_vector has {scores.shape[0]} weights; {variant} trains on at least {least} rows")
+    if variant == "bls" and not (scores == 1.0).all():
+        raise DataFormatError("score_vector holds a weight other than 1.0, which bls never writes")
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():
+        raise DataFormatError("score_vector holds a weight outside [0, 1]")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from blsbench import if_scores
+from blsbench import if_scores, stats, trainer
 from blsbench.errors import BlsBenchError, ClassBalanceError, ConfigError
 from blsbench.fuzzy import DEFAULT_DELTA
 from blsbench.linalg import as_matrix
@@ -212,4 +212,33 @@ def if_score_vector(X, labels, params):
         hetero_ratio=hetero,
         score=scores,
         epsilon_used=epsilon,
+    )
+
+
+def cross_validate_by_fit(ds, cfg, plan):
+    """stats.cross_validate as one trainer.fit and trainer.accuracy per fold:
+    the reference that the fold-major engine reproduces exactly."""
+    per_fold, skipped, reasons = [], [], []
+    for fold in range(plan.k):
+        train, test = plan.train_indices(fold), plan.test_indices(fold)
+        try:
+            model = trainer.fit(ds.X[train], [ds.labels[i] for i in train], cfg)
+        except ClassBalanceError as exc:
+            skipped.append(f"fold {fold} of {ds.name!r} skipped: {exc}")
+            reasons.append(str(exc))
+            per_fold.append(None)
+            continue
+        per_fold.append(trainer.accuracy(model, ds.X[test], [ds.labels[i] for i in test]))
+    present = [a for a in per_fold if a is not None]
+    if not present:
+        raise ClassBalanceError(
+            f"every fold of {ds.name!r} was degenerate for {cfg.variant}: "
+            + "; ".join(dict.fromkeys(reasons))
+        )
+    return stats.CvResult(
+        per_fold_accuracy=tuple(per_fold),
+        mean_accuracy=float(np.mean(present)),
+        std_dev=float(np.std(present, ddof=1)) if len(present) > 1 else 0.0,
+        best_config=cfg,
+        skipped=tuple(skipped),
     )

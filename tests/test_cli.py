@@ -544,6 +544,30 @@ def test_bad_ini_file_is_runtime_error(command, flag, text, needle, dataset_csv,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--data"), ("gridsearch", "--grid"), ("stats", "--table"), ("cv", "--config"),
+])
+def test_non_utf8_file_is_one_error_line(command, flag, dataset_csv, tmp_path, capsys):
+    from blsbench import cli
+
+    bad = tmp_path / "latin1"
+    text = {"--data": "x1,x2,caf\xe9\n0,1,a\n1,0,b\n",
+            "--grid": "[grid]\nc_reg = 1\nm = 2\np = 4\nq = 6\n# caf\xe9\n",
+            "--table": "dataset,A,B,caf\xe9\nd1,1,2,3\nd2,3,2,1\n",
+            "--config": "[model]\n# caf\xe9\nm = 2\n"}[flag]
+    bad.write_bytes(text.encode("latin-1"))
+    args = {"train": ["--variant", "bls", "--out", str(tmp_path / "out")],
+            "gridsearch": ["--data", str(dataset_csv), "--variant", "bls",
+                           "--out", str(tmp_path / "out")],
+            "stats": ["--out-dir", str(tmp_path / "out")],
+            "cv": ["--data", str(dataset_csv), "--variant", "bls",
+                   "--out", str(tmp_path / "out")]}[command]
+    assert cli.main([command, flag, str(bad), *args]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad} is not UTF-8 text: byte 0xe9: invalid continuation byte\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,flag,needle", [
     ("noise", "--seed", "noise seed"),
     ("cv", "--fold-seed", "fold seed"),

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
-from blsbench import data, stats
-from blsbench.errors import ClassBalanceError, ConfigError
+from blsbench import data, stats, trainer
+from blsbench.errors import BlsBenchError, ClassBalanceError, ConfigError, NonFiniteInput
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig
 
+import oracles
 import published_tables as pt
 
 
@@ -154,6 +156,91 @@ class TestGridSearch:
         grid = stats.GridSpec.benchmark_default()
         assert len(grid.configs("bls", 0)) == 7 * 11 * 10 * 11
         assert len(grid.configs("if-bls", 0)) == 7 * 11 * 10 * 11 * 11
+
+
+def rare_class_dataset(seed, n, d, n_classes, rare):
+    """Gaussian classes a, b (and c), 1.5 apart; class b has `rare` samples
+    when rare is set."""
+    rng = np.random.default_rng(seed)
+    names = "abc"[:n_classes]
+    others = names.replace("b", "") if rare else names
+    labels = ["b"] * (rare or 0) + [others[i % len(others)] for i in range(n - (rare or 0))]
+    offsets = np.array([names.index(v) for v in labels], dtype=float)[:, None]
+    X = rng.normal(size=(n, d)) + 1.5 * offsets
+    perm = rng.permutation(n)
+    return data.Dataset("rare", X[perm], tuple(labels[i] for i in perm))
+
+
+def assert_engine_matches_fit(ds, variant, grid, plan):
+    """grid_search's results equal one fit per config and fold, or both raise alike."""
+    try:
+        expected = [oracles.cross_validate_by_fit(ds, cfg, plan)
+                    for cfg in grid.configs(variant, 0)]
+    except BlsBenchError as exc:
+        with pytest.raises(type(exc)) as raised:
+            stats.grid_search(ds, variant, grid, plan)
+        assert str(raised.value) == str(exc)
+        return None
+    _, results = stats.grid_search(ds, variant, grid, plan)
+    assert results == expected
+    return results
+
+
+class TestEngineMatchesFit:
+    """The fold-major engine against per-config trainer.fit and trainer.accuracy:
+    per-fold accuracies, skipped reasons, means and stds exactly equal."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_small_grids(self, draw):
+        variant = draw.draw(st.sampled_from(trainer.VARIANTS))
+        n_classes = 2 if variant != "bls" else draw.draw(st.integers(2, 3))
+        ds = rare_class_dataset(draw.draw(st.integers(0, 2**16)), draw.draw(st.integers(12, 36)),
+                                draw.draw(st.integers(1, 3)), n_classes,
+                                draw.draw(st.sampled_from([None, 1, 2, 3])))
+        plan = data.make_folds(ds.n_samples, draw.draw(st.integers(2, 5)), 0)
+
+        def axis(values, most=2):
+            return tuple(draw.draw(st.lists(st.sampled_from(values), min_size=1,
+                                            max_size=most, unique=True)))
+
+        grid = stats.GridSpec(
+            c_reg=axis((1e-3, 1.0, 1e3), 3), m=axis((1, 2, 3)), p=axis((1, 4, 9)),
+            q=axis((1, 6, 14)), mu=axis((2.0**-5, 0.5, 2.0)), delta=axis((1e-4, 0.1)),
+            epsilon=axis(("median_heuristic", 0.5)))
+        assert_engine_matches_fit(ds, variant, grid, plan)
+
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    @pytest.mark.parametrize("p,branch", [(2, "primal"), (12, "dual")])
+    def test_each_variant_and_branch_with_a_single_class_complement(self, variant, p, branch):
+        # 30 rows in 5 folds: 24 training rows against widths 2*2+6 = 10 and
+        # 2*12+6 = 30. A fold that tests a b sample trains without b (bls) or
+        # on one b (f-bls and if-bls need 2), and is skipped.
+        ds = rare_class_dataset(3, 30, 2, 2, 1 if variant == "bls" else 2)
+        plan = data.make_folds(ds.n_samples, 5, 0)
+        grid = stats.GridSpec(c_reg=(0.01, 100.0), m=(2,), p=(p,), q=(6,), mu=(2.0**-5, 1.0))
+        assert trainer._solve_branch(2 * p + 6, 24) == branch
+        results = assert_engine_matches_fit(ds, variant, grid, plan)
+        assert all(r.skipped and None in r.per_fold_accuracy for r in results)
+        assert all(len(r.skipped) < 5 for r in results)
+
+    def test_test_row_of_a_class_the_training_part_lacks(self):
+        # bls on classes a, b and c with one b: the fold that tests the b
+        # trains on a and c, and the b row counts as wrong whatever it gets.
+        ds = rare_class_dataset(3, 30, 2, 3, 1)
+        plan = data.make_folds(ds.n_samples, 5, 0)
+        grid = stats.GridSpec(c_reg=(0.01, 100.0), m=(2,), p=(2, 12), q=(6,))
+        results = assert_engine_matches_fit(ds, "bls", grid, plan)
+        assert not any(r.skipped for r in results)
+
+    def test_test_row_overflow_keeps_its_message(self):
+        # The fold that tests row 0 trains on a range of 1e-300, and row 0
+        # normalizes beyond float64; fit on that fold succeeds.
+        X = np.vstack([[1e300], np.linspace(0.0, 1e-300, 9)[:, None]])
+        ds = data.Dataset("wide", X, tuple("ab" * 5))
+        plan = data.make_folds(10, 2, 0)
+        with pytest.raises(NonFiniteInput, match="^X_test feature 0 normalizes beyond float64$"):
+            stats.cross_validate(ds, trainer.ModelConfig("bls"), plan)
 
 
 class TestRanks:

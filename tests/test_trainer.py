@@ -449,8 +449,48 @@ class TestPersistence:
         doc = json.loads(_tiny_model_text())
         doc["c_reg"] = "0x1p+1024"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataFormatError, match="model.json: bad model file: OverflowError"):
+        with pytest.raises(DataFormatError,
+                           match="model.json: bad model file: c_reg: OverflowError hexadecimal"):
             load_model(path)
+
+    @pytest.mark.parametrize("key", ["c_reg", "mu", "epsilon"])
+    def test_unparseable_config_hex_names_its_key(self, key, tmp_path):
+        path = tmp_path / "model.json"
+        doc = json.loads(_tiny_model_text())
+        group = doc if key == "c_reg" else doc["kernel"]
+        group[key] = "0xzz"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == (
+            f"{path}: bad model file: {key}: ValueError invalid hexadecimal floating-point string")
+
+    # Edited copies of saved models: weights that fit never writes.
+    @pytest.mark.parametrize("variant,weights,needle", [
+        ("bls", lambda w: w[:1] + ["0x1.0000000000000p-1"] + w[2:],
+         "score_vector holds a weight other than 1.0, which bls never writes"),
+        ("bls", lambda w: [], "score_vector has 0 weights; bls trains on at least 2 rows"),
+        ("bls", lambda w: w[:1], "score_vector has 1 weights; bls trains on at least 2 rows"),
+        ("f-bls", lambda w: ["-0x1.0000000000000p-52"] + w[1:],
+         "score_vector holds a weight outside [0, 1]"),
+        ("if-bls", lambda w: w[:-1] + ["0x1.0000000000001p+0"],
+         "score_vector holds a weight outside [0, 1]"),
+        ("if-bls", lambda w: w[:3], "score_vector has 3 weights; if-bls trains on at least 4 rows"),
+    ], ids=["bls-half", "bls-empty", "bls-one", "f-bls-negative", "if-bls-above-one",
+            "if-bls-three"])
+    def test_score_vector_fit_cannot_write_rejected(self, variant, weights, needle, tmp_path):
+        X, y = _TINY_DATA
+        path = tmp_path / "model.json"
+        # Width 60 against 6 rows: the dual branch, which any shorter vector keeps.
+        save_model(fit(X, y, ModelConfig(variant, NetworkConfig(m=5, p=10, l=1, q=10))), path)
+        load_model(path)
+        doc = json.loads(path.read_text())
+        hexes = weights(doc["score_vector"]["hex"])
+        doc["score_vector"] = {"shape": [len(hexes)], "hex": hexes}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: bad model file: {needle}"
 
     @pytest.mark.parametrize("variant", ["f-bls", "if-bls"])
     def test_three_classes_rejected_for_two_class_variants(self, variant, tmp_path):
