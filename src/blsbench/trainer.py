@@ -410,10 +410,8 @@ def _model_from_doc(doc: dict) -> TrainedModel:
                 hexes = d.pop("hex")
                 if not isinstance(hexes, list):
                     raise TypeError(f"hex is a {type(hexes).__name__}")
-                out.append(np.array([_fromhex(key, h) for h in hexes]).reshape(shape))
-        except DataFormatError:
-            raise
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                out.append(np.array(list(map(float.fromhex, hexes))).reshape(shape))
+        except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{key}: {type(exc).__name__} {exc}") from None
         if not all(np.isfinite(a).all() for a in out):
             raise DataFormatError(f"{key} holds a non-finite value")
@@ -437,11 +435,11 @@ def _model_from_doc(doc: dict) -> TrainedModel:
     )
 
 
-def _fromhex(key: str, text) -> float:
-    """float.fromhex, its errors naming the key."""
+def _fromhex(key: str, text: str) -> float:
+    """A config float's float.fromhex, its errors naming the key as array errors do."""
     try:
         return float.fromhex(text)
-    except (OverflowError, TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise DataFormatError(f"{key}: {type(exc).__name__} {exc}") from None
 
 
