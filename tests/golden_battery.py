@@ -1,18 +1,21 @@
-"""Golden outputs of `blsbench cv` and `blsbench gridsearch`, and the script
-that writes them.
+"""Golden outputs of every `blsbench` command, and the script that writes them.
 
     PYTHONPATH=src python tests/golden_battery.py
 
 rewrites tests/golden/ from the current code: the input CSVs (drawn with
-the standard library's random, so they do not depend on numpy), the output
-CSVs, the commands' stdout and the environment the outputs came from.
-tests/test_golden.py runs the same battery and compares. A change that
-rewrites any golden file lists it in CHANGES.md.
+the standard library's random, so they do not depend on numpy, and the
+published accuracy table), the output CSVs, the SHA-256 of each model file
+(models.json), the commands' stdout and the environment the outputs came
+from. tests/test_golden.py runs the same battery and compares. A change
+that rewrites any golden file lists it in CHANGES.md.
 
 The battery covers bls, f-bls and if-bls, a 3-class bls dataset, one
 primal and one dual width (a 96-row training complement against widths 20
 and 110), and grid search at --jobs 1 and 2 on an f-bls delta grid and an
-if-bls mu and epsilon grid whose mu = 2^-5 gives all-zero weights.
+if-bls mu and epsilon grid whose mu = 2^-5 gives all-zero weights. Each
+variant is trained on all 120 rows of two_class.csv at a primal and a dual
+width and predicts features.csv; noise corrupts two_class.csv, and stats
+reports on the published 28 x 7 table.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import glob
+import hashlib
 import io
 import json
 import os
@@ -42,6 +46,9 @@ GRIDS = {
     "bls3": ("three_class.csv", "bls", "[grid]\nc_reg = 0.1, 10\nm = 2\np = 5, 30\nq = 20\n"),
 }
 JOBS = ("1", "2")
+# train fits all 120 rows of two_class.csv, so its dual width must exceed 120.
+TRAIN_WIDTHS = {"primal": WIDTHS["primal"], "dual": ["--m", "3", "--p", "50", "--q", "10"]}
+STATS_REPORTS = ("ranks.csv", "friedman.csv", "wilcoxon.csv", "win_tie_loss.csv")
 
 
 def _dataset(n: int, centers, seed: int) -> str:
@@ -54,23 +61,45 @@ def _dataset(n: int, centers, seed: int) -> str:
     return "".join(",".join(r) + "\n" for r in [header, *rows])
 
 
+def _features(n: int, dim: int, seed: int) -> str:
+    """n rows of dim features drawn uniformly from [-2, 2], without a label column."""
+    rng = random.Random(seed)
+    rows = [[f"x{j}" for j in range(dim)]]
+    rows += [[f"{rng.uniform(-2.0, 2.0):.6f}" for _ in range(dim)] for _ in range(n)]
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+def _published_table() -> str:
+    """The published 28 x 7 accuracy table as a `stats --table` CSV."""
+    import published_tables as pt
+
+    rows = [["dataset", *pt.MODELS]]
+    rows += [[name, *(repr(float(v)) for v in row)] for name, row in zip(pt.DATASETS, pt.ACCURACY)]
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
 INPUTS = {
     "two_class.csv": lambda: _dataset(120, [("neg", (-0.5,) * 4), ("pos", (0.5,) * 4)], 1),
     "three_class.csv": lambda: _dataset(
         90, [("a", (0.0, 0.0, 0.0)), ("b", (1.5, 0.0, 0.0)), ("c", (0.0, 1.5, 0.0))], 2),
+    "features.csv": lambda: _features(30, 4, 3),
+    "published_table.csv": _published_table,
 }
 
 
 def commands(inputs: Path, work: Path):
-    """(golden file name, argv, output path) of each command of the battery."""
+    """(command name, argv, {golden name: output path}) of each command of the
+    battery. A command name keys its stdout; a golden name ending in .model
+    is stored as the file's SHA-256 in models.json, any other as the file."""
+    two_class = ["--data", str(inputs / "two_class.csv")]
     for variant in ("bls", "f-bls", "if-bls"):
         for width, flags in WIDTHS.items():
             out = work / f"cv_{variant}_{width}.csv"
-            yield out.name, ["cv", "--data", str(inputs / "two_class.csv"), "--variant", variant,
-                             *flags, *SEEDS, "--out", str(out)], out
+            yield out.name, ["cv", *two_class, "--variant", variant,
+                             *flags, *SEEDS, "--out", str(out)], {out.name: out}
     out = work / "cv_bls3_primal.csv"
     yield out.name, ["cv", "--data", str(inputs / "three_class.csv"), "--variant", "bls",
-                     *WIDTHS["primal"], *SEEDS, "--out", str(out)], out
+                     *WIDTHS["primal"], *SEEDS, "--out", str(out)], {out.name: out}
     for name, (data, variant, grid) in GRIDS.items():
         grid_path = work / f"grid_{name}.ini"
         grid_path.write_text(grid, encoding="utf-8")
@@ -78,22 +107,53 @@ def commands(inputs: Path, work: Path):
             out = work / f"gridsearch_{name}_jobs{jobs}.csv"
             yield f"gridsearch_{name}.csv", [
                 "gridsearch", "--data", str(inputs / data), "--variant", variant,
-                "--grid", str(grid_path), *SEEDS, "--jobs", jobs, "--out", str(out)], out
+                "--grid", str(grid_path), *SEEDS, "--jobs", jobs, "--out", str(out)], \
+                {f"gridsearch_{name}.csv": out}
+    for variant in ("bls", "f-bls", "if-bls"):
+        for width, flags in TRAIN_WIDTHS.items():
+            model = work / f"train_{variant}_{width}.model"
+            yield model.name, ["train", *two_class, "--variant", variant, *flags,
+                               "--seed", "2", "--out", str(model)], {model.name: model}
+            out = work / f"predict_{variant}_{width}.csv"
+            yield out.name, ["predict", "--model", str(model), "--data",
+                             str(inputs / "features.csv"), "--out", str(out)], {out.name: out}
+    out = work / "noise.csv"
+    yield out.name, ["noise", *two_class, "--level", "20", "--seed", "4",
+                     "--out", str(out)], {out.name: out}
+    yield "stats", ["stats", "--table", str(inputs / "published_table.csv"),
+                    "--out-dir", str(work / "stats")], \
+        {f"stats_{report}": work / "stats" / report for report in STATS_REPORTS}
 
 
-def run(inputs: Path, work: Path) -> list[tuple[str, str, str]]:
-    """Run the battery in process; (golden name, output CSV text, stdout) per command."""
+def _stored(name: str, path: Path) -> str:
+    """An output as its golden holds it: a model file's SHA-256, any other file's text."""
+    if name.endswith(".model"):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    return path.read_text(encoding="utf-8")
+
+
+def run(inputs: Path, work: Path) -> list[tuple[str, dict, str]]:
+    """Run the battery in process; (command name, {golden name: stored output},
+    stdout with the work directory left out of paths) per command."""
     from blsbench import cli
 
     results = []
-    for name, argv, out in commands(inputs, work):
+    for name, argv, outs in commands(inputs, work):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.main(argv)
         if code != 0:
             raise RuntimeError(f"{argv} exited {code}")
-        results.append((name, out.read_text(encoding="utf-8"), buf.getvalue()))
+        stored = {golden: _stored(golden, path) for golden, path in outs.items()}
+        results.append((name, stored, buf.getvalue().replace(str(work) + os.sep, "")))
     return results
+
+
+def stored_golden(name: str) -> str:
+    """The golden of an output, as _stored gives it."""
+    if name.endswith(".model"):
+        return json.loads((GOLDEN / "models.json").read_text(encoding="utf-8"))[name]
+    return (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def environment() -> dict:
@@ -121,12 +181,16 @@ def main() -> int:
         (GOLDEN / name).write_text(make(), encoding="utf-8")
     outputs, stdout = {}, {}
     with tempfile.TemporaryDirectory() as work:
-        for name, text, out in run(GOLDEN, Path(work)):
+        for name, stored, out in run(GOLDEN, Path(work)):
             # Every --jobs value must write the same bytes.
-            if outputs.setdefault(name, text) != text or stdout.setdefault(name, out) != out:
+            if stdout.setdefault(name, out) != out or any(
+                    outputs.setdefault(golden, text) != text for golden, text in stored.items()):
                 raise RuntimeError(f"{name} differs between --jobs values")
+    models = {name: digest for name, digest in outputs.items() if name.endswith(".model")}
     for name, text in outputs.items():
-        (GOLDEN / name).write_text(text, encoding="utf-8")
+        if name not in models:
+            (GOLDEN / name).write_text(text, encoding="utf-8")
+    (GOLDEN / "models.json").write_text(json.dumps(models, indent=1) + "\n", encoding="utf-8")
     (GOLDEN / "stdout.json").write_text(json.dumps(stdout, indent=1) + "\n", encoding="utf-8")
     (GOLDEN / "environment.json").write_text(json.dumps(environment(), indent=1) + "\n",
                                              encoding="utf-8")
