@@ -115,8 +115,8 @@ class TestAcceptance:
             G = rng.normal(size=(n, f))
             T = rng.normal(size=(n, k))
             S = rng.uniform(0.05, 1.0, size=n)
-            Wp = linalg._solve(G, S, T, c, "primal")
-            Wd = linalg._solve(G, S, T, c, "dual")
+            Wp = linalg._solve_system(*linalg._system(G, S, T, "primal"), c, "primal", G)
+            Wd = linalg._solve_system(*linalg._system(G, S, T, "dual"), c, "dual", G)
             Gl = G.astype(np.longdouble)
             S2 = np.diag(S.astype(np.longdouble) ** 2)
             A = Gl.T @ S2 @ Gl + np.eye(f, dtype=np.longdouble) / np.longdouble(c)

@@ -34,33 +34,33 @@ class TestSolvers:
     @pytest.mark.parametrize("weighted", [True, False])
     def test_primal_matches_dense_oracle(self, seed, weighted):
         G, S, T = random_problem(seed, weighted=weighted)
-        W = linalg._solve(G, S, T, 10.0, "primal")
+        W = linalg._solve_system(*linalg._system(G, S, T, "primal"), 10.0, "primal", G)
         np.testing.assert_allclose(W, dense_oracle_primal(G, S, T, 10.0), rtol=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("weighted", [True, False])
     def test_dual_matches_dense_oracle(self, seed, weighted):
         G, S, T = random_problem(seed, weighted=weighted)
-        W = linalg._solve(G, S, T, 10.0, "dual")
+        W = linalg._solve_system(*linalg._system(G, S, T, "dual"), 10.0, "dual", G)
         np.testing.assert_allclose(W, dense_oracle_dual(G, S, T, 10.0), rtol=1e-9)
 
     def test_primal_dual_agree(self):
         G, S, T = random_problem(3, n=30, d=8)
-        Wp = linalg._solve(G, S, T, 100.0, "primal")
-        Wd = linalg._solve(G, S, T, 100.0, "dual")
+        Wp = linalg._solve_system(*linalg._system(G, S, T, "primal"), 100.0, "primal", G)
+        Wd = linalg._solve_system(*linalg._system(G, S, T, "dual"), 100.0, "dual", G)
         np.testing.assert_allclose(Wp, Wd, rtol=1e-8)
 
     def test_unit_weights_reduce_to_plain_ridge(self):
         # With S = 1 the solution must equal the ordinary ridge solution.
         G, _, T = random_problem(4, n=20, d=6)
         ones = np.ones(20)
-        W = linalg._solve(G, ones, T, 1.0, "primal")
+        W = linalg._solve_system(*linalg._system(G, ones, T, "primal"), 1.0, "primal", G)
         ridge = np.linalg.solve(G.T @ G + np.eye(6), G.T @ T)
         np.testing.assert_allclose(W, ridge, rtol=1e-10)
 
     def test_solution_minimizes_objective(self):
         G, S, T = random_problem(8, n=15, d=4)
-        W = linalg._solve(G, S, T, 5.0, "primal")
+        W = linalg._solve_system(*linalg._system(G, S, T, "primal"), 5.0, "primal", G)
         base = oracles.ridge_objective(G, S, T, 5.0, W)
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -89,7 +89,8 @@ class TestFit:
         assert model.solve_branch_used == "primal"
         G = network.state_matrix(model.layer, model.norm_state.apply(X))
         T = np.where(np.asarray([str(v) for v in y])[:, None] == np.array(["a", "b"]), 1.0, 0.0)
-        wd = linalg._solve(G, model.score_vector, T, model.config.c_reg, "dual")
+        wd = linalg._solve_system(*linalg._system(G, model.score_vector, T, "dual"),
+                                  model.config.c_reg, "dual", G)
         np.testing.assert_allclose(model.w_out, wd, rtol=1e-7)
 
     def test_deterministic_given_seed(self, blobs):
@@ -122,7 +123,8 @@ class TestFit:
         Xn = model.norm_state.apply(X)
         G = network.state_matrix(model.layer, Xn)
         T = np.where(np.asarray([str(v) for v in y])[:, None] == np.array(["a", "b"]), 1.0, 0.0)
-        W = linalg._solve(G, model.score_vector, T, 2.0, "primal")
+        W = linalg._solve_system(*linalg._system(G, model.score_vector, T, "primal"),
+                                 2.0, "primal", G)
         np.testing.assert_allclose(model.w_out, W, rtol=1e-8)
 
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
