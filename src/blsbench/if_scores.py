@@ -12,7 +12,7 @@ trainer.fit checks its inputs and runs the if-bls step _score_vector
 directly.
 
 The only kernel built is that of the training samples with themselves,
-and its diagonal is exactly 1 (pairwise_sq_dist gives the (X, X)
+and its diagonal is exactly 1 (linalg._sq_dist gives the (X, X)
 diagonal as 0.0). So the squared RKHS distance of samples i and j is
 2 - 2 K_ij, nonnegative and zero on the diagonal as K lies in [0, 1], and
 that of sample i to its class centroid is 1 + mean(K_cc) - 2 mean_j(K_ij)

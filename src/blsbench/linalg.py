@@ -1,20 +1,19 @@
 """Dense matrix primitives and the weighted ridge solve.
 
-_solve minimizes
+The weighted ridge solve minimizes
 
     (C/2) * ||S (G W - T)||_F^2 + (1/2) * ||W||_F^2
 
 for a diagonal sample-weight matrix S. The primal form factorizes an
 F x F system, the dual form an N x N system; they are algebraically
 identical via the push-through identity, and the caller picks whichever
-dimension is smaller.
+dimension is smaller. _system builds the part that C leaves alone, and
+_solve_system solves it for one C.
 
 pairwise_sq_dist checks its operands and then runs the private _sq_dist,
 which trusts them. trainer.fit validates its inputs once; it and the
-private steps it runs call _solve and _sq_dist directly, so each
-computation has one code path. _solve is _system, the part C leaves
-alone, then _solve_system; stats' cross-validation engine builds the
-first once per state matrix and runs the second once per C.
+private steps it runs call _system, _solve_system and _sq_dist directly,
+so each computation has one code path.
 
 Fits run BLAS on one thread (see _single_threaded_blas); worker processes
 are the program's only parallelism.
@@ -93,23 +92,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _solve(G, s, T, c_reg: float, branch: str) -> np.ndarray:
-    """The weighted ridge output weights W for checked operands.
-
-    G is the N x F state matrix, s the N sample weights in [0, 1], T the
-    N x K targets and c_reg a positive C. branch "primal" solves
-    (G' S^2 G + I/C) W = G' S^2 T by a Cholesky factorization; it suits
-    F <= N. branch "dual" solves W = G' (I/C + S^2 G G')^{-1} S^2 T by an
-    LU factorization; it suits F > N, and its N x N system matrix is
-    nonsymmetric whenever S is not the identity, hence the general solve.
-    """
-    A, rhs = _system(G, s, T, branch)
-    return _solve_system(A, rhs, c_reg, branch, G)
-
-
 def _system(G, s, T, branch: str) -> tuple[np.ndarray, np.ndarray]:
-    """The part of _solve's system that C leaves alone: the primal G' S^2 G
-    and G' S^2 T, or the dual S^2 G G' and S^2 T.
+    """The part of the ridge system that C leaves alone, from the N x F state
+    matrix G, the N sample weights s in [0, 1] and the N x K targets T: the
+    primal G' S^2 G and G' S^2 T, or the dual S^2 G G' and S^2 T.
 
     G.T @ G would go to syrk, whose rounding differs; these products are
     the ones that every fit has solved.
@@ -121,8 +107,13 @@ def _system(G, s, T, branch: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_system(A: np.ndarray, rhs: np.ndarray, c_reg: float, branch: str, G) -> np.ndarray:
-    """_solve from _system's A and rhs; A is overwritten. The dual branch
-    maps its solution back through G, which the primal branch does not use."""
+    """The output weights W from _system's A and rhs and a positive C; A is
+    overwritten. branch "primal" solves (G' S^2 G + I/C) W = G' S^2 T by a
+    Cholesky factorization; it suits F <= N. branch "dual" solves
+    W = G' (I/C + S^2 G G')^{-1} S^2 T by an LU factorization, which needs
+    G; it suits F > N, and its N x N system matrix is nonsymmetric whenever
+    S is not the identity, hence the general solve.
+    """
     A[np.diag_indices_from(A)] += 1.0 / c_reg
     if branch == "primal":
         try:

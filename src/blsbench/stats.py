@@ -9,16 +9,16 @@ each quantity at the level where it varies:
 - per weighting (none for bls, delta for f-bls, the kernel parameters for
   if-bls): the sample weight vector;
 - per network (m, p, q and the rest of NetworkConfig): the random layer,
-  the training state matrix, the C-free part of the ridge system
-  (linalg._system) and the test state matrix;
+  the training state matrix, the C-free part of the ridge system and the
+  test state matrix;
 - per C: the solve (linalg._solve_system), the test scores, their argmax
   and the accuracy.
 
 Every fold accuracy equals that of fit and accuracy on the same fold, bit
-for bit: the steps are fit's and decision_scores' own. A cell is one fold,
-weighting and network with all its C values; grid_search's worker
-processes each receive the dataset and the fold plan once and then run
-cells, and the results merge in enumeration order.
+for bit: the steps, the solve step trainer._solutions included, are fit's
+and decision_scores' own. A cell is one fold, weighting and network with
+all its C values; _cells runs cells in order, and grid_search's worker
+processes each run one contiguous slice of them, merged in enumeration order.
 
 The statistics follow the standard multi-classifier comparison protocol:
 tie-averaged ranks per dataset, the Friedman chi-square and its F-form,
@@ -112,8 +112,8 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
     """The CvResult of each config, in order, from jobs processes at most."""
     if plan.assignments.shape[0] != ds.n_samples:
         raise ConfigError("fold plan does not match the dataset size")
-    # Configs that differ only in C share a cell. Weightings are the outer
-    # loop, so that each worker computes a fold's weight vector once.
+    # Configs that differ only in C share a cell. Within a fold, weightings
+    # are the outer loop, so that _cells computes each weight vector once.
     weightings: dict = {}
     for i, cfg in enumerate(configs):
         weightings.setdefault((cfg.delta, cfg.kernel), {}).setdefault(cfg.network, []).append(i)
@@ -125,11 +125,14 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                 initargs=(ds, plan)) as pool:
-            results = list(pool.map(_worker_cell, tasks))
+        # One contiguous slice per worker; only a run cut at an edge repeats its fold or weights.
+        edges = [len(tasks) * i // workers for i in range(workers + 1)]
+        slices = [tasks[a:b] for a, b in zip(edges, edges[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = pool.map(_cells, [ds] * workers, [plan] * workers, slices)
+            results = list(itertools.chain(*chunks))
     else:
-        results = list(map(_Engine(ds, plan).cell, tasks))
+        results = _cells(ds, plan, tasks)
     outcomes = [[None] * plan.k for _ in configs]
     for (fold, group), result in zip(cells, results):
         for i, outcome in zip(group, result):
@@ -184,79 +187,47 @@ class _Fold:
     test_indices: np.ndarray
 
 
-class _Engine:
-    """The cells of one dataset and fold plan.
+def _fold(ds: Dataset, plan: FoldPlan, fold: int, variant: str) -> Union[_Fold, BlsBenchError]:
+    """The fold's checked parts, or the error that fit or decision_scores
+    would raise on them."""
+    train, test = plan.train_indices(fold), plan.test_indices(fold)
+    try:
+        Xn, norm, classes, indices = trainer._prepare(
+            ds.X[train], [ds.labels[i] for i in train], variant)
+        Xn_test = trainer._test_rows(norm, ds.n_features, ds.X[test])
+    except BlsBenchError as exc:
+        return exc
+    index_of = {c: i for i, c in enumerate(classes)}
+    test_indices = np.array([index_of.get(str(ds.labels[i]), -1) for i in test])
+    return _Fold(Xn, indices, np.eye(len(classes))[indices], Xn_test, test_indices)
 
-    A cell is a fold, a config whose weighting and network it uses, and
-    the C values that share them. The last fold and the last weight vector
-    are kept, so cells in _evaluate's order build each of them once.
-    """
 
-    def __init__(self, ds: Dataset, plan: FoldPlan):
-        self.ds, self.plan = ds, plan
-        self._last: dict = {}
-
-    def _memo(self, slot: str, key, make):
-        """make(), made again only when key is not the slot's last key."""
-        if self._last.get(slot, (None,))[0] != key:
-            self._last.pop(slot, None)  # free the old value before making the new one
-            self._last[slot] = (key, make())
-        return self._last[slot][1]
-
-    def _fold(self, fold: int, variant: str) -> Union[_Fold, BlsBenchError]:
-        """The fold's checked parts, or the error that fit or decision_scores
-        would raise on them."""
-        ds = self.ds
-        train, test = self.plan.train_indices(fold), self.plan.test_indices(fold)
-        try:
-            Xn, norm, classes, indices = trainer._prepare(
-                ds.X[train], [ds.labels[i] for i in train], variant)
-            Xn_test = trainer._test_rows(norm, ds.n_features, ds.X[test])
-        except BlsBenchError as exc:
-            return exc
-        index_of = {c: i for i, c in enumerate(classes)}
-        test_indices = np.array([index_of.get(str(ds.labels[i]), -1) for i in test])
-        return _Fold(Xn, indices, np.eye(len(classes))[indices], Xn_test, test_indices)
-
-    @linalg._single_threaded_blas()
-    def cell(self, task) -> list:
-        """The fold outcome of each C of a (fold, config, C values) task."""
-        fold, cfg, c_regs = task
-        part = self._memo("fold", (fold, cfg.variant), lambda: self._fold(fold, cfg.variant))
+@linalg._single_threaded_blas()
+def _cells(ds: Dataset, plan: FoldPlan, tasks) -> list:
+    """The fold outcomes of each C of each (fold, config, C values) task, in
+    order. Each run of tasks on one fold builds the fold once, and each run
+    on one weighting within it builds the weight vector once."""
+    results = []
+    for (fold, variant), fold_tasks in itertools.groupby(tasks, lambda t: (t[0], t[1].variant)):
+        part = _fold(ds, plan, fold, variant)
         if isinstance(part, BlsBenchError):
-            return [part] * len(c_regs)
-        s = self._memo("weights", (fold, cfg.delta, cfg.kernel),
-                       lambda: trainer._sample_weights(part.Xn, part.indices, cfg))
-        layer = network.init_random_layer(cfg.network, self.ds.n_features)
-        G = network._forward(layer, part.Xn)
-        branch = trainer._solve_branch(cfg.network.width, G.shape[0])
-        A, rhs = linalg._system(G, s, part.T, branch)
-        if branch == "primal":
-            G = None  # only the dual maps its solution back through G
-        G_test = network.state_matrix(layer, part.Xn_test)  # as decision_scores builds it
-        outcomes = []
-        for c_reg in c_regs:
-            try:
-                W = linalg._solve_system(A.copy(), rhs, float(c_reg), branch, G)
-            except FactorizationFailure as exc:
-                outcomes.append(exc)
-                continue
-            predicted = np.argmax(G_test @ np.ascontiguousarray(W), axis=1)
-            outcomes.append(np.count_nonzero(predicted == part.test_indices) / len(predicted))
-        return outcomes
+            results += [[part] * len(c_regs) for _, _, c_regs in fold_tasks]
+            continue
+        for _, run in itertools.groupby(fold_tasks, lambda t: (t[1].delta, t[1].kernel)):
+            run = list(run)
+            s = trainer._sample_weights(part.Xn, part.indices, run[0][1])
+            results += [_accuracies(part, s, cfg.network, c_regs) for _, cfg, c_regs in run]
+            del s  # before the next weighting or fold is built
+    return results
 
 
-_worker_engine: Optional[_Engine] = None
-
-
-def _start_worker(ds: Dataset, plan: FoldPlan) -> None:
-    """Pool initializer: each worker receives the dataset and the plan once."""
-    global _worker_engine
-    _worker_engine = _Engine(ds, plan)
-
-
-def _worker_cell(task) -> list:
-    return _worker_engine.cell(task)
+def _accuracies(part: _Fold, s: np.ndarray, net: network.NetworkConfig, c_regs) -> list:
+    """Per C, the test accuracy of fit's model of one network on a fold, or its failure."""
+    layer, solutions = trainer._solutions(part.Xn, part.T, s, net, c_regs)
+    G_test = network.state_matrix(layer, part.Xn_test)  # as decision_scores builds it
+    return [W if isinstance(W, FactorizationFailure)
+            else np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices) / len(G_test)
+            for W in solutions]
 
 
 @dataclass(frozen=True)

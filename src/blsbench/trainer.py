@@ -9,11 +9,12 @@ then takes a per-row argmax over the class columns.
 
 fit is the validation boundary: it checks X, the labels and the feature
 ranges once (_prepare), then runs the private steps of the layer modules
-(fuzzy._scores, if_scores._score_vector, network._forward, linalg._solve),
-which trust their inputs. network.state_matrix, which prediction calls,
-is _forward behind its checks. stats' cross-validation engine runs the
-same checks and steps, _prepare, _sample_weights and _test_rows included,
-each once per fold, weighting or network instead of once per fit.
+(fuzzy._scores, if_scores._score_vector, network._forward, linalg._system,
+linalg._solve_system), which trust their inputs. network.state_matrix,
+which prediction calls, is _forward behind its checks. fit is _prepare,
+_sample_weights, then _solutions for one C. stats' cross-validation
+engine runs the same steps, _test_rows included, once per fold, weighting
+or network, and _solutions for all the C values of a network.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Optional, Sequence, Union, get_type_hints
 import numpy as np
 
 from . import fuzzy, if_scores, linalg, network
-from .errors import ClassBalanceError, ConfigError, DataFormatError, DimensionMismatch, NonFiniteInput
+from .errors import (ClassBalanceError, ConfigError, DataFormatError, DimensionMismatch,
+                     FactorizationFailure, NonFiniteInput)
 
 __all__ = [
     "VARIANTS",
@@ -243,26 +245,36 @@ def _test_rows(norm: NormState, input_dim: int, X_test) -> np.ndarray:
     return Xn
 
 
+def _solutions(Xn: np.ndarray, T: np.ndarray, s: np.ndarray, net: network.NetworkConfig, c_regs):
+    """net's random layer on the rows Xn and, per C in c_regs, the output weights for
+    targets T and sample weights s, or that C's FactorizationFailure. The last C overwrites A."""
+    layer = network.init_random_layer(net, Xn.shape[1])
+    G = network._forward(layer, Xn)
+    branch = _solve_branch(net.width, G.shape[0])
+    A, rhs = linalg._system(G, s, T, branch)
+    if branch == "primal":
+        G = None  # only the dual maps its solution back through G
+    solutions = []
+    for i, c_reg in enumerate(c_regs):
+        try:
+            solutions.append(np.ascontiguousarray(linalg._solve_system(
+                A if i == len(c_regs) - 1 else A.copy(), rhs, float(c_reg), branch, G)))
+        except FactorizationFailure as exc:
+            solutions.append(exc)
+    return layer, solutions
+
+
 @linalg._single_threaded_blas()
 def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     """Train one model. labels may be any strings; classes are ordered
     lexicographically and targets are one-hot rows over that order."""
     Xn, norm, class_labels, indices = _prepare(X, labels, cfg.variant)
     scores = _sample_weights(Xn, indices, cfg)
-    layer = network.init_random_layer(cfg.network, Xn.shape[1])
-    G = network._forward(layer, Xn)
-    T = np.eye(len(class_labels))[indices]
-    branch = _solve_branch(cfg.network.width, Xn.shape[0])
-    w_out = linalg._solve(G, scores, T, float(cfg.c_reg), branch)
-
-    return TrainedModel(
-        config=cfg,
-        layer=layer,
-        w_out=np.ascontiguousarray(w_out),
-        norm_state=norm,
-        class_labels=class_labels,
-        score_vector=scores,
-    )
+    layer, (w_out,) = _solutions(Xn, np.eye(len(class_labels))[indices], scores,
+                                 cfg.network, [cfg.c_reg])
+    if isinstance(w_out, FactorizationFailure):
+        raise w_out
+    return TrainedModel(cfg, layer, w_out, norm, class_labels, scores)
 
 
 @linalg._single_threaded_blas()

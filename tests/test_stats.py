@@ -146,6 +146,25 @@ class TestGridSearch:
         assert sizes == [2]
         assert pooled == serial
 
+    @pytest.mark.parametrize("jobs,most", [(1, 15), (2, 16)])
+    def test_each_weight_vector_built_once_per_slice(self, jobs, most, monkeypatch, tmp_path):
+        # 5 folds x 3 mu values are 15 (fold, weighting) blocks of 4 networks
+        # each; a slice edge cuts at most jobs - 1 of them in two.
+        log = tmp_path / "weights.log"
+        sample_weights = trainer._sample_weights
+
+        def counted(*args):
+            with open(log, "a") as fh:  # one line per call, from any process
+                fh.write("call\n")
+            return sample_weights(*args)
+
+        monkeypatch.setattr(trainer, "_sample_weights", counted)  # before the pool forks
+        ds = toy_dataset(seed=8, n=400)
+        plan = data.make_folds(ds.n_samples, 5, seed=0)
+        grid = stats.GridSpec(c_reg=(0.1, 10.0), m=(2,), p=(4, 8), q=(5, 10), mu=(0.5, 1.0, 2.0))
+        stats.grid_search(ds, "if-bls", grid, plan, jobs=jobs)
+        assert 15 <= len(log.read_text().splitlines()) <= most
+
     @pytest.mark.parametrize("name", ["c_reg", "m", "p", "q", "mu", "delta", "epsilon"])
     def test_empty_list_rejected(self, name):
         lists = {"c_reg": (1.0,), "m": (2,), "p": (4,), "q": (5,), name: ()}
