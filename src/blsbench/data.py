@@ -139,7 +139,8 @@ def load_csv(path, label_column: Union[int, str] = -1, header: bool = True) -> D
 
     label_column may be a zero-based index (negative counts from the end)
     or, when a header is present, a column name. A file without data rows
-    or without a feature column raises DataFormatError.
+    or without a feature column, or with an empty label, raises
+    DataFormatError.
     """
     names, X, labels = read_csv(path, header, label_column)
     if X.shape[0] == 0:
@@ -148,6 +149,9 @@ def load_csv(path, label_column: Union[int, str] = -1, header: bool = True) -> D
         )
     if X.shape[1] == 0:
         raise DataFormatError(f"{path}: no feature columns besides the label")
+    if "" in labels:  # rows count from 1, the header included, as in read_csv
+        row = labels.index("") + (2 if header else 1)
+        raise DataFormatError(f"{path}: empty label at row {row}")
     return Dataset(name=Path(path).stem, X=X, labels=tuple(labels))
 
 

@@ -568,6 +568,22 @@ def test_non_utf8_file_is_one_error_line(command, flag, dataset_csv, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "cv", "gridsearch"])
+def test_empty_label_is_one_error_line(command, tmp_path, capsys):
+    from blsbench import cli
+
+    blank = tmp_path / "blank.csv"
+    blank.write_text("x1,x2,label\n0,1,x\n1,0,\n1,1,y\n0,0,x\n2,1,y\n")
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[grid]\nc_reg = 1\nm = 2\np = 4\nq = 6\n")
+    extra = {"train": [], "cv": ["--k", "2"], "gridsearch": ["--grid", str(grid), "--k", "2"]}
+    out = tmp_path / "out"
+    assert cli.main([command, "--data", str(blank), "--variant", "bls", *extra[command],
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {blank}: empty label at row 3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag,needle", [
     ("noise", "--seed", "noise seed"),
     ("cv", "--fold-seed", "fold seed"),

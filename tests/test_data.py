@@ -71,6 +71,15 @@ class TestLoadCsv:
                 data.load_csv(p, label_column=index, header=header)
         assert data.load_csv(p, label_column=-3, header=header).labels == ("1", "4")
 
+    @pytest.mark.parametrize("header,row", [(True, 3), (False, 2)])
+    @pytest.mark.parametrize("label", ["", "  "])
+    def test_empty_label_rejected_with_its_row(self, header, row, label, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text(("f1,label\n" if header else "") + f"1,a\n2,{label}\n3,b\n4,\n")
+        with pytest.raises(DataFormatError) as exc:
+            data.load_csv(p, header=header)
+        assert str(exc.value) == f"{p}: empty label at row {row}"
+
     def test_headerless(self, tmp_path):
         p = tmp_path / "raw.csv"
         p.write_text("1,2,pos\n3,4,neg\n")
