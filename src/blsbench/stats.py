@@ -209,6 +209,7 @@ def _cells(ds: Dataset, plan: FoldPlan, tasks) -> list:
     on one weighting within it builds the weight vector once."""
     results = []
     for (fold, variant), fold_tasks in itertools.groupby(tasks, lambda t: (t[0], t[1].variant)):
+        part = s = None  # free the previous fold and weights before building the next
         part = _fold(ds, plan, fold, variant)
         if isinstance(part, BlsBenchError):
             results += [[part] * len(c_regs) for _, _, c_regs in fold_tasks]
@@ -217,7 +218,6 @@ def _cells(ds: Dataset, plan: FoldPlan, tasks) -> list:
             run = list(run)
             s = trainer._sample_weights(part.Xn, part.indices, run[0][1])
             results += [_accuracies(part, s, cfg.network, c_regs) for _, cfg, c_regs in run]
-            del s  # before the next weighting or fold is built
     return results
 
 
