@@ -57,6 +57,8 @@ class KernelParams:
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ConfigError(f"mu must be positive, got {self.mu!r}")
+        if float(self.mu) * float(self.mu) == 0.0:  # the kernel divides by mu^2
+            raise ConfigError(f"mu must have a nonzero square, got {self.mu!r}")
         _check_delta(self.delta)
         if isinstance(self.epsilon, str):
             if self.epsilon != MEDIAN_HEURISTIC:
@@ -98,7 +100,9 @@ def _score_vector(
     Builds the kernel exp(-||x_i - x_j||^2 / mu^2) once and overwrites it
     with the RKHS distance matrix after the centroid step.
     """
-    K = np.exp(-_sq_dist(X, X) / (params.mu * params.mu))
+    # A quotient that overflows gives exp(-inf) = 0, its limit.
+    with np.errstate(over="ignore"):
+        K = np.exp(-_sq_dist(X, X) / (params.mu * params.mu))
     sq = np.empty(t.shape[0])
     for sign in (1, -1):
         mask = t == sign

@@ -10,8 +10,8 @@ then takes a per-row argmax over the class columns.
 fit is the validation boundary: it checks X, the labels and the feature
 ranges once (_prepare), then runs the private steps of the layer modules
 (fuzzy._scores, if_scores._score_vector, network._forward, linalg._system,
-linalg._solve_system), which trust their inputs. network.state_matrix,
-which prediction calls, is _forward behind its checks. fit is _prepare,
+linalg._solve_system), which trust their inputs. decision_scores is
+_test_rows, its checks of X_test, then network._forward. fit is _prepare,
 _sample_weights, then _solutions for one C. stats' cross-validation
 engine runs the same steps, _test_rows included, once per fold, weighting
 or network, and _solutions for all the C values of a network.
@@ -69,6 +69,8 @@ class ModelConfig:
             )
         if not (np.isfinite(self.c_reg) and self.c_reg > 0):
             raise ConfigError(f"c_reg must be positive, got {self.c_reg!r}")
+        if np.isinf(1.0 / float(self.c_reg)):  # the solve adds 1/C to the diagonal
+            raise ConfigError(f"c_reg must have a finite reciprocal, got {self.c_reg!r}")
         if self.variant == "f-bls":
             if self.delta is None:
                 object.__setattr__(self, "delta", fuzzy.DEFAULT_DELTA)
@@ -281,7 +283,7 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
 def decision_scores(model: TrainedModel, X_test) -> np.ndarray:
     """Raw output-layer activations, one column per class."""
     Xn = _test_rows(model.norm_state, model.layer.input_dim, X_test)
-    return network.state_matrix(model.layer, Xn) @ model.w_out
+    return network._forward(model.layer, Xn) @ model.w_out
 
 
 def predict(model: TrainedModel, X_test) -> list[str]:

@@ -14,7 +14,7 @@ from conftest import make_blobs
 
 def run_cli(*args, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "blsbench.cli", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "blsbench.cli", *args],
         capture_output=True, text=True, env=env)
 
 
@@ -886,6 +886,30 @@ class TestTopLevel:
             capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e999", "1e-170", "1e-320",
+                                   "5e-324", "1e-160", "1e308"])
+@pytest.mark.parametrize("flag", ["--C", "--mu", "--delta", "--epsilon"])
+@pytest.mark.parametrize("variant", ["bls", "f-bls", "if-bls"])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_hyperparameter_flag_value_succeeds_or_fails_cleanly(command, variant, flag, value,
+                                                              tmp_path, capsys):
+    # The network stays small (m, p, q are not varied): nothing bounds its size yet.
+    from blsbench import cli
+
+    data = write_dataset(tmp_path / "blobs.csv", n=40)
+    argv = [command, "--data", str(data), "--variant", variant, "--m", "2", "--p", "3",
+            "--q", "4", flag, value, "--out", str(tmp_path / "out")]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assert code in (0, 1)
+    if code == 1:
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 # Config portion of model.json, manifest config block and gridsearch

@@ -42,6 +42,23 @@ class TestKernelParams:
         with pytest.raises(ConfigError, match=f"{field} must be positive"):
             KernelParams(**{field: value})
 
+    @pytest.mark.parametrize("mu,message", [(1e-170, "mu must have a nonzero square"),
+                                            (-1e-170, "mu must be positive")])
+    def test_mu_whose_square_is_zero_rejected(self, mu, message):
+        with pytest.raises(ConfigError, match=message):
+            KernelParams(mu=mu)
+
+    def test_kernel_quotient_overflow_gives_its_limit(self):
+        # At mu = 2e-154, mu^2 = 4e-308 is a normal float, and the squared
+        # distances between the classes, all above 7.2, overflow the quotient
+        # to inf. exp(-inf) = 0 is the limit, so every off-diagonal kernel
+        # entry is 0, as at mu = 1e-100.
+        rng = np.random.default_rng(0)
+        near = rng.uniform(0.0, 0.05, size=(4, 10))
+        X, y = np.vstack([near, 1.0 - near]), np.repeat([1, -1], 4)
+        scores, _ = if_scores._score_vector(X, y, KernelParams(mu=2e-154))
+        np.testing.assert_array_equal(
+            scores, if_scores._score_vector(X, y, KernelParams(mu=1e-100))[0])
 
     @pytest.mark.parametrize("epsilon", [-0.5, np.nan, np.inf])
     def test_invalid_epsilon_rejected(self, epsilon):

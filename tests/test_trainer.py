@@ -55,6 +55,12 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="c_reg must be positive"):
             ModelConfig("bls", small_net(), c_reg=c_reg)
 
+    @pytest.mark.parametrize("c_reg", [2.0**-1024, 1e-320, 5e-324])
+    def test_c_reg_with_infinite_reciprocal_rejected(self, c_reg):
+        # The solve adds 1/C to the diagonal; at C <= 2**-1024 that is inf.
+        with pytest.raises(ConfigError, match="c_reg must have a finite reciprocal"):
+            ModelConfig("bls", small_net(), c_reg=c_reg)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig("deep-bls", small_net())
@@ -158,6 +164,22 @@ class TestFit:
         assert trainer.accuracy(model, X, y) == 1.0
 
 
+def count_as_matrix_calls(monkeypatch) -> list:
+    """Record (name, shape) of every linalg.as_matrix call, through any module's binding."""
+    original, calls = linalg.as_matrix, []
+
+    def counting(a, name="matrix"):
+        calls.append((name, np.shape(a)))
+        return original(a, name)
+
+    bound = [m for n, m in list(sys.modules.items())
+             if n.startswith("blsbench.") and getattr(m, "as_matrix", None) is original]
+    assert {linalg, if_scores, network} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "as_matrix", counting)
+    return calls
+
+
 def corrupt(X, kind, rows):
     """A copy of X with a non-finite entry, or with feature 1 spanning
     [-1e308, 1e308], whose range overflows float64, in the given rows."""
@@ -231,21 +253,23 @@ class TestInputBoundary:
     def test_fit_checks_x_once(self, variant, net, branch, blobs, monkeypatch):
         # Only the N x d input is scanned; the normalized X, the weights'
         # inputs, the state matrix G and the targets T are not.
-        original, calls = linalg.as_matrix, []
-
-        def counting(a, name="matrix"):
-            calls.append((name, np.shape(a)))
-            return original(a, name)
-
-        bound = [m for n, m in list(sys.modules.items())
-                 if n.startswith("blsbench.") and getattr(m, "as_matrix", None) is original]
-        assert {linalg, if_scores, network} <= set(bound)
-        for module in bound:
-            monkeypatch.setattr(module, "as_matrix", counting)
+        calls = count_as_matrix_calls(monkeypatch)
         X, y = blobs
         model = fit(X, y, ModelConfig(variant, net))
         assert model.solve_branch_used == branch
         assert calls == [("X", X.shape)]
+
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    @pytest.mark.parametrize("net,branch", [(small_net(), "primal"),
+                                            (small_net(m=10, p=10, q=20), "dual")])
+    def test_predict_checks_x_test_once(self, variant, net, branch, blobs, monkeypatch):
+        # _test_rows checks X_test; the forward pass does not check it again.
+        X, y = blobs
+        model = fit(X, y, ModelConfig(variant, net))
+        assert model.solve_branch_used == branch
+        calls = count_as_matrix_calls(monkeypatch)
+        predict(model, X)
+        assert calls == [("X_test", X.shape)]
 
 
 @contextlib.contextmanager
