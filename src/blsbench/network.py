@@ -161,8 +161,5 @@ def _forward(layer: RandomLayer, X: np.ndarray) -> np.ndarray:
         axis=1,
     )
     act = ENHANCEMENT_ACTIVATIONS[layer.config.enhancement_activation]
-    El = np.concatenate(
-        [act(Fm @ W + b) for W, b in zip(layer.enhancement_weights, layer.enhancement_biases)],
-        axis=1,
-    )
-    return np.concatenate([Fm, El], axis=1)
+    groups = zip(layer.enhancement_weights, layer.enhancement_biases)
+    return np.concatenate([Fm, *(act(Fm @ W + b) for W, b in groups)], axis=1)

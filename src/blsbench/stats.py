@@ -19,6 +19,8 @@ for bit: the steps, the solve step trainer._solutions included, are fit's
 and decision_scores' own. A cell is one fold, weighting and network with
 all its C values; _cells runs cells in order, and grid_search's worker
 processes each run one contiguous slice of them, merged in enumeration order.
+A fold whose training part lacks a class is skipped; any other error raises
+where it happens, so a run stops at its first failing cell in that order.
 
 The statistics follow the standard multi-classifier comparison protocol:
 tie-averaged ranks per dataset, the Friedman chi-square and its F-form,
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import if_scores, linalg, network, trainer
 from .data import Dataset, FoldPlan
-from .errors import BlsBenchError, ClassBalanceError, ConfigError, FactorizationFailure
+from .errors import ClassBalanceError, ConfigError
 from .trainer import ModelConfig
 
 __all__ = [
@@ -141,9 +143,8 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
 
 
 def _aggregate(name: str, cfg: ModelConfig, outcomes: list) -> CvResult:
-    """A config's CvResult from its fold outcomes: an accuracy, the
-    ClassBalanceError that skips the fold, or another error, raised here so
-    that the first one in config and fold order is the one reported."""
+    """A config's CvResult from its fold outcomes: an accuracy, or the
+    ClassBalanceError that skips the fold."""
     per_fold: list[Optional[float]] = []
     skipped: list[str] = []
     reasons: list[str] = []
@@ -152,8 +153,6 @@ def _aggregate(name: str, cfg: ModelConfig, outcomes: list) -> CvResult:
             skipped.append(f"fold {fold} of {name!r} skipped: {outcome}")
             reasons.append(str(outcome))
             per_fold.append(None)
-        elif isinstance(outcome, BlsBenchError):
-            raise outcome
         else:
             per_fold.append(outcome)
     present = [a for a in per_fold if a is not None]
@@ -187,16 +186,16 @@ class _Fold:
     test_indices: np.ndarray
 
 
-def _fold(ds: Dataset, plan: FoldPlan, fold: int, variant: str) -> Union[_Fold, BlsBenchError]:
-    """The fold's checked parts, or the error that fit or decision_scores
-    would raise on them."""
+def _fold(ds: Dataset, plan: FoldPlan, fold: int, variant: str) -> Union[_Fold, ClassBalanceError]:
+    """The fold's checked parts, or the ClassBalanceError that skips it. The
+    other errors of fit's and decision_scores' checks raise."""
     train, test = plan.train_indices(fold), plan.test_indices(fold)
     try:
         Xn, norm, classes, indices = trainer._prepare(
             ds.X[train], [ds.labels[i] for i in train], variant)
-        Xn_test = trainer._test_rows(norm, ds.n_features, ds.X[test])
-    except BlsBenchError as exc:
+    except ClassBalanceError as exc:
         return exc
+    Xn_test = trainer._test_rows(norm, ds.n_features, ds.X[test])
     index_of = {c: i for i, c in enumerate(classes)}
     test_indices = np.array([index_of.get(str(ds.labels[i]), -1) for i in test])
     return _Fold(Xn, indices, np.eye(len(classes))[indices], Xn_test, test_indices)
@@ -204,14 +203,14 @@ def _fold(ds: Dataset, plan: FoldPlan, fold: int, variant: str) -> Union[_Fold, 
 
 @linalg._single_threaded_blas()
 def _cells(ds: Dataset, plan: FoldPlan, tasks) -> list:
-    """The fold outcomes of each C of each (fold, config, C values) task, in
-    order. Each run of tasks on one fold builds the fold once, and each run
-    on one weighting within it builds the weight vector once."""
+    """Per C of each (fold, config, C values) task in order, the accuracy or the
+    ClassBalanceError that skips the fold. Each run of tasks on one fold builds
+    the fold once, and each run on one weighting within it the weight vector once."""
     results = []
     for (fold, variant), fold_tasks in itertools.groupby(tasks, lambda t: (t[0], t[1].variant)):
         part = s = None  # free the previous fold and weights before building the next
         part = _fold(ds, plan, fold, variant)
-        if isinstance(part, BlsBenchError):
+        if isinstance(part, ClassBalanceError):
             results += [[part] * len(c_regs) for _, _, c_regs in fold_tasks]
             continue
         for _, run in itertools.groupby(fold_tasks, lambda t: (t[1].delta, t[1].kernel)):
@@ -222,12 +221,11 @@ def _cells(ds: Dataset, plan: FoldPlan, tasks) -> list:
 
 
 def _accuracies(part: _Fold, s: np.ndarray, net: network.NetworkConfig, c_regs) -> list:
-    """Per C, the test accuracy of fit's model of one network on a fold, or its failure."""
+    """Per C, the test accuracy of fit's model of one network on a fold."""
     layer, solutions = trainer._solutions(part.Xn, part.T, s, net, c_regs)
     # decision_scores' _forward behind its checks; the benchmark traces this call.
     G_test = network.state_matrix(layer, part.Xn_test)
-    return [W if isinstance(W, FactorizationFailure)
-            else np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices) / len(G_test)
+    return [np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices) / len(G_test)
             for W in solutions]
 
 

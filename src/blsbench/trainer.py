@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fuzzy, if_scores, linalg, network
 from .errors import (ClassBalanceError, ConfigError, DataFormatError, DimensionMismatch,
-                     FactorizationFailure, NonFiniteInput)
+                     NonFiniteInput)
 
 __all__ = [
     "VARIANTS",
@@ -249,21 +249,25 @@ def _test_rows(norm: NormState, input_dim: int, X_test) -> np.ndarray:
 
 def _solutions(Xn: np.ndarray, T: np.ndarray, s: np.ndarray, net: network.NetworkConfig, c_regs):
     """net's random layer on the rows Xn and, per C in c_regs, the output weights for
-    targets T and sample weights s, or that C's FactorizationFailure. The last C overwrites A."""
-    layer = network.init_random_layer(net, Xn.shape[1])
+    targets T and sample weights s. A failed solve raises. The last C overwrites A.
+    A network whose layer, state matrices and systems would not fit in memory raises
+    ConfigError before anything is drawn."""
+    (n, d), mp = Xn.shape, net.m * net.p
+    need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + 2 * n * net.width
+                + 2 * min(net.width, n) ** 2)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"network m={net.m}, p={net.p}, l={net.l}, q={net.q} on {n} rows needs "
+                          f"about {need / 2**30:.3g} GiB; this machine has {have / 2**30:.3g} GiB")
+    layer = network.init_random_layer(net, d)
     G = network._forward(layer, Xn)
     branch = _solve_branch(net.width, G.shape[0])
     A, rhs = linalg._system(G, s, T, branch)
     if branch == "primal":
         G = None  # only the dual maps its solution back through G
-    solutions = []
-    for i, c_reg in enumerate(c_regs):
-        try:
-            solutions.append(np.ascontiguousarray(linalg._solve_system(
-                A if i == len(c_regs) - 1 else A.copy(), rhs, float(c_reg), branch, G)))
-        except FactorizationFailure as exc:
-            solutions.append(exc)
-    return layer, solutions
+    return layer, [np.ascontiguousarray(linalg._solve_system(
+        A if i == len(c_regs) - 1 else A.copy(), rhs, float(c_reg), branch, G))
+        for i, c_reg in enumerate(c_regs)]
 
 
 @linalg._single_threaded_blas()
@@ -274,8 +278,6 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     scores = _sample_weights(Xn, indices, cfg)
     layer, (w_out,) = _solutions(Xn, np.eye(len(class_labels))[indices], scores,
                                  cfg.network, [cfg.c_reg])
-    if isinstance(w_out, FactorizationFailure):
-        raise w_out
     return TrainedModel(cfg, layer, w_out, norm, class_labels, scores)
 
 

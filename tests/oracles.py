@@ -218,21 +218,49 @@ def if_score_vector(X, labels, params):
 def cross_validate_by_fit(ds, cfg, plan):
     """stats.cross_validate as one trainer.fit and trainer.accuracy per fold:
     the reference that the fold-major engine reproduces exactly."""
-    per_fold, skipped, reasons = [], [], []
+    return grid_search_by_fit(ds, [cfg], plan)[0]
+
+
+def grid_search_by_fit(ds, configs, plan):
+    """Each config's CvResult from one trainer.fit and trainer.accuracy per
+    fold and config, run in the engine's cell order: per fold, the configs
+    by the first appearance of their weighting, then the first appearance of
+    their network within it, then enumeration index. The first error raises
+    there; a ClassBalanceError skips the fold. (The engine checks a fold's
+    test rows before its first solve, and this loop after its first fit.)"""
+    first_weighting, first_network = {}, {}
+    for i, cfg in enumerate(configs):
+        first_weighting.setdefault((cfg.delta, cfg.kernel), i)
+        first_network.setdefault((cfg.delta, cfg.kernel, cfg.network), i)
+    order = sorted(range(len(configs)), key=lambda i: (
+        first_weighting[configs[i].delta, configs[i].kernel],
+        first_network[configs[i].delta, configs[i].kernel, configs[i].network], i))
+    outcomes = [[None] * plan.k for _ in configs]
     for fold in range(plan.k):
         train, test = plan.train_indices(fold), plan.test_indices(fold)
-        try:
-            model = trainer.fit(ds.X[train], [ds.labels[i] for i in train], cfg)
-        except ClassBalanceError as exc:
-            skipped.append(f"fold {fold} of {ds.name!r} skipped: {exc}")
-            reasons.append(str(exc))
-            per_fold.append(None)
-            continue
-        per_fold.append(trainer.accuracy(model, ds.X[test], [ds.labels[i] for i in test]))
+        for i in order:
+            try:
+                model = trainer.fit(ds.X[train], [ds.labels[j] for j in train], configs[i])
+            except ClassBalanceError as exc:
+                outcomes[i][fold] = exc
+                continue
+            outcomes[i][fold] = trainer.accuracy(model, ds.X[test], [ds.labels[j] for j in test])
+    return [_cv_result(ds.name, cfg, row) for cfg, row in zip(configs, outcomes)]
+
+
+def _cv_result(name, cfg, outcomes):
+    """A config's CvResult from its fold accuracies and skipping ClassBalanceErrors."""
+    per_fold, skipped, reasons = [], [], []
+    for fold, outcome in enumerate(outcomes):
+        if isinstance(outcome, ClassBalanceError):
+            skipped.append(f"fold {fold} of {name!r} skipped: {outcome}")
+            reasons.append(str(outcome))
+            outcome = None
+        per_fold.append(outcome)
     present = [a for a in per_fold if a is not None]
     if not present:
         raise ClassBalanceError(
-            f"every fold of {ds.name!r} was degenerate for {cfg.variant}: "
+            f"every fold of {name!r} was degenerate for {cfg.variant}: "
             + "; ".join(dict.fromkeys(reasons))
         )
     return stats.CvResult(

@@ -152,6 +152,25 @@ class TestTrainPredict:
         assert err.startswith("error: Cholesky factorization of G'S^2G + I/C failed: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv", "gridsearch"])
+    def test_oversized_network_is_one_error_line(self, command, dataset_csv, tmp_path, capsys):
+        # gridsearch fits the q = 6 network on fold 0, then stops at the next cell.
+        from blsbench import cli
+
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nc_reg = 1\nm = 2\np = 4\nq = 6, 100000000000\n")
+        extra = {"train": ["--m", "100000", "--p", "100000"],
+                 "cv": ["--m", "100000", "--p", "100000", "--k", "2"],
+                 "gridsearch": ["--grid", str(grid), "--k", "2"]}[command]
+        out = tmp_path / "out"
+        assert cli.main([command, "--data", str(dataset_csv), "--variant", "bls", *extra,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        rows = 60 if command == "train" else 30
+        assert re.fullmatch(rf"error: network m=\d+, p=\d+, l=1, q=\d+ on {rows} rows needs "
+                            r"about \S+ GiB; this machine has \S+ GiB\n", err)
+        assert not out.exists() and not (tmp_path / "out.manifest.json").exists()
+
     @pytest.mark.parametrize("label,message", [
         ("3", "column index 3 is outside a 3-column file"),
         ("--1", "no column named '--1'"),

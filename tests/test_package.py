@@ -53,6 +53,25 @@ def test_cli_reaches_only_public_names():
     assert private == []
 
 
+def test_only_the_cli_catches_a_failure():
+    # A failure raises where it happens, so the first failing cell stops a
+    # grid; the one error the engine keeps as a value is the ClassBalanceError
+    # that skips a fold. The CLI turns a failure into one error: line.
+    caught = []
+    for name in MODULES:
+        if name == "cli":
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"blsbench.{name}")))
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                names = {node.id if isinstance(node, ast.Name) else node.attr
+                         for node in ast.walk(handler.type)
+                         if isinstance(node, (ast.Name, ast.Attribute))}
+                caught += [f"{name}.py:{handler.lineno} {n}" for n in sorted(
+                    names & {"BlsBenchError", "FactorizationFailure"})]
+    assert caught == []
+
+
 # The benchmark's tracer (bench/tracing.py) times a layer function by
 # rebinding its module attribute, so it sees a call only through a shared
 # binding. The tests below pin the bindings and calls it relies on.

@@ -3,13 +3,15 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from blsbench import data, stats, trainer
-from blsbench.errors import BlsBenchError, ClassBalanceError, ConfigError, NonFiniteInput
+from blsbench import data, linalg, stats, trainer
+from blsbench.errors import (BlsBenchError, ClassBalanceError, ConfigError, FactorizationFailure,
+                             NonFiniteInput)
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig
 
 import oracles
 import published_tables as pt
+from conftest import make_blobs
 
 
 def toy_dataset(seed=0, n=60):
@@ -165,6 +167,28 @@ class TestGridSearch:
         stats.grid_search(ds, "if-bls", grid, plan, jobs=jobs)
         assert 15 <= len(log.read_text().splitlines()) <= most
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failure_in_cell_order_stops_the_grid(self, jobs, monkeypatch):
+        # Widths 5 and 7 on 32 training rows, both primal. In config order (C
+        # outermost) the first failing config is C=1 at width 7; in cell order
+        # (fold, network, C) the first failure is fold 0's width-5 cell at C=100.
+        solve_system, solves = linalg._solve_system, []
+
+        def failing(A, rhs, c, branch, G):
+            solves.append(c)
+            w = A.shape[0]
+            if (c, w) in ((1.0, 7), (100.0, 5)):
+                raise FactorizationFailure(f"fail C={c:g} width={w}")
+            return solve_system(A, rhs, c, branch, G)
+
+        monkeypatch.setattr(linalg, "_solve_system", failing)  # before the pool forks
+        X, y = make_blobs(20, [(0.0, 0.0), (3.0, 3.0)], 0.6, seed=7)
+        ds, plan = data.Dataset("blobs", X, y), data.make_folds(40, 5, 0)
+        grid = stats.GridSpec(c_reg=(1.0, 100.0), m=(1, 2), p=(2,), q=(3,))
+        with pytest.raises(FactorizationFailure, match="^fail C=100 width=5$"):
+            stats.grid_search(ds, "bls", grid, plan, jobs=jobs)
+        assert len(solves) == (2 if jobs == 1 else 0)  # pooled solves run in the workers
+
     @pytest.mark.parametrize("name", ["c_reg", "m", "p", "q", "mu", "delta", "epsilon"])
     def test_empty_list_rejected(self, name):
         lists = {"c_reg": (1.0,), "m": (2,), "p": (4,), "q": (5,), name: ()}
@@ -191,14 +215,14 @@ def rare_class_dataset(seed, n, d, n_classes, rare):
 
 
 def assert_engine_matches_fit(ds, variant, grid, plan):
-    """grid_search's results equal one fit per config and fold, or both raise alike."""
+    """grid_search's results equal one fit per config and fold, or both raise
+    the first failure in cell order, of the same type and with the same message."""
     try:
-        expected = [oracles.cross_validate_by_fit(ds, cfg, plan)
-                    for cfg in grid.configs(variant, 0)]
+        expected = oracles.grid_search_by_fit(ds, grid.configs(variant, 0), plan)
     except BlsBenchError as exc:
-        with pytest.raises(type(exc)) as raised:
+        with pytest.raises(BlsBenchError) as raised:
             stats.grid_search(ds, variant, grid, plan)
-        assert str(raised.value) == str(exc)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
         return None
     _, results = stats.grid_search(ds, variant, grid, plan)
     assert results == expected
@@ -251,6 +275,14 @@ class TestEngineMatchesFit:
         grid = stats.GridSpec(c_reg=(0.01, 100.0), m=(2,), p=(2, 12), q=(6,))
         results = assert_engine_matches_fit(ds, "bls", grid, plan)
         assert not any(r.skipped for r in results)
+
+    def test_rank_deficient_grid_raises_the_first_failure(self, blobs_overlap):
+        # At C = 1e100 the Cholesky of the width-35 Gram fails on 80 rows of 2
+        # features; the width-85 network is a dual solve, which succeeds.
+        ds = data.Dataset("overlap", *blobs_overlap)
+        plan = data.make_folds(ds.n_samples, 5, 0)
+        grid = stats.GridSpec(c_reg=(1.0, 1e100), m=(1, 6), p=(10,), q=(25,))
+        assert assert_engine_matches_fit(ds, "bls", grid, plan) is None
 
     def test_test_row_overflow_keeps_its_message(self):
         # The fold that tests row 0 trains on a range of 1e-300, and row 0

@@ -141,6 +141,33 @@ class TestFit:
         with pytest.raises(FactorizationFailure, match="Cholesky factorization"):
             fit(X, y, ModelConfig(variant, NetworkConfig(), c_reg=1e100))
 
+    def test_oversized_network_refused_before_drawing(self, blobs, monkeypatch):
+        def draw(*args):
+            raise AssertionError("init_random_layer was called")
+
+        monkeypatch.setattr(network, "init_random_layer", draw)
+        X, y = blobs
+        with pytest.raises(ConfigError, match=(
+                r"^network m=100000, p=100000, l=1, q=25 on 80 rows needs about "
+                r"\S+ GiB; this machine has \S+ GiB$")):
+            fit(X, y, ModelConfig("bls", NetworkConfig(m=100000, p=100000)))
+
+    @pytest.mark.parametrize("branch,net", [("primal", small_net()),
+                                            ("dual", small_net(m=20, p=5, q=8))])
+    def test_memory_estimate_is_the_refusal_bound(self, branch, net, blobs, monkeypatch):
+        # 8 bytes x (layer weights and biases + the state matrix and its weighted
+        # copy + the system and its per-C copy), against page size x pages.
+        X, y = blobs
+        n, d, mp = X.shape[0], X.shape[1], net.m * net.p
+        assert trainer._solve_branch(net.width, n) == branch
+        need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + 2 * n * net.width
+                    + 2 * min(net.width, n) ** 2)
+        for pages, refused in ((need, False), (need - 1, True)):
+            monkeypatch.setattr(os, "sysconf", lambda key: {"SC_PAGE_SIZE": 1,
+                                                             "SC_PHYS_PAGES": pages}[key])
+            with pytest.raises(ConfigError) if refused else contextlib.nullcontext():
+                fit(X, y, ModelConfig("bls", net))
+
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
         with pytest.raises(ClassBalanceError):
