@@ -17,6 +17,12 @@ so each computation has one code path.
 
 Fits run BLAS on one thread (see _single_threaded_blas); worker processes
 are the program's only parallelism.
+
+scipy.linalg is imported only where a solve runs: in _solve_system, and
+by trainer._solutions before it draws a network. The thread cap finds the
+OpenBLAS libraries that the numpy and scipy wheels bundle from where the
+packages are installed, without importing scipy, so a command that never
+solves (noise, predict) loads numpy only.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ import contextlib
 import ctypes
 import functools
 import glob
+import importlib.util
 import os
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, FactorizationFailure, NonFiniteInput
 
@@ -44,11 +50,14 @@ def _openblas_thread_controls() -> tuple:
 
     Wheels ship it as <package>.libs/libscipy_openblas*.so, with a 64_
     symbol suffix for the 64-bit-integer build; a numpy or scipy built
-    against another BLAS contributes nothing.
+    against another BLAS contributes nothing. The packages are located, not
+    imported; a scipy.linalg imported later links the library loaded here
+    rather than a second copy.
     """
     controls = []
-    for package in (np, scipy):
-        for path in glob.glob(os.path.dirname(package.__file__) + ".libs/*openblas*"):
+    for package in ("numpy", "scipy"):
+        origin = importlib.util.find_spec(package).origin
+        for path in glob.glob(os.path.dirname(origin) + ".libs/*openblas*"):
             lib = ctypes.CDLL(path)
             for suffix in ("64_", ""):
                 get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
@@ -114,6 +123,8 @@ def _solve_system(A: np.ndarray, rhs: np.ndarray, c_reg: float, branch: str, G) 
     G; it suits F > N, and its N x N system matrix is nonsymmetric whenever
     S is not the identity, hence the general solve.
     """
+    import scipy.linalg
+
     A[np.diag_indices_from(A)] += 1.0 / c_reg
     if branch == "primal":
         try:

@@ -231,7 +231,8 @@ def _accuracies(part: _Fold, s: np.ndarray, net: network.NetworkConfig, c_regs) 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Candidate lists for flat config keys (see ModelConfig.from_flat).
+    """Candidate lists for flat config keys (see ModelConfig.from_flat), each
+    nonempty and without a repeated value.
 
     mu, delta, and epsilon apply only to the variants that use them and
     default to the model defaults; the enumeration order (and tie-break
@@ -248,8 +249,12 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("c_reg", "m", "p", "q", "mu", "delta", "epsilon"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ConfigError(f"grid list {name!r} must be nonempty")
+            for i, value in enumerate(values):
+                if value in values[:i]:  # a repeat would run the same grid points again
+                    raise ConfigError(f"grid list {name!r} repeats {value!r}")
 
     @classmethod
     def benchmark_default(cls) -> "GridSpec":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union, get_type_hints
 
@@ -252,6 +253,8 @@ def _solutions(Xn: np.ndarray, T: np.ndarray, s: np.ndarray, net: network.Networ
     targets T and sample weights s. A failed solve raises. The last C overwrites A.
     A network whose layer, state matrices and systems would not fit in memory raises
     ConfigError before anything is drawn."""
+    import scipy.linalg  # noqa: F401  (loaded before the network's arrays, which lowers peak RSS)
+
     (n, d), mp = Xn.shape, net.m * net.p
     need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + 2 * n * net.width
                 + 2 * min(net.width, n) ** 2)
@@ -345,13 +348,35 @@ def _document(model: TrainedModel) -> dict:
     }
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "hex": list(map(float.hex, a.ravel().tolist()))}
+# An array's stand-in in save_model's layout: a "hex" list holding the array's
+# index, and the indent of its items. A JSON string holds no raw newline, so
+# no other text matches.
+_HEX_SLOT = re.compile(r'"hex": \[\n( +)(\d+)\n')
 
 
 def save_model(model: TrainedModel, path) -> None:
+    """Write _document as json.dump(indent=1) does, arrays as {"shape", "hex"}.
+
+    json's indenting encoder is pure Python, so it lays out the document
+    with each array's hex list standing in as its index, and the list's
+    items are written in joins of 4096.
+    """
+    arrays = []
+
+    def stand_in(a):
+        arrays.append(a.ravel())
+        return {"shape": list(a.shape), "hex": [len(arrays) - 1] if a.size else []}
+
+    parts = _HEX_SLOT.split(json.dumps(_document(model), indent=1, default=stand_in))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_document(model), fh, indent=1, default=_encode_array)
+        fh.write(parts[0])
+        for pad, index, rest in zip(parts[1::3], parts[2::3], parts[3::3]):
+            values, sep = arrays[int(index)], f'",\n{pad}"'
+            fh.write(f'"hex": [\n{pad}"')
+            for start in range(0, values.size, 4096):
+                fh.write((sep if start else "")
+                         + sep.join(map(float.hex, values[start:start + 4096].tolist())))
+            fh.write(f'"\n{rest}')
         fh.write("\n")
 
 

@@ -541,6 +541,18 @@ class TestGridSearch:
         assert res.returncode == 1
         assert res.stderr.startswith("error:") and "'x'" in res.stderr
 
+    def test_repeated_grid_value_is_runtime_error(self, dataset_csv, tmp_path, capsys):
+        # 1 and 1.0 parse to one C; the grid would run and write each point twice.
+        from blsbench import cli
+
+        grid, out = tmp_path / "grid.ini", tmp_path / "g.csv"
+        grid.write_text("[grid]\nc_reg = 1, 1.0\nm = 2\np = 4\nq = 6\n")
+        code = cli.main(["gridsearch", "--data", str(dataset_csv), "--variant", "bls",
+                         "--grid", str(grid), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: grid list 'c_reg' repeats 1.0\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("text,needle", [
     pytest.param(None, "config file not found", id="missing-file"),
@@ -905,6 +917,47 @@ class TestTopLevel:
             capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
+
+    @staticmethod
+    def scipy_loaded_by(argv):
+        """Run cli.main(argv) in a fresh interpreter; its exit code and whether
+        it left scipy and scipy.linalg in sys.modules."""
+        code = ("import json, sys\n"
+                "from blsbench import cli\n"
+                "try:\n"
+                "    code = cli.main(json.loads(sys.argv[1]))\n"
+                "except SystemExit as exc:\n"
+                "    code = exc.code\n"
+                "print(json.dumps([code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules]))")
+        res = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("command", ["noise", "predict", "--version"])
+    def test_commands_that_never_solve_leave_scipy_unloaded(self, command, dataset_csv, tmp_path):
+        # Only a solve needs scipy.linalg, which is most of the CLI's import time.
+        from blsbench import cli
+
+        model, feats = tmp_path / "model.json", tmp_path / "features.csv"
+        argv = {
+            "noise": ["noise", "--data", str(dataset_csv), "--level", "20",
+                      "--out", str(tmp_path / "noisy.csv")],
+            "predict": ["predict", "--model", str(model), "--data", str(feats),
+                        "--out", str(tmp_path / "preds.csv")],
+            "--version": ["--version"],
+        }[command]
+        if command == "predict":
+            assert cli.main(["train", "--data", str(dataset_csv), "--variant", "f-bls",
+                             "--out", str(model)]) == 0
+            feats.write_text("".join(",".join(line.split(",")[:2]) + "\n"
+                                     for line in dataset_csv.read_text().splitlines()))
+        assert self.scipy_loaded_by(argv) == [0, False, False]
+
+    def test_train_loads_scipy_linalg(self, dataset_csv, tmp_path):
+        argv = ["train", "--data", str(dataset_csv), "--variant", "bls",
+                "--out", str(tmp_path / "model.json")]
+        assert self.scipy_loaded_by(argv) == [0, True, True]
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e999", "1e-170", "1e-320",

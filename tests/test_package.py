@@ -72,6 +72,32 @@ def test_only_the_cli_catches_a_failure():
     assert caught == []
 
 
+def _outside_functions(node):
+    """The nodes under node that run when it runs: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def test_scipy_is_imported_only_in_function_bodies():
+    # scipy.linalg is most of the CLI's import time and scipy.stats serves one
+    # subcommand, so a module-level scipy import would slow every command.
+    top_level = []
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"blsbench.{name}")))
+        for node in _outside_functions(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            top_level += [f"{name}.py:{node.lineno} {m}" for m in modules
+                          if m == "scipy" or m.startswith("scipy.")]
+    assert top_level == []
+
+
 # The benchmark's tracer (bench/tracing.py) times a layer function by
 # rebinding its module attribute, so it sees a call only through a shared
 # binding. The tests below pin the bindings and calls it relies on.

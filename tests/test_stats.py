@@ -108,8 +108,9 @@ class TestGridSearch:
     def test_first_best_wins_ties(self):
         ds = toy_dataset(seed=6)
         plan = data.make_folds(ds.n_samples, 5, seed=0)
-        grid = stats.GridSpec(c_reg=(1.0, 1.0), m=(2,), p=(4,), q=(5,))
+        grid = stats.GridSpec(c_reg=(1.0, np.nextafter(1.0, 2.0)), m=(2,), p=(4,), q=(5,))
         best, results = stats.grid_search(ds, "bls", grid, plan)
+        assert results[0].mean_accuracy == results[1].mean_accuracy
         assert best is results[0]
 
     def test_parallel_matches_serial(self):
@@ -193,6 +194,17 @@ class TestGridSearch:
     def test_empty_list_rejected(self, name):
         lists = {"c_reg": (1.0,), "m": (2,), "p": (4,), "q": (5,), name: ()}
         with pytest.raises(ConfigError, match=f"grid list '{name}' must be nonempty"):
+            stats.GridSpec(**lists)
+
+    @pytest.mark.parametrize("name,values,shown", [
+        ("c_reg", (1, 10.0, 1.0), "1.0"),
+        ("m", (2, 3, 2), "2"),
+        ("epsilon", ("median_heuristic", 0.5, "median_heuristic"), "'median_heuristic'"),
+    ])
+    def test_repeated_value_rejected(self, name, values, shown):
+        # 1 and 1.0 are one value: a grid would fit the same configs twice.
+        lists = {"c_reg": (1.0,), "m": (2,), "p": (4,), "q": (5,), name: values}
+        with pytest.raises(ConfigError, match=f"^grid list '{name}' repeats {shown}$"):
             stats.GridSpec(**lists)
 
     def test_benchmark_grid_sizes(self):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -344,6 +345,45 @@ class TestBlasThreads:
             with pytest.raises(ConfigError):
                 fit(X, y[:-1], ModelConfig("bls", small_net()))
             assert threads() == [2] * len(threads())
+
+    def test_cap_reaches_scipy_linalg_imported_inside_it(self):
+        # The cap loads scipy's OpenBLAS before scipy.linalg links it; the
+        # solve must then run on that same library instance, at one thread.
+        if len(linalg._openblas_thread_controls()) != 2:
+            pytest.skip("numpy and scipy do not both bundle OpenBLAS")
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("no /proc/self/maps to list the mapped libraries")
+        code = """if True:
+            import glob, importlib.util, json, os
+            import numpy as np
+            from blsbench import linalg
+            controls = linalg._openblas_thread_controls()
+            for _, put in controls:
+                put(2)
+            before = [get() for get, _ in controls]
+            with linalg._single_threaded_blas():
+                import scipy.linalg
+                scipy.linalg.cho_factor(np.eye(3))
+                inside = [get() for get, _ in controls]
+            after = [get() for get, _ in controls]
+            (lib,) = glob.glob(os.path.dirname(importlib.util.find_spec("scipy").origin)
+                               + ".libs/*openblas*")
+            name = os.path.basename(lib)
+            maps = [line.split() for line in open("/proc/self/maps")]
+            maps = [(f[1], f[5]) for f in maps if len(f) > 5 and os.path.basename(f[5]) == name]
+            print(json.dumps({
+                "controls": len(controls), "before": before, "inside": inside, "after": after,
+                "paths": sorted({path for _, path in maps}),
+                "code_segments": sum("x" in perms for perms, _ in maps),
+            }))
+        """
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert out["controls"] == 2
+        assert out["inside"] == [1, 1]
+        assert out["after"] == out["before"]
+        assert len(out["paths"]) == 1 and out["code_segments"] == 1, out
 
 
 class TestNormalization:
