@@ -17,10 +17,15 @@ diagonal as 0.0). So the squared RKHS distance of samples i and j is
 2 - 2 K_ij, nonnegative and zero on the diagonal as K lies in [0, 1], and
 that of sample i to its class centroid is 1 + mean(K_cc) - 2 mean_j(K_ij)
 over its class block K_cc.
+
+Scoring N samples holds one N x N float64 array, which becomes in turn
+the squared distances, the kernel and the RKHS distances; no N x N mask
+or upper-triangle copy is made (see _score_vector and _median_distance).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fuzzy import DEFAULT_DELTA, _check_delta, _membership
-from .linalg import _sq_dist
+from .linalg import _check_memory, _row_blocks, _sq_dist
 # Unused here: bench/tracing.py times linalg calls through these bindings.
 from .linalg import as_matrix, pairwise_sq_dist  # noqa: F401
 
@@ -39,6 +44,9 @@ __all__ = [
 ]
 
 MEDIAN_HEURISTIC = "median_heuristic"
+
+# Elements of the distance matrix sorted to bracket its median.
+_SAMPLE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -97,20 +105,31 @@ def _score_vector(
     """Full scoring pipeline of checked samples X and +/-1 labels t, both
     classes present: kernel, radii, membership, non-membership, score.
 
-    Builds the kernel exp(-||x_i - x_j||^2 / mu^2) once and overwrites it
-    with the RKHS distance matrix after the centroid step.
+    One N x N float64 buffer carries the pipeline. It holds the squared
+    distances, is overwritten in place with the kernel
+    exp(-||x_i - x_j||^2 / mu^2), and after the centroid step with the RKHS
+    distances; the median heuristic and the neighborhood counts read it row
+    block by row block. Beyond row blocks, only the class blocks of the
+    centroid step are copied, one at a time. Scoring that would not fit in
+    physical memory raises ConfigError before anything is allocated.
     """
+    n = t.shape[0]
+    positive = t == 1
+    n_pos = int(np.count_nonzero(positive))
+    _check_memory(8 * (n * n + max(n_pos, n - n_pos) ** 2), f"if-bls scoring of {n} rows")
+    K = _sq_dist(X, X)
+    np.negative(K, out=K)
     # A quotient that overflows gives exp(-inf) = 0, its limit.
     with np.errstate(over="ignore"):
-        K = np.exp(-_sq_dist(X, X) / (params.mu * params.mu))
-    sq = np.empty(t.shape[0])
-    for sign in (1, -1):
-        mask = t == sign
-        n = int(mask.sum())
+        np.divide(K, params.mu * params.mu, out=K)
+    np.exp(K, out=K)
+    sq = np.empty(n)
+    for mask in (positive, ~positive):
+        m = int(mask.sum())
         block = K[np.ix_(mask, mask)]
         # A squared norm, negative only by rounding.
-        sq[mask] = np.maximum(1.0 + block.sum() / (n * n) - 2.0 * (block.sum(axis=1) / n), 0.0)
-    del block
+        sq[mask] = np.maximum(1.0 + block.sum() / (m * m) - 2.0 * (block.sum(axis=1) / m), 0.0)
+        del block
     theta = _membership(sq, t, params.delta)
     # 2 - 2K in place of K.
     K *= -2.0
@@ -118,20 +137,20 @@ def _score_vector(
     dists = np.sqrt(K, out=K)
     del K
     if isinstance(params.epsilon, str):
-        # Both classes are present, so there is at least one pair. The
-        # median may partition the gathered copy in place.
-        epsilon = float(np.median(dists[np.triu(np.ones(dists.shape, dtype=bool), k=1)],
-                                  overwrite_input=True))
+        epsilon = _median_distance(dists)
     else:
         epsilon = float(params.epsilon)
     # The heterogeneity ratio is the opposite-class share of the points
     # within epsilon. A sample always sits in its own neighborhood at
     # distance zero, so the denominator is never empty. It lies in [0, 1],
     # as theta does, so theta_tilde keeps the bounds of _combine.
-    within = dists <= epsilon
-    del dists
-    different = t[:, None] != t[None, :]
-    hetero = (within & different).sum(axis=1) / within.sum(axis=1)
+    within = np.empty(n, dtype=np.intp)
+    within_pos = np.empty(n, dtype=np.intp)
+    for rows in _row_blocks(n, n):
+        near = dists[rows] <= epsilon
+        within[rows] = np.count_nonzero(near, axis=1)
+        within_pos[rows] = np.count_nonzero(near[:, positive], axis=1)
+    hetero = np.where(positive, within - within_pos, within_pos) / within
     theta_tilde = (1.0 - theta) * hetero
     scores = _combine(theta, theta_tilde)
     return scores, IFScoreBreakdown(
@@ -141,3 +160,51 @@ def _score_vector(
         score=scores,
         epsilon_used=epsilon,
     )
+
+
+def _median_distance(D: np.ndarray) -> float:
+    """np.median of the strict upper triangle of the n x n symmetric RKHS
+    distance matrix D (n >= 2), bit for bit, without gathering the triangle.
+
+    D holds its n zero diagonal entries below every other value and each of
+    the M = n(n-1)/2 pair distances twice, so the two middle pair distances
+    are D's sorted values at n + M - 1 and n + M; they are one value when M
+    is odd. A sorted sample of D brackets both, and one row-blocked pass
+    counts the values at or below each end and gathers those strictly
+    between. Ties at an end are counted, not gathered, which keeps the
+    gather small when most pairs share one distance (sqrt(2) at a small mu).
+    Should the bracket miss a middle value, it is widened and the pass run
+    again. The mean of the two values is np.median's.
+    """
+    n = D.shape[0]
+    size = n * n
+    first = n + n * (n - 1) // 2 - 1
+    # A stride that shares no factor with n samples every column alike.
+    stride = max(1, size // _SAMPLE)
+    while math.gcd(stride, n) != 1:
+        stride += 1
+    sample = np.sort(D.reshape(-1)[::stride])
+    margin = sample.size // 64 + 1
+    while True:
+        lo_at = first * sample.size // size - margin
+        hi_at = (first + 1) * sample.size // size + margin
+        lo = sample[lo_at] if lo_at >= 0 else -np.inf
+        hi = sample[hi_at] if hi_at < sample.size else np.inf
+        below_lo = upto_lo = upto_hi = 0
+        between = []
+        for rows in _row_blocks(n, n):
+            block = D[rows]
+            below_lo += np.count_nonzero(block < lo)
+            upto_lo += np.count_nonzero(block <= lo)
+            upto_hi += np.count_nonzero(block <= hi)
+            between.append(block[(block > lo) & (block < hi)])
+        if below_lo <= first and first + 1 < upto_hi:
+            break
+        margin *= 4
+    between = np.concatenate(between)
+    at = [first - upto_lo, first + 1 - upto_lo]
+    inner = [k for k in at if 0 <= k < between.size]
+    if inner:
+        between.partition(inner)
+    middle = [lo if k < 0 else hi if k >= between.size else between[k] for k in at]
+    return float(np.mean(np.array(middle)))

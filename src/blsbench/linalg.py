@@ -36,12 +36,16 @@ import os
 
 import numpy as np
 
-from .errors import DimensionMismatch, FactorizationFailure, NonFiniteInput
+from .errors import ConfigError, DimensionMismatch, FactorizationFailure, NonFiniteInput
 
 __all__ = [
     "as_matrix",
     "pairwise_sq_dist",
 ]
+
+# Elements in one row block of a row-blocked pass, 512 KiB of float64: the
+# passes over an N x N array then make no temporary larger than that.
+_BLOCK = 1 << 16
 
 
 @functools.cache
@@ -89,6 +93,14 @@ def _single_threaded_blas():
     finally:
         for (_, put), n in zip(controls, saved):
             put(n)
+
+
+def _check_memory(need: int, what: str) -> None:
+    """Raise ConfigError, naming what, when need bytes exceed physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"{what} needs about {need / 2**30:.3g} GiB; "
+                          f"this machine has {have / 2**30:.3g} GiB")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -157,25 +169,43 @@ def pairwise_sq_dist(A, B) -> np.ndarray:
     return _sq_dist(A, B)
 
 
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive slices of n_rows rows that hold about _BLOCK of n_cols
+    columns each: the rows of one step of a row-blocked pass over an array."""
+    step = max(1, _BLOCK // max(n_cols, 1))
+    return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
+
+
 def _sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """pairwise_sq_dist of checked operands; B is A for self-distances."""
+    """pairwise_sq_dist of checked operands; B is A for self-distances.
+
+    The product A @ B.T is the one array made; row block by row block it is
+    overwritten with (a2_i + b2_j) - 2 g_ij. A @ A.T goes to syrk, whose
+    rounding every distance has had.
+    """
     same = B is A
     a2 = np.einsum("ij,ij->i", A, A)
     b2 = a2 if same else np.einsum("ij,ij->i", B, B)
-    d2 = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = A @ B.T
     # The expansion loses precision near zero; pair (i, j) is suspect when
     # d2 <= c (a2_i + b2_j). That bound is at most c (a2_i + max b2), as
     # rounding is monotone, so rows whose minimum clears it hold no suspect
     # pair. The diagonal of (A, A) is left out and set to zero.
     c = 16.0 * np.finfo(np.float64).eps
-    if same:
-        np.fill_diagonal(d2, np.inf)
-    rows = np.flatnonzero(d2.min(axis=1, initial=np.inf) <= c * (a2 + b2.max(initial=0.0)))
-    if same:
-        np.fill_diagonal(d2, 0.0)
-    # Recomputing a zeroed diagonal entry gives 0.0 again.
-    for i, j in zip(*np.nonzero(d2[rows] <= c * (a2[rows, None] + b2[None, :]))):
-        diff = A[rows[i]] - B[j]
-        d2[rows[i], j] = diff @ diff
+    b2_max = b2.max(initial=0.0)
+    for rows in _row_blocks(*d2.shape):
+        block = d2[rows]
+        block *= 2.0
+        np.subtract(a2[rows, None] + b2, block, out=block)
+        np.maximum(block, 0.0, out=block)
+        if same:
+            diagonal = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
+            block[diagonal] = np.inf
+        suspect = np.flatnonzero(block.min(axis=1, initial=np.inf) <= c * (a2[rows] + b2_max))
+        if same:
+            block[diagonal] = 0.0
+        # Recomputing a zeroed diagonal entry gives 0.0 again.
+        for i, j in zip(*np.nonzero(block[suspect] <= c * (a2[rows][suspect, None] + b2))):
+            diff = A[rows.start + suspect[i]] - B[j]
+            block[suspect[i], j] = diff @ diff
     return d2

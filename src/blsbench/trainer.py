@@ -256,12 +256,9 @@ def _solutions(Xn: np.ndarray, T: np.ndarray, s: np.ndarray, net: network.Networ
     import scipy.linalg  # noqa: F401  (loaded before the network's arrays, which lowers peak RSS)
 
     (n, d), mp = Xn.shape, net.m * net.p
-    need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + 2 * n * net.width
-                + 2 * min(net.width, n) ** 2)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(f"network m={net.m}, p={net.p}, l={net.l}, q={net.q} on {n} rows needs "
-                          f"about {need / 2**30:.3g} GiB; this machine has {have / 2**30:.3g} GiB")
+    linalg._check_memory(8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + 2 * n * net.width
+                              + 2 * min(net.width, n) ** 2),
+                         f"network m={net.m}, p={net.p}, l={net.l}, q={net.q} on {n} rows")
     layer = network.init_random_layer(net, d)
     G = network._forward(layer, Xn)
     branch = _solve_branch(net.width, G.shape[0])

@@ -171,6 +171,28 @@ class TestTrainPredict:
                             r"about \S+ GiB; this machine has \S+ GiB\n", err)
         assert not out.exists() and not (tmp_path / "out.manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv", "gridsearch"])
+    def test_if_scoring_beyond_memory_is_one_error_line(self, command, dataset_csv, tmp_path,
+                                                        capsys, monkeypatch):
+        # A machine one byte short of scoring N rows of two equal classes,
+        # 8 x (N^2 + (N/2)^2) bytes: N = 60 for train, 30 for a fold at k = 2.
+        from blsbench import cli
+
+        rows = 60 if command == "train" else 30
+        have = 8 * (rows * rows + (rows // 2) ** 2) - 1
+        monkeypatch.setattr(os, "sysconf", lambda key: {"SC_PAGE_SIZE": 1,
+                                                         "SC_PHYS_PAGES": have}[key])
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nc_reg = 1\nm = 2\np = 4\nq = 6\n")
+        extra = {"train": [], "cv": ["--k", "2"],
+                 "gridsearch": ["--grid", str(grid), "--k", "2"]}[command]
+        out = tmp_path / "out"
+        assert cli.main([command, "--data", str(dataset_csv), "--variant", "if-bls", *extra,
+                         "--out", str(out)]) == 1
+        assert re.fullmatch(rf"error: if-bls scoring of {rows} rows needs about \S+ GiB; "
+                            r"this machine has \S+ GiB\n", capsys.readouterr().err)
+        assert not out.exists() and not (tmp_path / "out.manifest.json").exists()
+
     @pytest.mark.parametrize("label,message", [
         ("3", "column index 3 is outside a 3-column file"),
         ("--1", "no column named '--1'"),

@@ -1,3 +1,5 @@
+import contextlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from blsbench import if_scores
+from blsbench import if_scores, linalg
 from blsbench.errors import ClassBalanceError, ConfigError
 from blsbench.if_scores import KernelParams
 from blsbench.trainer import ModelConfig, fit
@@ -263,9 +265,10 @@ class TestVector:
         b, _ = if_scores._score_vector(X, y, KernelParams())
         np.testing.assert_array_equal(a, b)
 
-    def test_peak_memory_is_the_distance_step(self):
-        # The peak is the two N x N temporaries of the squared distances;
-        # the median step must not add to it.
+    def test_peak_memory_is_one_buffer_and_a_class_block(self):
+        # The peak is the one N x N buffer and the larger class block of the
+        # centroid step, N^2 / 4 here; the distance passes, the median and
+        # the neighborhood counts add only row blocks to the buffer.
         N = 600
         X = np.random.default_rng(0).normal(size=(N, 10))
         y = np.array([1, -1] * (N // 2))
@@ -275,7 +278,64 @@ class TestVector:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * N * N * 8
+        assert peak <= 1.35 * N * N * 8
+
+    @pytest.mark.parametrize("n_pos", [5, 9])
+    def test_memory_estimate_is_the_refusal_bound(self, n_pos, monkeypatch):
+        # 8 bytes x (the N x N buffer + the larger class block), against page
+        # size x pages.
+        X = kernel_problem(n=14)[0]
+        y = np.where(np.arange(14) < n_pos, 1, -1)
+        need = 8 * (14 * 14 + 9 * 9)
+        for pages, refused in ((need, False), (need - 1, True)):
+            monkeypatch.setattr(os, "sysconf", lambda key: {"SC_PAGE_SIZE": 1,
+                                                             "SC_PHYS_PAGES": pages}[key])
+            with pytest.raises(ConfigError, match=(
+                    r"^if-bls scoring of 14 rows needs about \S+ GiB; this machine has \S+ GiB$"
+            )) if refused else contextlib.nullcontext():
+                if_scores._score_vector(X, y, KernelParams())
+
+
+class TestMedianDistance:
+    @staticmethod
+    def symmetric(rng, n, levels):
+        """A symmetric n x n matrix with zero diagonal: continuous values, or
+        ties when levels > 0."""
+        if levels:
+            U = rng.integers(0, levels, size=(n, n)) / levels
+        else:
+            U = rng.uniform(size=(n, n)) ** 3
+        D = np.triu(U, 1)
+        return D + D.T
+
+    @pytest.mark.parametrize("levels", [0, 1, 2, 3, 7])
+    def test_equals_median_of_upper_triangle(self, levels):
+        # Sizes below and above the sample size, with n(n-1)/2 odd and even;
+        # few levels put the middle values in runs of ties at either end of
+        # the bracket.
+        rng = np.random.default_rng(levels)
+        for n in (2, 3, 4, 5, 127, 128, 181, 182, 255, 256, 301, 302):
+            D = self.symmetric(rng, n, levels)
+            expected = np.median(D[np.triu_indices(n, k=1)])
+            assert if_scores._median_distance(D) == expected, n
+
+    def test_missed_bracket_is_widened(self, monkeypatch):
+        # At n = 256 the sample is every 5th entry (n^2 / 2^14 = 4 shares a
+        # factor with n; 5 does not). Every sampled entry and its mirror hold
+        # the largest value, so the first bracket lies wholly above the middle
+        # values; the pass that finds the miss is followed by wider ones until
+        # the bracket holds them.
+        n = 256
+        rng = np.random.default_rng(0)
+        D = self.symmetric(rng, n, 0) / 2
+        rows, cols = np.divmod(np.arange(0, n * n, 5), n)
+        D[rows, cols] = D[cols, rows] = 1.0
+        np.fill_diagonal(D, 0.0)
+        passes = []
+        monkeypatch.setattr(if_scores, "_row_blocks",
+                            lambda *shape: passes.append(shape) or linalg._row_blocks(*shape))
+        assert if_scores._median_distance(D) == np.median(D[np.triu_indices(n, k=1)])
+        assert len(passes) > 1
 
 
 def oracle_problem(seed, dups):
@@ -287,12 +347,43 @@ def oracle_problem(seed, dups):
     return np.vstack([X, X[dup]]), np.concatenate([y, -y[dup]])
 
 
+def large_oracle_problem(n, shape):
+    """n samples of two overlapping classes whose last 10 rows repeat earlier
+    ones with flipped labels. shape "rounded" keeps one decimal, and
+    "duplicated" draws 60% of the rows from 5 of them, so that ties fill
+    the middle of the pair distances."""
+    rng = np.random.default_rng(n)
+    X = rng.normal(0.0, 0.7, size=(n - 10, 3))
+    y = np.where(np.arange(n - 10) % 2 == 0, 1, -1)
+    X[y == -1] += 1.0
+    if shape == "rounded":
+        X = np.round(X, 1)
+    elif shape == "duplicated":
+        copies = rng.choice(n - 10, size=6 * n // 10, replace=False)
+        X[copies] = X[rng.integers(0, 5, size=copies.size)]
+    dup = rng.choice(n - 10, size=10, replace=False)
+    return np.vstack([X, X[dup]]), np.concatenate([y, -y[dup]])
+
+
 @pytest.mark.parametrize("epsilon", ["median_heuristic", 0.3, 0.0])
 @pytest.mark.parametrize("mu", [2.0**-5, 0.25, 1.0, 4.0, 2.0**5])
-# 33 samples give 528 pairs, an even count for the median; 34 give 561.
-@pytest.mark.parametrize("seed,dups", [(0, 5), (1, 5), (2, 6)], ids=["0", "1", "2-odd-pairs"])
-def test_vector_matches_step_by_step_oracle_exactly(seed, dups, mu, epsilon):
-    X, y = oracle_problem(seed, dups)
+# 33 samples give 528 pairs, an even count for the median; 34 give 561. Both
+# are sorted whole to bracket the median. From 182 samples on, a strided
+# sample of the distances brackets it: 702 give 246,051 pairs, an odd count,
+# and at 512 the stride n^2 / 2^14 = 16 divides n, so the sample is drawn at
+# the next stride that does not.
+@pytest.mark.parametrize("problem,dups", [
+    pytest.param(lambda: oracle_problem(0, 5), 5, id="0"),
+    pytest.param(lambda: oracle_problem(1, 5), 5, id="1"),
+    pytest.param(lambda: oracle_problem(2, 6), 6, id="2-odd-pairs"),
+    pytest.param(lambda: large_oracle_problem(300, "normal"), 10, id="300"),
+    pytest.param(lambda: large_oracle_problem(702, "normal"), 10, id="702-odd-pairs"),
+    pytest.param(lambda: large_oracle_problem(512, "normal"), 10, id="512-stride-divides-n"),
+    pytest.param(lambda: large_oracle_problem(300, "rounded"), 10, id="300-rounded"),
+    pytest.param(lambda: large_oracle_problem(300, "duplicated"), 10, id="300-duplicated"),
+])
+def test_vector_matches_step_by_step_oracle_exactly(problem, dups, mu, epsilon):
+    X, y = problem()
     params = KernelParams(mu=mu, epsilon=epsilon)
     scores, br = if_scores._score_vector(X, y, params)
     ref_scores, ref = oracles.if_score_vector(X, y, params)

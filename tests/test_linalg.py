@@ -104,6 +104,24 @@ class TestPairwiseSqDist:
         np.testing.assert_array_equal(D, oracles.pairwise_sq_dist(A, B))
         assert (D[::7, :len(A[::7])].diagonal() == 0.0).all()
 
+    @pytest.mark.parametrize("n,blocks", [(40, [40]), (200, [65, 65, 65, 5])])
+    def test_row_blocks_equal_one_expression_form(self, n, blocks):
+        # 1,000 columns give row blocks of 65 rows: 40 rows are one partial
+        # block, 200 rows three whole blocks and a partial one. B repeats A's
+        # rows, and moves them by about the fix-up tolerance, so that every
+        # block holds pairs that the fix-up recomputes.
+        assert [r.stop - r.start for r in linalg._row_blocks(n, 1000)] == blocks
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(n, 6))
+        B = rng.normal(size=(1000, 6))
+        B[:n] = A
+        B[n:2 * n] = A
+        B[n:2 * n, 0] += np.sqrt(16 * np.finfo(np.float64).eps * (A**2).sum(axis=1)
+                                 * rng.uniform(0.3, 1.2, n))
+        D = linalg._sq_dist(A, B)
+        np.testing.assert_array_equal(D, oracles.pairwise_sq_dist(A, B))
+        assert (D[:, :n].diagonal() == 0.0).all()
+
     @given(arrays(np.float64, (4, 3), elements=st.floats(-100, 100)))
     @settings(max_examples=50, deadline=None)
     def test_nonnegative_and_symmetric(self, A):
