@@ -18,9 +18,13 @@ diagonal as 0.0). So the squared RKHS distance of samples i and j is
 that of sample i to its class centroid is 1 + mean(K_cc) - 2 mean_j(K_ij)
 over its class block K_cc.
 
-Scoring N samples holds one N x N float64 array, which becomes in turn
-the squared distances, the kernel and the RKHS distances; no N x N mask
-or upper-triangle copy is made (see _score_vector and _median_distance).
+Scoring N samples holds one N x N float64 array, which holds the squared
+distances and then the kernel; no N x N mask, distance matrix or
+upper-triangle copy is made. The RKHS distance sqrt(2 - 2k) is
+non-increasing in k in floating point too (see _rkhs_distance), so the
+median heuristic and the epsilon-neighborhoods are selected in K, and only
+the two middle kernel values are mapped to distances (see _score_vector,
+_median_distance and _kernel_threshold).
 """
 
 from __future__ import annotations
@@ -105,24 +109,30 @@ def _score_vector(
     """Full scoring pipeline of checked samples X and +/-1 labels t, both
     classes present: kernel, radii, membership, non-membership, score.
 
-    One N x N float64 buffer carries the pipeline. It holds the squared
-    distances, is overwritten in place with the kernel
-    exp(-||x_i - x_j||^2 / mu^2), and after the centroid step with the RKHS
-    distances; the median heuristic and the neighborhood counts read it row
-    block by row block. Beyond row blocks, only the class blocks of the
-    centroid step are copied, one at a time. Scoring that would not fit in
-    physical memory raises ConfigError before anything is allocated.
+    One N x N float64 buffer carries the pipeline. _sq_dist fills it with
+    the squared distances and overwrites each row block, while it is in
+    cache, with the kernel exp(||x_i - x_j||^2 / -mu^2); the centroid step,
+    the median heuristic and the neighborhood counts then read the kernel
+    row block by row block. A distance is at most epsilon exactly when its
+    kernel value is at least _kernel_threshold(epsilon), so no distance is
+    formed. Beyond row blocks, only the class blocks of the centroid step
+    are copied, one at a time. Scoring that would not fit in physical
+    memory raises ConfigError before anything is allocated.
     """
     n = t.shape[0]
     positive = t == 1
     n_pos = int(np.count_nonzero(positive))
     _check_memory(8 * (n * n + max(n_pos, n - n_pos) ** 2), f"if-bls scoring of {n} rows")
-    K = _sq_dist(X, X)
-    np.negative(K, out=K)
-    # A quotient that overflows gives exp(-inf) = 0, its limit.
-    with np.errstate(over="ignore"):
-        np.divide(K, params.mu * params.mu, out=K)
-    np.exp(K, out=K)
+    # d / -mu^2 rounds as -d / mu^2 does, sign and all.
+    neg_mu2 = -(params.mu * params.mu)
+
+    def kernel(block):
+        # A quotient that overflows gives exp(-inf) = 0, its limit.
+        with np.errstate(over="ignore"):
+            np.divide(block, neg_mu2, out=block)
+        np.exp(block, out=block)
+
+    K = _sq_dist(X, X, kernel)
     sq = np.empty(n)
     for mask in (positive, ~positive):
         m = int(mask.sum())
@@ -131,15 +141,11 @@ def _score_vector(
         sq[mask] = np.maximum(1.0 + block.sum() / (m * m) - 2.0 * (block.sum(axis=1) / m), 0.0)
         del block
     theta = _membership(sq, t, params.delta)
-    # 2 - 2K in place of K.
-    K *= -2.0
-    K += 2.0
-    dists = np.sqrt(K, out=K)
-    del K
     if isinstance(params.epsilon, str):
-        epsilon = _median_distance(dists)
+        epsilon = _median_distance(K)
     else:
         epsilon = float(params.epsilon)
+    kappa = _kernel_threshold(epsilon)
     # The heterogeneity ratio is the opposite-class share of the points
     # within epsilon. A sample always sits in its own neighborhood at
     # distance zero, so the denominator is never empty. It lies in [0, 1],
@@ -147,9 +153,9 @@ def _score_vector(
     within = np.empty(n, dtype=np.intp)
     within_pos = np.empty(n, dtype=np.intp)
     for rows in _row_blocks(n, n):
-        near = dists[rows] <= epsilon
+        near = K[rows] >= kappa
         within[rows] = np.count_nonzero(near, axis=1)
-        within_pos[rows] = np.count_nonzero(near[:, positive], axis=1)
+        within_pos[rows] = np.count_nonzero(near & positive, axis=1)
     hetero = np.where(positive, within - within_pos, within_pos) / within
     theta_tilde = (1.0 - theta) * hetero
     scores = _combine(theta, theta_tilde)
@@ -162,28 +168,55 @@ def _score_vector(
     )
 
 
-def _median_distance(D: np.ndarray) -> float:
-    """np.median of the strict upper triangle of the n x n symmetric RKHS
-    distance matrix D (n >= 2), bit for bit, without gathering the triangle.
+def _rkhs_distance(k):
+    """The RKHS distance sqrt(2 - 2k) of two samples with Gaussian kernel
+    value k, in the float operations of the reference pipeline: an exact
+    product by -2, a correctly rounded sum and a correctly rounded square
+    root. Each is monotone, so the map is non-increasing in k."""
+    return np.sqrt(k * -2.0 + 2.0)
 
-    D holds its n zero diagonal entries below every other value and each of
-    the M = n(n-1)/2 pair distances twice, so the two middle pair distances
-    are D's sorted values at n + M - 1 and n + M; they are one value when M
-    is odd. A sorted sample of D brackets both, and one row-blocked pass
-    counts the values at or below each end and gathers those strictly
-    between. Ties at an end are counted, not gathered, which keeps the
-    gather small when most pairs share one distance (sqrt(2) at a small mu).
-    Should the bracket miss a middle value, it is widened and the pass run
-    again. The mean of the two values is np.median's.
+
+def _kernel_threshold(epsilon: float) -> float:
+    """The least double kappa in [0, 1] whose _rkhs_distance is at most
+    epsilon >= 0: for every k in [0, 1], k >= kappa exactly when
+    _rkhs_distance(k) <= epsilon. _rkhs_distance(1) = 0 bounds it, and
+    nonnegative doubles order as their int64 bit patterns, so a bisection
+    over the patterns of [0, 1] finds it in at most 62 steps."""
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _rkhs_distance(np.int64(mid).view(np.float64)) <= epsilon:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(np.int64(lo).view(np.float64))
+
+
+def _median_distance(K: np.ndarray) -> float:
+    """np.median of the strict upper triangle of the RKHS distances
+    _rkhs_distance(K) of the n x n symmetric kernel K (n >= 2, entries in
+    [0, 1], unit diagonal), bit for bit, without forming a distance.
+
+    _rkhs_distance is non-increasing, so the ascending pair distances are
+    its map of the descending pair kernel values. K holds its n unit
+    diagonal entries at or above every other value and each of the
+    M = n(n-1)/2 pair values twice, so the pair values that map to the two
+    middle pair distances are K's sorted values at M - 1 and M; they are
+    one value when M is odd. A sorted sample of K brackets both, and one
+    row-blocked pass counts the values at or below each end and gathers
+    those strictly between. Ties at an end are counted, not gathered, which
+    keeps the gather small when most pairs share one value (0 at a small
+    mu). Should the bracket miss a middle value, it is widened and the pass
+    run again. The mean of the two mapped values is np.median's.
     """
-    n = D.shape[0]
+    n = K.shape[0]
     size = n * n
-    first = n + n * (n - 1) // 2 - 1
+    first = n * (n - 1) // 2 - 1
     # A stride that shares no factor with n samples every column alike.
     stride = max(1, size // _SAMPLE)
     while math.gcd(stride, n) != 1:
         stride += 1
-    sample = np.sort(D.reshape(-1)[::stride])
+    sample = np.sort(K.reshape(-1)[::stride])
     margin = sample.size // 64 + 1
     while True:
         lo_at = first * sample.size // size - margin
@@ -193,7 +226,7 @@ def _median_distance(D: np.ndarray) -> float:
         below_lo = upto_lo = upto_hi = 0
         between = []
         for rows in _row_blocks(n, n):
-            block = D[rows]
+            block = K[rows]
             below_lo += np.count_nonzero(block < lo)
             upto_lo += np.count_nonzero(block <= lo)
             upto_hi += np.count_nonzero(block <= hi)
@@ -207,4 +240,4 @@ def _median_distance(D: np.ndarray) -> float:
     if inner:
         between.partition(inner)
     middle = [lo if k < 0 else hi if k >= between.size else between[k] for k in at]
-    return float(np.mean(np.array(middle)))
+    return float(np.mean(_rkhs_distance(np.array(middle))))

@@ -176,12 +176,15 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
-def _sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _sq_dist(A: np.ndarray, B: np.ndarray, block_map=None) -> np.ndarray:
     """pairwise_sq_dist of checked operands; B is A for self-distances.
 
     The product A @ B.T is the one array made; row block by row block it is
     overwritten with (a2_i + b2_j) - 2 g_ij. A @ A.T goes to syrk, whose
-    rounding every distance has had.
+    rounding every distance has had. block_map, when given, is called on
+    each row block once its distances are final, after the pair fix-up and
+    while the block is still in cache, and must overwrite it in place; the
+    array returned then holds the map of the distances.
     """
     same = B is A
     a2 = np.einsum("ij,ij->i", A, A)
@@ -208,4 +211,6 @@ def _sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         for i, j in zip(*np.nonzero(block[suspect] <= c * (a2[rows][suspect, None] + b2))):
             diff = A[rows.start + suspect[i]] - B[j]
             block[suspect[i], j] = diff @ diff
+        if block_map is not None:
+            block_map(block)
     return d2

@@ -298,44 +298,82 @@ class TestVector:
 
 class TestMedianDistance:
     @staticmethod
-    def symmetric(rng, n, levels):
-        """A symmetric n x n matrix with zero diagonal: continuous values, or
-        ties when levels > 0."""
+    def kernel(rng, n, levels):
+        """A symmetric n x n matrix in [0, 1] with unit diagonal: continuous
+        values, or levels tied values from 0 up to 1 when levels > 0."""
         if levels:
-            U = rng.integers(0, levels, size=(n, n)) / levels
+            U = rng.integers(0, levels, size=(n, n)) / max(levels - 1, 1)
         else:
             U = rng.uniform(size=(n, n)) ** 3
-        D = np.triu(U, 1)
-        return D + D.T
+        K = np.triu(U, 1)
+        K += K.T
+        np.fill_diagonal(K, 1.0)
+        return K
+
+    @staticmethod
+    def expected(K):
+        return np.median(np.sqrt(K * -2.0 + 2.0)[np.triu_indices(K.shape[0], k=1)])
 
     @pytest.mark.parametrize("levels", [0, 1, 2, 3, 7])
     def test_equals_median_of_upper_triangle(self, levels):
         # Sizes below and above the sample size, with n(n-1)/2 odd and even;
         # few levels put the middle values in runs of ties at either end of
-        # the bracket.
+        # the bracket, and the top level 1 ties pairs with the diagonal.
         rng = np.random.default_rng(levels)
         for n in (2, 3, 4, 5, 127, 128, 181, 182, 255, 256, 301, 302):
-            D = self.symmetric(rng, n, levels)
-            expected = np.median(D[np.triu_indices(n, k=1)])
-            assert if_scores._median_distance(D) == expected, n
+            K = self.kernel(rng, n, levels)
+            assert if_scores._median_distance(K) == self.expected(K), n
 
     def test_missed_bracket_is_widened(self, monkeypatch):
         # At n = 256 the sample is every 5th entry (n^2 / 2^14 = 4 shares a
         # factor with n; 5 does not). Every sampled entry and its mirror hold
-        # the largest value, so the first bracket lies wholly above the middle
+        # the smallest value, so the first bracket lies wholly below the middle
         # values; the pass that finds the miss is followed by wider ones until
         # the bracket holds them.
         n = 256
         rng = np.random.default_rng(0)
-        D = self.symmetric(rng, n, 0) / 2
+        K = 0.5 + self.kernel(rng, n, 0) / 2
         rows, cols = np.divmod(np.arange(0, n * n, 5), n)
-        D[rows, cols] = D[cols, rows] = 1.0
-        np.fill_diagonal(D, 0.0)
+        K[rows, cols] = K[cols, rows] = 0.0
+        np.fill_diagonal(K, 1.0)
         passes = []
         monkeypatch.setattr(if_scores, "_row_blocks",
                             lambda *shape: passes.append(shape) or linalg._row_blocks(*shape))
-        assert if_scores._median_distance(D) == np.median(D[np.triu_indices(n, k=1)])
+        assert if_scores._median_distance(K) == self.expected(K)
         assert len(passes) > 1
+
+
+class TestKernelThreshold:
+    @staticmethod
+    def around(values):
+        """The values and the doubles next to them."""
+        values = np.asarray(values, dtype=np.float64)
+        return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+    def test_kernel_test_is_the_distance_test(self):
+        # kappa(epsilon) splits [0, 1] where the reference's distance crosses
+        # epsilon, at every kernel value: epsilon at and next to exact pair
+        # distances, sqrt(2) (the distance at k = 0) and the ends; k at and
+        # next to every kappa, subnormal, and at the ends of [0, 1].
+        K = kernel_problem(seed=1, n=12, mu=0.8)[2][np.triu_indices(12, k=1)]
+        pairs = np.sqrt(K * -2.0 + 2.0)
+        epsilons = self.around(np.concatenate([pairs, [0.0, 5e-324, np.sqrt(2.0), 2.0]]))
+        epsilons = epsilons[epsilons >= 0.0]
+        kappas = np.array([if_scores._kernel_threshold(e) for e in epsilons])
+        assert ((kappas >= 0.0) & (kappas <= 1.0)).all()
+        k = self.around(np.concatenate([kappas, K, [0.0, 5e-324, 1e-310, 1.0]]))
+        k = k[(k >= 0.0) & (k <= 1.0)]
+        for epsilon, kappa in zip(epsilons, kappas):
+            np.testing.assert_array_equal(k >= kappa, np.sqrt(k * -2.0 + 2.0) <= epsilon,
+                                          err_msg=repr(epsilon))
+        assert if_scores._kernel_threshold(0.0) == 1.0
+        assert if_scores._kernel_threshold(np.sqrt(2.0)) == 0.0
+
+    @pytest.mark.parametrize("x", [-0.0, -5e-324, -1e-300, -1e-16])
+    def test_kernel_of_a_nonpositive_exponent_is_at_most_one(self, x):
+        # The kernel test needs K in [0, 1]: exp of -d^2 / mu^2 <= 0 never
+        # rounds above 1.
+        assert np.exp(x) <= 1.0
 
 
 def oracle_problem(seed, dups):
@@ -365,7 +403,9 @@ def large_oracle_problem(n, shape):
     return np.vstack([X, X[dup]]), np.concatenate([y, -y[dup]])
 
 
-@pytest.mark.parametrize("epsilon", ["median_heuristic", 0.3, 0.0])
+# A fixed epsilon of 1.5 lies above sqrt(2), the largest distance, so every
+# neighborhood holds every sample.
+@pytest.mark.parametrize("epsilon", ["median_heuristic", 0.3, 0.0, 1.5])
 @pytest.mark.parametrize("mu", [2.0**-5, 0.25, 1.0, 4.0, 2.0**5])
 # 33 samples give 528 pairs, an even count for the median; 34 give 561. Both
 # are sorted whole to bracket the median. From 182 samples on, a strided
@@ -384,7 +424,20 @@ def large_oracle_problem(n, shape):
 ])
 def test_vector_matches_step_by_step_oracle_exactly(problem, dups, mu, epsilon):
     X, y = problem()
-    params = KernelParams(mu=mu, epsilon=epsilon)
+    assert_matches_oracle(X, y, KernelParams(mu=mu, epsilon=epsilon), dups)
+
+
+def test_vector_matches_oracle_at_an_epsilon_that_is_a_pair_distance():
+    # The pairs at exactly epsilon are inside the neighborhoods.
+    X, y = large_oracle_problem(300, "normal")
+    D = oracles.kernel_pairwise_distances(oracles.gaussian_kernel(X, X, 1.0))
+    epsilon = np.sort(D[np.triu_indices(300, k=1)])[10_000]
+    assert_matches_oracle(X, y, KernelParams(mu=1.0, epsilon=float(epsilon)), 10)
+
+
+def assert_matches_oracle(X, y, params, dups):
+    """Every field of _score_vector's breakdown equals the oracle's; the last
+    dups samples repeat earlier ones with flipped labels."""
     scores, br = if_scores._score_vector(X, y, params)
     ref_scores, ref = oracles.if_score_vector(X, y, params)
     np.testing.assert_array_equal(scores, ref_scores)
