@@ -18,11 +18,14 @@ so each computation has one code path.
 Fits run BLAS on one thread (see _single_threaded_blas); worker processes
 are the program's only parallelism.
 
-scipy.linalg is imported only where a solve runs: in _solve_system, and
-by trainer._solutions before it draws a network. The thread cap finds the
-OpenBLAS libraries that the numpy and scipy wheels bundle from where the
-packages are installed, without importing scipy, so a command that never
-solves (noise, predict) loads numpy only.
+The thread cap and the solve find the OpenBLAS libraries that the numpy
+and scipy wheels bundle from where the packages are installed, without
+importing scipy. _solve_system calls LAPACK's dpotrf, dpotrs, dgetrf and
+dgetrs in scipy's bundle through ctypes: the routines, library and operands
+that scipy.linalg would use, so its results are bit for bit those of
+scipy.linalg, and no command imports scipy.linalg. Only a scipy built
+against another BLAS, whose wheel bundles no OpenBLAS, is solved through
+scipy.linalg.
 """
 
 from __future__ import annotations
@@ -48,20 +51,24 @@ __all__ = [
 _BLOCK = 1 << 16
 
 
+def _bundled_openblas(package: str) -> list[str]:
+    """Paths of the OpenBLAS libraries that package's wheel bundles, as
+    <package>.libs/libscipy_openblas*.so, found without importing package."""
+    origin = importlib.util.find_spec(package).origin
+    return glob.glob(os.path.dirname(origin) + ".libs/*openblas*")
+
+
 @functools.cache
 def _openblas_thread_controls() -> tuple:
     """(get, set) thread-count functions of the OpenBLAS numpy and scipy bundle.
 
-    Wheels ship it as <package>.libs/libscipy_openblas*.so, with a 64_
-    symbol suffix for the 64-bit-integer build; a numpy or scipy built
-    against another BLAS contributes nothing. The packages are located, not
-    imported; a scipy.linalg imported later links the library loaded here
-    rather than a second copy.
+    The 64-bit-integer build has a 64_ symbol suffix; a numpy or scipy built
+    against another BLAS contributes nothing. A scipy.linalg imported later
+    links the library loaded here rather than a second copy.
     """
     controls = []
     for package in ("numpy", "scipy"):
-        origin = importlib.util.find_spec(package).origin
-        for path in glob.glob(os.path.dirname(origin) + ".libs/*openblas*"):
+        for path in _bundled_openblas(package):
             lib = ctypes.CDLL(path)
             for suffix in ("64_", ""):
                 get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
@@ -72,6 +79,50 @@ def _openblas_thread_controls() -> tuple:
                     controls.append((get, put))
                     break
     return tuple(controls)
+
+
+# The Fortran arguments of the four LAPACK routines _solve_system calls, in
+# order, before INFO: all by reference, the integers 32-bit (scipy's bundle
+# is LP64) and each matrix a writeable column-major float64 array.
+_CHAR, _INT = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+_MATRIX = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS,WRITEABLE")
+_PIVOTS = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+_LAPACK_ARGS = {
+    "dpotrf": [_CHAR, _INT, _MATRIX, _INT],
+    "dpotrs": [_CHAR, _INT, _INT, _MATRIX, _INT, _MATRIX, _INT],
+    "dgetrf": [_INT, _INT, _MATRIX, _INT, _PIVOTS],
+    "dgetrs": [_CHAR, _INT, _INT, _MATRIX, _INT, _PIVOTS, _MATRIX, _INT],
+}
+
+
+@functools.cache
+def _lapack():
+    """scipy's bundled OpenBLAS with _LAPACK_ARGS' routines declared, or None
+    when scipy bundles none that exports them (a scipy built against a system
+    BLAS). numpy's bundle is another OpenBLAS version, whose bits differ."""
+    for path in _bundled_openblas("scipy"):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_dpotrf_"):
+            for name, args in _LAPACK_ARGS.items():
+                routine = getattr(lib, f"scipy_{name}_")
+                # INFO, then gfortran's hidden length of each CHARACTER argument.
+                routine.argtypes = args + [_INT] + [ctypes.c_size_t] * args.count(_CHAR)
+                routine.restype = None
+            return lib
+    return None
+
+
+def _call_lapack(name: str, *args) -> int:
+    """LAPACK routine name of _lapack() on args, given as bytes for a
+    character, int for an integer and the array itself for a matrix; its
+    INFO, which is >= 0 as a negative INFO (an illegal argument) raises."""
+    info = ctypes.c_int()
+    refs = [ctypes.byref(ctypes.c_int(a)) if isinstance(a, int) else a for a in args]
+    lengths = [1] * sum(isinstance(a, bytes) for a in args)
+    getattr(_lapack(), f"scipy_{name}_")(*refs, ctypes.byref(info), *lengths)
+    if info.value < 0:
+        raise ValueError(f"LAPACK {name} rejected its argument {-info.value}")
+    return info.value
 
 
 @contextlib.contextmanager
@@ -127,29 +178,61 @@ def _system(G, s, T, branch: str) -> tuple[np.ndarray, np.ndarray]:
     return s2[:, None] * (G @ G.T), s2[:, None] * T
 
 
-def _solve_system(A: np.ndarray, rhs: np.ndarray, c_reg: float, branch: str, G) -> np.ndarray:
-    """The output weights W from _system's A and rhs and a positive C; A is
-    overwritten. branch "primal" solves (G' S^2 G + I/C) W = G' S^2 T by a
-    Cholesky factorization; it suits F <= N. branch "dual" solves
-    W = G' (I/C + S^2 G G')^{-1} S^2 T by an LU factorization, which needs
-    G; it suits F > N, and its N x N system matrix is nonsymmetric whenever
-    S is not the identity, hence the general solve.
-    """
-    import scipy.linalg
+_CHOLESKY_FAILED = "Cholesky factorization of G'S^2G + I/C failed"
 
-    A[np.diag_indices_from(A)] += 1.0 / c_reg
+
+def _solve_system(A: np.ndarray, rhs: np.ndarray, c_reg: float, branch: str, G) -> np.ndarray:
+    """The output weights W from _system's A and rhs and a positive C; A and
+    rhs are left as they are. branch "primal" solves
+    (G' S^2 G + I/C) W = G' S^2 T by a Cholesky factorization; it suits
+    F <= N. branch "dual" solves W = G' (I/C + S^2 G G')^{-1} S^2 T by an LU
+    factorization, which needs G; it suits F > N, and its N x N system
+    matrix is nonsymmetric whenever S is not the identity, hence the general
+    solve. The factorization overwrites one column-major copy of A + I/C, and
+    the solve one of rhs: the copies scipy.linalg's LAPACK wrappers make.
+    """
+    a = np.array(A, order="F")
+    a[np.diag_indices_from(a)] += 1.0 / c_reg
+    b = np.array(rhs, order="F")
+    if _lapack() is None:
+        return _solve_with_scipy_linalg(a, b, branch, G)
+    n, k = b.shape
     if branch == "primal":
-        try:
-            factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise FactorizationFailure(
-                f"Cholesky factorization of G'S^2G + I/C failed: {exc}"
-            ) from exc
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+        info = _call_lapack("dpotrf", b"L", n, a, n)
+        if info > 0:
+            raise FactorizationFailure(f"{_CHOLESKY_FAILED}: {info}-th leading minor "
+                                       "of the array is not positive definite")
+        _call_lapack("dpotrs", b"L", n, k, a, n, b, n)
+        return b
+    pivots = np.empty(n, dtype=np.intc)
+    _call_lapack("dgetrf", n, n, a, n, pivots)
+    _check_lu(a)
+    _call_lapack("dgetrs", b"N", n, k, a, n, pivots, b, n)
+    return G.T @ b
+
+
+def _check_lu(lu: np.ndarray) -> None:
+    """Raise FactorizationFailure unless the LU factors of I/C + S^2GG' are
+    finite with a nonzero diagonal."""
     if not np.diag(lu).all() or not np.isfinite(lu).all():
         raise FactorizationFailure("I/C + S^2GG' is singular")
-    return G.T @ scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+
+
+def _solve_with_scipy_linalg(a: np.ndarray, b: np.ndarray, branch: str, G) -> np.ndarray:
+    """_solve_system's factorization and solve of a = A + I/C and b = rhs,
+    which they overwrite, through scipy.linalg: for a scipy whose wheel
+    bundles no OpenBLAS."""
+    import scipy.linalg
+
+    if branch == "primal":
+        try:
+            factor = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise FactorizationFailure(f"{_CHOLESKY_FAILED}: {exc}") from exc
+        return scipy.linalg.cho_solve(factor, b, overwrite_b=True, check_finite=False)
+    lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
+    _check_lu(lu)
+    return G.T @ scipy.linalg.lu_solve((lu, piv), b, overwrite_b=True, check_finite=False)
 
 
 def pairwise_sq_dist(A, B) -> np.ndarray:

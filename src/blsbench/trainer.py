@@ -250,12 +250,11 @@ def _test_rows(norm: NormState, input_dim: int, X_test) -> np.ndarray:
 
 def _solutions(Xn: np.ndarray, T: np.ndarray, s: np.ndarray, net: network.NetworkConfig, c_regs):
     """net's random layer on the rows Xn and, per C in c_regs, the output weights for
-    targets T and sample weights s. A failed solve raises. The last C overwrites A.
-    A network whose layer, state matrices and systems would not fit in memory raises
-    ConfigError before anything is drawn."""
-    import scipy.linalg  # noqa: F401  (loaded before the network's arrays, which lowers peak RSS)
-
+    targets T and sample weights s. A failed solve raises. Every C is solved from the
+    same A, which the solve leaves as it is. A network whose layer, state matrices and
+    systems would not fit in memory raises ConfigError before anything is drawn."""
     (n, d), mp = Xn.shape, net.m * net.p
+    # The squares are A and the one column-major copy a solve factorizes.
     linalg._check_memory(8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + 2 * n * net.width
                               + 2 * min(net.width, n) ** 2),
                          f"network m={net.m}, p={net.p}, l={net.l}, q={net.q} on {n} rows")
@@ -265,9 +264,8 @@ def _solutions(Xn: np.ndarray, T: np.ndarray, s: np.ndarray, net: network.Networ
     A, rhs = linalg._system(G, s, T, branch)
     if branch == "primal":
         G = None  # only the dual maps its solution back through G
-    return layer, [np.ascontiguousarray(linalg._solve_system(
-        A if i == len(c_regs) - 1 else A.copy(), rhs, float(c_reg), branch, G))
-        for i, c_reg in enumerate(c_regs)]
+    return layer, [np.ascontiguousarray(linalg._solve_system(A, rhs, float(c_reg), branch, G))
+                   for c_reg in c_regs]
 
 
 @linalg._single_threaded_blas()

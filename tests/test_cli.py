@@ -943,18 +943,22 @@ class TestTopLevel:
     @staticmethod
     def scipy_loaded_by(argv):
         """Run cli.main(argv) in a fresh interpreter; its exit code and whether
-        it left scipy and scipy.linalg in sys.modules."""
+        it, or a worker process it forked, imported scipy and scipy.linalg, as
+        -X importtime reports every import on stderr."""
         code = ("import json, sys\n"
                 "from blsbench import cli\n"
                 "try:\n"
                 "    code = cli.main(json.loads(sys.argv[1]))\n"
                 "except SystemExit as exc:\n"
                 "    code = exc.code\n"
-                "print(json.dumps([code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules]))")
-        res = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                "print(json.dumps(code))")
+        res = subprocess.run([sys.executable, "-X", "importtime", "-c", code, json.dumps(argv)],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        return json.loads(res.stdout.splitlines()[-1])
+        imported = {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
+                    if line.startswith("import time:")}
+        return [json.loads(res.stdout.splitlines()[-1]), "scipy" in imported,
+                "scipy.linalg" in imported]
 
     @pytest.mark.parametrize("command", ["noise", "predict", "--version"])
     def test_commands_that_never_solve_leave_scipy_unloaded(self, command, dataset_csv, tmp_path):
@@ -976,10 +980,29 @@ class TestTopLevel:
                                      for line in dataset_csv.read_text().splitlines()))
         assert self.scipy_loaded_by(argv) == [0, False, False]
 
-    def test_train_loads_scipy_linalg(self, dataset_csv, tmp_path):
-        argv = ["train", "--data", str(dataset_csv), "--variant", "bls",
-                "--out", str(tmp_path / "model.json")]
-        assert self.scipy_loaded_by(argv) == [0, True, True]
+    @pytest.mark.parametrize("command", ["train", "cv", "gridsearch", "gridsearch-jobs2"])
+    def test_solving_commands_leave_scipy_linalg_unloaded(self, command, dataset_csv, tmp_path):
+        # The solve calls LAPACK in scipy's bundled OpenBLAS, which is found, not imported.
+        from blsbench import linalg
+
+        if linalg._lapack() is None:
+            pytest.skip("scipy bundles no OpenBLAS; the solve imports scipy.linalg")
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nc_reg = 0.1, 10\nm = 2\np = 3, 5\nq = 4\n")
+        extra = {"train": [], "cv": ["--k", "2"],
+                 "gridsearch": ["--grid", str(grid), "--k", "2"],
+                 "gridsearch-jobs2": ["--grid", str(grid), "--k", "2", "--jobs", "2"]}[command]
+        argv = [command.split("-")[0], "--data", str(dataset_csv), "--variant", "f-bls",
+                *extra, "--out", str(tmp_path / "out")]
+        assert self.scipy_loaded_by(argv) == [0, False, False]
+
+    def test_stats_loads_scipy(self, tmp_path):
+        # The positive control of scipy_loaded_by: stats needs scipy.stats.
+        table = tmp_path / "table.csv"
+        table.write_text("dataset,m1,m2,m3\n" + "".join(
+            f"d{i},0.{80 + i},0.{85 - i},0.{90 - 2 * i}\n" for i in range(6)))
+        argv = ["stats", "--table", str(table), "--out-dir", str(tmp_path / "reports")]
+        assert self.scipy_loaded_by(argv)[:2] == [0, True]
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e999", "1e-170", "1e-320",

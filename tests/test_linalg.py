@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from blsbench import linalg
-from blsbench.errors import DimensionMismatch
+from blsbench.errors import DimensionMismatch, FactorizationFailure
 
 
 def dense_oracle_primal(G, S, T, c):
@@ -66,6 +68,79 @@ class TestSolvers:
         for _ in range(20):
             perturbed = W + rng.normal(scale=1e-3, size=W.shape)
             assert oracles.ridge_objective(G, S, T, 5.0, perturbed) > base
+
+
+def scipy_reference(A, rhs, c, branch, G):
+    """The solve as scipy.linalg runs it on A + I/C: the reference of the
+    direct LAPACK calls."""
+    import scipy.linalg
+
+    a = A.copy()
+    a[np.diag_indices_from(a)] += 1.0 / c
+    if branch == "primal":
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True, check_finite=False),
+                                      rhs, check_finite=False)
+    return G.T @ scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), rhs,
+                                       check_finite=False)
+
+
+def without_bundled_lapack(monkeypatch):
+    """Solve as on a scipy whose wheel bundles no OpenBLAS."""
+    monkeypatch.setattr(linalg, "_lapack", lambda: None)
+
+
+class TestDirectLapack:
+    # 4 shapes (two primal, two dual with F > N) x 3 weightings x 3 C values =
+    # 36 systems, each solved on both paths and compared bit for bit with
+    # scipy.linalg.
+    @pytest.mark.parametrize("n,f,branch", [(60, 20, "primal"), (200, 150, "primal"),
+                                            (40, 90, "dual"), (120, 400, "dual")])
+    @pytest.mark.parametrize("weights", ["ones", "random", "zeros"])
+    def test_solve_is_scipy_linalg_bit_for_bit(self, n, f, branch, weights, monkeypatch):
+        if linalg._lapack() is None:
+            pytest.skip("scipy bundles no OpenBLAS; the solve is scipy.linalg's own")
+        rng = np.random.default_rng(n + f)
+        G = rng.normal(size=(n, f))
+        T = np.eye(3)[rng.integers(0, 3, size=n)]
+        s = {"ones": np.ones(n), "random": rng.uniform(size=n),
+             "zeros": np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(size=n))}[weights]
+        A, rhs = linalg._system(G, s, T, branch)
+        A0, rhs0 = A.copy(), rhs.copy()
+        with linalg._single_threaded_blas():
+            for c in (1e-2, 1.0, 1e4):
+                want = scipy_reference(A, rhs, c, branch, G)
+                assert np.array_equal(linalg._solve_system(A, rhs, c, branch, G), want)
+                with monkeypatch.context() as m:
+                    without_bundled_lapack(m)
+                    assert np.array_equal(linalg._solve_system(A, rhs, c, branch, G), want)
+        # Both paths factorize copies: every C is solved from the same A and rhs.
+        assert np.array_equal(A, A0) and np.array_equal(rhs, rhs0)
+
+    @pytest.mark.parametrize("bundled", [True, False])
+    def test_failed_cholesky_names_the_minor(self, bundled, monkeypatch):
+        if not bundled:
+            without_bundled_lapack(monkeypatch)
+        A = np.diag([1.0, 1.0, -2.0, 1.0])
+        with pytest.raises(FactorizationFailure, match=(
+                r"^Cholesky factorization of G'S\^2G \+ I/C failed: 3-th leading minor "
+                r"of the array is not positive definite$")):
+            linalg._solve_system(A, np.ones((4, 2)), 1.0, "primal", None)
+
+    def test_singular_dual_raises(self):
+        # A + I/C = 0; scipy.linalg's LU warns on it, the direct call does not.
+        if linalg._lapack() is None:
+            pytest.skip("scipy bundles no OpenBLAS")
+        with pytest.raises(FactorizationFailure, match=r"^I/C \+ S\^2GG' is singular$"):
+            linalg._solve_system(-np.eye(3), np.ones((3, 2)), 1.0, "dual", np.ones((3, 4)))
+
+    def test_illegal_argument_raises(self):
+        if linalg._lapack() is None:
+            pytest.skip("scipy bundles no OpenBLAS")
+        a = np.eye(3, order="F")
+        with pytest.raises(ValueError, match="^LAPACK dpotrf rejected its argument 1$"):
+            linalg._call_lapack("dpotrf", b"X", 3, a, 3)
+        with pytest.raises(ctypes.ArgumentError):  # row-major: the routine never sees it
+            linalg._call_lapack("dpotrf", b"L", 3, np.eye(3), 3)
 
 
 class TestPairwiseSqDist:

@@ -157,7 +157,8 @@ class TestFit:
                                             ("dual", small_net(m=20, p=5, q=8))])
     def test_memory_estimate_is_the_refusal_bound(self, branch, net, blobs, monkeypatch):
         # 8 bytes x (layer weights and biases + the state matrix and its weighted
-        # copy + the system and its per-C copy), against page size x pages.
+        # copy + the system and the one copy a solve factorizes), against page
+        # size x pages.
         X, y = blobs
         n, d, mp = X.shape[0], X.shape[1], net.m * net.p
         assert trainer._solve_branch(net.width, n) == branch
@@ -168,6 +169,32 @@ class TestFit:
                                                              "SC_PHYS_PAGES": pages}[key])
             with pytest.raises(ConfigError) if refused else contextlib.nullcontext():
                 fit(X, y, ModelConfig("bls", net))
+
+    @pytest.mark.parametrize("branch,net", [("primal", small_net()),
+                                            ("dual", small_net(m=20, p=5, q=8))])
+    def test_every_c_solved_from_one_unchanged_system(self, branch, net, blobs, monkeypatch):
+        # No per-C copy of A: the solve leaves A as it is, so the memory
+        # estimate's two squares are A and the copy the factorization overwrites.
+        system, systems = linalg._system, []
+
+        def recording(*args):
+            A, rhs = system(*args)
+            systems.append((A, A.copy()))
+            return A, rhs
+
+        X, y = blobs
+        c_regs = [0.1, 1.0, 10.0]
+        cfg = ModelConfig("f-bls", net)
+        Xn, _, classes, indices = trainer._prepare(X, y, cfg.variant)
+        s = trainer._sample_weights(Xn, indices, cfg)
+        monkeypatch.setattr(linalg, "_system", recording)
+        with linalg._single_threaded_blas():
+            _, weights = trainer._solutions(Xn, np.eye(len(classes))[indices], s, net, c_regs)
+        assert trainer._solve_branch(net.width, len(y)) == branch
+        ((A, before),) = systems
+        assert np.array_equal(A, before)
+        for c_reg, w_out in zip(c_regs, weights):
+            assert np.array_equal(w_out, fit(X, y, ModelConfig("f-bls", net, c_reg=c_reg)).w_out)
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
@@ -346,44 +373,44 @@ class TestBlasThreads:
                 fit(X, y[:-1], ModelConfig("bls", small_net()))
             assert threads() == [2] * len(threads())
 
-    def test_cap_reaches_scipy_linalg_imported_inside_it(self):
-        # The cap loads scipy's OpenBLAS before scipy.linalg links it; the
-        # solve must then run on that same library instance, at one thread.
-        if len(linalg._openblas_thread_controls()) != 2:
+    def test_cap_reaches_the_library_the_solve_calls(self):
+        # The solve calls LAPACK in the copy of scipy's OpenBLAS that the cap
+        # sets, so it runs at one thread, and imports no scipy.linalg.
+        if len(linalg._openblas_thread_controls()) != 2 or linalg._lapack() is None:
             pytest.skip("numpy and scipy do not both bundle OpenBLAS")
         if not os.path.exists("/proc/self/maps"):
             pytest.skip("no /proc/self/maps to list the mapped libraries")
         code = """if True:
-            import glob, importlib.util, json, os
+            import json, os, sys
             import numpy as np
             from blsbench import linalg
             controls = linalg._openblas_thread_controls()
             for _, put in controls:
                 put(2)
+            lib = linalg._lapack()
             before = [get() for get, _ in controls]
             with linalg._single_threaded_blas():
-                import scipy.linalg
-                scipy.linalg.cho_factor(np.eye(3))
-                inside = [get() for get, _ in controls]
-            after = [get() for get, _ in controls]
-            (lib,) = glob.glob(os.path.dirname(importlib.util.find_spec("scipy").origin)
-                               + ".libs/*openblas*")
-            name = os.path.basename(lib)
+                linalg._solve_system(np.eye(3), np.ones((3, 1)), 1.0, "primal", None)
+                inside = [get() for get, _ in controls] + [lib.scipy_openblas_get_num_threads()]
+            after = [get() for get, _ in controls] + [lib.scipy_openblas_get_num_threads()]
+            name = os.path.basename(lib._name)
             maps = [line.split() for line in open("/proc/self/maps")]
             maps = [(f[1], f[5]) for f in maps if len(f) > 5 and os.path.basename(f[5]) == name]
             print(json.dumps({
                 "controls": len(controls), "before": before, "inside": inside, "after": after,
                 "paths": sorted({path for _, path in maps}),
                 "code_segments": sum("x" in perms for perms, _ in maps),
+                "scipy.linalg": "scipy.linalg" in sys.modules,
             }))
         """
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         out = json.loads(res.stdout)
         assert out["controls"] == 2
-        assert out["inside"] == [1, 1]
-        assert out["after"] == out["before"]
+        assert out["inside"] == [1, 1, 1]
+        assert out["after"] == out["before"] + [2]
         assert len(out["paths"]) == 1 and out["code_segments"] == 1, out
+        assert not out["scipy.linalg"]
 
 
 class TestNormalization:
