@@ -21,11 +21,11 @@ are the program's only parallelism.
 The thread cap and the solve find the OpenBLAS libraries that the numpy
 and scipy wheels bundle from where the packages are installed, without
 importing scipy. _solve_system calls LAPACK's dpotrf, dpotrs, dgetrf and
-dgetrs in scipy's bundle through ctypes: the routines, library and operands
-that scipy.linalg would use, so its results are bit for bit those of
-scipy.linalg, and no command imports scipy.linalg. Only a scipy built
-against another BLAS, whose wheel bundles no OpenBLAS, is solved through
-scipy.linalg.
+dgetrs through ctypes: the routines and operands that scipy.linalg would
+use, so its results are bit for bit those of scipy.linalg. They come from
+scipy's bundle, so no command imports scipy.linalg; only a scipy built
+against another BLAS, whose wheel bundles no OpenBLAS, has them taken from
+scipy.linalg.cython_lapack, which imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-# The Fortran arguments of the four LAPACK routines _solve_system calls, in
-# order, before INFO: all by reference, the integers 32-bit (scipy's bundle
-# is LP64) and each matrix a writeable column-major float64 array.
+# The arguments of the four LAPACK routines _solve_system calls, in order,
+# before INFO: all by reference, the integers 32-bit (scipy's LAPACK is LP64)
+# and each matrix a writeable column-major float64 array.
 _CHAR, _INT = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
 _MATRIX = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS,WRITEABLE")
 _PIVOTS = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
@@ -96,30 +96,41 @@ _LAPACK_ARGS = {
 
 
 @functools.cache
-def _lapack():
-    """scipy's bundled OpenBLAS with _LAPACK_ARGS' routines declared, or None
-    when scipy bundles none that exports them (a scipy built against a system
-    BLAS). numpy's bundle is another OpenBLAS version, whose bits differ."""
+def _lapack() -> dict:
+    """_LAPACK_ARGS' routines by name, each declared with its C signature: the
+    scipy_d*_ symbols of scipy's bundled OpenBLAS, which take gfortran's
+    hidden length of each CHARACTER argument after INFO, or, where scipy's
+    wheel bundles none (a scipy built against a system BLAS), the pointers
+    that scipy.linalg.cython_lapack exports, which take none. numpy's bundle
+    is another OpenBLAS version, whose bits differ."""
     for path in _bundled_openblas("scipy"):
         lib = ctypes.CDLL(path)
         if hasattr(lib, "scipy_dpotrf_"):
+            routines = {}
             for name, args in _LAPACK_ARGS.items():
-                routine = getattr(lib, f"scipy_{name}_")
-                # INFO, then gfortran's hidden length of each CHARACTER argument.
+                routine = routines[name] = getattr(lib, f"scipy_{name}_")
                 routine.argtypes = args + [_INT] + [ctypes.c_size_t] * args.count(_CHAR)
                 routine.restype = None
-            return lib
-    return None
+            return routines
+    from scipy.linalg.cython_lapack import __pyx_capi__
+
+    api = ctypes.pythonapi
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return {name: ctypes.CFUNCTYPE(None, *args, _INT)(pointer_of(capsule, name_of(capsule)))
+            for name, args in _LAPACK_ARGS.items() for capsule in [__pyx_capi__[name]]}
 
 
 def _call_lapack(name: str, *args) -> int:
     """LAPACK routine name of _lapack() on args, given as bytes for a
     character, int for an integer and the array itself for a matrix; its
     INFO, which is >= 0 as a negative INFO (an illegal argument) raises."""
+    routine = _lapack()[name]
     info = ctypes.c_int()
     refs = [ctypes.byref(ctypes.c_int(a)) if isinstance(a, int) else a for a in args]
-    lengths = [1] * sum(isinstance(a, bytes) for a in args)
-    getattr(_lapack(), f"scipy_{name}_")(*refs, ctypes.byref(info), *lengths)
+    # Each hidden length the routine's signature declares after INFO is 1.
+    routine(*refs, ctypes.byref(info), *[1] * (len(routine.argtypes) - len(refs) - 1))
     if info.value < 0:
         raise ValueError(f"LAPACK {name} rejected its argument {-info.value}")
     return info.value
@@ -178,61 +189,34 @@ def _system(G, s, T, branch: str) -> tuple[np.ndarray, np.ndarray]:
     return s2[:, None] * (G @ G.T), s2[:, None] * T
 
 
-_CHOLESKY_FAILED = "Cholesky factorization of G'S^2G + I/C failed"
-
-
 def _solve_system(A: np.ndarray, rhs: np.ndarray, c_reg: float, branch: str, G) -> np.ndarray:
     """The output weights W from _system's A and rhs and a positive C; A and
     rhs are left as they are. branch "primal" solves
-    (G' S^2 G + I/C) W = G' S^2 T by a Cholesky factorization; it suits
-    F <= N. branch "dual" solves W = G' (I/C + S^2 G G')^{-1} S^2 T by an LU
-    factorization, which needs G; it suits F > N, and its N x N system
-    matrix is nonsymmetric whenever S is not the identity, hence the general
-    solve. The factorization overwrites one column-major copy of A + I/C, and
-    the solve one of rhs: the copies scipy.linalg's LAPACK wrappers make.
+    (G' S^2 G + I/C) W = G' S^2 T by a Cholesky factorization (dpotrf,
+    dpotrs); it suits F <= N. branch "dual" solves
+    W = G' (I/C + S^2 G G')^{-1} S^2 T by an LU factorization (dgetrf,
+    dgetrs), which needs G; it suits F > N, and its N x N system matrix is
+    nonsymmetric whenever S is not the identity, hence the general solve.
+    The factorization overwrites one column-major copy of A + I/C, and the
+    solve one of rhs: the copies scipy.linalg's LAPACK wrappers make.
     """
     a = np.array(A, order="F")
     a[np.diag_indices_from(a)] += 1.0 / c_reg
     b = np.array(rhs, order="F")
-    if _lapack() is None:
-        return _solve_with_scipy_linalg(a, b, branch, G)
     n, k = b.shape
     if branch == "primal":
         info = _call_lapack("dpotrf", b"L", n, a, n)
         if info > 0:
-            raise FactorizationFailure(f"{_CHOLESKY_FAILED}: {info}-th leading minor "
-                                       "of the array is not positive definite")
+            raise FactorizationFailure(f"Cholesky factorization of G'S^2G + I/C failed: {info}-th "
+                                       "leading minor of the array is not positive definite")
         _call_lapack("dpotrs", b"L", n, k, a, n, b, n)
         return b
     pivots = np.empty(n, dtype=np.intc)
-    _call_lapack("dgetrf", n, n, a, n, pivots)
-    _check_lu(a)
+    # A zero pivot, or inf in the factor: an overflow at a tiny C.
+    if _call_lapack("dgetrf", n, n, a, n, pivots) > 0 or not np.isfinite(a).all():
+        raise FactorizationFailure("I/C + S^2GG' is singular")
     _call_lapack("dgetrs", b"N", n, k, a, n, pivots, b, n)
     return G.T @ b
-
-
-def _check_lu(lu: np.ndarray) -> None:
-    """Raise FactorizationFailure unless the LU factors of I/C + S^2GG' are
-    finite with a nonzero diagonal."""
-    if not np.diag(lu).all() or not np.isfinite(lu).all():
-        raise FactorizationFailure("I/C + S^2GG' is singular")
-
-
-def _solve_with_scipy_linalg(a: np.ndarray, b: np.ndarray, branch: str, G) -> np.ndarray:
-    """_solve_system's factorization and solve of a = A + I/C and b = rhs,
-    which they overwrite, through scipy.linalg: for a scipy whose wheel
-    bundles no OpenBLAS."""
-    import scipy.linalg
-
-    if branch == "primal":
-        try:
-            factor = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise FactorizationFailure(f"{_CHOLESKY_FAILED}: {exc}") from exc
-        return scipy.linalg.cho_solve(factor, b, overwrite_b=True, check_finite=False)
-    lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
-    _check_lu(lu)
-    return G.T @ scipy.linalg.lu_solve((lu, piv), b, overwrite_b=True, check_finite=False)
 
 
 def pairwise_sq_dist(A, B) -> np.ndarray:

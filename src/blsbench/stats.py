@@ -336,6 +336,8 @@ def friedman_test(average_rank, n_datasets: int) -> FriedmanResult:
     d = avg.shape[0]
     if k < 2 or d < 2:
         raise ConfigError(f"need at least 2 datasets and 2 models, got K={k}, D={d}")
+    if not np.isfinite(avg).all():
+        raise ConfigError("the average ranks contain non-finite entries")
     # Dividing last keeps chi2 exactly K(D-1), so F is inf, on a unanimous table.
     chi2 = 12.0 * k * (float(np.sum(avg**2)) - d * (d + 1) ** 2 / 4.0) / (d * (d + 1))
     denom = k * (d - 1) - chi2
@@ -360,6 +362,8 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ConfigError("a and b must be equal-length flat sequences")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ConfigError("a and b contain non-finite entries")
     if a.shape[0] < 5:
         raise ConfigError("need at least 5 pairs")
     n = int(np.count_nonzero(a - b))
@@ -382,6 +386,8 @@ def win_tie_loss(a, b, tie_tol: float = DEFAULT_TIE_TOL) -> WinTieLoss:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.shape[0] < 1:
         raise ConfigError("a and b must be equal-length nonempty flat sequences")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ConfigError("a and b contain non-finite entries")
     d = a - b
     wins_a = int(np.sum(d > tie_tol))
     wins_b = int(np.sum(d < -tie_tol))

@@ -294,9 +294,13 @@ def predict(model: TrainedModel, X_test) -> list[str]:
 
 
 def accuracy(model: TrainedModel, X, labels: Sequence) -> float:
-    """Fraction of correctly classified rows."""
+    """Fraction of correctly classified rows, one label a row."""
     pred = predict(model, X)
     truth = [str(v) for v in labels]
+    if len(truth) != len(pred):
+        raise ConfigError(f"{len(truth)} labels for {len(pred)} samples")
+    if not truth:
+        raise ConfigError("accuracy needs at least one sample")
     return sum(p == t for p, t in zip(pred, truth)) / len(truth)
 
 

@@ -12,6 +12,14 @@ _SRC = str(Path(__file__).parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
+def solves_in_bundle():
+    """Whether linalg._lapack() took its routines from scipy's bundled
+    OpenBLAS, not from scipy.linalg.cython_lapack."""
+    from blsbench import linalg
+
+    return getattr(linalg._lapack()["dpotrf"], "__name__", None) == "scipy_dpotrf_"
+
+
 def make_blobs(n_per_class, centers, std, seed, labels=("a", "b")):
     """Two isotropic Gaussian clusters with string labels."""
     rng = np.random.default_rng(seed)

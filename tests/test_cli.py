@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import published_tables as pt
-from conftest import make_blobs
+from conftest import make_blobs, solves_in_bundle
 
 
 def run_cli(*args, env=None):
@@ -983,10 +983,8 @@ class TestTopLevel:
     @pytest.mark.parametrize("command", ["train", "cv", "gridsearch", "gridsearch-jobs2"])
     def test_solving_commands_leave_scipy_linalg_unloaded(self, command, dataset_csv, tmp_path):
         # The solve calls LAPACK in scipy's bundled OpenBLAS, which is found, not imported.
-        from blsbench import linalg
-
-        if linalg._lapack() is None:
-            pytest.skip("scipy bundles no OpenBLAS; the solve imports scipy.linalg")
+        if not solves_in_bundle():
+            pytest.skip("scipy bundles no OpenBLAS; the solve imports scipy.linalg.cython_lapack")
         grid = tmp_path / "grid.ini"
         grid.write_text("[grid]\nc_reg = 0.1, 10\nm = 2\np = 3, 5\nq = 4\n")
         extra = {"train": [], "cv": ["--k", "2"],

@@ -1,4 +1,5 @@
 import ctypes
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from blsbench import linalg
+from conftest import solves_in_bundle
 from blsbench.errors import DimensionMismatch, FactorizationFailure
 
 
@@ -85,20 +87,25 @@ def scipy_reference(A, rhs, c, branch, G):
 
 
 def without_bundled_lapack(monkeypatch):
-    """Solve as on a scipy whose wheel bundles no OpenBLAS."""
-    monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    """Solve as on a scipy whose wheel bundles no OpenBLAS: through the
+    routines that scipy.linalg.cython_lapack exports."""
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_bundled_openblas", lambda package: [])
+        routines = linalg._lapack.__wrapped__()
+    assert not hasattr(routines["dpotrf"], "__name__")  # not a library's symbol
+    monkeypatch.setattr(linalg, "_lapack", lambda: routines)
 
 
 class TestDirectLapack:
-    # 4 shapes (two primal, two dual with F > N) x 3 weightings x 3 C values =
-    # 36 systems, each solved on both paths and compared bit for bit with
-    # scipy.linalg.
+    # "bundled" solves through the routines _lapack() chose, scipy's bundled
+    # OpenBLAS where there is one, the other cases through those of
+    # scipy.linalg.cython_lapack. 4 shapes (two primal, two dual with F > N) x
+    # 3 weightings x 3 C values = 36 systems, each solved both ways and
+    # compared bit for bit with scipy.linalg.
     @pytest.mark.parametrize("n,f,branch", [(60, 20, "primal"), (200, 150, "primal"),
                                             (40, 90, "dual"), (120, 400, "dual")])
     @pytest.mark.parametrize("weights", ["ones", "random", "zeros"])
     def test_solve_is_scipy_linalg_bit_for_bit(self, n, f, branch, weights, monkeypatch):
-        if linalg._lapack() is None:
-            pytest.skip("scipy bundles no OpenBLAS; the solve is scipy.linalg's own")
         rng = np.random.default_rng(n + f)
         G = rng.normal(size=(n, f))
         T = np.eye(3)[rng.integers(0, 3, size=n)]
@@ -113,7 +120,7 @@ class TestDirectLapack:
                 with monkeypatch.context() as m:
                     without_bundled_lapack(m)
                     assert np.array_equal(linalg._solve_system(A, rhs, c, branch, G), want)
-        # Both paths factorize copies: every C is solved from the same A and rhs.
+        # Both sources factorize copies: every C is solved from the same A and rhs.
         assert np.array_equal(A, A0) and np.array_equal(rhs, rhs0)
 
     @pytest.mark.parametrize("bundled", [True, False])
@@ -121,20 +128,33 @@ class TestDirectLapack:
         if not bundled:
             without_bundled_lapack(monkeypatch)
         A = np.diag([1.0, 1.0, -2.0, 1.0])
-        with pytest.raises(FactorizationFailure, match=(
-                r"^Cholesky factorization of G'S\^2G \+ I/C failed: 3-th leading minor "
-                r"of the array is not positive definite$")):
-            linalg._solve_system(A, np.ones((4, 2)), 1.0, "primal", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FactorizationFailure, match=(
+                    r"^Cholesky factorization of G'S\^2G \+ I/C failed: 3-th leading minor "
+                    r"of the array is not positive definite$")):
+                linalg._solve_system(A, np.ones((4, 2)), 1.0, "primal", None)
 
-    def test_singular_dual_raises(self):
-        # A + I/C = 0; scipy.linalg's LU warns on it, the direct call does not.
-        if linalg._lapack() is None:
-            pytest.skip("scipy bundles no OpenBLAS")
+    def test_singular_dual_raises(self, monkeypatch):
+        # A + I/C = 0, a zero pivot; scipy.linalg's LU would warn on it.
+        for bundled in (True, False):
+            with monkeypatch.context() as m, warnings.catch_warnings():
+                if not bundled:
+                    without_bundled_lapack(m)
+                warnings.simplefilter("error")
+                with pytest.raises(FactorizationFailure, match=r"^I/C \+ S\^2GG' is singular$"):
+                    linalg._solve_system(-np.eye(3), np.ones((3, 2)), 1.0, "dual",
+                                         np.ones((3, 4)))
+
+    def test_overflowing_dual_raises(self):
+        # I/C overflows to inf at this C, which ModelConfig would refuse: no zero
+        # pivot, but a factor that is not finite.
         with pytest.raises(FactorizationFailure, match=r"^I/C \+ S\^2GG' is singular$"):
-            linalg._solve_system(-np.eye(3), np.ones((3, 2)), 1.0, "dual", np.ones((3, 4)))
+            linalg._solve_system(np.eye(3), np.ones((3, 2)), 1e-320, "dual", np.ones((3, 4)))
 
     def test_illegal_argument_raises(self):
-        if linalg._lapack() is None:
+        # Bundle only: a system LAPACK's XERBLA may stop the process instead.
+        if not solves_in_bundle():
             pytest.skip("scipy bundles no OpenBLAS")
         a = np.eye(3, order="F")
         with pytest.raises(ValueError, match="^LAPACK dpotrf rejected its argument 1$"):

@@ -371,11 +371,14 @@ class TestFriedman:
         ref = scipy.stats.friedmanchisquare(*acc.T)
         assert res.chi2 == pytest.approx(ref.statistic, rel=1e-10)
 
-    @pytest.mark.parametrize("average_rank,n_datasets", [
-        ([1.5, 1.5], 1), ([1.0], 5),
-    ], ids=["one-dataset", "one-model"])
-    def test_too_small_comparison_rejected(self, average_rank, n_datasets):
-        with pytest.raises(ConfigError, match="need at least 2 datasets and 2 models"):
+    @pytest.mark.parametrize("average_rank,n_datasets,message", [
+        ([1.5, 1.5], 1, "need at least 2 datasets and 2 models"),
+        ([1.0], 5, "need at least 2 datasets and 2 models"),
+        ([1.5, np.nan], 5, "the average ranks contain non-finite entries"),
+        ([1.5, np.inf], 5, "the average ranks contain non-finite entries"),
+    ], ids=["one-dataset", "one-model", "nan", "inf"])
+    def test_too_small_comparison_rejected(self, average_rank, n_datasets, message):
+        with pytest.raises(ConfigError, match=message):
             stats.friedman_test(average_rank, n_datasets)
 
     @pytest.mark.parametrize("n_datasets", [3.7, 3.0, "3"])
@@ -419,7 +422,9 @@ class TestWilcoxon:
         (np.ones(6), np.ones(5), "equal-length flat sequences"),
         (np.ones((3, 2)), np.ones((3, 2)), "equal-length flat sequences"),
         (np.arange(4.0), np.zeros(4), "need at least 5 pairs"),
-    ], ids=["lengths", "2-D", "four-pairs"])
+        (np.array([1.0, 2, 3, 4, np.nan]), np.zeros(5), "a and b contain non-finite entries"),
+        (np.arange(5.0), np.array([0.0, 0, 0, 0, -np.inf]), "a and b contain non-finite entries"),
+    ], ids=["lengths", "2-D", "four-pairs", "nan", "inf"])
     def test_malformed_pairs_rejected(self, a, b, message):
         with pytest.raises(ConfigError, match=message):
             stats.wilcoxon_signed_rank(a, b)
@@ -465,11 +470,15 @@ class TestWinTieLoss:
         with pytest.raises(ConfigError, match="tie_tol must be finite and non-negative"):
             stats.win_tie_loss(np.ones(5), np.zeros(5), tie_tol)
 
-    @pytest.mark.parametrize("a,b", [
-        (np.ones(3), np.ones(2)), (np.ones((2, 2)), np.ones((2, 2))), (np.ones(0), np.ones(0)),
-    ], ids=["lengths", "2-D", "empty"])
-    def test_malformed_pairs_rejected(self, a, b):
-        with pytest.raises(ConfigError, match="equal-length nonempty flat sequences"):
+    @pytest.mark.parametrize("a,b,message", [
+        (np.ones(3), np.ones(2), "equal-length nonempty flat sequences"),
+        (np.ones((2, 2)), np.ones((2, 2)), "equal-length nonempty flat sequences"),
+        (np.ones(0), np.ones(0), "equal-length nonempty flat sequences"),
+        (np.array([1.0, np.nan]), np.ones(2), "a and b contain non-finite entries"),
+        (np.ones(2), np.array([np.inf, 1.0]), "a and b contain non-finite entries"),
+    ], ids=["lengths", "2-D", "empty", "nan", "inf"])
+    def test_malformed_pairs_rejected(self, a, b, message):
+        with pytest.raises(ConfigError, match=message):
             stats.win_tie_loss(a, b)
 
     def test_zero_tie_tol_counts_exact_ties_only(self):

@@ -21,7 +21,7 @@ from blsbench.errors import (
 from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, fit, load_model, predict, save_model
-from conftest import make_blobs
+from conftest import make_blobs, solves_in_bundle
 import oracles
 
 
@@ -272,6 +272,19 @@ class TestInputBoundary:
         with pytest.raises(NonFiniteInput, match="X_test"):
             predict(model, corrupt(X, "nan", [5]))
 
+    @pytest.mark.parametrize("rows,n_labels,message", [
+        (20, 5, "^5 labels for 20 samples$"), (20, 30, "^30 labels for 20 samples$"),
+        (0, 0, "^accuracy needs at least one sample$"),
+    ], ids=["fewer-labels", "more-labels", "no-rows"])
+    def test_accuracy_rejects_labels_that_do_not_match_the_rows(self, rows, n_labels, message,
+                                                                 blobs):
+        # zip would score the shorter of the two, and no rows would divide by 0.
+        X, y = blobs
+        model = fit(X, y, ModelConfig("bls", small_net()))
+        labels = (list(y) * 2)[:n_labels]
+        with pytest.raises(ConfigError, match=message):
+            trainer.accuracy(model, X[:rows], labels)
+
     def test_decision_scores_rejects_wrong_feature_count(self, blobs):
         X, y = blobs
         model = fit(X, y, ModelConfig("bls", small_net()))
@@ -376,18 +389,19 @@ class TestBlasThreads:
     def test_cap_reaches_the_library_the_solve_calls(self):
         # The solve calls LAPACK in the copy of scipy's OpenBLAS that the cap
         # sets, so it runs at one thread, and imports no scipy.linalg.
-        if len(linalg._openblas_thread_controls()) != 2 or linalg._lapack() is None:
+        if len(linalg._openblas_thread_controls()) != 2 or not solves_in_bundle():
             pytest.skip("numpy and scipy do not both bundle OpenBLAS")
         if not os.path.exists("/proc/self/maps"):
             pytest.skip("no /proc/self/maps to list the mapped libraries")
         code = """if True:
-            import json, os, sys
+            import ctypes, json, os, sys
             import numpy as np
             from blsbench import linalg
             controls = linalg._openblas_thread_controls()
             for _, put in controls:
                 put(2)
-            lib = linalg._lapack()
+            [path] = linalg._bundled_openblas("scipy")
+            lib = ctypes.CDLL(path)
             before = [get() for get, _ in controls]
             with linalg._single_threaded_blas():
                 linalg._solve_system(np.eye(3), np.ones((3, 1)), 1.0, "primal", None)
