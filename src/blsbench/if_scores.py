@@ -19,12 +19,14 @@ that of sample i to its class centroid is 1 + mean(K_cc) - 2 mean_j(K_ij)
 over its class block K_cc.
 
 Scoring N samples holds one N x N float64 array, which holds the squared
-distances and then the kernel; no N x N mask, distance matrix or
-upper-triangle copy is made. The RKHS distance sqrt(2 - 2k) is
-non-increasing in k in floating point too (see _rkhs_distance), so the
-median heuristic and the epsilon-neighborhoods are selected in K, and only
-the two middle kernel values are mapped to distances (see _score_vector,
-_median_distance and _kernel_threshold).
+distances and then the kernel; no N x N mask, distance matrix,
+upper-triangle copy or class block is made. The centroid step's sums are
+numpy's pairwise sums of the class blocks, bit for bit, added from class
+rows gathered a row block at a time (see _class_sums). The RKHS distance
+sqrt(2 - 2k) is non-increasing in k in floating point too (see
+_rkhs_distance), so the median heuristic and the epsilon-neighborhoods are
+selected in K, and only the two middle kernel values are mapped to
+distances (see _score_vector, _median_distance and _kernel_threshold).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fuzzy import DEFAULT_DELTA, _check_delta, _membership
-from .linalg import _check_memory, _row_blocks, _sq_dist
+from .linalg import _BLOCK, _check_memory, _row_blocks, _sq_dist
 # Unused here: bench/tracing.py times linalg calls through these bindings.
 from .linalg import as_matrix, pairwise_sq_dist  # noqa: F401
 
@@ -115,14 +117,14 @@ def _score_vector(
     the median heuristic and the neighborhood counts then read the kernel
     row block by row block. A distance is at most epsilon exactly when its
     kernel value is at least _kernel_threshold(epsilon), so no distance is
-    formed. Beyond row blocks, only the class blocks of the centroid step
-    are copied, one at a time. Scoring that would not fit in physical
-    memory raises ConfigError before anything is allocated.
+    formed, and _class_sums adds each class block from its gathered rows
+    without copying it, so nothing but row blocks is made beside the
+    buffer. Scoring that would not fit in physical memory raises
+    ConfigError before anything is allocated.
     """
     n = t.shape[0]
     positive = t == 1
-    n_pos = int(np.count_nonzero(positive))
-    _check_memory(8 * (n * n + max(n_pos, n - n_pos) ** 2), f"if-bls scoring of {n} rows")
+    _check_memory(8 * (n * n + _BLOCK), f"if-bls scoring of {n} rows")
     # d / -mu^2 rounds as -d / mu^2 does, sign and all.
     neg_mu2 = -(params.mu * params.mu)
 
@@ -135,11 +137,11 @@ def _score_vector(
     K = _sq_dist(X, X, kernel)
     sq = np.empty(n)
     for mask in (positive, ~positive):
-        m = int(mask.sum())
-        block = K[np.ix_(mask, mask)]
+        idx = np.flatnonzero(mask)
+        m = idx.size
+        total, row_sums = _class_sums(K, idx)
         # A squared norm, negative only by rounding.
-        sq[mask] = np.maximum(1.0 + block.sum() / (m * m) - 2.0 * (block.sum(axis=1) / m), 0.0)
-        del block
+        sq[mask] = np.maximum(1.0 + total / (m * m) - 2.0 * (row_sums / m), 0.0)
     theta = _membership(sq, t, params.delta)
     if isinstance(params.epsilon, str):
         epsilon = _median_distance(K)
@@ -166,6 +168,43 @@ def _score_vector(
         score=scores,
         epsilon_used=epsilon,
     )
+
+
+def _class_sums(K: np.ndarray, idx: np.ndarray) -> tuple[np.float64, np.ndarray]:
+    """K[np.ix_(idx, idx)].sum() and .sum(axis=1) of the n x n kernel K,
+    bit for bit, without forming the m x m class block.
+
+    numpy adds a contiguous float64 array pairwise: a run of more than 128
+    values is split after its first n // 2 values, rounded down to a
+    multiple of 8, and its halves are added recursively; any node of that
+    tree, added on its own, gives the same bits. _node_sum walks the tree
+    over the flattened class block down to nodes of about one row block
+    and adds each from only the class rows it covers, gathered from K.
+    A class row is added in the node that holds its last value, where the
+    gathered rows hold it whole.
+    """
+    m = idx.size
+    row_sums = np.empty(m)
+    total = _node_sum(K, idx, 0, m * m, m * max(1, _BLOCK // K.shape[0]), row_sums)
+    return total, row_sums
+
+
+def _node_sum(K, idx, lo, hi, leaf, row_sums):
+    """numpy's pairwise sum of values lo:hi of the flattened class block
+    K[np.ix_(idx, idx)], setting row_sums of the rows that end in it. A
+    module-level function: a closure that calls itself is a reference cycle,
+    which would keep K alive after scoring until the cyclic collector runs."""
+    n = hi - lo
+    if n > max(leaf, 128):
+        half = n // 2
+        half -= half % 8
+        return (_node_sum(K, idx, lo, lo + half, leaf, row_sums)
+                + _node_sum(K, idx, lo + half, hi, leaf, row_sums))
+    m = idx.size
+    first = lo // m
+    rows = K[idx[first:(hi - 1) // m + 1]].take(idx, axis=1)
+    row_sums[first:hi // m] = rows[:hi // m - first].sum(axis=1)
+    return np.add.reduce(rows.reshape(-1)[lo - first * m:hi - first * m])
 
 
 def _rkhs_distance(k):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import os
 import tracemalloc
 
@@ -265,11 +266,11 @@ class TestVector:
         b, _ = if_scores._score_vector(X, y, KernelParams())
         np.testing.assert_array_equal(a, b)
 
-    def test_peak_memory_is_one_buffer_and_a_class_block(self):
-        # The peak is the one N x N buffer and the larger class block of the
-        # centroid step, N^2 / 4 here; the distance passes, the median and
-        # the neighborhood counts add only row blocks to the buffer.
-        N = 600
+    def test_peak_memory_is_one_buffer(self):
+        # The peak is the one N x N buffer; the distance passes, the class
+        # sums, the median and the neighborhood counts add only row blocks.
+        # A copy of either class block, N^2 / 4 here, breaks the bound.
+        N = 1200
         X = np.random.default_rng(0).normal(size=(N, 10))
         y = np.array([1, -1] * (N // 2))
         tracemalloc.start()
@@ -278,15 +279,31 @@ class TestVector:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.35 * N * N * 8
+        assert peak <= 1.1 * N * N * 8
+
+    def test_no_reference_cycle_keeps_the_buffer(self):
+        # With the cyclic collector off, the N x N buffer is freed when
+        # scoring returns: nothing in a reference cycle holds it.
+        N = 600
+        X = np.random.default_rng(1).normal(size=(N, 10))
+        y = np.array([1, -1] * (N // 2))
+        gc.disable()
+        tracemalloc.start()
+        try:
+            if_scores._score_vector(X, y, KernelParams())
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert current < 0.01 * N * N * 8
 
     @pytest.mark.parametrize("n_pos", [5, 9])
     def test_memory_estimate_is_the_refusal_bound(self, n_pos, monkeypatch):
-        # 8 bytes x (the N x N buffer + the larger class block), against page
-        # size x pages.
+        # 8 bytes x (the N x N buffer + one row block), against page size x
+        # pages, whatever the class sizes.
         X = kernel_problem(n=14)[0]
         y = np.where(np.arange(14) < n_pos, 1, -1)
-        need = 8 * (14 * 14 + 9 * 9)
+        need = 8 * (14 * 14 + linalg._BLOCK)
         for pages, refused in ((need, False), (need - 1, True)):
             monkeypatch.setattr(os, "sysconf", lambda key: {"SC_PAGE_SIZE": 1,
                                                              "SC_PHYS_PAGES": pages}[key])
@@ -294,6 +311,70 @@ class TestVector:
                     r"^if-bls scoring of 14 rows needs about \S+ GiB; this machine has \S+ GiB$"
             )) if refused else contextlib.nullcontext():
                 if_scores._score_vector(X, y, KernelParams())
+
+
+def class_rows(layout, m, rng):
+    """n and the sorted rows idx of a class of m among n samples: one run
+    of rows, every other row, or a random 10% or 90% of the rows."""
+    n = class_total(layout, m)
+    if layout == "contiguous":
+        return n, np.arange(1, m + 1)
+    if layout == "interleaved":
+        return n, np.arange(1, 2 * m + 1, 2)
+    return n, np.sort(rng.choice(n, size=m, replace=False))
+
+
+def class_total(layout, m):
+    if layout == "contiguous":
+        return m + 3
+    if layout == "interleaved":
+        return 2 * m + 1
+    return max(m + 1, round(m / {"10%": 0.1, "90%": 0.9}[layout]))
+
+
+def leaf_edge(layout):
+    """The largest class size m whose class block, m^2 values, fits in one
+    _class_sums leaf of m * max(1, _BLOCK // n) values."""
+    return max(m for m in range(1, 1000) if m <= linalg._BLOCK // class_total(layout, m))
+
+
+class RowGathers(np.ndarray):
+    """A kernel that records how many rows each index-array gather takes."""
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            self.gathered.append(key.size)
+        return np.asarray(self)[key]
+
+
+class TestClassSums:
+    # _class_sums walks numpy's pairwise tree: runs of at most 8 and of at
+    # most 128 values and their neighbors, class blocks just inside and
+    # just beyond one leaf, and one split into many leaves. A 10% class of
+    # 1300 rows would need a kernel of 13000^2 values, so it is left out.
+    # Each class row is gathered once, or twice where it crosses a leaf
+    # edge: at most 2m rows in all.
+    @pytest.mark.parametrize("mu", [2.0**-5, 4.0])
+    @pytest.mark.parametrize("m,layout", [
+        (m, layout)
+        for m in [2, 3, 7, 8, 9, 127, 128, 129, "leaf", "leaf+1", 1300]
+        for layout in ["contiguous", "interleaved", "10%", "90%"]
+        if (m, layout) != (1300, "10%")
+    ])
+    def test_equals_the_class_block_sums(self, m, layout, mu):
+        if isinstance(m, str):
+            m = leaf_edge(layout) + (m == "leaf+1")
+        rng = np.random.default_rng(m)
+        n, idx = class_rows(layout, m, rng)
+        X = rng.normal(size=(n, 3))
+        K = oracles.gaussian_kernel(X, X, mu)
+        block = K[np.ix_(idx, idx)]
+        counted = K.view(RowGathers)
+        counted.gathered = []
+        total, row_sums = if_scores._class_sums(counted, idx)
+        assert np.array_equal(total, block.sum())
+        assert np.array_equal(row_sums, block.sum(axis=1))
+        assert sum(counted.gathered) <= 2 * m
 
 
 class TestMedianDistance:
