@@ -386,6 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _broken_pool() -> tuple:
+    """BrokenProcessPool, once a gridsearch --jobs pool has loaded it: importing
+    it up front would slow every command by about 30 ms."""
+    process = sys.modules.get("concurrent.futures.process")
+    return (process.BrokenProcessPool,) if process else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -395,8 +402,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BlsBenchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        message = f"out of memory: {exc}" if str(exc) else "out of memory"
+    except _broken_pool() as exc:
+        message = f"a worker process died: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

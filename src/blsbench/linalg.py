@@ -157,12 +157,26 @@ def _single_threaded_blas():
             put(n)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _check_memory(need: int, what: str) -> None:
     """Raise ConfigError, naming what, when need bytes exceed physical memory."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = _physical_memory()
     if need > have:
         raise ConfigError(f"{what} needs about {need / 2**30:.3g} GiB; "
                           f"this machine has {have / 2**30:.3g} GiB")
+
+
+def _buffer(scratch, key: str, shape: tuple, order: str = "C") -> np.ndarray:
+    """An uninitialized float64 array of shape: a fresh one, or, when scratch
+    (a dict of flat float64 arrays) is given, a view of the leading elements
+    of scratch[key], contiguous in order."""
+    if scratch is None:
+        return np.empty(shape, order=order)
+    return scratch[key][:shape[0] * shape[1]].reshape(shape, order=order)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -175,21 +189,36 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _system(G, s, T, branch: str) -> tuple[np.ndarray, np.ndarray]:
+def _gram(G, scratch=None) -> np.ndarray:
+    """G G', the dual system's product, into scratch["gram"] when given.
+    numpy hands a product with its own transpose to syrk."""
+    return np.matmul(G, G.T, out=_buffer(scratch, "gram", (G.shape[0], G.shape[0])))
+
+
+def _system(G, s, T, branch: str, gram=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """The part of the ridge system that C leaves alone, from the N x F state
     matrix G, the N sample weights s in [0, 1] and the N x K targets T: the
     primal G' S^2 G and G' S^2 T, or the dual S^2 G G' and S^2 T.
 
-    G.T @ G would go to syrk, whose rounding differs; these products are
-    the ones that every fit has solved.
+    gram is _gram(G), which a dual system forms when it is not given. With
+    scratch, the system is written into scratch["system"], and the primal's
+    S^2 G into scratch["factor"], which its solve's factor copy then reuses.
+    G.T @ G would go to syrk, whose rounding differs; these products are the
+    ones that every fit has solved.
     """
     s2 = s * s
     if branch == "primal":
-        return G.T @ (s2[:, None] * G), G.T @ (s2[:, None] * T)
-    return s2[:, None] * (G @ G.T), s2[:, None] * T
+        SG = np.multiply(s2[:, None], G, out=_buffer(scratch, "factor", G.shape))
+        A = np.matmul(G.T, SG, out=_buffer(scratch, "system", (G.shape[1], G.shape[1])))
+        return A, G.T @ (s2[:, None] * T)
+    if gram is None:
+        gram = _gram(G)
+    A = np.multiply(s2[:, None], gram, out=_buffer(scratch, "system", gram.shape))
+    return A, s2[:, None] * T
 
 
-def _solve_system(A: np.ndarray, rhs: np.ndarray, c_reg: float, branch: str, G) -> np.ndarray:
+def _solve_system(A: np.ndarray, rhs: np.ndarray, c_reg: float, branch: str, G,
+                  scratch=None) -> np.ndarray:
     """The output weights W from _system's A and rhs and a positive C; A and
     rhs are left as they are. branch "primal" solves
     (G' S^2 G + I/C) W = G' S^2 T by a Cholesky factorization (dpotrf,
@@ -198,12 +227,16 @@ def _solve_system(A: np.ndarray, rhs: np.ndarray, c_reg: float, branch: str, G) 
     dgetrs), which needs G; it suits F > N, and its N x N system matrix is
     nonsymmetric whenever S is not the identity, hence the general solve.
     The factorization overwrites one column-major copy of A + I/C, and the
-    solve one of rhs: the copies scipy.linalg's LAPACK wrappers make.
+    solve one of rhs: the copies scipy.linalg's LAPACK wrappers make. With
+    scratch, the copy of A is written into scratch["factor"]; on the primal
+    that overwrites _system's S^2 G, which A no longer needs.
     """
-    a = np.array(A, order="F")
-    a[np.diag_indices_from(a)] += 1.0 / c_reg
+    n = A.shape[0]
+    a = _buffer(scratch, "factor", A.shape, order="F")
+    np.copyto(a, A)
+    a.reshape(-1, order="F")[::n + 1] += 1.0 / c_reg  # the diagonal, as a strided view
     b = np.array(rhs, order="F")
-    n, k = b.shape
+    k = b.shape[1]
     if branch == "primal":
         info = _call_lapack("dpotrf", b"L", n, a, n)
         if info > 0:

@@ -44,6 +44,21 @@ FEATURE_ACTIVATIONS = {"linear": _linear, "tanh": np.tanh, "sigmoid": _sigmoid}
 ENHANCEMENT_ACTIVATIONS = {"tanh": np.tanh, "sigmoid": _sigmoid, "relu": _relu}
 
 
+def _sigmoid_in_place(z):
+    # _sigmoid's steps, in its order, each overwriting z.
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+# _forward's activations: each of the above by name, overwriting its float64
+# argument with its value by the same operations, so with the same bits.
+_IN_PLACE = {"linear": _linear, "tanh": lambda z: np.tanh(z, out=z),
+             "sigmoid": _sigmoid_in_place, "relu": lambda z: np.maximum(z, 0.0, out=z)}
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Shape and activation choices for the random layer.
@@ -153,13 +168,27 @@ def state_matrix(layer: RandomLayer, X) -> np.ndarray:
     return _forward(layer, X)
 
 
-def _forward(layer: RandomLayer, X: np.ndarray) -> np.ndarray:
-    """state_matrix of a checked X with layer.input_dim columns."""
-    act = FEATURE_ACTIVATIONS[layer.config.feature_activation]
-    Fm = np.concatenate(
-        [act(X @ W + b) for W, b in zip(layer.feature_weights, layer.feature_biases)],
-        axis=1,
-    )
-    act = ENHANCEMENT_ACTIVATIONS[layer.config.enhancement_activation]
+def _forward(layer: RandomLayer, X: np.ndarray, out=None) -> np.ndarray:
+    """state_matrix of a checked X with layer.input_dim columns, written into
+    out (len(X) x width, C-contiguous) when it is given.
+
+    Each group's product is written into its block of columns, then its
+    bias and activation are applied in place: the operations, and so the
+    bits, of concatenating fresh blocks. The enhancement groups read the
+    feature block as a view of the first m*p columns.
+    """
+    cfg = layer.config
+    G = np.empty((X.shape[0], cfg.width)) if out is None else out
+    act, mp = _IN_PLACE[cfg.feature_activation], cfg.m * cfg.p
+    groups = zip(layer.feature_weights, layer.feature_biases)
+    for start, (W, b) in zip(range(0, mp, cfg.p), groups):
+        block = np.matmul(X, W, out=G[:, start:start + cfg.p])
+        block += b
+        act(block)
+    act, Fm = _IN_PLACE[cfg.enhancement_activation], G[:, :mp]
     groups = zip(layer.enhancement_weights, layer.enhancement_biases)
-    return np.concatenate([Fm, *(act(Fm @ W + b) for W, b in groups)], axis=1)
+    for start, (W, b) in zip(range(mp, cfg.width, cfg.q), groups):
+        block = np.matmul(Fm, W, out=G[:, start:start + cfg.q])
+        block += b
+        act(block)
+    return G

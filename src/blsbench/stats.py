@@ -1,26 +1,33 @@
 """Cross-validation, grid search, and the benchmark statistics battery.
 
-cross_validate and grid_search run one fold-major engine, which computes
-each quantity at the level where it varies:
+cross_validate and grid_search run one network-major engine, which
+computes each quantity at the level where it varies:
 
-- per fold: fit's checks of the training part and its normalization, the
-  class indices and one-hot targets, and the test rows with
-  decision_scores' checks;
-- per weighting (none for bls, delta for f-bls, the kernel parameters for
-  if-bls): the sample weight vector;
-- per network (m, p, q and the rest of NetworkConfig): the random layer,
-  the training state matrix, the C-free part of the ridge system and the
-  test state matrix;
-- per C: the solve (linalg._solve_system), the test scores, their argmax
-  and the accuracy.
+- per run, before any cell: in the parent process, each fold's checked
+  parts (fit's checks of the training part and its normalization, the
+  class indices and one-hot targets, the test rows with decision_scores'
+  checks); then per fold each weighting's sample weight vector (none for
+  bls, delta for f-bls, the kernel parameters for if-bls), spread over
+  grid_search's worker processes, at one BLAS thread as in fit;
+- per network (m, p, q and the rest of NetworkConfig), once per slice of
+  cells: the random layer, and buffers for the arrays below, each sized
+  once for the slice's largest network;
+- per network and fold: the training state matrix, written into its
+  buffer, the dual's G G', and the test state matrix;
+- per weighting: the C-free part of the ridge system, in its buffer;
+- per C: the solve (linalg._solve_system) from a factor copy in a buffer,
+  the test scores, their argmax and the accuracy.
 
 Every fold accuracy equals that of fit and accuracy on the same fold, bit
-for bit: the steps, the solve step trainer._solutions included, are fit's
-and decision_scores' own. A cell is one fold, weighting and network with
-all its C values; _cells runs cells in order, and grid_search's worker
-processes each run one contiguous slice of them, merged in enumeration order.
-A fold whose training part lacks a class is skipped; any other error raises
-where it happens, so a run stops at its first failing cell in that order.
+for bit: fit runs the same steps (trainer._output_weights included) on
+the same operands, writing fresh arrays. A cell is one network, fold and
+weighting with all its C values; _cells runs cells in that order, and
+grid_search's worker processes each run one contiguous slice of them,
+merged in enumeration order. A fold whose training part lacks a class is
+skipped. Any other BlsBenchError in building a fold or a weight vector is
+kept and raised by the first cell that needs it, and an error in a cell
+raises where it happens, so a run stops at its first failing cell in that
+order.
 
 The statistics follow the standard multi-classifier comparison protocol:
 tie-averaged ranks per dataset, the Friedman chi-square and its F-form,
@@ -40,7 +47,7 @@ import numpy as np
 
 from . import if_scores, linalg, network, trainer
 from .data import Dataset, FoldPlan
-from .errors import ClassBalanceError, ConfigError
+from .errors import BlsBenchError, ClassBalanceError, ConfigError
 from .trainer import ModelConfig
 
 __all__ = [
@@ -114,29 +121,42 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
     """The CvResult of each config, in order, from jobs processes at most."""
     if plan.assignments.shape[0] != ds.n_samples:
         raise ConfigError("fold plan does not match the dataset size")
-    # Configs that differ only in C share a cell. Within a fold, weightings
-    # are the outer loop, so that _cells computes each weight vector once.
+    # Configs that differ only in C share a cell: a network, a fold and a
+    # weighting. A weighting stands for its first config, whose variant, delta
+    # and kernel are what _sample_weights reads.
+    networks: dict = {}
     weightings: dict = {}
     for i, cfg in enumerate(configs):
-        weightings.setdefault((cfg.delta, cfg.kernel), {}).setdefault(cfg.network, []).append(i)
-    cells = [(fold, group) for fold in range(plan.k)
-             for networks in weightings.values() for group in networks.values()]
-    tasks = [(fold, configs[group[0]], tuple(configs[i].c_reg for i in group))
-             for fold, group in cells]
+        weighting = weightings.setdefault((cfg.delta, cfg.kernel), cfg)
+        networks.setdefault(cfg.network, {}).setdefault(weighting, []).append(i)
+    cells = [(net, fold, weighting, group) for net, groups in networks.items()
+             for fold in range(plan.k) for weighting, group in groups.items()]
+    tasks = [(net, fold, weighting, tuple(configs[i].c_reg for i in group))
+             for net, fold, weighting, group in cells]
+    # Every fold, then every weight vector, before any cell buffer exists.
+    folds = [_kept(_fold, ds, plan, fold, configs[0].variant) for fold in range(plan.k)]
+    pairs = [(fold, weighting) for fold, part in enumerate(folds) if isinstance(part, _Fold)
+             for weighting in weightings.values()]
+    parts, kinds = [folds[fold] for fold, _ in pairs], [weighting for _, weighting in pairs]
     workers = min(jobs, len(configs), len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # One contiguous slice per worker; only a run cut at an edge repeats its fold or weights.
+        # One run of weight vectors per worker, then one contiguous slice of
+        # cells per worker; only a network cut at an edge is drawn twice.
         edges = [len(tasks) * i // workers for i in range(workers + 1)]
         slices = [tasks[a:b] for a, b in zip(edges, edges[1:])]
+        per_worker = max(1, math.ceil(len(pairs) / workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_cells, [ds] * workers, [plan] * workers, slices)
+            vectors = pool.map(_weights, parts, kinds, chunksize=per_worker)
+            weights = dict(zip(pairs, vectors))
+            chunks = pool.map(_cells, [folds] * workers, [weights] * workers, slices)
             results = list(itertools.chain(*chunks))
     else:
-        results = _cells(ds, plan, tasks)
+        weights = dict(zip(pairs, map(_weights, parts, kinds)))
+        results = _cells(folds, weights, tasks)
     outcomes = [[None] * plan.k for _ in configs]
-    for (fold, group), result in zip(cells, results):
+    for (_, fold, _, group), result in zip(cells, results):
         for i, outcome in zip(group, result):
             outcomes[i][fold] = outcome
     return [_aggregate(ds.name, cfg, row) for cfg, row in zip(configs, outcomes)]
@@ -186,47 +206,85 @@ class _Fold:
     test_indices: np.ndarray
 
 
-def _fold(ds: Dataset, plan: FoldPlan, fold: int, variant: str) -> Union[_Fold, ClassBalanceError]:
-    """The fold's checked parts, or the ClassBalanceError that skips it. The
-    other errors of fit's and decision_scores' checks raise."""
+def _fold(ds: Dataset, plan: FoldPlan, fold: int, variant: str) -> _Fold:
+    """The fold's parts, checked by fit's and decision_scores' checks, which
+    raise a failed check."""
     train, test = plan.train_indices(fold), plan.test_indices(fold)
-    try:
-        Xn, norm, classes, indices = trainer._prepare(
-            ds.X[train], [ds.labels[i] for i in train], variant)
-    except ClassBalanceError as exc:
-        return exc
+    Xn, norm, classes, indices = trainer._prepare(
+        ds.X[train], [ds.labels[i] for i in train], variant)
     Xn_test = trainer._test_rows(norm, ds.n_features, ds.X[test])
     index_of = {c: i for i, c in enumerate(classes)}
     test_indices = np.array([index_of.get(str(ds.labels[i]), -1) for i in test])
     return _Fold(Xn, indices, np.eye(len(classes))[indices], Xn_test, test_indices)
 
 
+def _kept(step, *args):
+    """step(*args), or the BlsBenchError it raised, kept as a value for the
+    first cell that needs it: so a run still stops at its first failing
+    cell. The error is kept without its traceback, whose frames would hold
+    the step's arrays. Any other error, such as a MemoryError, raises here."""
+    try:
+        return step(*args)
+    except BlsBenchError as exc:  # raised again, or a skipped fold, in _cells
+        return exc.with_traceback(None)
+
+
 @linalg._single_threaded_blas()
-def _cells(ds: Dataset, plan: FoldPlan, tasks) -> list:
-    """Per C of each (fold, config, C values) task in order, the accuracy or the
-    ClassBalanceError that skips the fold. Each run of tasks on one fold builds
-    the fold once, and each run on one weighting within it the weight vector once."""
+def _weights(part: _Fold, weighting: ModelConfig):
+    """_kept sample weights of the weighting on the fold's training rows, at
+    one BLAS thread as fit computes them."""
+    return _kept(trainer._sample_weights, part.Xn, part.indices, weighting)
+
+
+@linalg._single_threaded_blas()
+def _cells(folds: list, weights: dict, tasks) -> list:
+    """Per C of each (network, fold, weighting, C values) task in order, the
+    accuracy or the ClassBalanceError that skips the fold; another error
+    kept in folds or weights raises at the first task that needs it.
+
+    Each run of tasks on one network draws its layer once, and each run on
+    one fold within it builds the state matrices, and the dual's G G', once,
+    after the first weight vector as fit does. They and each weighting's
+    system and factor copies are written into buffers sized once for the
+    largest network, so no cell allocates them.
+    """
+    runs = dict.fromkeys((*folds[fold].Xn.shape, net) for net, fold, _, _ in tasks
+                         if isinstance(folds[fold], _Fold))
+    scratch = trainer._scratch(runs)
     results = []
-    for (fold, variant), fold_tasks in itertools.groupby(tasks, lambda t: (t[0], t[1].variant)):
-        part = s = None  # free the previous fold and weights before building the next
-        part = _fold(ds, plan, fold, variant)
-        if isinstance(part, ClassBalanceError):
-            results += [[part] * len(c_regs) for _, _, c_regs in fold_tasks]
-            continue
-        for _, run in itertools.groupby(fold_tasks, lambda t: (t[1].delta, t[1].kernel)):
-            run = list(run)
-            s = trainer._sample_weights(part.Xn, part.indices, run[0][1])
-            results += [_accuracies(part, s, cfg.network, c_regs) for _, cfg, c_regs in run]
+    for net, net_tasks in itertools.groupby(tasks, lambda t: t[0]):
+        layer = None
+        for fold, fold_tasks in itertools.groupby(net_tasks, lambda t: t[1]):
+            part, G, G_test = folds[fold], None, None  # free the last test state matrix first
+            if isinstance(part, ClassBalanceError):
+                results += [[part] * len(c_regs) for *_, c_regs in fold_tasks]
+                continue
+            if isinstance(part, BlsBenchError):
+                raise part
+            for _, _, weighting, c_regs in fold_tasks:
+                s = weights[fold, weighting]
+                if isinstance(s, BlsBenchError):
+                    raise s
+                if G is None:
+                    layer, G, gram, G_test = _states(net, layer, part, scratch)
+                solutions = trainer._output_weights(G, s, part.T, c_regs, gram, scratch)
+                results.append([np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices)
+                                / len(G_test) for W in solutions])
     return results
 
 
-def _accuracies(part: _Fold, s: np.ndarray, net: network.NetworkConfig, c_regs) -> list:
-    """Per C, the test accuracy of fit's model of one network on a fold."""
-    layer, solutions = trainer._solutions(part.Xn, part.T, s, net, c_regs)
+def _states(net: network.NetworkConfig, layer, part: _Fold, scratch: dict) -> tuple:
+    """net's memory check on the fold's training rows, then its layer (drawn
+    unless given), the training state matrix and the dual's G G' (None on
+    the primal) in scratch, and the test state matrix."""
+    (n, d), width = part.Xn.shape, net.width
+    trainer._check_network_memory(n, d, net, buffers=True)
+    if layer is None:
+        layer = network.init_random_layer(net, d)
+    G = network._forward(layer, part.Xn, linalg._buffer(scratch, "state", (n, width)))
+    gram = None if trainer._solve_branch(width, n) == "primal" else linalg._gram(G, scratch)
     # decision_scores' _forward behind its checks; the benchmark traces this call.
-    G_test = network.state_matrix(layer, part.Xn_test)
-    return [np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices) / len(G_test)
-            for W in solutions]
+    return layer, G, gram, network.state_matrix(layer, part.Xn_test)
 
 
 @dataclass(frozen=True)
@@ -292,7 +350,7 @@ def grid_search(
     identical random layers. Ties break toward the earlier enumeration
     position regardless of evaluation order or job count. jobs is the
     number of worker processes, at most one per config and one per cell
-    (a fold with one weighting and one network, see the module docstring);
+    (a network with one fold and one weighting, see the module docstring);
     results do not depend on it. Returns the winner plus every per-config
     result in enumeration order.
     """

@@ -11,10 +11,17 @@ fit is the validation boundary: it checks X, the labels and the feature
 ranges once (_prepare), then runs the private steps of the layer modules
 (fuzzy._scores, if_scores._score_vector, network._forward, linalg._system,
 linalg._solve_system), which trust their inputs. decision_scores is
-_test_rows, its checks of X_test, then network._forward. fit is _prepare,
-_sample_weights, then _solutions for one C. stats' cross-validation
-engine runs the same steps, _test_rows included, once per fold, weighting
-or network, and _solutions for all the C values of a network.
+_test_rows, its checks of X_test, then network._forward.
+
+fit is _prepare, _sample_weights, _check_network_memory, the layer draw,
+network._forward, then _output_weights for one C, each step writing fresh
+arrays. stats' cross-validation engine runs the same steps, each at the
+level where it varies: _prepare, _test_rows and _sample_weights once per
+fold and weighting of a run; the draw once per network; the memory check,
+_forward and the dual's linalg._gram once per network and fold; and
+_output_weights once per weighting, for all its C values. It writes the
+state matrix, the system and the factor copies into the buffers of
+_scratch, sized once.
 """
 
 from __future__ import annotations
@@ -248,24 +255,63 @@ def _test_rows(norm: NormState, input_dim: int, X_test) -> np.ndarray:
     return Xn
 
 
-def _solutions(Xn: np.ndarray, T: np.ndarray, s: np.ndarray, net: network.NetworkConfig, c_regs):
-    """net's random layer on the rows Xn and, per C in c_regs, the output weights for
-    targets T and sample weights s. A failed solve raises. Every C is solved from the
-    same A, which the solve leaves as it is. A network whose layer, state matrices and
-    systems would not fit in memory raises ConfigError before anything is drawn."""
-    (n, d), mp = Xn.shape, net.m * net.p
-    # The squares are A and the one column-major copy a solve factorizes.
-    linalg._check_memory(8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + 2 * n * net.width
-                              + 2 * min(net.width, n) ** 2),
+def _buffer_sizes(n: int, net: network.NetworkConfig) -> dict:
+    """The elements of each array that net's steps on n training rows write
+    into scratch buffers, by linalg._buffer's keys: the state matrix, the
+    system and the factor copy, which on the primal first holds S^2 G, and
+    the dual's G G'. A primal has F <= n, so each key's primal size is at
+    most its dual size on as many rows."""
+    f = net.width
+    if _solve_branch(f, n) == "primal":
+        return {"state": n * f, "system": f * f, "factor": n * f}
+    return {"state": n * f, "system": n * n, "gram": n * n, "factor": n * n}
+
+
+def _network_bytes(n: int, d: int, net: network.NetworkConfig, buffers: bool) -> int:
+    """The bytes of net's layer on d inputs and of its arrays on n rows. fit
+    counts the state matrix and its weighted copy, the system and the copy a
+    solve factorizes; with buffers, the engine counts its _buffer_sizes."""
+    mp = net.m * net.p
+    arrays = (sum(_buffer_sizes(n, net).values()) if buffers
+              else 2 * n * net.width + 2 * min(net.width, n) ** 2)
+    return 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + arrays)
+
+
+def _check_network_memory(n: int, d: int, net: network.NetworkConfig, buffers: bool = False):
+    """Raise ConfigError, before anything is drawn, when _network_bytes exceed
+    physical memory."""
+    linalg._check_memory(_network_bytes(n, d, net, buffers),
                          f"network m={net.m}, p={net.p}, l={net.l}, q={net.q} on {n} rows")
-    layer = network.init_random_layer(net, d)
-    G = network._forward(layer, Xn)
-    branch = _solve_branch(net.width, G.shape[0])
-    A, rhs = linalg._system(G, s, T, branch)
-    if branch == "primal":
-        G = None  # only the dual maps its solution back through G
-    return layer, [np.ascontiguousarray(linalg._solve_system(A, rhs, float(c_reg), branch, G))
-                   for c_reg in c_regs]
+
+
+def _scratch(runs) -> dict:
+    """linalg._buffer's scratch for the engine's (n, d, net) runs of a network
+    on n training rows of d features: per key one flat array, as long as the
+    largest run whose memory check passes needs. Every key grows with the
+    width, across branches too, so together they hold what the widest such
+    network needs on the most rows. A run that fails its check raises before
+    it writes anything."""
+    sizes: dict = {}
+    for n, d, net in runs:
+        if _network_bytes(n, d, net, True) <= linalg._physical_memory():
+            for key, size in _buffer_sizes(n, net).items():
+                sizes[key] = max(sizes.get(key, 0), size)
+    return {key: np.empty(size) for key, size in sizes.items()}
+
+
+def _output_weights(G: np.ndarray, s: np.ndarray, T: np.ndarray, c_regs, gram=None,
+                    scratch=None) -> list:
+    """Per C in c_regs, the output weights of the network whose state matrix
+    on the training rows is G, for targets T and sample weights s. gram is
+    linalg._gram(G) on the dual branch, which the system forms when it is
+    not given. Every C is solved from one system, which the solve leaves as
+    it is; a failed solve raises. With scratch, the system and the factor
+    copies are written into its buffers."""
+    branch = _solve_branch(G.shape[1], G.shape[0])
+    A, rhs = linalg._system(G, s, T, branch, gram, scratch)
+    G_dual = G if branch == "dual" else None  # only the dual maps its solution back through G
+    return [np.ascontiguousarray(linalg._solve_system(A, rhs, float(c), branch, G_dual, scratch))
+            for c in c_regs]
 
 
 @linalg._single_threaded_blas()
@@ -274,8 +320,10 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     lexicographically and targets are one-hot rows over that order."""
     Xn, norm, class_labels, indices = _prepare(X, labels, cfg.variant)
     scores = _sample_weights(Xn, indices, cfg)
-    layer, (w_out,) = _solutions(Xn, np.eye(len(class_labels))[indices], scores,
-                                 cfg.network, [cfg.c_reg])
+    _check_network_memory(*Xn.shape, cfg.network)
+    layer = network.init_random_layer(cfg.network, Xn.shape[1])
+    (w_out,) = _output_weights(network._forward(layer, Xn), scores,
+                               np.eye(len(class_labels))[indices], [cfg.c_reg])
     return TrainedModel(cfg, layer, w_out, norm, class_labels, scores)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -18,6 +19,24 @@ def solves_in_bundle():
     from blsbench import linalg
 
     return getattr(linalg._lapack()["dpotrf"], "__name__", None) == "scipy_dpotrf_"
+
+
+@contextlib.contextmanager
+def outer_blas_threads(n):
+    """Set every bundled OpenBLAS to n threads, as a caller of the library might."""
+    from blsbench import linalg
+
+    controls = linalg._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy bundle no OpenBLAS")
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(n)
+    try:
+        yield lambda: [get() for get, _ in controls]
+    finally:
+        for (_, put), k in zip(controls, saved):
+            put(k)
 
 
 def make_blobs(n_per_class, centers, std, seed, labels=("a", "b")):

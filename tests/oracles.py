@@ -217,34 +217,35 @@ def if_score_vector(X, labels, params):
 
 def cross_validate_by_fit(ds, cfg, plan):
     """stats.cross_validate as one trainer.fit and trainer.accuracy per fold:
-    the reference that the fold-major engine reproduces exactly."""
+    the reference that the network-major engine reproduces exactly."""
     return grid_search_by_fit(ds, [cfg], plan)[0]
 
 
 def grid_search_by_fit(ds, configs, plan):
     """Each config's CvResult from one trainer.fit and trainer.accuracy per
-    fold and config, run in the engine's cell order: per fold, the configs
-    by the first appearance of their weighting, then the first appearance of
-    their network within it, then enumeration index. The first error raises
-    there; a ClassBalanceError skips the fold. (The engine checks a fold's
-    test rows before its first solve, and this loop after its first fit.)"""
-    first_weighting, first_network = {}, {}
+    fold and config, run in the engine's cell order: network by network in
+    the order of their first appearance, per fold, the network's configs by
+    the first appearance of their weighting among them, then enumeration
+    index. The first error raises there; a ClassBalanceError skips the fold.
+    (The engine checks a fold's test rows before its first solve, and this
+    loop after its first fit.)"""
+    first_weighting, networks = {}, {}
     for i, cfg in enumerate(configs):
-        first_weighting.setdefault((cfg.delta, cfg.kernel), i)
-        first_network.setdefault((cfg.delta, cfg.kernel, cfg.network), i)
-    order = sorted(range(len(configs)), key=lambda i: (
-        first_weighting[configs[i].delta, configs[i].kernel],
-        first_network[configs[i].delta, configs[i].kernel, configs[i].network], i))
+        first_weighting.setdefault((cfg.network, cfg.delta, cfg.kernel), i)
+        networks.setdefault(cfg.network, []).append(i)
     outcomes = [[None] * plan.k for _ in configs]
-    for fold in range(plan.k):
-        train, test = plan.train_indices(fold), plan.test_indices(fold)
-        for i in order:
-            try:
-                model = trainer.fit(ds.X[train], [ds.labels[j] for j in train], configs[i])
-            except ClassBalanceError as exc:
-                outcomes[i][fold] = exc
-                continue
-            outcomes[i][fold] = trainer.accuracy(model, ds.X[test], [ds.labels[j] for j in test])
+    for net, group in networks.items():
+        group.sort(key=lambda i: (first_weighting[net, configs[i].delta, configs[i].kernel], i))
+        for fold in range(plan.k):
+            train, test = plan.train_indices(fold), plan.test_indices(fold)
+            for i in group:
+                try:
+                    model = trainer.fit(ds.X[train], [ds.labels[j] for j in train], configs[i])
+                except ClassBalanceError as exc:
+                    outcomes[i][fold] = exc
+                    continue
+                outcomes[i][fold] = trainer.accuracy(
+                    model, ds.X[test], [ds.labels[j] for j in test])
     return [_cv_result(ds.name, cfg, row) for cfg, row in zip(configs, outcomes)]
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -12,10 +13,10 @@ import published_tables as pt
 from conftest import make_blobs, solves_in_bundle
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "blsbench.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, preexec_fn=preexec_fn)
 
 
 def write_dataset(path, n=60, seed=3):
@@ -919,6 +920,54 @@ class TestOutputsMatchLibrary:
                                      f"{t.threshold:.4f}", "yes" if t.significant else "no"])
         assert self.rows(run / "stats" / "wilcoxon.csv") == wilcoxon
         assert self.rows(run / "stats" / "win_tie_loss.csv") == win_tie_loss
+
+
+class TestResourceFailures:
+    def test_train_out_of_memory_is_one_error_line(self, tmp_path):
+        # IF scoring of 12,000 rows makes a 1.07 GiB kernel matrix, which passes
+        # the check against physical memory. Only the child's address space is
+        # capped, at 800 MiB: far below that matrix, well above what Python,
+        # numpy and the CLI map at one BLAS thread.
+        X = np.random.default_rng(0).normal(size=(12000, 2)).tolist()
+        data_csv = tmp_path / "big.csv"
+        data_csv.write_text("x1,x2,label\n"
+                            + "".join(f"{a!r},{b!r},{'ab'[a > 0]}\n" for a, b in X))
+
+        def cap_address_space():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            limit = 800 * 2**20
+            resource.setrlimit(resource.RLIMIT_AS, (
+                limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+
+        res = run_cli("train", "--data", str(data_csv), "--variant", "if-bls",
+                      "--out", str(tmp_path / "model.json"),
+                      env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                      preexec_fn=cap_address_space)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: out of memory: Unable to allocate ")
+        assert res.stderr.count("\n") == 1
+        assert not (tmp_path / "model.json").exists()
+
+    def test_gridsearch_worker_death_is_one_error_line(self, dataset_csv, tmp_path, monkeypatch,
+                                                       capsys):
+        from blsbench import cli, network
+
+        parent, forward = os.getpid(), network._forward
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return forward(*args)
+
+        monkeypatch.setattr(network, "_forward", dying)  # before the pool forks
+        grid, out = tmp_path / "grid.ini", tmp_path / "grid.csv"
+        grid.write_text("[grid]\nc_reg = 1\nm = 1 2\np = 2\nq = 3\n")
+        code = cli.main(["gridsearch", "--data", str(dataset_csv), "--variant", "bls",
+                         "--grid", str(grid), "--jobs", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestTopLevel:

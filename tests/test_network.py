@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from blsbench import network
+from blsbench import linalg, network
 from blsbench.errors import ConfigError, DimensionMismatch
 from blsbench.network import NetworkConfig, init_random_layer
 
@@ -12,6 +12,18 @@ from blsbench.network import NetworkConfig, init_random_layer
 def small_layer():
     cfg = NetworkConfig(m=3, p=4, l=2, q=5, seed=42)
     return cfg, init_random_layer(cfg, input_dim=6)
+
+
+def concatenated_forward(layer, X):
+    """The state matrix as fresh group blocks, concatenated: the reference
+    that the in-place forward pass must equal bit for bit."""
+    act = network.FEATURE_ACTIVATIONS[layer.config.feature_activation]
+    F = np.concatenate([act(X @ W + b) for W, b in zip(layer.feature_weights,
+                                                         layer.feature_biases)], axis=1)
+    act = network.ENHANCEMENT_ACTIVATIONS[layer.config.enhancement_activation]
+    return np.concatenate([F, *(act(F @ W + b) for W, b in zip(layer.enhancement_weights,
+                                                                layer.enhancement_biases))],
+                          axis=1)
 
 
 class TestConfig:
@@ -123,3 +135,34 @@ class TestForward:
         _, layer = small_layer
         with pytest.raises(DimensionMismatch):
             network.state_matrix(layer, np.ones((4, 5)))
+
+    @pytest.mark.parametrize("feature", sorted(network.FEATURE_ACTIVATIONS))
+    @pytest.mark.parametrize("enhancement", sorted(network.ENHANCEMENT_ACTIVATIONS))
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 13])
+    def test_forward_in_place_is_the_concatenation_bit_for_bit(self, feature, enhancement, l,
+                                                               rows):
+        # Written into a view of a longer buffer, as the engine writes it, and
+        # into a fresh array, as fit does. Inputs at scale 300 overflow the
+        # feature sigmoid's exp(-z).
+        cfg = NetworkConfig(m=3, p=4, l=l, q=5, feature_activation=feature,
+                            enhancement_activation=enhancement, seed=7)
+        layer = init_random_layer(cfg, 3)
+        X = np.random.default_rng(rows).normal(scale=300.0, size=(rows, 3))
+        spare = np.full((rows + 2) * cfg.width, np.nan)  # two spare rows past the view
+        out = spare[:rows * cfg.width].reshape(rows, cfg.width)
+        with linalg._single_threaded_blas():
+            want = concatenated_forward(layer, X)
+            assert network._forward(layer, X, out) is out
+            fresh = network._forward(layer, X)
+        assert np.array_equal(out, want) and np.array_equal(fresh, want)
+        assert np.isnan(spare[rows * cfg.width:]).all()
+
+    @pytest.mark.parametrize("name,act", [*network.FEATURE_ACTIVATIONS.items(),
+                                          *network.ENHANCEMENT_ACTIVATIONS.items()])
+    def test_public_activations_leave_their_argument(self, name, act):
+        # Only _forward's private activations overwrite their argument.
+        z = np.array([[-800.0, -1.0, 0.0, 2.0]])
+        z.flags.writeable = False
+        assert np.array_equal(act(z), network._IN_PLACE[name](z.copy()))
+        act(np.arange(-1, 3))  # integer input, which no float64 out= could take

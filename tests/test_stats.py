@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from blsbench import data, linalg, stats, trainer
+from blsbench import data, linalg, network, stats, trainer
 from blsbench.errors import (BlsBenchError, ClassBalanceError, ConfigError, FactorizationFailure,
                              NonFiniteInput)
 from blsbench.network import NetworkConfig
@@ -11,7 +13,7 @@ from blsbench.trainer import ModelConfig
 
 import oracles
 import published_tables as pt
-from conftest import make_blobs
+from conftest import make_blobs, outer_blas_threads
 
 
 def toy_dataset(seed=0, n=60):
@@ -169,18 +171,41 @@ class TestGridSearch:
         assert 15 <= len(log.read_text().splitlines()) <= most
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_weight_vectors_built_at_one_blas_thread(self, jobs, monkeypatch, tmp_path):
+        # The caller runs BLAS at 2 threads; fit scores at one, whose bits
+        # the engine must keep, in the parent process or in a worker.
+        log = tmp_path / "threads.log"
+        sample_weights = trainer._sample_weights
+
+        def counted(*args):
+            with open(log, "a") as fh:  # one line per call, from any process
+                fh.write(f"{[get() for get, _ in linalg._openblas_thread_controls()]}\n")
+            return sample_weights(*args)
+
+        monkeypatch.setattr(trainer, "_sample_weights", counted)  # before the pool forks
+        ds = toy_dataset(seed=8, n=100)
+        plan = data.make_folds(ds.n_samples, 5, seed=0)
+        grid = stats.GridSpec(c_reg=(1.0,), m=(2,), p=(4, 8), q=(5,), mu=(0.5, 2.0))
+        with outer_blas_threads(2) as threads:
+            stats.grid_search(ds, "if-bls", grid, plan, jobs=jobs)
+            assert threads() == [2] * len(threads())
+        lines = log.read_text().splitlines()
+        assert len(lines) == 10 and set(lines) == {str([1] * len(threads()))}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_failure_in_cell_order_stops_the_grid(self, jobs, monkeypatch):
         # Widths 5 and 7 on 32 training rows, both primal. In config order (C
         # outermost) the first failing config is C=1 at width 7; in cell order
-        # (fold, network, C) the first failure is fold 0's width-5 cell at C=100.
+        # (network, fold, C) the first failure is the width-5 network's fold-0
+        # cell at C=100.
         solve_system, solves = linalg._solve_system, []
 
-        def failing(A, rhs, c, branch, G):
+        def failing(A, rhs, c, branch, G, scratch=None):
             solves.append(c)
             w = A.shape[0]
             if (c, w) in ((1.0, 7), (100.0, 5)):
                 raise FactorizationFailure(f"fail C={c:g} width={w}")
-            return solve_system(A, rhs, c, branch, G)
+            return solve_system(A, rhs, c, branch, G, scratch)
 
         monkeypatch.setattr(linalg, "_solve_system", failing)  # before the pool forks
         X, y = make_blobs(20, [(0.0, 0.0), (3.0, 3.0)], 0.6, seed=7)
@@ -189,6 +214,101 @@ class TestGridSearch:
         with pytest.raises(FactorizationFailure, match="^fail C=100 width=5$"):
             stats.grid_search(ds, "bls", grid, plan, jobs=jobs)
         assert len(solves) == (2 if jobs == 1 else 0)  # pooled solves run in the workers
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_network_major_order_reports_the_first_failure(self, jobs, monkeypatch):
+        # 42 rows in 5 folds: folds 0 and 1 train on 33 rows, folds 2-4 on 34.
+        # The width-5 network fails on 34 training rows and the width-7 one on
+        # 33. Fold-major order (fold, then network) would stop at the width-7
+        # network on fold 0; network-major order finishes folds 0 and 1 of the
+        # width-5 network and stops at its fold 2.
+        forward = network._forward
+
+        def failing(layer, X, out=None):
+            width, rows = layer.config.width, X.shape[0]
+            if (width, rows) in ((5, 34), (7, 33)):
+                raise FactorizationFailure(f"fail width={width} rows={rows}")
+            return forward(layer, X, out)
+
+        monkeypatch.setattr(network, "_forward", failing)  # before the pool forks
+        X, y = make_blobs(21, [(0.0, 0.0), (3.0, 3.0)], 0.6, seed=7)
+        ds, plan = data.Dataset("blobs", X, y), data.make_folds(42, 5, 0)
+        assert [len(plan.train_indices(fold)) for fold in range(5)] == [33, 33, 34, 34, 34]
+        grid = stats.GridSpec(c_reg=(1.0, 100.0), m=(1, 2), p=(2,), q=(3,))
+        with pytest.raises(FactorizationFailure, match="^fail width=5 rows=34$"):
+            stats.grid_search(ds, "bls", grid, plan, jobs=jobs)
+        with pytest.raises(FactorizationFailure, match="^fail width=5 rows=34$"):
+            oracles.grid_search_by_fit(ds, grid.configs("bls", 0), plan)
+
+    @pytest.mark.parametrize("jobs,most", [(1, 4), (2, 5)])
+    def test_each_layer_drawn_once_per_slice(self, jobs, most, monkeypatch, tmp_path):
+        # 4 networks, each run on 5 folds and 3 weightings; a slice edge cuts at
+        # most jobs - 1 networks in two.
+        log = tmp_path / "draws.log"
+        draw = network.init_random_layer
+
+        def counted(*args):
+            with open(log, "a") as fh:  # one line per call, from any process
+                fh.write("draw\n")
+            return draw(*args)
+
+        monkeypatch.setattr(network, "init_random_layer", counted)  # before the pool forks
+        ds = toy_dataset(seed=8, n=100)
+        plan = data.make_folds(ds.n_samples, 5, seed=0)
+        grid = stats.GridSpec(c_reg=(0.1, 10.0), m=(2,), p=(4, 8), q=(5, 10), mu=(0.5, 1.0, 2.0))
+        stats.grid_search(ds, "if-bls", grid, plan, jobs=jobs)
+        assert 4 <= len(log.read_text().splitlines()) <= most
+
+    def test_each_state_matrix_built_once_per_network_and_fold_in_one_buffer(self, monkeypatch):
+        # 4 networks x 5 folds, each with 3 mu weightings: one training pass per
+        # (network, fold), every one written into the same buffer, and one
+        # test-row pass, through state_matrix, into a fresh array.
+        forward, into, fresh = network._forward, [], []
+
+        def recording(layer, X, out=None):
+            (fresh if out is None else into).append(out)
+            return forward(layer, X, out)
+
+        monkeypatch.setattr(network, "_forward", recording)
+        ds = toy_dataset(seed=8, n=100)
+        plan = data.make_folds(ds.n_samples, 5, seed=0)
+        grid = stats.GridSpec(c_reg=(0.1, 10.0), m=(2,), p=(4, 8), q=(5, 10), mu=(0.5, 1.0, 2.0))
+        stats.grid_search(ds, "if-bls", grid, plan)
+        assert len(into) == len(fresh) == 20
+        assert len({out.ctypes.data for out in into}) == 1
+
+    @pytest.mark.parametrize("p,branch", [(2, "primal"), (12, "dual")])
+    def test_engine_memory_check_counts_its_buffers(self, p, branch, monkeypatch):
+        # 8 bytes x (layer weights and biases + the state matrix and the system
+        # + S^2 G on the primal, which the factor copy reuses, or G G' and the
+        # factor copy on the dual), on 24 training rows, against page size x pages.
+        ds = toy_dataset(seed=9, n=30)
+        plan = data.make_folds(ds.n_samples, 5, seed=0)
+        net = NetworkConfig(m=2, p=p, q=6)
+        n, d, f, mp = 24, 2, net.width, net.m * net.p
+        assert trainer._solve_branch(f, n) == branch
+        arrays = n * f + f * f + n * f if branch == "primal" else n * f + 3 * n * n
+        need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + arrays)
+        for pages, refused in ((need, False), (need - 1, True)):
+            monkeypatch.setattr(os, "sysconf", lambda key: {"SC_PAGE_SIZE": 1,
+                                                             "SC_PHYS_PAGES": pages}[key])
+            if refused:
+                with pytest.raises(ConfigError, match=(
+                        rf"^network m=2, p={p}, l=1, q=6 on 24 rows needs about ")):
+                    stats.cross_validate(ds, ModelConfig("bls", net), plan)
+            else:
+                stats.cross_validate(ds, ModelConfig("bls", net), plan)
+
+    def test_mixed_branch_buffers_hold_the_widest_networks_need(self):
+        # A slice of a primal (width 10) and a dual (width 30) network on 24
+        # rows shares one buffer per key: together exactly what the dual's
+        # memory check counts, so the primal adds nothing beside it.
+        primal, dual = NetworkConfig(m=2, p=2, q=6), NetworkConfig(m=2, p=12, q=6)
+        assert [trainer._solve_branch(net.width, 24) for net in (primal, dual)] == [
+            "primal", "dual"]
+        for runs in ([(24, 2, primal), (24, 2, dual)], [(24, 2, dual), (24, 2, primal)]):
+            sizes = {key: len(buf) for key, buf in trainer._scratch(runs).items()}
+            assert sizes == trainer._buffer_sizes(24, dual)
 
     @pytest.mark.parametrize("name", ["c_reg", "m", "p", "q", "mu", "delta", "epsilon"])
     def test_empty_list_rejected(self, name):
@@ -242,7 +362,7 @@ def assert_engine_matches_fit(ds, variant, grid, plan):
 
 
 class TestEngineMatchesFit:
-    """The fold-major engine against per-config trainer.fit and trainer.accuracy:
+    """The network-major engine against per-config trainer.fit and trainer.accuracy:
     per-fold accuracies, skipped reasons, means and stds exactly equal."""
 
     @settings(max_examples=30, deadline=None)

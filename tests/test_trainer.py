@@ -21,7 +21,7 @@ from blsbench.errors import (
 from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, fit, load_model, predict, save_model
-from conftest import make_blobs, solves_in_bundle
+from conftest import make_blobs, outer_blas_threads, solves_in_bundle
 import oracles
 
 
@@ -189,7 +189,8 @@ class TestFit:
         s = trainer._sample_weights(Xn, indices, cfg)
         monkeypatch.setattr(linalg, "_system", recording)
         with linalg._single_threaded_blas():
-            _, weights = trainer._solutions(Xn, np.eye(len(classes))[indices], s, net, c_regs)
+            G = network._forward(network.init_random_layer(net, Xn.shape[1]), Xn)
+            weights = trainer._output_weights(G, s, np.eye(len(classes))[indices], c_regs)
         assert trainer._solve_branch(net.width, len(y)) == branch
         ((A, before),) = systems
         assert np.array_equal(A, before)
@@ -338,22 +339,6 @@ class TestInputBoundary:
         calls = count_as_matrix_calls(monkeypatch)
         predict(model, X)
         assert calls == [("X_test", X.shape)]
-
-
-@contextlib.contextmanager
-def outer_blas_threads(n):
-    """Set every bundled OpenBLAS to n threads, as a caller of the library might."""
-    controls = linalg._openblas_thread_controls()
-    if not controls:
-        pytest.skip("numpy and scipy bundle no OpenBLAS")
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(n)
-    try:
-        yield lambda: [get() for get, _ in controls]
-    finally:
-        for (_, put), k in zip(controls, saved):
-            put(k)
 
 
 class TestBlasThreads:
