@@ -7,13 +7,13 @@ The weighted ridge solve minimizes
 for a diagonal sample-weight matrix S. The primal form factorizes an
 F x F system, the dual form an N x N system; they are algebraically
 identical via the push-through identity, and the caller picks whichever
-dimension is smaller. _system builds the part that C leaves alone, and
-_solve_system solves it for one C.
+dimension is smaller. _system builds the parts that C leaves alone, and
+_solve_system solves them for one C, in the buffers of trainer._scratch.
 
 pairwise_sq_dist checks its operands and then runs the private _sq_dist,
 which trusts them. trainer.fit validates its inputs once; it and the
-private steps it runs call _system, _solve_system and _sq_dist directly,
-so each computation has one code path.
+private steps it runs call _gram, _system, _solve_system and _sq_dist
+directly, so each computation has one code path.
 
 Fits run BLAS on one thread (see _single_threaded_blas); worker processes
 are the program's only parallelism.
@@ -170,12 +170,9 @@ def _check_memory(need: int, what: str) -> None:
                           f"this machine has {have / 2**30:.3g} GiB")
 
 
-def _buffer(scratch, key: str, shape: tuple, order: str = "C") -> np.ndarray:
-    """An uninitialized float64 array of shape: a fresh one, or, when scratch
-    (a dict of flat float64 arrays) is given, a view of the leading elements
-    of scratch[key], contiguous in order."""
-    if scratch is None:
-        return np.empty(shape, order=order)
+def _buffer(scratch: dict, key: str, shape: tuple, order: str = "C") -> np.ndarray:
+    """An uninitialized float64 array of shape: a view of the leading
+    elements of scratch[key], a flat float64 array, contiguous in order."""
     return scratch[key][:shape[0] * shape[1]].reshape(shape, order=order)
 
 
@@ -189,51 +186,51 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _gram(G, scratch=None) -> np.ndarray:
-    """G G', the dual system's product, into scratch["gram"] when given.
-    numpy hands a product with its own transpose to syrk."""
-    return np.matmul(G, G.T, out=_buffer(scratch, "gram", (G.shape[0], G.shape[0])))
+def _gram(G, scratch: dict) -> np.ndarray:
+    """G G', the dual system, into scratch["system"]. numpy hands a product
+    with its own transpose to syrk."""
+    return np.matmul(G, G.T, out=_buffer(scratch, "system", (G.shape[0], G.shape[0])))
 
 
-def _system(G, s, T, branch: str, gram=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
-    """The part of the ridge system that C leaves alone, from the N x F state
-    matrix G, the N sample weights s in [0, 1] and the N x K targets T: the
-    primal G' S^2 G and G' S^2 T, or the dual S^2 G G' and S^2 T.
+def _system(G, s, T, branch: str, gram, scratch: dict) -> tuple:
+    """The parts of the ridge system that C leaves alone, from the N x F
+    state matrix G, the N sample weights s in [0, 1] and the N x K targets
+    T: A, a row scale r and rhs of (diag(r) A + I/C) W = rhs. The primal
+    has A = G' S^2 G, r None (no scale) and rhs = G' S^2 T; the dual has
+    A = gram, which is _gram(G), r = S^2 and rhs = S^2 T.
 
-    gram is _gram(G), which a dual system forms when it is not given. With
-    scratch, the system is written into scratch["system"], and the primal's
-    S^2 G into scratch["factor"], which its solve's factor copy then reuses.
-    G.T @ G would go to syrk, whose rounding differs; these products are the
-    ones that every fit has solved.
+    The primal writes A into scratch["system"] and S^2 G into
+    scratch["factor"], which its solve's factor copy then reuses. G.T @ G
+    would go to syrk, whose rounding differs; these products are the ones
+    that every fit has solved.
     """
     s2 = s * s
-    if branch == "primal":
-        SG = np.multiply(s2[:, None], G, out=_buffer(scratch, "factor", G.shape))
-        A = np.matmul(G.T, SG, out=_buffer(scratch, "system", (G.shape[1], G.shape[1])))
-        return A, G.T @ (s2[:, None] * T)
-    if gram is None:
-        gram = _gram(G)
-    A = np.multiply(s2[:, None], gram, out=_buffer(scratch, "system", gram.shape))
-    return A, s2[:, None] * T
+    if branch == "dual":
+        return gram, s2, s2[:, None] * T
+    SG = np.multiply(s2[:, None], G, out=_buffer(scratch, "factor", G.shape))
+    A = np.matmul(G.T, SG, out=_buffer(scratch, "system", (G.shape[1], G.shape[1])))
+    return A, None, G.T @ (s2[:, None] * T)
 
 
-def _solve_system(A: np.ndarray, rhs: np.ndarray, c_reg: float, branch: str, G,
-                  scratch=None) -> np.ndarray:
-    """The output weights W from _system's A and rhs and a positive C; A and
-    rhs are left as they are. branch "primal" solves
+def _solve_system(A: np.ndarray, r, rhs: np.ndarray, c_reg: float, branch: str, G,
+                  scratch: dict) -> np.ndarray:
+    """The output weights W from _system's A, r and rhs and a positive C; A,
+    r and rhs are left as they are. branch "primal" solves
     (G' S^2 G + I/C) W = G' S^2 T by a Cholesky factorization (dpotrf,
     dpotrs); it suits F <= N. branch "dual" solves
     W = G' (I/C + S^2 G G')^{-1} S^2 T by an LU factorization (dgetrf,
     dgetrs), which needs G; it suits F > N, and its N x N system matrix is
     nonsymmetric whenever S is not the identity, hence the general solve.
-    The factorization overwrites one column-major copy of A + I/C, and the
-    solve one of rhs: the copies scipy.linalg's LAPACK wrappers make. With
-    scratch, the copy of A is written into scratch["factor"]; on the primal
-    that overwrites _system's S^2 G, which A no longer needs.
+    The factorization overwrites A + I/C, its rows scaled by r on the dual,
+    written column-major into scratch["factor"] (on the primal over
+    _system's S^2 G, which A no longer needs), and the solve a copy of rhs:
+    the operands scipy.linalg's LAPACK wrappers make.
     """
     n = A.shape[0]
     a = _buffer(scratch, "factor", A.shape, order="F")
     np.copyto(a, A)
+    if r is not None:  # the products r_i A_ij; faster in place than into the transposed layout
+        a *= r[:, None]
     a.reshape(-1, order="F")[::n + 1] += 1.0 / c_reg  # the diagonal, as a strided view
     b = np.array(rhs, order="F")
     k = b.shape[1]

@@ -11,23 +11,24 @@ computes each quantity at the level where it varies:
   grid_search's worker processes, at one BLAS thread as in fit;
 - per network (m, p, q and the rest of NetworkConfig), once per slice of
   cells: the random layer, and buffers for the arrays below, each sized
-  once for the slice's largest network;
-- per network and fold: the training state matrix, written into its
-  buffer, the dual's G G', and the test state matrix;
-- per weighting: the C-free part of the ridge system, in its buffer;
+  once for the slice's largest network (trainer._scratch);
+- per network and fold: the training state matrix and the dual's system
+  G G', written into their buffers (trainer._states), and the test state
+  matrix;
+- per weighting: the primal's system, in its buffer;
 - per C: the solve (linalg._solve_system) from a factor copy in a buffer,
   the test scores, their argmax and the accuracy.
 
 Every fold accuracy equals that of fit and accuracy on the same fold, bit
-for bit: fit runs the same steps (trainer._output_weights included) on
-the same operands, writing fresh arrays. A cell is one network, fold and
-weighting with all its C values; _cells runs cells in that order, and
-grid_search's worker processes each run one contiguous slice of them,
-merged in enumeration order. A fold whose training part lacks a class is
-skipped. Any other BlsBenchError in building a fold or a weight vector is
-kept and raised by the first cell that needs it, and an error in a cell
-raises where it happens, so a run stops at its first failing cell in that
-order.
+for bit: fit runs the same steps (trainer._states and
+trainer._output_weights) on the same operands, in buffers of its own. A
+cell is one network, fold and weighting with all its C values; _cells
+runs cells in that order, and grid_search's worker processes each run one
+contiguous slice of them, merged in enumeration order. A fold whose
+training part lacks a class is skipped. Any other BlsBenchError in
+building a fold or a weight vector is kept and raised by the first cell
+that needs it, and an error in a cell raises where it happens, so a run
+stops at its first failing cell in that order.
 
 The statistics follow the standard multi-classifier comparison protocol:
 tie-averaged ranks per dataset, the Friedman chi-square and its F-form,
@@ -244,9 +245,9 @@ def _cells(folds: list, weights: dict, tasks) -> list:
 
     Each run of tasks on one network draws its layer once, and each run on
     one fold within it builds the state matrices, and the dual's G G', once,
-    after the first weight vector as fit does. They and each weighting's
-    system and factor copies are written into buffers sized once for the
-    largest network, so no cell allocates them.
+    after the first weight vector as fit does. They, the primal's system of
+    each weighting and the factor copies are written into buffers sized
+    once for the largest network, so no cell allocates them.
     """
     runs = dict.fromkeys((*folds[fold].Xn.shape, net) for net, fold, _, _ in tasks
                          if isinstance(folds[fold], _Fold))
@@ -267,22 +268,15 @@ def _cells(folds: list, weights: dict, tasks) -> list:
                     raise s
                 if G is None:
                     layer, G, gram, G_test = _states(net, layer, part, scratch)
-                solutions = trainer._output_weights(G, s, part.T, c_regs, gram, scratch)
+                solutions = trainer._output_weights(G, gram, s, part.T, c_regs, scratch)
                 results.append([np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices)
                                 / len(G_test) for W in solutions])
     return results
 
 
 def _states(net: network.NetworkConfig, layer, part: _Fold, scratch: dict) -> tuple:
-    """net's memory check on the fold's training rows, then its layer (drawn
-    unless given), the training state matrix and the dual's G G' (None on
-    the primal) in scratch, and the test state matrix."""
-    (n, d), width = part.Xn.shape, net.width
-    trainer._check_network_memory(n, d, net, buffers=True)
-    if layer is None:
-        layer = network.init_random_layer(net, d)
-    G = network._forward(layer, part.Xn, linalg._buffer(scratch, "state", (n, width)))
-    gram = None if trainer._solve_branch(width, n) == "primal" else linalg._gram(G, scratch)
+    """trainer._states on the fold's training rows, and the test state matrix."""
+    layer, G, gram = trainer._states(net, layer, part.Xn, scratch)
     # decision_scores' _forward behind its checks; the benchmark traces this call.
     return layer, G, gram, network.state_matrix(layer, part.Xn_test)
 

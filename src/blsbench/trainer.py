@@ -9,19 +9,20 @@ then takes a per-row argmax over the class columns.
 
 fit is the validation boundary: it checks X, the labels and the feature
 ranges once (_prepare), then runs the private steps of the layer modules
-(fuzzy._scores, if_scores._score_vector, network._forward, linalg._system,
-linalg._solve_system), which trust their inputs. decision_scores is
-_test_rows, its checks of X_test, then network._forward.
+(fuzzy._scores, if_scores._score_vector, network._forward, linalg._gram,
+linalg._system, linalg._solve_system), which trust their inputs.
+decision_scores is _test_rows, its checks of X_test, then network._forward.
 
-fit is _prepare, _sample_weights, _check_network_memory, the layer draw,
-network._forward, then _output_weights for one C, each step writing fresh
-arrays. stats' cross-validation engine runs the same steps, each at the
-level where it varies: _prepare, _test_rows and _sample_weights once per
-fold and weighting of a run; the draw once per network; the memory check,
-_forward and the dual's linalg._gram once per network and fold; and
-_output_weights once per weighting, for all its C values. It writes the
-state matrix, the system and the factor copies into the buffers of
-_scratch, sized once.
+fit is _prepare, _sample_weights, then _states and _output_weights for
+one C in the buffers of a _scratch sized for its network. stats'
+cross-validation engine runs the same steps, each at the level where it
+varies: _prepare, _test_rows and _sample_weights once per fold and
+weighting of a run; _states once per network and fold, drawing the layer
+on the network's first; and _output_weights once per weighting, for all
+its C values; in the buffers of one _scratch sized for its largest
+network. So fit and every fold write the state matrix, the system and the
+factor copies into buffers of one layout, which one memory model counts
+(_network_bytes).
 """
 
 from __future__ import annotations
@@ -258,59 +259,57 @@ def _test_rows(norm: NormState, input_dim: int, X_test) -> np.ndarray:
 def _buffer_sizes(n: int, net: network.NetworkConfig) -> dict:
     """The elements of each array that net's steps on n training rows write
     into scratch buffers, by linalg._buffer's keys: the state matrix, the
-    system and the factor copy, which on the primal first holds S^2 G, and
-    the dual's G G'. A primal has F <= n, so each key's primal size is at
-    most its dual size on as many rows."""
+    system of order k = min(F, n) (the dual's is G G') and the factor copy,
+    which on the primal first holds S^2 G. Each grows with F."""
     f = net.width
-    if _solve_branch(f, n) == "primal":
-        return {"state": n * f, "system": f * f, "factor": n * f}
-    return {"state": n * f, "system": n * n, "gram": n * n, "factor": n * n}
+    k = min(f, n)
+    return {"state": n * f, "system": k * k, "factor": n * k}
 
 
-def _network_bytes(n: int, d: int, net: network.NetworkConfig, buffers: bool) -> int:
-    """The bytes of net's layer on d inputs and of its arrays on n rows. fit
-    counts the state matrix and its weighted copy, the system and the copy a
-    solve factorizes; with buffers, the engine counts its _buffer_sizes."""
+def _network_bytes(n: int, d: int, net: network.NetworkConfig) -> int:
+    """The bytes of net's layer on d inputs and of its _buffer_sizes on n rows."""
     mp = net.m * net.p
-    arrays = (sum(_buffer_sizes(n, net).values()) if buffers
-              else 2 * n * net.width + 2 * min(net.width, n) ** 2)
-    return 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + arrays)
-
-
-def _check_network_memory(n: int, d: int, net: network.NetworkConfig, buffers: bool = False):
-    """Raise ConfigError, before anything is drawn, when _network_bytes exceed
-    physical memory."""
-    linalg._check_memory(_network_bytes(n, d, net, buffers),
-                         f"network m={net.m}, p={net.p}, l={net.l}, q={net.q} on {n} rows")
+    return 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + sum(_buffer_sizes(n, net).values()))
 
 
 def _scratch(runs) -> dict:
-    """linalg._buffer's scratch for the engine's (n, d, net) runs of a network
-    on n training rows of d features: per key one flat array, as long as the
+    """linalg._buffer's scratch for the (n, d, net) runs of a network on n
+    training rows of d features: per key one flat array, as long as the
     largest run whose memory check passes needs. Every key grows with the
     width, across branches too, so together they hold what the widest such
-    network needs on the most rows. A run that fails its check raises before
-    it writes anything."""
+    network needs on the most rows. A run that fails its check raises in
+    _states before it writes anything."""
     sizes: dict = {}
     for n, d, net in runs:
-        if _network_bytes(n, d, net, True) <= linalg._physical_memory():
+        if _network_bytes(n, d, net) <= linalg._physical_memory():
             for key, size in _buffer_sizes(n, net).items():
                 sizes[key] = max(sizes.get(key, 0), size)
     return {key: np.empty(size) for key, size in sizes.items()}
 
 
-def _output_weights(G: np.ndarray, s: np.ndarray, T: np.ndarray, c_regs, gram=None,
-                    scratch=None) -> list:
+def _states(net: network.NetworkConfig, layer, Xn: np.ndarray, scratch: dict) -> tuple:
+    """net's memory check on the rows Xn, a ConfigError before anything is
+    drawn when _network_bytes exceed physical memory; then its layer (drawn
+    unless given), the state matrix G of Xn in scratch["state"] and, on the
+    dual, G G' in scratch["system"]: (layer, G, G G' or None on the primal)."""
+    (n, d), width = Xn.shape, net.width
+    linalg._check_memory(_network_bytes(n, d, net),
+                         f"network m={net.m}, p={net.p}, l={net.l}, q={net.q} on {n} rows")
+    if layer is None:
+        layer = network.init_random_layer(net, d)
+    G = network._forward(layer, Xn, linalg._buffer(scratch, "state", (n, width)))
+    return layer, G, None if _solve_branch(width, n) == "primal" else linalg._gram(G, scratch)
+
+
+def _output_weights(G: np.ndarray, gram, s: np.ndarray, T: np.ndarray, c_regs,
+                    scratch: dict) -> list:
     """Per C in c_regs, the output weights of the network whose state matrix
-    on the training rows is G, for targets T and sample weights s. gram is
-    linalg._gram(G) on the dual branch, which the system forms when it is
-    not given. Every C is solved from one system, which the solve leaves as
-    it is; a failed solve raises. With scratch, the system and the factor
-    copies are written into its buffers."""
+    and G G' (None on the primal) are _states' G and gram, for targets T and
+    sample weights s. Every C is solved from one system, which the solve
+    leaves as it is, in scratch's buffers; a failed solve raises."""
     branch = _solve_branch(G.shape[1], G.shape[0])
-    A, rhs = linalg._system(G, s, T, branch, gram, scratch)
-    G_dual = G if branch == "dual" else None  # only the dual maps its solution back through G
-    return [np.ascontiguousarray(linalg._solve_system(A, rhs, float(c), branch, G_dual, scratch))
+    A, r, rhs = linalg._system(G, s, T, branch, gram, scratch)
+    return [np.ascontiguousarray(linalg._solve_system(A, r, rhs, float(c), branch, G, scratch))
             for c in c_regs]
 
 
@@ -320,10 +319,10 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     lexicographically and targets are one-hot rows over that order."""
     Xn, norm, class_labels, indices = _prepare(X, labels, cfg.variant)
     scores = _sample_weights(Xn, indices, cfg)
-    _check_network_memory(*Xn.shape, cfg.network)
-    layer = network.init_random_layer(cfg.network, Xn.shape[1])
-    (w_out,) = _output_weights(network._forward(layer, Xn), scores,
-                               np.eye(len(class_labels))[indices], [cfg.c_reg])
+    scratch = _scratch([(*Xn.shape, cfg.network)])
+    layer, G, gram = _states(cfg.network, None, Xn, scratch)
+    (w_out,) = _output_weights(G, gram, scores, np.eye(len(class_labels))[indices], [cfg.c_reg],
+                               scratch)
     return TrainedModel(cfg, layer, w_out, norm, class_labels, scores)
 
 

@@ -21,6 +21,24 @@ def solves_in_bundle():
     return getattr(linalg._lapack()["dpotrf"], "__name__", None) == "scipy_dpotrf_"
 
 
+def scratch_for(n, f):
+    """A linalg._buffer scratch for a state matrix of n rows and f columns:
+    each key holds the largest array that the steps on it write."""
+    return {key: np.empty(max(n, f) ** 2) for key in ("state", "system", "factor")}
+
+
+def solve(G, s, T, c_reg, branch):
+    """The output weights of linalg._system and linalg._solve_system for one
+    C on the branch given, the dual's G G' formed as trainer._states forms
+    it, in a scratch of their own."""
+    from blsbench import linalg
+
+    scratch = scratch_for(*G.shape)
+    gram = linalg._gram(G, scratch) if branch == "dual" else None
+    return linalg._solve_system(*linalg._system(G, s, T, branch, gram, scratch), c_reg, branch, G,
+                                scratch)
+
+
 @contextlib.contextmanager
 def outer_blas_threads(n):
     """Set every bundled OpenBLAS to n threads, as a caller of the library might."""

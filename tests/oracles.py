@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from blsbench import if_scores, stats, trainer
+from blsbench import if_scores, linalg, network, stats, trainer
 from blsbench.errors import BlsBenchError, ClassBalanceError, ConfigError
 from blsbench.fuzzy import DEFAULT_DELTA
 from blsbench.linalg import as_matrix
@@ -57,6 +57,37 @@ def ridge_objective(G, S, T, c_reg: float, W) -> float:
     """Value of the weighted ridge objective (C/2)||S(GW - T)||^2 + ||W||^2/2."""
     resid = np.asarray(S)[:, None] * (G @ W - T)
     return 0.5 * c_reg * float(np.sum(resid * resid)) + 0.5 * float(np.sum(W * W))
+
+
+def scipy_solve(A, rhs, c_reg: float, branch: str, G):
+    """The ridge solve as scipy.linalg runs it on A + I/C: cho_factor and
+    cho_solve on the primal, lu_factor and lu_solve mapped back through G
+    on the dual. The reference of the direct LAPACK calls."""
+    import scipy.linalg
+
+    a = A.copy()
+    a[np.diag_indices_from(a)] += 1.0 / c_reg
+    if branch == "primal":
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True, check_finite=False),
+                                      rhs, check_finite=False)
+    return G.T @ scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), rhs,
+                                       check_finite=False)
+
+
+def fit_w_out(X, labels, cfg):
+    """fit's output weights composed from fresh arrays: the state matrix, then
+    the whole system, G' (S^2 G) on the primal or S^2 (G G') on the dual, then
+    scipy_solve; every step at one BLAS thread, as fit runs."""
+    with linalg._single_threaded_blas():
+        Xn, _, classes, indices = trainer._prepare(X, labels, cfg.variant)
+        s = trainer._sample_weights(Xn, indices, cfg)
+        s2 = s * s
+        G = network._forward(network.init_random_layer(cfg.network, Xn.shape[1]), Xn)
+        T = np.eye(len(classes))[indices]
+        if trainer._solve_branch(G.shape[1], G.shape[0]) == "primal":
+            return scipy_solve(G.T @ (s2[:, None] * G), G.T @ (s2[:, None] * T), cfg.c_reg,
+                               "primal", G)
+        return scipy_solve(s2[:, None] * (G @ G.T), s2[:, None] * T, cfg.c_reg, "dual", G)
 
 
 def pairwise_sq_dist(A, B):

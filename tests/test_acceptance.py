@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from blsbench import data, fuzzy, if_scores, linalg, stats
+from blsbench import data, fuzzy, if_scores, stats
 from blsbench.errors import ConfigError
 from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, decision_scores, fit, predict
 
 import published_tables as pt
+from conftest import solve
 from oracles import kernel_class_radii, kernel_pairwise_distances
 
 
@@ -115,8 +116,8 @@ class TestAcceptance:
             G = rng.normal(size=(n, f))
             T = rng.normal(size=(n, k))
             S = rng.uniform(0.05, 1.0, size=n)
-            Wp = linalg._solve_system(*linalg._system(G, S, T, "primal"), c, "primal", G)
-            Wd = linalg._solve_system(*linalg._system(G, S, T, "dual"), c, "dual", G)
+            Wp = solve(G, S, T, c, "primal")
+            Wd = solve(G, S, T, c, "dual")
             Gl = G.astype(np.longdouble)
             S2 = np.diag(S.astype(np.longdouble) ** 2)
             A = Gl.T @ S2 @ Gl + np.eye(f, dtype=np.longdouble) / np.longdouble(c)

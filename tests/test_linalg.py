@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from blsbench import linalg
-from conftest import solves_in_bundle
+from conftest import scratch_for, solve, solves_in_bundle
 from blsbench.errors import DimensionMismatch, FactorizationFailure
 
 
@@ -38,52 +38,38 @@ class TestSolvers:
     @pytest.mark.parametrize("weighted", [True, False])
     def test_primal_matches_dense_oracle(self, seed, weighted):
         G, S, T = random_problem(seed, weighted=weighted)
-        W = linalg._solve_system(*linalg._system(G, S, T, "primal"), 10.0, "primal", G)
+        W = solve(G, S, T, 10.0, "primal")
         np.testing.assert_allclose(W, dense_oracle_primal(G, S, T, 10.0), rtol=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("weighted", [True, False])
     def test_dual_matches_dense_oracle(self, seed, weighted):
         G, S, T = random_problem(seed, weighted=weighted)
-        W = linalg._solve_system(*linalg._system(G, S, T, "dual"), 10.0, "dual", G)
+        W = solve(G, S, T, 10.0, "dual")
         np.testing.assert_allclose(W, dense_oracle_dual(G, S, T, 10.0), rtol=1e-9)
 
     def test_primal_dual_agree(self):
         G, S, T = random_problem(3, n=30, d=8)
-        Wp = linalg._solve_system(*linalg._system(G, S, T, "primal"), 100.0, "primal", G)
-        Wd = linalg._solve_system(*linalg._system(G, S, T, "dual"), 100.0, "dual", G)
+        Wp = solve(G, S, T, 100.0, "primal")
+        Wd = solve(G, S, T, 100.0, "dual")
         np.testing.assert_allclose(Wp, Wd, rtol=1e-8)
 
     def test_unit_weights_reduce_to_plain_ridge(self):
         # With S = 1 the solution must equal the ordinary ridge solution.
         G, _, T = random_problem(4, n=20, d=6)
         ones = np.ones(20)
-        W = linalg._solve_system(*linalg._system(G, ones, T, "primal"), 1.0, "primal", G)
+        W = solve(G, ones, T, 1.0, "primal")
         ridge = np.linalg.solve(G.T @ G + np.eye(6), G.T @ T)
         np.testing.assert_allclose(W, ridge, rtol=1e-10)
 
     def test_solution_minimizes_objective(self):
         G, S, T = random_problem(8, n=15, d=4)
-        W = linalg._solve_system(*linalg._system(G, S, T, "primal"), 5.0, "primal", G)
+        W = solve(G, S, T, 5.0, "primal")
         base = oracles.ridge_objective(G, S, T, 5.0, W)
         rng = np.random.default_rng(0)
         for _ in range(20):
             perturbed = W + rng.normal(scale=1e-3, size=W.shape)
             assert oracles.ridge_objective(G, S, T, 5.0, perturbed) > base
-
-
-def scipy_reference(A, rhs, c, branch, G):
-    """The solve as scipy.linalg runs it on A + I/C: the reference of the
-    direct LAPACK calls."""
-    import scipy.linalg
-
-    a = A.copy()
-    a[np.diag_indices_from(a)] += 1.0 / c
-    if branch == "primal":
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True, check_finite=False),
-                                      rhs, check_finite=False)
-    return G.T @ scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), rhs,
-                                       check_finite=False)
 
 
 def without_bundled_lapack(monkeypatch):
@@ -111,15 +97,18 @@ class TestDirectLapack:
         T = np.eye(3)[rng.integers(0, 3, size=n)]
         s = {"ones": np.ones(n), "random": rng.uniform(size=n),
              "zeros": np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(size=n))}[weights]
-        A, rhs = linalg._system(G, s, T, branch)
+        scratch = scratch_for(n, f)
+        gram = linalg._gram(G, scratch) if branch == "dual" else None
+        A, r, rhs = linalg._system(G, s, T, branch, gram, scratch)
         A0, rhs0 = A.copy(), rhs.copy()
         with linalg._single_threaded_blas():
             for c in (1e-2, 1.0, 1e4):
-                want = scipy_reference(A, rhs, c, branch, G)
-                assert np.array_equal(linalg._solve_system(A, rhs, c, branch, G), want)
+                want = oracles.scipy_solve(A if r is None else r[:, None] * A, rhs, c, branch, G)
+                assert np.array_equal(linalg._solve_system(A, r, rhs, c, branch, G, scratch), want)
                 with monkeypatch.context() as m:
                     without_bundled_lapack(m)
-                    assert np.array_equal(linalg._solve_system(A, rhs, c, branch, G), want)
+                    assert np.array_equal(linalg._solve_system(A, r, rhs, c, branch, G, scratch),
+                                          want)
         # Both sources factorize copies: every C is solved from the same A and rhs.
         assert np.array_equal(A, A0) and np.array_equal(rhs, rhs0)
 
@@ -133,7 +122,8 @@ class TestDirectLapack:
             with pytest.raises(FactorizationFailure, match=(
                     r"^Cholesky factorization of G'S\^2G \+ I/C failed: 3-th leading minor "
                     r"of the array is not positive definite$")):
-                linalg._solve_system(A, np.ones((4, 2)), 1.0, "primal", None)
+                linalg._solve_system(A, None, np.ones((4, 2)), 1.0, "primal", None,
+                                     scratch_for(4, 4))
 
     def test_singular_dual_raises(self, monkeypatch):
         # A + I/C = 0, a zero pivot; scipy.linalg's LU would warn on it.
@@ -143,14 +133,15 @@ class TestDirectLapack:
                     without_bundled_lapack(m)
                 warnings.simplefilter("error")
                 with pytest.raises(FactorizationFailure, match=r"^I/C \+ S\^2GG' is singular$"):
-                    linalg._solve_system(-np.eye(3), np.ones((3, 2)), 1.0, "dual",
-                                         np.ones((3, 4)))
+                    linalg._solve_system(-np.eye(3), np.ones(3), np.ones((3, 2)), 1.0, "dual",
+                                         np.ones((3, 4)), scratch_for(3, 4))
 
     def test_overflowing_dual_raises(self):
         # I/C overflows to inf at this C, which ModelConfig would refuse: no zero
         # pivot, but a factor that is not finite.
         with pytest.raises(FactorizationFailure, match=r"^I/C \+ S\^2GG' is singular$"):
-            linalg._solve_system(np.eye(3), np.ones((3, 2)), 1e-320, "dual", np.ones((3, 4)))
+            linalg._solve_system(np.eye(3), np.ones(3), np.ones((3, 2)), 1e-320, "dual",
+                                 np.ones((3, 4)), scratch_for(3, 4))
 
     def test_illegal_argument_raises(self):
         # Bundle only: a system LAPACK's XERBLA may stop the process instead.

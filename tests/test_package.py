@@ -82,6 +82,26 @@ def test_only_the_cli_catches_a_failure():
     assert caught == ["stats._kept BlsBenchError"]
 
 
+def test_one_training_path():
+    # fit and the cross-validation engine train through trainer._states, the
+    # one step that draws a layer and forms the dual's G G', into the buffers
+    # that one memory check counts; a second training path would show here as
+    # a second caller.
+    calls = []
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"blsbench.{name}")))
+        owner = {}
+        for func in ast.walk(tree):  # breadth first, so an inner def names its own nodes
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        calls += [f"{name}.{owner.get(node, '<module>')} {ast.unparse(node.func)}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("init_random_layer", "_gram")]
+    assert sorted(calls) == ["trainer._states linalg._gram",
+                             "trainer._states network.init_random_layer"]
+
+
 def _outside_functions(node):
     """The nodes under node that run when it runs: all but function bodies."""
     for child in ast.iter_child_nodes(node):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from functools import reduce
 from operator import getitem
@@ -21,7 +22,7 @@ from blsbench.errors import (
 from blsbench.if_scores import KernelParams
 from blsbench.network import NetworkConfig
 from blsbench.trainer import ModelConfig, fit, load_model, predict, save_model
-from conftest import make_blobs, outer_blas_threads, solves_in_bundle
+from conftest import make_blobs, outer_blas_threads, solve, solves_in_bundle
 import oracles
 
 
@@ -96,8 +97,7 @@ class TestFit:
         assert model.solve_branch_used == "primal"
         G = network.state_matrix(model.layer, model.norm_state.apply(X))
         T = np.where(np.asarray([str(v) for v in y])[:, None] == np.array(["a", "b"]), 1.0, 0.0)
-        wd = linalg._solve_system(*linalg._system(G, model.score_vector, T, "dual"),
-                                  model.config.c_reg, "dual", G)
+        wd = solve(G, model.score_vector, T, model.config.c_reg, "dual")
         np.testing.assert_allclose(model.w_out, wd, rtol=1e-7)
 
     def test_deterministic_given_seed(self, blobs):
@@ -130,8 +130,7 @@ class TestFit:
         Xn = model.norm_state.apply(X)
         G = network.state_matrix(model.layer, Xn)
         T = np.where(np.asarray([str(v) for v in y])[:, None] == np.array(["a", "b"]), 1.0, 0.0)
-        W = linalg._solve_system(*linalg._system(G, model.score_vector, T, "primal"),
-                                 2.0, "primal", G)
+        W = solve(G, model.score_vector, T, 2.0, "primal")
         np.testing.assert_allclose(model.w_out, W, rtol=1e-8)
 
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
@@ -156,14 +155,14 @@ class TestFit:
     @pytest.mark.parametrize("branch,net", [("primal", small_net()),
                                             ("dual", small_net(m=20, p=5, q=8))])
     def test_memory_estimate_is_the_refusal_bound(self, branch, net, blobs, monkeypatch):
-        # 8 bytes x (layer weights and biases + the state matrix and its weighted
-        # copy + the system and the one copy a solve factorizes), against page
-        # size x pages.
+        # 8 bytes x (layer weights and biases + the state matrix, the system and
+        # the factor copy: S^2 G then the F x F copy on the primal, N x N each on
+        # the dual), against page size x pages.
         X, y = blobs
-        n, d, mp = X.shape[0], X.shape[1], net.m * net.p
-        assert trainer._solve_branch(net.width, n) == branch
-        need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + 2 * n * net.width
-                    + 2 * min(net.width, n) ** 2)
+        n, d, f, mp = X.shape[0], X.shape[1], net.width, net.m * net.p
+        assert trainer._solve_branch(f, n) == branch
+        arrays = 2 * n * f + f * f if branch == "primal" else n * f + 2 * n * n
+        need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + arrays)
         for pages, refused in ((need, False), (need - 1, True)):
             monkeypatch.setattr(os, "sysconf", lambda key: {"SC_PAGE_SIZE": 1,
                                                              "SC_PHYS_PAGES": pages}[key])
@@ -174,13 +173,14 @@ class TestFit:
                                             ("dual", small_net(m=20, p=5, q=8))])
     def test_every_c_solved_from_one_unchanged_system(self, branch, net, blobs, monkeypatch):
         # No per-C copy of A: the solve leaves A as it is, so the memory
-        # estimate's two squares are A and the copy the factorization overwrites.
+        # estimate's system and factor buffers are A (the dual's G G') and the
+        # scaled copy that the factorization overwrites.
         system, systems = linalg._system, []
 
         def recording(*args):
-            A, rhs = system(*args)
+            A, r, rhs = system(*args)
             systems.append((A, A.copy()))
-            return A, rhs
+            return A, r, rhs
 
         X, y = blobs
         c_regs = [0.1, 1.0, 10.0]
@@ -188,14 +188,46 @@ class TestFit:
         Xn, _, classes, indices = trainer._prepare(X, y, cfg.variant)
         s = trainer._sample_weights(Xn, indices, cfg)
         monkeypatch.setattr(linalg, "_system", recording)
+        scratch = trainer._scratch([(*Xn.shape, net)])
         with linalg._single_threaded_blas():
-            G = network._forward(network.init_random_layer(net, Xn.shape[1]), Xn)
-            weights = trainer._output_weights(G, s, np.eye(len(classes))[indices], c_regs)
+            _, G, gram = trainer._states(net, None, Xn, scratch)
+            weights = trainer._output_weights(G, gram, s, np.eye(len(classes))[indices], c_regs,
+                                              scratch)
         assert trainer._solve_branch(net.width, len(y)) == branch
         ((A, before),) = systems
         assert np.array_equal(A, before)
         for c_reg, w_out in zip(c_regs, weights):
             assert np.array_equal(w_out, fit(X, y, ModelConfig("f-bls", net, c_reg=c_reg)).w_out)
+
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    @pytest.mark.parametrize("branch,net", [("primal", small_net()),
+                                            ("dual", small_net(m=20, p=5, q=8))])
+    def test_fit_is_the_fresh_array_composition_bit_for_bit(self, variant, branch, net, blobs):
+        # fit writes its steps into buffers and on the dual scales its factor
+        # copy of G G' by S^2; the reference writes each step into a fresh array
+        # and solves through scipy.linalg.
+        X, y = blobs
+        assert trainer._solve_branch(net.width, len(y)) == branch
+        cfg = ModelConfig(variant, net)
+        assert np.array_equal(fit(X, y, cfg).w_out, oracles.fit_w_out(X, y, cfg))
+
+    @pytest.mark.parametrize("variant", ["bls", "f-bls"])
+    @pytest.mark.parametrize("branch,net", [("primal", NetworkConfig(m=10, p=30, q=300)),
+                                            ("dual", NetworkConfig(m=21, p=50, q=105))])
+    def test_peak_memory_is_the_memory_estimate(self, variant, branch, net):
+        # fit writes what its memory check counts: its peak is _network_bytes,
+        # plus 5% for the vectors, the K-column arrays and numpy's ufunc
+        # buffers, plus the N x d normalized rows. 800 rows of 10 features; on
+        # the dual a third N x N array breaks the bound.
+        X, y = make_blobs(400, [(0.0,) * 10, (1.0,) * 10], 1.0, seed=3)
+        assert trainer._solve_branch(net.width, len(y)) == branch
+        tracemalloc.start()
+        try:
+            fit(X, y, ModelConfig(variant, net))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * trainer._network_bytes(*X.shape, net) + X.nbytes
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
@@ -389,7 +421,8 @@ class TestBlasThreads:
             lib = ctypes.CDLL(path)
             before = [get() for get, _ in controls]
             with linalg._single_threaded_blas():
-                linalg._solve_system(np.eye(3), np.ones((3, 1)), 1.0, "primal", None)
+                linalg._solve_system(np.eye(3), None, np.ones((3, 1)), 1.0, "primal", None,
+                                     {"factor": np.empty(9)})
                 inside = [get() for get, _ in controls] + [lib.scipy_openblas_get_num_threads()]
             after = [get() for get, _ in controls] + [lib.scipy_openblas_get_num_threads()]
             name = os.path.basename(lib._name)
