@@ -7,13 +7,14 @@ The weighted ridge solve minimizes
 for a diagonal sample-weight matrix S. The primal form factorizes an
 F x F system, the dual form an N x N system; they are algebraically
 identical via the push-through identity, and the caller picks whichever
-dimension is smaller. _system builds the parts that C leaves alone, and
-_solve_system solves them for one C, in the buffers of trainer._scratch.
+dimension is smaller. _output_weights, the one ridge step, builds the
+part of the system that C leaves alone and solves it for each C by
+_solve_system, in buffers of the layout that _buffer_sizes states.
 
 pairwise_sq_dist checks its operands and then runs the private _sq_dist,
-which trusts them. trainer.fit validates its inputs once; it and the
-private steps it runs call _gram, _system, _solve_system and _sq_dist
-directly, so each computation has one code path.
+which trusts them. trainer.fit validates its inputs once; it, stats'
+engine and the private steps they run call _gram, _output_weights and
+_sq_dist directly, so each computation has one code path.
 
 Fits run BLAS on one thread (see _single_threaded_blas); worker processes
 are the program's only parallelism.
@@ -192,39 +193,55 @@ def _gram(G, scratch: dict) -> np.ndarray:
     return np.matmul(G, G.T, out=_buffer(scratch, "system", (G.shape[0], G.shape[0])))
 
 
-def _system(G, s, T, branch: str, gram, scratch: dict) -> tuple:
-    """The parts of the ridge system that C leaves alone, from the N x F
-    state matrix G, the N sample weights s in [0, 1] and the N x K targets
-    T: A, a row scale r and rhs of (diag(r) A + I/C) W = rhs. The primal
-    has A = G' S^2 G, r None (no scale) and rhs = G' S^2 T; the dual has
-    A = gram, which is _gram(G), r = S^2 and rhs = S^2 T.
+def _buffer_sizes(n: int, f: int) -> dict:
+    """The elements of each array that a network of width f on n training
+    rows writes into scratch buffers, by _buffer's keys: the state matrix,
+    the system of order k = min(f, n) (_gram's G G' on the dual) and the
+    factor copy, which on the primal first holds S^2 G. Each grows with f."""
+    k = min(f, n)
+    return {"state": n * f, "system": k * k, "factor": n * k}
 
-    The primal writes A into scratch["system"] and S^2 G into
-    scratch["factor"], which its solve's factor copy then reuses. G.T @ G
-    would go to syrk, whose rounding differs; these products are the ones
-    that every fit has solved.
+
+def _output_weights(G: np.ndarray, gram, s: np.ndarray, T: np.ndarray, c_regs,
+                    scratch: dict) -> list:
+    """Per C in c_regs, the output weights of the ridge problem on the N x F
+    state matrix G, the N sample weights s in [0, 1] and the N x K targets
+    T; gram is _gram(G) on the dual and None on the primal.
+
+    The system's C-free part is built once. The primal's is
+    A = G' S^2 G, written into scratch["system"] from S^2 G in
+    scratch["factor"], with rhs = G' S^2 T; G.T @ G would go to syrk,
+    whose rounding differs. The dual's is A = gram with the row scale S^2
+    and rhs = S^2 T. _solve_system solves it for each C and leaves it as it
+    is; the dual's solution is mapped back through G'. A failed solve
+    raises.
     """
     s2 = s * s
-    if branch == "dual":
-        return gram, s2, s2[:, None] * T
-    SG = np.multiply(s2[:, None], G, out=_buffer(scratch, "factor", G.shape))
-    A = np.matmul(G.T, SG, out=_buffer(scratch, "system", (G.shape[1], G.shape[1])))
-    return A, None, G.T @ (s2[:, None] * T)
+    if gram is None:
+        SG = np.multiply(s2[:, None], G, out=_buffer(scratch, "factor", G.shape))
+        A = np.matmul(G.T, SG, out=_buffer(scratch, "system", (G.shape[1], G.shape[1])))
+        r, rhs = None, G.T @ (s2[:, None] * T)
+    else:
+        A, r, rhs = gram, s2, s2[:, None] * T
+    weights = []
+    for c in c_regs:
+        W = _solve_system(A, r, rhs, float(c), scratch)
+        weights.append(np.ascontiguousarray(W if r is None else G.T @ W))
+    return weights
 
 
-def _solve_system(A: np.ndarray, r, rhs: np.ndarray, c_reg: float, branch: str, G,
-                  scratch: dict) -> np.ndarray:
-    """The output weights W from _system's A, r and rhs and a positive C; A,
-    r and rhs are left as they are. branch "primal" solves
-    (G' S^2 G + I/C) W = G' S^2 T by a Cholesky factorization (dpotrf,
-    dpotrs); it suits F <= N. branch "dual" solves
-    W = G' (I/C + S^2 G G')^{-1} S^2 T by an LU factorization (dgetrf,
-    dgetrs), which needs G; it suits F > N, and its N x N system matrix is
-    nonsymmetric whenever S is not the identity, hence the general solve.
-    The factorization overwrites A + I/C, its rows scaled by r on the dual,
-    written column-major into scratch["factor"] (on the primal over
-    _system's S^2 G, which A no longer needs), and the solve a copy of rhs:
-    the operands scipy.linalg's LAPACK wrappers make.
+def _solve_system(A: np.ndarray, r, rhs: np.ndarray, c_reg: float, scratch: dict) -> np.ndarray:
+    """The solution X of (diag(r) A + I/C) X = rhs for a positive C, with no
+    row scale when r is None; A, r and rhs are left as they are.
+
+    Without a row scale A is symmetric (the primal's G' S^2 G), and the
+    solve is a Cholesky factorization (dpotrf, dpotrs). With one it is an
+    LU factorization (dgetrf, dgetrs), since diag(r) A (the dual's
+    S^2 G G') is nonsymmetric whenever r is not constant. The factorization
+    overwrites A + I/C, its rows scaled by r, written column-major into
+    scratch["factor"] (on the primal over _output_weights' S^2 G, which A
+    no longer needs), and the solve a copy of rhs: the operands
+    scipy.linalg's LAPACK wrappers make.
     """
     n = A.shape[0]
     a = _buffer(scratch, "factor", A.shape, order="F")
@@ -234,7 +251,7 @@ def _solve_system(A: np.ndarray, r, rhs: np.ndarray, c_reg: float, branch: str, 
     a.reshape(-1, order="F")[::n + 1] += 1.0 / c_reg  # the diagonal, as a strided view
     b = np.array(rhs, order="F")
     k = b.shape[1]
-    if branch == "primal":
+    if r is None:
         info = _call_lapack("dpotrf", b"L", n, a, n)
         if info > 0:
             raise FactorizationFailure(f"Cholesky factorization of G'S^2G + I/C failed: {info}-th "
@@ -242,11 +259,13 @@ def _solve_system(A: np.ndarray, r, rhs: np.ndarray, c_reg: float, branch: str, 
         _call_lapack("dpotrs", b"L", n, k, a, n, b, n)
         return b
     pivots = np.empty(n, dtype=np.intc)
-    # A zero pivot, or inf in the factor: an overflow at a tiny C.
-    if _call_lapack("dgetrf", n, n, a, n, pivots) > 0 or not np.isfinite(a).all():
+    # A zero pivot, or inf or NaN in the factor (an overflow at a tiny C),
+    # which min and max carry without an N x N mask.
+    if (_call_lapack("dgetrf", n, n, a, n, pivots) > 0
+            or not (np.isfinite(a.min()) and np.isfinite(a.max()))):
         raise FactorizationFailure("I/C + S^2GG' is singular")
     _call_lapack("dgetrs", b"N", n, k, a, n, pivots, b, n)
-    return G.T @ b
+    return b
 
 
 def pairwise_sq_dist(A, B) -> np.ndarray:

@@ -12,16 +12,16 @@ computes each quantity at the level where it varies:
 - per network (m, p, q and the rest of NetworkConfig), once per slice of
   cells: the random layer, and buffers for the arrays below, each sized
   once for the slice's largest network (trainer._scratch);
-- per network and fold: the training state matrix and the dual's system
-  G G', written into their buffers (trainer._states), and the test state
+- per network and fold: the training state matrix and the dual's G G',
+  written into their buffers (trainer._states), and the test state
   matrix;
-- per weighting: the primal's system, in its buffer;
-- per C: the solve (linalg._solve_system) from a factor copy in a buffer,
-  the test scores, their argmax and the accuracy.
+- per weighting: the ridge step (linalg._output_weights), which builds
+  the system's C-free part, then per C solves it from a factor copy;
+- per C: the test scores, their argmax and the accuracy.
 
 Every fold accuracy equals that of fit and accuracy on the same fold, bit
 for bit: fit runs the same steps (trainer._states and
-trainer._output_weights) on the same operands, in buffers of its own. A
+linalg._output_weights) on the same operands, in buffers of its own. A
 cell is one network, fold and weighting with all its C values; _cells
 runs cells in that order, and grid_search's worker processes each run one
 contiguous slice of them, merged in enumeration order. A fold whose
@@ -268,7 +268,7 @@ def _cells(folds: list, weights: dict, tasks) -> list:
                     raise s
                 if G is None:
                     layer, G, gram, G_test = _states(net, layer, part, scratch)
-                solutions = trainer._output_weights(G, gram, s, part.T, c_regs, scratch)
+                solutions = linalg._output_weights(G, gram, s, part.T, c_regs, scratch)
                 results.append([np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices)
                                 / len(G_test) for W in solutions])
     return results

@@ -10,19 +10,19 @@ then takes a per-row argmax over the class columns.
 fit is the validation boundary: it checks X, the labels and the feature
 ranges once (_prepare), then runs the private steps of the layer modules
 (fuzzy._scores, if_scores._score_vector, network._forward, linalg._gram,
-linalg._system, linalg._solve_system), which trust their inputs.
-decision_scores is _test_rows, its checks of X_test, then network._forward.
+linalg._output_weights), which trust their inputs. decision_scores is
+_test_rows, its checks of X_test, then network._forward.
 
-fit is _prepare, _sample_weights, then _states and _output_weights for
-one C in the buffers of a _scratch sized for its network. stats'
-cross-validation engine runs the same steps, each at the level where it
-varies: _prepare, _test_rows and _sample_weights once per fold and
-weighting of a run; _states once per network and fold, drawing the layer
-on the network's first; and _output_weights once per weighting, for all
-its C values; in the buffers of one _scratch sized for its largest
-network. So fit and every fold write the state matrix, the system and the
-factor copies into buffers of one layout, which one memory model counts
-(_network_bytes).
+fit is _prepare, _sample_weights, then _states and the ridge step
+linalg._output_weights for one C, in the buffers of a _scratch sized for
+its network. stats' cross-validation engine runs the same steps, each at
+the level where it varies: _prepare, _test_rows and _sample_weights once
+per fold and weighting of a run; _states once per network and fold,
+drawing the layer on the network's first; and the ridge step once per
+weighting, for all its C values; in the buffers of one _scratch sized for
+its largest network. So fit and every fold write the state matrix, the
+system and the factor copies into buffers of linalg._buffer_sizes'
+layout, which one memory model counts (_network_bytes).
 """
 
 from __future__ import annotations
@@ -256,20 +256,11 @@ def _test_rows(norm: NormState, input_dim: int, X_test) -> np.ndarray:
     return Xn
 
 
-def _buffer_sizes(n: int, net: network.NetworkConfig) -> dict:
-    """The elements of each array that net's steps on n training rows write
-    into scratch buffers, by linalg._buffer's keys: the state matrix, the
-    system of order k = min(F, n) (the dual's is G G') and the factor copy,
-    which on the primal first holds S^2 G. Each grows with F."""
-    f = net.width
-    k = min(f, n)
-    return {"state": n * f, "system": k * k, "factor": n * k}
-
-
 def _network_bytes(n: int, d: int, net: network.NetworkConfig) -> int:
-    """The bytes of net's layer on d inputs and of its _buffer_sizes on n rows."""
+    """The bytes of net's layer on d inputs and of its buffers on n rows."""
     mp = net.m * net.p
-    return 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + sum(_buffer_sizes(n, net).values()))
+    return 8 * (mp * (d + 1) + net.l * net.q * (mp + 1)
+                + sum(linalg._buffer_sizes(n, net.width).values()))
 
 
 def _scratch(runs) -> dict:
@@ -282,7 +273,7 @@ def _scratch(runs) -> dict:
     sizes: dict = {}
     for n, d, net in runs:
         if _network_bytes(n, d, net) <= linalg._physical_memory():
-            for key, size in _buffer_sizes(n, net).items():
+            for key, size in linalg._buffer_sizes(n, net.width).items():
                 sizes[key] = max(sizes.get(key, 0), size)
     return {key: np.empty(size) for key, size in sizes.items()}
 
@@ -301,18 +292,6 @@ def _states(net: network.NetworkConfig, layer, Xn: np.ndarray, scratch: dict) ->
     return layer, G, None if _solve_branch(width, n) == "primal" else linalg._gram(G, scratch)
 
 
-def _output_weights(G: np.ndarray, gram, s: np.ndarray, T: np.ndarray, c_regs,
-                    scratch: dict) -> list:
-    """Per C in c_regs, the output weights of the network whose state matrix
-    and G G' (None on the primal) are _states' G and gram, for targets T and
-    sample weights s. Every C is solved from one system, which the solve
-    leaves as it is, in scratch's buffers; a failed solve raises."""
-    branch = _solve_branch(G.shape[1], G.shape[0])
-    A, r, rhs = linalg._system(G, s, T, branch, gram, scratch)
-    return [np.ascontiguousarray(linalg._solve_system(A, r, rhs, float(c), branch, G, scratch))
-            for c in c_regs]
-
-
 @linalg._single_threaded_blas()
 def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     """Train one model. labels may be any strings; classes are ordered
@@ -321,8 +300,8 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     scores = _sample_weights(Xn, indices, cfg)
     scratch = _scratch([(*Xn.shape, cfg.network)])
     layer, G, gram = _states(cfg.network, None, Xn, scratch)
-    (w_out,) = _output_weights(G, gram, scores, np.eye(len(class_labels))[indices], [cfg.c_reg],
-                               scratch)
+    (w_out,) = linalg._output_weights(G, gram, scores, np.eye(len(class_labels))[indices],
+                                      [cfg.c_reg], scratch)
     return TrainedModel(cfg, layer, w_out, norm, class_labels, scores)
 
 

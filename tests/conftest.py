@@ -28,15 +28,15 @@ def scratch_for(n, f):
 
 
 def solve(G, s, T, c_reg, branch):
-    """The output weights of linalg._system and linalg._solve_system for one
-    C on the branch given, the dual's G G' formed as trainer._states forms
-    it, in a scratch of their own."""
+    """The output weights of linalg._output_weights for one C on the branch
+    given, the dual's G G' formed as trainer._states forms it, in a scratch
+    of their own."""
     from blsbench import linalg
 
     scratch = scratch_for(*G.shape)
     gram = linalg._gram(G, scratch) if branch == "dual" else None
-    return linalg._solve_system(*linalg._system(G, s, T, branch, gram, scratch), c_reg, branch, G,
-                                scratch)
+    (W,) = linalg._output_weights(G, gram, s, T, [c_reg], scratch)
+    return W
 
 
 @contextlib.contextmanager

@@ -87,7 +87,9 @@ class TestDirectLapack:
     # OpenBLAS where there is one, the other cases through those of
     # scipy.linalg.cython_lapack. 4 shapes (two primal, two dual with F > N) x
     # 3 weightings x 3 C values = 36 systems, each solved both ways and
-    # compared bit for bit with scipy.linalg.
+    # compared bit for bit with scipy.linalg. The test builds each system as
+    # oracles.fit_w_out does, G'(S^2 G) from a separate S^2 G on the primal
+    # and S^2 (G G') on the dual, and maps the dual's solution back itself.
     @pytest.mark.parametrize("n,f,branch", [(60, 20, "primal"), (200, 150, "primal"),
                                             (40, 90, "dual"), (120, 400, "dual")])
     @pytest.mark.parametrize("weights", ["ones", "random", "zeros"])
@@ -98,17 +100,24 @@ class TestDirectLapack:
         s = {"ones": np.ones(n), "random": rng.uniform(size=n),
              "zeros": np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(size=n))}[weights]
         scratch = scratch_for(n, f)
-        gram = linalg._gram(G, scratch) if branch == "dual" else None
-        A, r, rhs = linalg._system(G, s, T, branch, gram, scratch)
-        A0, rhs0 = A.copy(), rhs.copy()
+        s2 = s * s
         with linalg._single_threaded_blas():
+            if branch == "primal":
+                A, r, rhs = G.T @ (s2[:, None] * G), None, G.T @ (s2[:, None] * T)
+            else:
+                A, r, rhs = linalg._gram(G, scratch), s2, s2[:, None] * T
+            A0, rhs0 = A.copy(), rhs.copy()
+
+            def solved(c):
+                X = linalg._solve_system(A, r, rhs, c, scratch)
+                return X if r is None else G.T @ X
+
             for c in (1e-2, 1.0, 1e4):
                 want = oracles.scipy_solve(A if r is None else r[:, None] * A, rhs, c, branch, G)
-                assert np.array_equal(linalg._solve_system(A, r, rhs, c, branch, G, scratch), want)
+                assert np.array_equal(solved(c), want)
                 with monkeypatch.context() as m:
                     without_bundled_lapack(m)
-                    assert np.array_equal(linalg._solve_system(A, r, rhs, c, branch, G, scratch),
-                                          want)
+                    assert np.array_equal(solved(c), want)
         # Both sources factorize copies: every C is solved from the same A and rhs.
         assert np.array_equal(A, A0) and np.array_equal(rhs, rhs0)
 
@@ -122,8 +131,7 @@ class TestDirectLapack:
             with pytest.raises(FactorizationFailure, match=(
                     r"^Cholesky factorization of G'S\^2G \+ I/C failed: 3-th leading minor "
                     r"of the array is not positive definite$")):
-                linalg._solve_system(A, None, np.ones((4, 2)), 1.0, "primal", None,
-                                     scratch_for(4, 4))
+                linalg._solve_system(A, None, np.ones((4, 2)), 1.0, scratch_for(4, 4))
 
     def test_singular_dual_raises(self, monkeypatch):
         # A + I/C = 0, a zero pivot; scipy.linalg's LU would warn on it.
@@ -133,15 +141,26 @@ class TestDirectLapack:
                     without_bundled_lapack(m)
                 warnings.simplefilter("error")
                 with pytest.raises(FactorizationFailure, match=r"^I/C \+ S\^2GG' is singular$"):
-                    linalg._solve_system(-np.eye(3), np.ones(3), np.ones((3, 2)), 1.0, "dual",
-                                         np.ones((3, 4)), scratch_for(3, 4))
+                    linalg._solve_system(-np.eye(3), np.ones(3), np.ones((3, 2)), 1.0,
+                                         scratch_for(3, 4))
 
     def test_overflowing_dual_raises(self):
         # I/C overflows to inf at this C, which ModelConfig would refuse: no zero
         # pivot, but a factor that is not finite.
         with pytest.raises(FactorizationFailure, match=r"^I/C \+ S\^2GG' is singular$"):
-            linalg._solve_system(np.eye(3), np.ones(3), np.ones((3, 2)), 1e-320, "dual",
-                                 np.ones((3, 4)), scratch_for(3, 4))
+            linalg._solve_system(np.eye(3), np.ones(3), np.ones((3, 2)), 1e-320, scratch_for(3, 4))
+
+    @pytest.mark.parametrize("bundled", [True, False])
+    def test_nan_dual_raises(self, bundled, monkeypatch):
+        # The NaN in row 0 spreads through the elimination into the later
+        # pivots, which dgetrf does not count as zero (INFO 0): only the check
+        # of the factor's minimum and maximum sees it.
+        if not bundled:
+            without_bundled_lapack(monkeypatch)
+        A = np.eye(3)
+        A[0, 1] = np.nan
+        with pytest.raises(FactorizationFailure, match=r"^I/C \+ S\^2GG' is singular$"):
+            linalg._solve_system(A, np.ones(3), np.ones((3, 2)), 1.0, scratch_for(3, 4))
 
     def test_illegal_argument_raises(self):
         # Bundle only: a system LAPACK's XERBLA may stop the process instead.

@@ -85,8 +85,9 @@ def test_only_the_cli_catches_a_failure():
 def test_one_training_path():
     # fit and the cross-validation engine train through trainer._states, the
     # one step that draws a layer and forms the dual's G G', into the buffers
-    # that one memory check counts; a second training path would show here as
-    # a second caller.
+    # that one memory check counts, and then through linalg._output_weights,
+    # the one ridge step and the only caller of the solve; a second training
+    # or solve path would show here as a second caller.
     calls = []
     for name in MODULES:
         tree = ast.parse(inspect.getsource(importlib.import_module(f"blsbench.{name}")))
@@ -97,9 +98,12 @@ def test_one_training_path():
         calls += [f"{name}.{owner.get(node, '<module>')} {ast.unparse(node.func)}"
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and getattr(node.func, "attr", getattr(node.func, "id", None))
-                  in ("init_random_layer", "_gram")]
-    assert sorted(calls) == ["trainer._states linalg._gram",
-                             "trainer._states network.init_random_layer"]
+                  in ("init_random_layer", "_gram", "_output_weights", "_solve_system")]
+    assert sorted(calls) == ["linalg._output_weights _solve_system",
+                             "stats._cells linalg._output_weights",
+                             "trainer._states linalg._gram",
+                             "trainer._states network.init_random_layer",
+                             "trainer.fit linalg._output_weights"]
 
 
 def _outside_functions(node):

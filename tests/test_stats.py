@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,27 @@ class TestCrossValidate:
         assert str(exc.value) == (
             "every fold of 'one-b' was degenerate for f-bls: " + "; ".join(dict.fromkeys(reasons))
         )
+
+    @pytest.mark.parametrize("variant", ["bls", "f-bls"])
+    @pytest.mark.parametrize("branch,net", [("primal", NetworkConfig(m=10, p=30, q=300)),
+                                            ("dual", NetworkConfig(m=21, p=50, q=105))])
+    def test_peak_memory_is_the_memory_estimate(self, variant, branch, net):
+        # The engine writes what its memory check counts: its peak is
+        # _network_bytes on the 800 training rows of a fold, plus the 200-row
+        # test state matrix, plus 12 X.nbytes for the run's folds (their
+        # normalized rows alone are 5 X.nbytes), the vectors, the K-column
+        # arrays and numpy's ufunc buffers. 1,000 rows of 10 features; on the
+        # dual an N x N bool mask breaks the bound.
+        X, y = make_blobs(500, [(0.0,) * 10, (1.0,) * 10], 1.0, seed=3)
+        ds, plan = data.Dataset("blobs", X, y), data.make_folds(1000, 5, 0)
+        assert trainer._solve_branch(net.width, 800) == branch
+        tracemalloc.start()
+        try:
+            stats.cross_validate(ds, ModelConfig(variant, net), plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= trainer._network_bytes(800, 10, net) + 200 * net.width * 8 + 12 * X.nbytes
 
 
 class TestGridSearch:
@@ -200,12 +222,12 @@ class TestGridSearch:
         # cell at C=100.
         solve_system, solves = linalg._solve_system, []
 
-        def failing(A, r, rhs, c, branch, G, scratch):
+        def failing(A, r, rhs, c, scratch):
             solves.append(c)
             w = A.shape[0]
             if (c, w) in ((1.0, 7), (100.0, 5)):
                 raise FactorizationFailure(f"fail C={c:g} width={w}")
-            return solve_system(A, r, rhs, c, branch, G, scratch)
+            return solve_system(A, r, rhs, c, scratch)
 
         monkeypatch.setattr(linalg, "_solve_system", failing)  # before the pool forks
         X, y = make_blobs(20, [(0.0, 0.0), (3.0, 3.0)], 0.6, seed=7)
@@ -309,7 +331,7 @@ class TestGridSearch:
             "primal", "dual"]
         for runs in ([(24, 2, primal), (24, 2, dual)], [(24, 2, dual), (24, 2, primal)]):
             sizes = {key: len(buf) for key, buf in trainer._scratch(runs).items()}
-            assert sizes == trainer._buffer_sizes(24, dual)
+            assert sizes == linalg._buffer_sizes(24, dual.width)
 
     @pytest.mark.parametrize("name", ["c_reg", "m", "p", "q", "mu", "delta", "epsilon"])
     def test_empty_list_rejected(self, name):
