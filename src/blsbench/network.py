@@ -26,37 +26,26 @@ __all__ = [
 ]
 
 
-def _linear(z):
+# Each activation writes its value into out when it is given, and out is then z
+# itself; the same operations, and so the same bits, as a fresh result.
+def _linear(z, out=None):
     return z
 
 
-def _sigmoid(z):
+def _sigmoid(z, out=None):
     # exp(-z) overflows to inf for z below about -709, and 1 / (1 + inf) is the limit 0.
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        e = np.exp(np.negative(z, out=out), out=out)
+    return np.divide(1.0, np.add(e, 1.0, out=out), out=out)
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
 FEATURE_ACTIVATIONS = {"linear": _linear, "tanh": np.tanh, "sigmoid": _sigmoid}
 ENHANCEMENT_ACTIVATIONS = {"tanh": np.tanh, "sigmoid": _sigmoid, "relu": _relu}
-
-
-def _sigmoid_in_place(z):
-    # _sigmoid's steps, in its order, each overwriting z.
-    np.negative(z, out=z)
-    with np.errstate(over="ignore"):
-        np.exp(z, out=z)
-    z += 1.0
-    return np.divide(1.0, z, out=z)
-
-
-# _forward's activations: each of the above by name, overwriting its float64
-# argument with its value by the same operations, so with the same bits.
-_IN_PLACE = {"linear": _linear, "tanh": lambda z: np.tanh(z, out=z),
-             "sigmoid": _sigmoid_in_place, "relu": lambda z: np.maximum(z, 0.0, out=z)}
+_ACTIVATIONS = {"feature": FEATURE_ACTIVATIONS, "enhancement": ENHANCEMENT_ACTIVATIONS}
 
 
 @dataclass(frozen=True)
@@ -111,42 +100,30 @@ class RandomLayer:
         _check_input_dim(self.input_dim)
 
 
-# Segment tags keep the feature and enhancement streams independent even
-# when group indices collide.
-_FEATURE_STREAM = 1
-_ENHANCEMENT_STREAM = 2
-
-
-def _group_rng(seed: int, stream: int, group: int) -> np.random.Generator:
-    return np.random.default_rng([seed, stream, group])
+def _stages(cfg: NetworkConfig, input_dim: int) -> tuple:
+    """The layer's layout on input_dim inputs, in forward order: per stage its
+    name (RandomLayer holds its name_weights and name_biases, NetworkConfig its
+    name_activation), stream tag, group count, and the rows and columns of each
+    group's weight matrix; each bias is 1 x columns. The stream tags keep the
+    stages' draws independent even when group indices collide."""
+    return (("feature", 1, cfg.m, input_dim, cfg.p),
+            ("enhancement", 2, cfg.l, cfg.m * cfg.p, cfg.q))
 
 
 def init_random_layer(cfg: NetworkConfig, input_dim: int) -> RandomLayer:
     """Draw all weights and biases i.i.d. uniform on [-1, 1].
 
     Each (stream, group) pair gets its own deterministic generator derived
-    from the config seed, so layouts are reproducible and groups are
-    independent of one another.
+    from the config seed, which draws the group's weights, then its bias,
+    so layouts are reproducible and groups are independent of one another.
     """
     _check_input_dim(input_dim)  # before numpy draws with it
-    fw, fb = [], []
-    for i in range(cfg.m):
-        rng = _group_rng(cfg.seed, _FEATURE_STREAM, i)
-        fw.append(rng.uniform(-1.0, 1.0, size=(input_dim, cfg.p)))
-        fb.append(rng.uniform(-1.0, 1.0, size=(1, cfg.p)))
-    ew, eb = [], []
-    for j in range(cfg.l):
-        rng = _group_rng(cfg.seed, _ENHANCEMENT_STREAM, j)
-        ew.append(rng.uniform(-1.0, 1.0, size=(cfg.m * cfg.p, cfg.q)))
-        eb.append(rng.uniform(-1.0, 1.0, size=(1, cfg.q)))
-    return RandomLayer(
-        config=cfg,
-        input_dim=input_dim,
-        feature_weights=tuple(fw),
-        feature_biases=tuple(fb),
-        enhancement_weights=tuple(ew),
-        enhancement_biases=tuple(eb),
-    )
+    drawn = []
+    for _, stream, groups, rows, cols in _stages(cfg, input_dim):
+        rngs = [np.random.default_rng([cfg.seed, stream, g]) for g in range(groups)]
+        drawn += [tuple(rng.uniform(-1.0, 1.0, size=(rows, cols)) for rng in rngs),
+                  tuple(rng.uniform(-1.0, 1.0, size=(1, cols)) for rng in rngs)]
+    return RandomLayer(cfg, input_dim, *drawn)
 
 
 def _check_input_dim(input_dim) -> None:
@@ -179,16 +156,13 @@ def _forward(layer: RandomLayer, X: np.ndarray, out=None) -> np.ndarray:
     """
     cfg = layer.config
     G = np.empty((X.shape[0], cfg.width)) if out is None else out
-    act, mp = _IN_PLACE[cfg.feature_activation], cfg.m * cfg.p
-    groups = zip(layer.feature_weights, layer.feature_biases)
-    for start, (W, b) in zip(range(0, mp, cfg.p), groups):
-        block = np.matmul(X, W, out=G[:, start:start + cfg.p])
-        block += b
-        act(block)
-    act, Fm = _IN_PLACE[cfg.enhancement_activation], G[:, :mp]
-    groups = zip(layer.enhancement_weights, layer.enhancement_biases)
-    for start, (W, b) in zip(range(mp, cfg.width, cfg.q), groups):
-        block = np.matmul(Fm, W, out=G[:, start:start + cfg.q])
-        block += b
-        act(block)
+    inputs, start = X, 0
+    for name, _, _, _, cols in _stages(cfg, layer.input_dim):
+        act = _ACTIVATIONS[name][getattr(cfg, f"{name}_activation")]
+        for W, b in zip(getattr(layer, f"{name}_weights"), getattr(layer, f"{name}_biases")):
+            block = np.matmul(inputs, W, out=G[:, start:start + cols])
+            block += b
+            act(block, out=block)
+            start += cols
+        inputs = G[:, :start]
     return G

@@ -25,10 +25,12 @@ linalg._output_weights) on the same operands, in buffers of its own. A
 cell is one network, fold and weighting with all its C values; _cells
 runs cells in that order, and grid_search's worker processes each run one
 contiguous slice of them, merged in enumeration order. A fold whose
-training part lacks a class is skipped. Any other BlsBenchError in
-building a fold or a weight vector is kept and raised by the first cell
-that needs it, and an error in a cell raises where it happens, so a run
-stops at its first failing cell in that order.
+training part breaks fit's class rule (a ClassBalanceError: a single
+class, or for f-bls and if-bls other than 2 classes or a class of one
+row) is skipped. Any other BlsBenchError in building a fold or a weight
+vector is kept and raised by the first cell that needs it, and an error
+in a cell raises where it happens, so a run stops at its first failing
+cell in that order.
 
 The statistics follow the standard multi-classifier comparison protocol:
 tie-averaged ranks per dataset, the Friedman chi-square and its F-form,
@@ -110,10 +112,12 @@ def cross_validate(
 
     The one-config case of the engine that grid_search runs (see the
     module docstring); each fold's accuracy is that of fit and accuracy.
-    A fold whose training complement is missing a class is skipped: its
-    accuracy is None, the reason goes into skipped, and the aggregates
-    cover the remaining folds. If every fold is skipped, ClassBalanceError
-    lists their distinct reasons.
+    A fold whose training complement breaks fit's class rule, the
+    ClassBalanceError of a single class or, for f-bls and if-bls, of other
+    than 2 classes or a class of one row, is skipped: its accuracy is None,
+    the reason goes into skipped, and the aggregates cover the remaining
+    folds. If every fold is skipped, ClassBalanceError lists their
+    distinct reasons.
     """
     return _evaluate(ds, [cfg], plan, jobs=1)[0]
 

@@ -258,9 +258,8 @@ def _test_rows(norm: NormState, input_dim: int, X_test) -> np.ndarray:
 
 def _network_bytes(n: int, d: int, net: network.NetworkConfig) -> int:
     """The bytes of net's layer on d inputs and of its buffers on n rows."""
-    mp = net.m * net.p
-    return 8 * (mp * (d + 1) + net.l * net.q * (mp + 1)
-                + sum(linalg._buffer_sizes(n, net.width).values()))
+    layer = sum(groups * (rows + 1) * cols for *_, groups, rows, cols in network._stages(net, d))
+    return 8 * (layer + sum(linalg._buffer_sizes(n, net.width).values()))
 
 
 def _scratch(runs) -> dict:
@@ -453,8 +452,9 @@ def _cut(text: str, start: int) -> str:
 
 def _model_from_doc(doc: dict) -> TrainedModel:
     """The model a document decodes to, each array in the shape that the
-    config, input_dim and the classes give it. Decoding takes each array's
-    "hex" list out of doc, leaving what load_model compares."""
+    config, input_dim and the classes give it (the layer's by
+    network._stages). Decoding takes each array's "hex" list out of doc,
+    leaving what load_model compares."""
     flat = {k: doc[k] for k in ("variant", "c_reg", "delta")}
     for group in ("network", "kernel"):
         flat.update(doc[group] if isinstance(doc[group], dict) else {})
@@ -483,14 +483,10 @@ def _model_from_doc(doc: dict) -> TrainedModel:
             raise DataFormatError(f"{key} holds a non-finite value")
         return out[0] if count is None else tuple(out)
 
-    layer = network.RandomLayer(
-        config=net,
-        input_dim=input_dim,
-        feature_weights=arrays("feature_weights", (input_dim, net.p), net.m),
-        feature_biases=arrays("feature_biases", (1, net.p), net.m),
-        enhancement_weights=arrays("enhancement_weights", (net.m * net.p, net.q), net.l),
-        enhancement_biases=arrays("enhancement_biases", (1, net.q), net.l),
-    )
+    layer = network.RandomLayer(net, input_dim, *(
+        arrays(f"{name}_{part}", shape, groups)
+        for name, _, groups, rows, cols in network._stages(net, input_dim)
+        for part, shape in (("weights", (rows, cols)), ("biases", (1, cols)))))
     return TrainedModel(
         config=cfg,
         layer=layer,

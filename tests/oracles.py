@@ -53,6 +53,16 @@ def signed_labels(labels) -> np.ndarray:
     return t.astype(np.int64)
 
 
+def sigmoid(z):
+    with np.errstate(over="ignore"):  # exp(-z) overflows to inf below about -709
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+# The activations by name, as textbook formulas on fresh arrays.
+ACTIVATIONS = {"linear": lambda z: z, "tanh": np.tanh, "sigmoid": sigmoid,
+               "relu": lambda z: np.maximum(z, 0.0)}
+
+
 def ridge_objective(G, S, T, c_reg: float, W) -> float:
     """Value of the weighted ridge objective (C/2)||S(GW - T)||^2 + ||W||^2/2."""
     resid = np.asarray(S)[:, None] * (G @ W - T)

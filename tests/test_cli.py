@@ -948,6 +948,22 @@ class TestResourceFailures:
         assert res.stderr.count("\n") == 1
         assert not (tmp_path / "model.json").exists()
 
+    def test_bare_memory_error_is_one_error_line(self, dataset_csv, tmp_path, monkeypatch,
+                                                 capsys):
+        # A MemoryError with no message, as Python raises for its own objects.
+        from blsbench import cli, network
+
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(network, "init_random_layer", exhausted)
+        out = tmp_path / "model.json"
+        code = cli.main(["train", "--data", str(dataset_csv), "--variant", "bls",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not out.exists()
+
     def test_gridsearch_worker_death_is_one_error_line(self, dataset_csv, tmp_path, monkeypatch,
                                                        capsys):
         from blsbench import cli, network

@@ -6,6 +6,7 @@ import pytest
 from blsbench import linalg, network
 from blsbench.errors import ConfigError, DimensionMismatch
 from blsbench.network import NetworkConfig, init_random_layer
+import oracles
 
 
 @pytest.fixture
@@ -15,12 +16,13 @@ def small_layer():
 
 
 def concatenated_forward(layer, X):
-    """The state matrix as fresh group blocks, concatenated: the reference
-    that the in-place forward pass must equal bit for bit."""
-    act = network.FEATURE_ACTIVATIONS[layer.config.feature_activation]
+    """The state matrix as fresh group blocks of the textbook activations,
+    concatenated: the reference that the in-place forward pass must equal
+    bit for bit."""
+    act = oracles.ACTIVATIONS[layer.config.feature_activation]
     F = np.concatenate([act(X @ W + b) for W, b in zip(layer.feature_weights,
                                                          layer.feature_biases)], axis=1)
-    act = network.ENHANCEMENT_ACTIVATIONS[layer.config.enhancement_activation]
+    act = oracles.ACTIVATIONS[layer.config.enhancement_activation]
     return np.concatenate([F, *(act(F @ W + b) for W, b in zip(layer.enhancement_weights,
                                                                 layer.enhancement_biases))],
                           axis=1)
@@ -161,8 +163,12 @@ class TestForward:
     @pytest.mark.parametrize("name,act", [*network.FEATURE_ACTIVATIONS.items(),
                                           *network.ENHANCEMENT_ACTIVATIONS.items()])
     def test_public_activations_leave_their_argument(self, name, act):
-        # Only _forward's private activations overwrite their argument.
+        # Only a call with out=z, as _forward makes, overwrites the argument,
+        # and it writes the bits of the fresh result.
         z = np.array([[-800.0, -1.0, 0.0, 2.0]])
         z.flags.writeable = False
-        assert np.array_equal(act(z), network._IN_PLACE[name](z.copy()))
+        assert np.array_equal(act(z), oracles.ACTIVATIONS[name](z))
+        w = z.copy()
+        assert act(w, out=w) is w and np.array_equal(w, act(z))
         act(np.arange(-1, 3))  # integer input, which no float64 out= could take
+        assert act(-800.0) == oracles.ACTIVATIONS[name](-800.0)  # and a scalar

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -163,6 +164,11 @@ class TestFit:
         assert trainer._solve_branch(f, n) == branch
         arrays = 2 * n * f + f * f if branch == "primal" else n * f + 2 * n * n
         need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + arrays)
+        for l in (1, 2):  # the layer term is the element count of the drawn arrays
+            layer = network.init_random_layer(dataclasses.replace(net, l=l), d)
+            drawn = (*layer.feature_weights, *layer.feature_biases,
+                     *layer.enhancement_weights, *layer.enhancement_biases)
+            assert sum(a.size for a in drawn) == mp * (d + 1) + l * net.q * (mp + 1)
         for pages, refused in ((need, False), (need - 1, True)):
             monkeypatch.setattr(os, "sysconf", lambda key: {"SC_PAGE_SIZE": 1,
                                                              "SC_PHYS_PAGES": pages}[key])
