@@ -106,10 +106,10 @@ def _merge_config(args) -> dict:
     return resolved
 
 
-def _warn_skipped(results) -> None:
-    """Print each distinct skipped-fold reason once, in enumeration order."""
-    for reason in dict.fromkeys(r for result in results for r in result.skipped):
-        print(f"warning: {reason}", file=sys.stderr)
+def _warn_skipped(result: stats.CvResult) -> None:
+    """Print the run's skipped-fold notes, which every result of a run shares."""
+    for note in result.skipped:
+        print(f"warning: {note}", file=sys.stderr)
 
 
 def _manifest_config(cfg: trainer.ModelConfig) -> dict:
@@ -166,7 +166,7 @@ def cmd_cv(args) -> int:
     path, ds = _load_dataset(args)
     plan = data.make_folds(ds.n_samples, k, fold_seed)
     result = stats.cross_validate(ds, cfg, plan)
-    _warn_skipped([result])
+    _warn_skipped(result)
     data.write_csv(args.out, [
         ["fold", "accuracy"],
         *([i, "" if acc is None else f"{acc:.10f}"] for i, acc in enumerate(result.per_fold_accuracy)),
@@ -206,7 +206,7 @@ def cmd_gridsearch(args) -> int:
     best, results = stats.grid_search(
         ds, args.variant, grid, plan, seed=args.seed, jobs=args.jobs
     )
-    _warn_skipped(results)
+    _warn_skipped(best)
     # One column per grid key; csv writes a key the variant lacks (None) as "".
     keys = [f.name for f in dataclasses.fields(stats.GridSpec)]
     rows = [keys + ["mean_accuracy", "std_dev"]]
@@ -337,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_model_flags(p)
     p.add_argument("--out", required=True, help="model output path")
-    p.set_defaults(func=cmd_train, required_flags=("variant",))
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="label a feature CSV with a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="feature-only CSV")
     p.add_argument("--no-header", action="store_true")
     p.add_argument("--out", required=True, help="predictions CSV path")
-    p.set_defaults(func=cmd_predict, required_flags=())
+    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("cv", help="k-fold cross-validation of one configuration")
     _add_data_flags(p)
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="fold count (default 5)")
     p.add_argument("--fold-seed", dest="fold_seed", type=int, help="fold shuffle seed")
     p.add_argument("--out", required=True, help="per-fold CSV path")
-    p.set_defaults(func=cmd_cv, required_flags=("variant",))
+    p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("gridsearch", help="exhaustive hyperparameter sweep")
     _add_data_flags(p)
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, each fitting on one BLAS thread (default 1)")
     p.add_argument("--out", required=True, help="per-config CSV path")
-    p.set_defaults(func=cmd_gridsearch, required_flags=())
+    p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("noise", help="write a Gaussian-corrupted copy of a dataset")
     _add_data_flags(p)
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="percent of samples to corrupt, 0-100")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_noise, required_flags=())
+    p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("stats", help="rank/Friedman/Wilcoxon/win-tie-loss reports")
     p.add_argument("--table", required=True,
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--tie-tol", dest="tie_tol", type=float, default=stats.DEFAULT_TIE_TOL)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(func=cmd_stats, required_flags=())
+    p.set_defaults(func=cmd_stats)
 
     return parser
 
@@ -396,9 +396,8 @@ def _broken_pool() -> tuple:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in args.required_flags:
-        if getattr(args, flag, None) is None and not getattr(args, "config", None):
-            parser.error(f"--{flag} is required (directly or via --config)")
+    if args.command in ("train", "cv") and args.variant is None and not args.config:
+        parser.error("--variant is required (directly or via --config)")
     try:
         return args.func(args)
     except (BlsBenchError, OSError) as exc:

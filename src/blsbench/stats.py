@@ -27,10 +27,14 @@ runs cells in that order, and grid_search's worker processes each run one
 contiguous slice of them, merged in enumeration order. A fold whose
 training part breaks fit's class rule (a ClassBalanceError: a single
 class, or for f-bls and if-bls other than 2 classes or a class of one
-row) is skipped. Any other BlsBenchError in building a fold or a weight
-vector is kept and raised by the first cell that needs it, and an error
-in a cell raises where it happens, so a run stops at its first failing
-cell in that order.
+row) is skipped. The rule reads only the labels, the fold plan and the
+variant, so _evaluate decides it once per run, right after building the
+folds: a skipped fold has no cells, every result of the run shares one
+tuple of skipped-fold notes, and a run whose every fold is skipped
+raises before any weight vector or worker. Any other BlsBenchError in
+building a fold or a weight vector is kept and raised by the first cell
+that needs it, and an error in a cell raises where it happens, so a run
+stops at its first failing cell in that order.
 
 The statistics follow the standard multi-classifier comparison protocol:
 tie-averaged ranks per dataset, the Friedman chi-square and its F-form,
@@ -114,10 +118,11 @@ def cross_validate(
     module docstring); each fold's accuracy is that of fit and accuracy.
     A fold whose training complement breaks fit's class rule, the
     ClassBalanceError of a single class or, for f-bls and if-bls, of other
-    than 2 classes or a class of one row, is skipped: its accuracy is None,
-    the reason goes into skipped, and the aggregates cover the remaining
-    folds. If every fold is skipped, ClassBalanceError lists their
-    distinct reasons.
+    than 2 classes or a class of one row, is skipped once the folds are
+    built, before any fit: its accuracy is None, the reason goes into
+    skipped, and the aggregates cover the remaining folds. If every fold
+    is skipped, ClassBalanceError lists their distinct reasons in fold
+    order, before any weight vector is computed.
     """
     return _evaluate(ds, [cfg], plan, jobs=1)[0]
 
@@ -126,7 +131,17 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
     """The CvResult of each config, in order, from jobs processes at most."""
     if plan.assignments.shape[0] != ds.n_samples:
         raise ConfigError("fold plan does not match the dataset size")
-    # Configs that differ only in C share a cell: a network, a fold and a
+    # Every fold before any weight vector or cell. fit's class rule reads only
+    # the labels, the fold plan and the variant, so a fold that breaks it is
+    # skipped for every config, and a run whose every fold breaks it fails here.
+    variant = configs[0].variant
+    folds = [_kept(_fold, ds, plan, fold, variant) for fold in range(plan.k)]
+    skips = {fold: part for fold, part in enumerate(folds) if isinstance(part, ClassBalanceError)}
+    if len(skips) == plan.k:
+        raise ClassBalanceError(f"every fold of {ds.name!r} was degenerate for {variant}: "
+                                + "; ".join(dict.fromkeys(map(str, skips.values()))))
+    skipped = tuple(f"fold {fold} of {ds.name!r} skipped: {part}" for fold, part in skips.items())
+    # Configs that differ only in C share a cell: a network, a kept fold and a
     # weighting. A weighting stands for its first config, whose variant, delta
     # and kernel are what _sample_weights reads.
     networks: dict = {}
@@ -134,12 +149,9 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
     for i, cfg in enumerate(configs):
         weighting = weightings.setdefault((cfg.delta, cfg.kernel), cfg)
         networks.setdefault(cfg.network, {}).setdefault(weighting, []).append(i)
-    cells = [(net, fold, weighting, group) for net, groups in networks.items()
-             for fold in range(plan.k) for weighting, group in groups.items()]
-    tasks = [(net, fold, weighting, tuple(configs[i].c_reg for i in group))
-             for net, fold, weighting, group in cells]
-    # Every fold, then every weight vector, before any cell buffer exists.
-    folds = [_kept(_fold, ds, plan, fold, configs[0].variant) for fold in range(plan.k)]
+    tasks = [(net, fold, weighting, group, tuple(configs[i].c_reg for i in group))
+             for net, groups in networks.items() for fold in range(plan.k) if fold not in skips
+             for weighting, group in groups.items()]
     pairs = [(fold, weighting) for fold, part in enumerate(folds) if isinstance(part, _Fold)
              for weighting in weightings.values()]
     parts, kinds = [folds[fold] for fold, _ in pairs], [weighting for _, weighting in pairs]
@@ -160,40 +172,23 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
     else:
         weights = dict(zip(pairs, map(_weights, parts, kinds)))
         results = _cells(folds, weights, tasks)
-    outcomes = [[None] * plan.k for _ in configs]
-    for (_, fold, _, group), result in zip(cells, results):
-        for i, outcome in zip(group, result):
-            outcomes[i][fold] = outcome
-    return [_aggregate(ds.name, cfg, row) for cfg, row in zip(configs, outcomes)]
+    accuracies = [[None] * plan.k for _ in configs]
+    for (_, fold, _, group, _), result in zip(tasks, results):
+        for i, acc in zip(group, result):
+            accuracies[i][fold] = acc
+    return [_aggregate(cfg, row, skipped) for cfg, row in zip(configs, accuracies)]
 
 
-def _aggregate(name: str, cfg: ModelConfig, outcomes: list) -> CvResult:
-    """A config's CvResult from its fold outcomes: an accuracy, or the
-    ClassBalanceError that skips the fold."""
-    per_fold: list[Optional[float]] = []
-    skipped: list[str] = []
-    reasons: list[str] = []
-    for fold, outcome in enumerate(outcomes):
-        if isinstance(outcome, ClassBalanceError):
-            skipped.append(f"fold {fold} of {name!r} skipped: {outcome}")
-            reasons.append(str(outcome))
-            per_fold.append(None)
-        else:
-            per_fold.append(outcome)
+def _aggregate(cfg: ModelConfig, per_fold: list, skipped: tuple[str, ...]) -> CvResult:
+    """A config's CvResult from its fold accuracies, None for a skipped fold,
+    and the run's skipped-fold notes."""
     present = [a for a in per_fold if a is not None]
-    if not present:
-        raise ClassBalanceError(
-            f"every fold of {name!r} was degenerate for {cfg.variant}: "
-            + "; ".join(dict.fromkeys(reasons))
-        )
-    mean = float(np.mean(present))
-    std = float(np.std(present, ddof=1)) if len(present) > 1 else 0.0
     return CvResult(
         per_fold_accuracy=tuple(per_fold),
-        mean_accuracy=mean,
-        std_dev=std,
+        mean_accuracy=float(np.mean(present)),
+        std_dev=float(np.std(present, ddof=1)) if len(present) > 1 else 0.0,
         best_config=cfg,
-        skipped=tuple(skipped),
+        skipped=skipped,
     )
 
 
@@ -230,7 +225,7 @@ def _kept(step, *args):
     the step's arrays. Any other error, such as a MemoryError, raises here."""
     try:
         return step(*args)
-    except BlsBenchError as exc:  # raised again, or a skipped fold, in _cells
+    except BlsBenchError as exc:  # a skipped fold in _evaluate, or raised again in _cells
         return exc.with_traceback(None)
 
 
@@ -243,9 +238,9 @@ def _weights(part: _Fold, weighting: ModelConfig):
 
 @linalg._single_threaded_blas()
 def _cells(folds: list, weights: dict, tasks) -> list:
-    """Per C of each (network, fold, weighting, C values) task in order, the
-    accuracy or the ClassBalanceError that skips the fold; another error
-    kept in folds or weights raises at the first task that needs it.
+    """The accuracy per C of each (network, fold, weighting, config indices,
+    C values) task in order. No task is on a skipped fold; an error kept in
+    folds or weights raises at the first task that needs it.
 
     Each run of tasks on one network draws its layer once, and each run on
     one fold within it builds the state matrices, and the dual's G G', once,
@@ -253,7 +248,7 @@ def _cells(folds: list, weights: dict, tasks) -> list:
     each weighting and the factor copies are written into buffers sized
     once for the largest network, so no cell allocates them.
     """
-    runs = dict.fromkeys((*folds[fold].Xn.shape, net) for net, fold, _, _ in tasks
+    runs = dict.fromkeys((*folds[fold].Xn.shape, net) for net, fold, *_ in tasks
                          if isinstance(folds[fold], _Fold))
     scratch = trainer._scratch(runs)
     results = []
@@ -261,12 +256,9 @@ def _cells(folds: list, weights: dict, tasks) -> list:
         layer = None
         for fold, fold_tasks in itertools.groupby(net_tasks, lambda t: t[1]):
             part, G, G_test = folds[fold], None, None  # free the last test state matrix first
-            if isinstance(part, ClassBalanceError):
-                results += [[part] * len(c_regs) for *_, c_regs in fold_tasks]
-                continue
             if isinstance(part, BlsBenchError):
                 raise part
-            for _, _, weighting, c_regs in fold_tasks:
+            for _, _, weighting, _, c_regs in fold_tasks:
                 s = weights[fold, weighting]
                 if isinstance(s, BlsBenchError):
                     raise s
@@ -348,16 +340,13 @@ def grid_search(
     identical random layers. Ties break toward the earlier enumeration
     position regardless of evaluation order or job count. jobs is the
     number of worker processes, at most one per config and one per cell
-    (a network with one fold and one weighting, see the module docstring);
-    results do not depend on it. Returns the winner plus every per-config
+    (a network with one fold and one weighting, see the module docstring;
+    a skipped fold has none); results do not depend on it. Returns the winner plus every per-config
     result in enumeration order.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     configs = grid.configs(variant, seed)
-    # A config whose every fold is degenerate aborts the grid. fit's
-    # ClassBalanceError depends only on the labels, the folds and the
-    # variant, never on a grid point, so every other config would fail alike.
     results = _evaluate(ds, configs, plan, jobs)
     best_idx = max(range(len(results)), key=lambda i: (results[i].mean_accuracy, -i))
     return results[best_idx], results

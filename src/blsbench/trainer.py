@@ -361,10 +361,9 @@ def _document(model: TrainedModel) -> dict:
         "input_dim": model.layer.input_dim,
         "class_labels": list(model.class_labels),
         "solve_branch_used": model.solve_branch_used,
-        "feature_weights": model.layer.feature_weights,
-        "feature_biases": model.layer.feature_biases,
-        "enhancement_weights": model.layer.enhancement_weights,
-        "enhancement_biases": model.layer.enhancement_biases,
+        **{f"{name}_{part}": getattr(model.layer, f"{name}_{part}")
+           for name, *_ in network._stages(cfg.network, model.layer.input_dim)
+           for part in ("weights", "biases")},
         "w_out": model.w_out,
         "norm_min": model.norm_state.feature_min,
         "norm_range": model.norm_state.feature_range,

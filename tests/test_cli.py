@@ -321,10 +321,21 @@ class TestTrainPredict:
         assert models[0] == models[1]
 
     def test_missing_variant_is_usage_error(self, dataset_csv, tmp_path):
-        res = run_cli("train", "--data", str(dataset_csv),
-                      "--out", str(tmp_path / "m.json"))
-        assert res.returncode == 2
-        assert "variant" in res.stderr
+        for command in ("train", "cv"):
+            res = run_cli(command, "--data", str(dataset_csv), "--out", str(tmp_path / "out"))
+            assert res.returncode == 2
+            assert res.stderr.endswith(
+                "blsbench: error: --variant is required (directly or via --config)\n")
+            assert not (tmp_path / "out").exists()
+        # A --config file stands in for --variant, so a file without one
+        # reaches the model's variant check.
+        cfg = tmp_path / "cv.ini"
+        cfg.write_text("[cv]\nk = 2\n")
+        res = run_cli("cv", "--data", str(dataset_csv), "--config", str(cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.returncode == 1
+        assert res.stderr == "error: variant must be one of ('bls', 'f-bls', 'if-bls'), got None\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         res = run_cli("train", "--data", str(tmp_path / "absent.csv"),

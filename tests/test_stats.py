@@ -27,6 +27,22 @@ def toy_dataset(seed=0, n=60):
     return data.Dataset("toy", X, labels)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each process pool that the test starts."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestCrossValidate:
     def test_fold_count_and_range(self):
         ds = toy_dataset()
@@ -75,7 +91,7 @@ class TestCrossValidate:
         assert res.mean_accuracy == pytest.approx(np.mean(present))
         assert res.std_dev == pytest.approx(np.std(present, ddof=1))
 
-    def test_every_fold_degenerate_raises(self):
+    def test_every_fold_degenerate_raises(self, pool_sizes, monkeypatch):
         ds = toy_dataset()
         ds = data.Dataset("one-class", ds.X[:20], ds.labels[:20])
         plan = data.make_folds(ds.n_samples, 4, seed=1)
@@ -86,6 +102,15 @@ class TestCrossValidate:
             "every fold of 'one-class' was degenerate for bls: "
             "training data contains a single class"
         )
+        # The grid fails alike, before any weight vector or worker process.
+        sample_weights, calls = trainer._sample_weights, []
+        monkeypatch.setattr(trainer, "_sample_weights",
+                            lambda *args: calls.append(args) or sample_weights(*args))
+        grid = stats.GridSpec(c_reg=(0.1, 10.0), m=(2,), p=(4,), q=(5,))
+        with pytest.raises(ClassBalanceError) as grid_exc:
+            stats.grid_search(ds, "bls", grid, plan, jobs=2)
+        assert str(grid_exc.value) == str(exc.value)
+        assert pool_sizes == [] and calls == []
         # The distinct reasons follow fold order: the fold that tests the one
         # "b" trains on "a" alone, and every other fold trains on one "b".
         ds = data.Dataset("one-b", ds.X[:19], (*ds.labels[:18], "b"))
@@ -154,24 +179,25 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="jobs"):
             stats.grid_search(ds, "bls", grid, plan, jobs=jobs)
 
-    def test_pool_never_larger_than_grid(self, monkeypatch):
-        import concurrent.futures
-
-        sizes = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_never_larger_than_grid(self, pool_sizes):
         ds = toy_dataset(seed=7)
         plan = data.make_folds(ds.n_samples, 5, seed=0)
         grid = stats.GridSpec(c_reg=(0.1, 10.0), m=(2,), p=(4,), q=(5,))
         _, serial = stats.grid_search(ds, "bls", grid, plan, jobs=1)
         _, pooled = stats.grid_search(ds, "bls", grid, plan, jobs=3)
-        assert sizes == [2]
+        assert pool_sizes == [2]
         assert pooled == serial
+        # 20 "a" rows and one "b" in 2 folds: the fold that tests the "b"
+        # trains on "a" alone and has no cell, so the one cell left runs in
+        # the parent process.
+        ds = toy_dataset(seed=7, n=40)
+        ds = data.Dataset("one-b", ds.X[:21], ds.labels[:21])
+        plan = data.make_folds(ds.n_samples, 2, seed=0)
+        _, serial = stats.grid_search(ds, "bls", grid, plan, jobs=1)
+        _, pooled = stats.grid_search(ds, "bls", grid, plan, jobs=3)
+        assert pool_sizes == [2]
+        assert pooled == serial
+        assert all(len(r.skipped) == 1 and r.per_fold_accuracy.count(None) == 1 for r in serial)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_weight_vector_built_once_per_run(self, jobs, monkeypatch, tmp_path):
