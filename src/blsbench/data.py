@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -155,11 +156,23 @@ def load_csv(path, label_column: Union[int, str] = -1, header: bool = True) -> D
     return Dataset(name=Path(path).stem, X=X, labels=tuple(labels))
 
 
+def _check_integer(value, least: int, message: str) -> int:
+    """value as an int if it is an int (no bool) or numpy integer >= least, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{message}, got {value!r}")
+    return int(value)
+
+
 def check_seed(seed, name: str) -> int:
     """seed as an int; numpy seeds its generators from nonnegative integers only."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"{name} must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+    return _check_integer(seed, 0, f"{name} must be a nonnegative integer")
+
+
+def _check_positive(value, name: str, zero: bool = False) -> None:
+    """Raise ConfigError unless value is a finite real (no bool) > 0, or >= 0 with zero."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and (value >= 0 if zero else value > 0))):
+        raise ConfigError(f"{name} must be {'nonnegative' if zero else 'positive'}, got {value!r}")
 
 
 def make_folds(n: int, k: int, seed: int) -> FoldPlan:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .data import _check_positive
 
 __all__ = ["DEFAULT_DELTA"]
 
@@ -22,8 +22,7 @@ DEFAULT_DELTA = 1e-4
 
 def _check_delta(delta) -> None:
     """Raise ConfigError unless the radius offset is finite and positive."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise ConfigError(f"delta must be positive, got {delta!r}")
+    _check_positive(delta, "delta")
 
 
 def _scores(X: np.ndarray, t: np.ndarray, delta: float) -> np.ndarray:

@@ -37,6 +37,7 @@ from typing import Union
 
 import numpy as np
 
+from .data import _check_positive
 from .errors import ConfigError
 from .fuzzy import DEFAULT_DELTA, _check_delta, _membership
 from .linalg import _BLOCK, _check_memory, _row_blocks, _sq_dist
@@ -69,16 +70,15 @@ class KernelParams:
     epsilon: Union[float, str] = MEDIAN_HEURISTIC
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise ConfigError(f"mu must be positive, got {self.mu!r}")
+        _check_positive(self.mu, "mu")
         if float(self.mu) * float(self.mu) == 0.0:  # the kernel divides by mu^2
             raise ConfigError(f"mu must have a nonzero square, got {self.mu!r}")
         _check_delta(self.delta)
         if isinstance(self.epsilon, str):
             if self.epsilon != MEDIAN_HEURISTIC:
                 raise ConfigError(f"unknown epsilon policy {self.epsilon!r}")
-        elif not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ConfigError(f"epsilon must be nonnegative, got {self.epsilon!r}")
+        else:
+            _check_positive(self.epsilon, "epsilon", zero=True)
 
 
 @dataclass(frozen=True)

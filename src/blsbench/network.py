@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_seed
+from .data import _check_integer, check_seed
 from .errors import ConfigError, DimensionMismatch
 from .linalg import as_matrix
 
@@ -66,9 +66,8 @@ class NetworkConfig:
 
     def __post_init__(self):
         for name in ("m", "p", "l", "q"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+            object.__setattr__(self, name, _check_integer(
+                getattr(self, name), 1, f"{name} must be an integer >= 1"))
         if self.feature_activation not in FEATURE_ACTIVATIONS:
             raise ConfigError(
                 f"unknown feature activation {self.feature_activation!r}"
@@ -97,7 +96,7 @@ class RandomLayer:
     enhancement_biases: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        _check_input_dim(self.input_dim)
+        object.__setattr__(self, "input_dim", _check_input_dim(self.input_dim))
 
 
 def _stages(cfg: NetworkConfig, input_dim: int) -> tuple:
@@ -126,9 +125,8 @@ def init_random_layer(cfg: NetworkConfig, input_dim: int) -> RandomLayer:
     return RandomLayer(cfg, input_dim, *drawn)
 
 
-def _check_input_dim(input_dim) -> None:
-    if not isinstance(input_dim, int) or input_dim < 1:
-        raise ConfigError(f"input_dim must be an integer >= 1, got {input_dim!r}")
+def _check_input_dim(input_dim) -> int:
+    return _check_integer(input_dim, 1, "input_dim must be an integer >= 1")
 
 
 def state_matrix(layer: RandomLayer, X) -> np.ndarray:

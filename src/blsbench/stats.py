@@ -31,10 +31,10 @@ row) is skipped. The rule reads only the labels, the fold plan and the
 variant, so _evaluate decides it once per run, right after building the
 folds: a skipped fold has no cells, every result of the run shares one
 tuple of skipped-fold notes, and a run whose every fold is skipped
-raises before any weight vector or worker. Any other BlsBenchError in
-building a fold or a weight vector is kept and raised by the first cell
-that needs it, and an error in a cell raises where it happens, so a run
-stops at its first failing cell in that order.
+raises before any weight vector or worker. Any other error raises where
+it is found: one in building a fold or a weight vector stops the run
+before any cell, in fold and then weighting order, and one in a cell
+stops it at the first failing cell in cell order.
 
 The statistics follow the standard multi-classifier comparison protocol:
 tie-averaged ranks per dataset, the Friedman chi-square and its F-form,
@@ -53,8 +53,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import if_scores, linalg, network, trainer
-from .data import Dataset, FoldPlan
-from .errors import BlsBenchError, ClassBalanceError, ConfigError
+from .data import Dataset, FoldPlan, _check_integer
+from .errors import ClassBalanceError, ConfigError
 from .trainer import ModelConfig
 
 __all__ = [
@@ -131,16 +131,21 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
     """The CvResult of each config, in order, from jobs processes at most."""
     if plan.assignments.shape[0] != ds.n_samples:
         raise ConfigError("fold plan does not match the dataset size")
-    # Every fold before any weight vector or cell. fit's class rule reads only
-    # the labels, the fold plan and the variant, so a fold that breaks it is
-    # skipped for every config, and a run whose every fold breaks it fails here.
+    # Every fold, in order, before any weight vector or cell. fit's class rule
+    # reads only the labels, the fold plan and the variant, so a fold that breaks
+    # it is skipped for every config; any other error stops the run here.
     variant = configs[0].variant
-    folds = [_kept(_fold, ds, plan, fold, variant) for fold in range(plan.k)]
-    skips = {fold: part for fold, part in enumerate(folds) if isinstance(part, ClassBalanceError)}
-    if len(skips) == plan.k:
+    folds, skips = {}, {}
+    for fold in range(plan.k):
+        try:
+            folds[fold] = _fold(ds, plan, fold, variant)
+        except ClassBalanceError as exc:
+            skips[fold] = str(exc)
+    if not folds:
         raise ClassBalanceError(f"every fold of {ds.name!r} was degenerate for {variant}: "
-                                + "; ".join(dict.fromkeys(map(str, skips.values()))))
-    skipped = tuple(f"fold {fold} of {ds.name!r} skipped: {part}" for fold, part in skips.items())
+                                + "; ".join(dict.fromkeys(skips.values())))
+    skipped = tuple(f"fold {fold} of {ds.name!r} skipped: {reason}"
+                    for fold, reason in skips.items())
     # Configs that differ only in C share a cell: a network, a kept fold and a
     # weighting. A weighting stands for its first config, whose variant, delta
     # and kernel are what _sample_weights reads.
@@ -150,10 +155,9 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
         weighting = weightings.setdefault((cfg.delta, cfg.kernel), cfg)
         networks.setdefault(cfg.network, {}).setdefault(weighting, []).append(i)
     tasks = [(net, fold, weighting, group, tuple(configs[i].c_reg for i in group))
-             for net, groups in networks.items() for fold in range(plan.k) if fold not in skips
+             for net, groups in networks.items() for fold in folds
              for weighting, group in groups.items()]
-    pairs = [(fold, weighting) for fold, part in enumerate(folds) if isinstance(part, _Fold)
-             for weighting in weightings.values()]
+    pairs = [(fold, weighting) for fold in folds for weighting in weightings.values()]
     parts, kinds = [folds[fold] for fold, _ in pairs], [weighting for _, weighting in pairs]
     workers = min(jobs, len(configs), len(tasks))
     if workers > 1:
@@ -218,29 +222,18 @@ def _fold(ds: Dataset, plan: FoldPlan, fold: int, variant: str) -> _Fold:
     return _Fold(Xn, indices, np.eye(len(classes))[indices], Xn_test, test_indices)
 
 
-def _kept(step, *args):
-    """step(*args), or the BlsBenchError it raised, kept as a value for the
-    first cell that needs it: so a run still stops at its first failing
-    cell. The error is kept without its traceback, whose frames would hold
-    the step's arrays. Any other error, such as a MemoryError, raises here."""
-    try:
-        return step(*args)
-    except BlsBenchError as exc:  # a skipped fold in _evaluate, or raised again in _cells
-        return exc.with_traceback(None)
+@linalg._single_threaded_blas()
+def _weights(part: _Fold, weighting: ModelConfig) -> np.ndarray:
+    """The weighting's sample weights on the fold's training rows, at one
+    BLAS thread as fit computes them."""
+    return trainer._sample_weights(part.Xn, part.indices, weighting)
 
 
 @linalg._single_threaded_blas()
-def _weights(part: _Fold, weighting: ModelConfig):
-    """_kept sample weights of the weighting on the fold's training rows, at
-    one BLAS thread as fit computes them."""
-    return _kept(trainer._sample_weights, part.Xn, part.indices, weighting)
-
-
-@linalg._single_threaded_blas()
-def _cells(folds: list, weights: dict, tasks) -> list:
+def _cells(folds: dict, weights: dict, tasks) -> list:
     """The accuracy per C of each (network, fold, weighting, config indices,
-    C values) task in order. No task is on a skipped fold; an error kept in
-    folds or weights raises at the first task that needs it.
+    C values) task in order, on built folds and weight vectors; an error in
+    a cell raises there, so a run stops at its first failing cell.
 
     Each run of tasks on one network draws its layer once, and each run on
     one fold within it builds the state matrices, and the dual's G G', once,
@@ -248,20 +241,15 @@ def _cells(folds: list, weights: dict, tasks) -> list:
     each weighting and the factor copies are written into buffers sized
     once for the largest network, so no cell allocates them.
     """
-    runs = dict.fromkeys((*folds[fold].Xn.shape, net) for net, fold, *_ in tasks
-                         if isinstance(folds[fold], _Fold))
+    runs = dict.fromkeys((*folds[fold].Xn.shape, net) for net, fold, *_ in tasks)
     scratch = trainer._scratch(runs)
     results = []
     for net, net_tasks in itertools.groupby(tasks, lambda t: t[0]):
         layer = None
         for fold, fold_tasks in itertools.groupby(net_tasks, lambda t: t[1]):
             part, G, G_test = folds[fold], None, None  # free the last test state matrix first
-            if isinstance(part, BlsBenchError):
-                raise part
             for _, _, weighting, _, c_regs in fold_tasks:
                 s = weights[fold, weighting]
-                if isinstance(s, BlsBenchError):
-                    raise s
                 if G is None:
                     layer, G, gram, G_test = _states(net, layer, part, scratch)
                 solutions = linalg._output_weights(G, gram, s, part.T, c_regs, scratch)
@@ -296,13 +284,13 @@ class GridSpec:
     epsilon: tuple[Union[float, str], ...] = (if_scores.KernelParams.epsilon,)
 
     def __post_init__(self):
-        for name in ("c_reg", "m", "p", "q", "mu", "delta", "epsilon"):
-            values = getattr(self, name)
+        for f in fields(self):
+            values = getattr(self, f.name)
             if len(values) == 0:
-                raise ConfigError(f"grid list {name!r} must be nonempty")
+                raise ConfigError(f"grid list {f.name!r} must be nonempty")
             for i, value in enumerate(values):
                 if value in values[:i]:  # a repeat would run the same grid points again
-                    raise ConfigError(f"grid list {name!r} repeats {value!r}")
+                    raise ConfigError(f"grid list {f.name!r} repeats {value!r}")
 
     @classmethod
     def benchmark_default(cls) -> "GridSpec":
@@ -344,8 +332,7 @@ def grid_search(
     a skipped fold has none); results do not depend on it. Returns the winner plus every per-config
     result in enumeration order.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    jobs = _check_integer(jobs, 1, "jobs must be an integer >= 1")
     configs = grid.configs(variant, seed)
     results = _evaluate(ds, configs, plan, jobs)
     best_idx = max(range(len(results)), key=lambda i: (results[i].mean_accuracy, -i))

@@ -36,6 +36,7 @@ from typing import Optional, Sequence, Union, get_type_hints
 import numpy as np
 
 from . import fuzzy, if_scores, linalg, network
+from .data import _check_positive
 from .errors import (ClassBalanceError, ConfigError, DataFormatError, DimensionMismatch,
                      NonFiniteInput)
 
@@ -76,8 +77,7 @@ class ModelConfig:
             raise ConfigError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}"
             )
-        if not (np.isfinite(self.c_reg) and self.c_reg > 0):
-            raise ConfigError(f"c_reg must be positive, got {self.c_reg!r}")
+        _check_positive(self.c_reg, "c_reg")
         if np.isinf(1.0 / float(self.c_reg)):  # the solve adds 1/C to the diagonal
             raise ConfigError(f"c_reg must have a finite reciprocal, got {self.c_reg!r}")
         if self.variant == "f-bls":

@@ -268,8 +268,10 @@ def grid_search_by_fit(ds, configs, plan):
     the order of their first appearance, per fold, the network's configs by
     the first appearance of their weighting among them, then enumeration
     index. The first error raises there; a ClassBalanceError skips the fold.
-    (The engine checks a fold's test rows before its first solve, and this
-    loop after its first fit.)"""
+    (The engine builds every fold and then every weight vector before any
+    cell, so their errors raise first, in fold and then weighting order;
+    this loop meets them at their first fit. The two agree on a run with
+    one failure, or whose failures all happen in cells.)"""
     first_weighting, networks = {}, {}
     for i, cfg in enumerate(configs):
         first_weighting.setdefault((cfg.network, cfg.delta, cfg.kernel), i)

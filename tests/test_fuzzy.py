@@ -88,7 +88,7 @@ class TestMembership:
         scores = fuzzy._scores(X, y, 1e-17)
         np.testing.assert_array_equal(scores, 0.0)
 
-    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf, True, "x", None])
     def test_invalid_delta_rejected(self, delta):
         with pytest.raises(ConfigError, match="delta must be positive"):
             fuzzy._check_delta(delta)

@@ -40,7 +40,7 @@ class TestKernel:
 
 class TestKernelParams:
     @pytest.mark.parametrize("field", ["mu", "delta"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, True, "a"])
     def test_invalid_value_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be positive"):
             KernelParams(**{field: value})
@@ -63,7 +63,7 @@ class TestKernelParams:
         np.testing.assert_array_equal(
             scores, if_scores._score_vector(X, y, KernelParams(mu=1e-100))[0])
 
-    @pytest.mark.parametrize("epsilon", [-0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("epsilon", [-0.5, np.nan, np.inf, None, False, 1j])
     def test_invalid_epsilon_rejected(self, epsilon):
         with pytest.raises(ConfigError, match="epsilon must be nonnegative"):
             KernelParams(epsilon=epsilon)

@@ -35,6 +35,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("m", 0), ("p", -1), ("l", 0), ("q", 0),
+        ("m", True), ("p", 2.0), ("l", np.float64(1.0)), ("q", "5"),
         ("feature_activation", "relu"),
         ("enhancement_activation", "linear"),
         ("seed", -1),
@@ -46,6 +47,12 @@ class TestConfig:
     def test_numpy_integer_seed_stored_as_int(self):
         cfg = NetworkConfig(seed=np.int64(7))
         assert type(cfg.seed) is int and cfg == NetworkConfig(seed=7)
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        cfg = NetworkConfig(m=np.int64(3), p=np.int32(4), l=np.uint8(2), q=np.int64(5))
+        assert all(type(getattr(cfg, name)) is int for name in "mplq")
+        assert cfg == NetworkConfig(m=3, p=4, l=2, q=5)
+        assert type(init_random_layer(cfg, np.int64(2)).input_dim) is int
 
     def test_frozen(self):
         cfg = NetworkConfig()
@@ -62,7 +69,7 @@ class TestInit:
         assert len(layer.enhancement_weights) == cfg.l
         assert all(w.shape == (cfg.m * cfg.p, cfg.q) for w in layer.enhancement_weights)
 
-    @pytest.mark.parametrize("input_dim", [0, 2.0])
+    @pytest.mark.parametrize("input_dim", [0, 2.0, True])
     def test_bad_input_dim_rejected(self, input_dim):
         with pytest.raises(ConfigError, match="input_dim must be an integer >= 1"):
             init_random_layer(NetworkConfig(), input_dim)

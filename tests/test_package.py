@@ -54,12 +54,11 @@ def test_cli_reaches_only_public_names():
 
 
 def test_only_the_cli_catches_a_failure():
-    # A failure raises where it happens, so the first failing cell stops a
-    # grid. The engine keeps a BlsBenchError in building a fold or a weight
-    # vector as a value (stats._kept), which the first cell that needs it
-    # raises again, or which skips the fold for a ClassBalanceError. The CLI
-    # turns a failure, running out of memory and a worker process that died
-    # into one error: line. A bare except catches BaseException.
+    # A failure raises where it is found: a fold's or a weight vector's before
+    # any cell, and a cell's at the first failing cell. The engine catches only
+    # a ClassBalanceError, which skips a fold. The CLI turns a failure, running
+    # out of memory and a worker process that died into one error: line. A
+    # bare except catches BaseException.
     failures = {"BlsBenchError", "FactorizationFailure", "MemoryError", "BrokenProcessPool",
                 "Exception", "BaseException"}
     caught = []
@@ -79,7 +78,7 @@ def test_only_the_cli_catches_a_failure():
                     if isinstance(node, (ast.Name, ast.Attribute))}
                 caught += [f"{name}.{owner.get(handler, '<module>')} {n}"
                            for n in sorted(names & failures)]
-    assert caught == ["stats._kept BlsBenchError"]
+    assert caught == []
 
 
 def test_one_training_path():

@@ -171,7 +171,7 @@ class TestGridSearch:
         assert [r.mean_accuracy for r in r1] == [r.mean_accuracy for r in r2]
         assert b1.best_config == b2.best_config
 
-    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("jobs", [0, -3, 2.0, True])
     def test_jobs_below_one_rejected(self, jobs):
         ds = toy_dataset()
         plan = data.make_folds(ds.n_samples, 5, seed=0)
@@ -287,6 +287,59 @@ class TestGridSearch:
             stats.grid_search(ds, "bls", grid, plan, jobs=jobs)
         with pytest.raises(FactorizationFailure, match="^fail width=5 rows=34$"):
             oracles.grid_search_by_fit(ds, grid.configs("bls", 0), plan)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fold_error_stops_the_run_before_any_cell(self, jobs, pool_sizes, monkeypatch,
+                                                      tmp_path):
+        # Fold 1 trains on a range of 1e-300 and tests row 0, which normalizes
+        # beyond float64. Every solve fails, and fold 0's cells come first in
+        # cell order, yet no solve runs: fold 1's error raises as the folds are
+        # built, before any weight vector, worker process or cell.
+        log = tmp_path / "solves.log"
+
+        def failing(*args):
+            with open(log, "a") as fh:  # one line per call, from any process
+                fh.write("solve\n")
+            raise FactorizationFailure("every solve fails")
+
+        monkeypatch.setattr(linalg, "_solve_system", failing)  # before the pool forks
+        X = np.vstack([[1e300], np.linspace(0.0, 1e-300, 9)[:, None]])
+        ds, plan = data.Dataset("wide", X, tuple("ab" * 5)), data.make_folds(10, 2, 0)
+        assert plan.assignments[0] == 1
+        grid = stats.GridSpec(c_reg=(1.0, 100.0), m=(1,), p=(2,), q=(3,))
+        with pytest.raises(NonFiniteInput, match="^X_test feature 0 normalizes beyond float64$"):
+            stats.grid_search(ds, "bls", grid, plan, jobs=jobs)
+        assert not log.exists() and pool_sizes == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_weight_vector_error_stops_the_run_before_any_cell(self, jobs, monkeypatch,
+                                                               tmp_path):
+        # Only fold 3's second weighting fails to build its weight vector. The
+        # cells of folds 0-2 come first in cell order, yet no solve runs: the
+        # error raises as the weight vectors are built, at any jobs.
+        log = tmp_path / "solves.log"
+        solve_system, sample_weights = linalg._solve_system, trainer._sample_weights
+        X, y = make_blobs(21, [(0.0, 0.0), (3.0, 3.0)], 0.6, seed=7)
+        ds, plan = data.Dataset("blobs", X, y), data.make_folds(42, 5, 0)
+        train = plan.train_indices(3)
+        Xn = trainer._prepare(ds.X[train], [ds.labels[i] for i in train], "f-bls")[0]
+
+        def counted(*args):
+            with open(log, "a") as fh:  # one line per call, from any process
+                fh.write("solve\n")
+            return solve_system(*args)
+
+        def failing(Xn_fold, indices, cfg):
+            if cfg.delta == 0.1 and np.array_equal(Xn_fold, Xn):
+                raise ConfigError("fold 3 fails at delta 0.1")
+            return sample_weights(Xn_fold, indices, cfg)
+
+        monkeypatch.setattr(linalg, "_solve_system", counted)  # before the pool forks
+        monkeypatch.setattr(trainer, "_sample_weights", failing)
+        grid = stats.GridSpec(c_reg=(1.0, 100.0), m=(1, 2), p=(2,), q=(3,), delta=(1e-4, 0.1))
+        with pytest.raises(ConfigError, match="^fold 3 fails at delta 0.1$"):
+            stats.grid_search(ds, "f-bls", grid, plan, jobs=jobs)
+        assert not log.exists()
 
     @pytest.mark.parametrize("jobs,most", [(1, 4), (2, 5)])
     def test_each_layer_drawn_once_per_slice(self, jobs, most, monkeypatch, tmp_path):

@@ -48,12 +48,12 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig("f-bls", small_net(), kernel=KernelParams())
 
-    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf, True, "0.1"])
     def test_invalid_delta_rejected(self, delta):
         with pytest.raises(ConfigError, match="delta must be positive"):
             ModelConfig("f-bls", small_net(), delta=delta)
 
-    @pytest.mark.parametrize("c_reg", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("c_reg", [0.0, -1.0, np.nan, np.inf, True, "1", None])
     def test_invalid_c_reg_rejected(self, c_reg):
         with pytest.raises(ConfigError, match="c_reg must be positive"):
             ModelConfig("bls", small_net(), c_reg=c_reg)
