@@ -14,8 +14,9 @@ primal and one dual width (a 96-row training complement against widths 20
 and 110), and grid search at --jobs 1 and 2 on an f-bls delta grid and an
 if-bls mu and epsilon grid whose mu = 2^-5 gives all-zero weights. Each
 variant is trained on all 120 rows of two_class.csv at a primal and a dual
-width and predicts features.csv; noise corrupts two_class.csv, and stats
-reports on the published 28 x 7 table.
+width and predicts features.csv, and so is bls under each nonlinear feature
+map (tanh and sigmoid); noise corrupts two_class.csv, and stats reports on
+the published 28 x 7 table.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ GRIDS = {
 JOBS = ("1", "2")
 # train fits all 120 rows of two_class.csv, so its dual width must exceed 120.
 TRAIN_WIDTHS = {"primal": WIDTHS["primal"], "dual": ["--m", "3", "--p", "50", "--q", "10"]}
+# Each variant trains under the default linear feature map, and bls under each of these too.
+TRAININGS = [(variant, []) for variant in ("bls", "f-bls", "if-bls")] + [
+    (f"bls_{act}", ["--feature-activation", act]) for act in ("tanh", "sigmoid")]
 STATS_REPORTS = ("ranks.csv", "friedman.csv", "wilcoxon.csv", "win_tie_loss.csv")
 
 
@@ -109,12 +113,13 @@ def commands(inputs: Path, work: Path):
                 "gridsearch", "--data", str(inputs / data), "--variant", variant,
                 "--grid", str(grid_path), *SEEDS, "--jobs", jobs, "--out", str(out)], \
                 {f"gridsearch_{name}.csv": out}
-    for variant in ("bls", "f-bls", "if-bls"):
+    for name, activation in TRAININGS:
         for width, flags in TRAIN_WIDTHS.items():
-            model = work / f"train_{variant}_{width}.model"
-            yield model.name, ["train", *two_class, "--variant", variant, *flags,
-                               "--seed", "2", "--out", str(model)], {model.name: model}
-            out = work / f"predict_{variant}_{width}.csv"
+            model = work / f"train_{name}_{width}.model"
+            yield model.name, ["train", *two_class, "--variant", name.split("_")[0], *flags,
+                               *activation, "--seed", "2", "--out", str(model)], \
+                {model.name: model}
+            out = work / f"predict_{name}_{width}.csv"
             yield out.name, ["predict", "--model", str(model), "--data",
                              str(inputs / "features.csv"), "--out", str(out)], {out.name: out}
     out = work / "noise.csv"
