@@ -5,11 +5,14 @@ The weighted ridge solve minimizes
     (C/2) * ||S (G W - T)||_F^2 + (1/2) * ||W||_F^2
 
 for a diagonal sample-weight matrix S. The primal form factorizes an
-F x F system, the dual form an N x N system; they are algebraically
+r x r system, the dual form an N x N system; they are algebraically
 identical via the push-through identity, and the caller picks whichever
-dimension is smaller. _output_weights, the one ridge step, builds the
-part of the system that C leaves alone and solves it for each C by
-_solve_system, in buffers of the layout that _buffer_sizes states.
+dimension is smaller. G is the N x r state matrix of the layer that
+network._solved_layer gives: under a linear feature map r = k + l*q with
+k = min(m*p, d+1), and the solution is mapped back to the m*p + l*q rows
+of the network's own output weights. _output_weights, the one ridge step,
+builds the part of the system that C leaves alone and solves it for each
+C by _solve_system, in buffers of the layout that _buffer_sizes states.
 
 pairwise_sq_dist checks its operands and then runs the private _sq_dist,
 which trusts them. trainer.fit validates its inputs once; it, stats'
@@ -193,20 +196,22 @@ def _gram(G, scratch: dict) -> np.ndarray:
     return np.matmul(G, G.T, out=_buffer(scratch, "system", (G.shape[0], G.shape[0])))
 
 
-def _buffer_sizes(n: int, f: int) -> dict:
-    """The elements of each array that a network of width f on n training
-    rows writes into scratch buffers, by _buffer's keys: the state matrix,
-    the system of order k = min(f, n) (_gram's G G' on the dual) and the
-    factor copy, which on the primal first holds S^2 G. Each grows with f."""
-    k = min(f, n)
-    return {"state": n * f, "system": k * k, "factor": n * k}
+def _buffer_sizes(n: int, r: int) -> dict:
+    """The elements of each array that a ridge step on an n x r state matrix
+    writes into scratch buffers, by _buffer's keys: the state matrix, the
+    system of order min(r, n) (_gram's G G' on the dual) and the factor
+    copy, which on the primal first holds S^2 G. Each grows with r."""
+    k = min(r, n)
+    return {"state": n * r, "system": k * k, "factor": n * k}
 
 
 def _output_weights(G: np.ndarray, gram, s: np.ndarray, T: np.ndarray, c_regs,
-                    scratch: dict) -> list:
-    """Per C in c_regs, the output weights of the ridge problem on the N x F
+                    scratch: dict, back=None) -> list:
+    """Per C in c_regs, the output weights of the ridge problem on the N x r
     state matrix G, the N sample weights s in [0, 1] and the N x K targets
-    T; gram is _gram(G) on the dual and None on the primal.
+    T; gram is _gram(G) on the dual and None on the primal. back, when
+    given, is network._solved_layer's m*p x k back-map Q, and each solution
+    b is written as [Q b1; b2], b1 its first k rows.
 
     The system's C-free part is built once. The primal's is
     A = G' S^2 G, written into scratch["system"] from S^2 G in
@@ -226,7 +231,10 @@ def _output_weights(G: np.ndarray, gram, s: np.ndarray, T: np.ndarray, c_regs,
     weights = []
     for c in c_regs:
         W = _solve_system(A, r, rhs, float(c), scratch)
-        weights.append(np.ascontiguousarray(W if r is None else G.T @ W))
+        W = np.ascontiguousarray(W if r is None else G.T @ W)
+        if back is not None:
+            W = np.vstack((back @ W[:back.shape[1]], W[back.shape[1]:]))
+        weights.append(W)
     return weights
 
 

@@ -3,12 +3,20 @@
 The network maps an input matrix X through m random feature groups of p
 nodes each, then projects the concatenated feature block through l random
 enhancement groups of q nodes each. The column concatenation of both
-blocks is the design matrix handed to the output-layer solver.
+blocks is the state matrix G, whose product with the output weights
+scores a row.
+
+The output-layer solver trains on the state matrix of _solved_layer's
+layer: under a linear feature map an equivalent layer of one feature group
+of k = min(m*p, d+1) columns, whose state matrix has r = k + l*q columns,
+not m*p + l*q; under a nonlinear one the layer itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -123,6 +131,40 @@ def init_random_layer(cfg: NetworkConfig, input_dim: int) -> RandomLayer:
         drawn += [tuple(rng.uniform(-1.0, 1.0, size=(rows, cols)) for rng in rngs),
                   tuple(rng.uniform(-1.0, 1.0, size=(1, cols)) for rng in rngs)]
     return RandomLayer(cfg, input_dim, *drawn)
+
+
+def _solved_config(cfg: NetworkConfig, input_dim: int) -> NetworkConfig:
+    """The config of _solved_layer's layer on input_dim inputs: under a
+    linear feature map one feature group of k = min(m*p, input_dim + 1)
+    columns and cfg's enhancement groups, else cfg itself."""
+    if cfg.feature_activation != "linear":
+        return cfg
+    return dataclasses.replace(cfg, m=1, p=min(cfg.m * cfg.p, input_dim + 1))
+
+
+def _solved_layer(layer: RandomLayer) -> tuple[RandomLayer, Optional[np.ndarray]]:
+    """The layer whose state matrix U the ridge step solves on, and the
+    back-map Q from its output weights to layer's; (layer, None) under a
+    nonlinear feature map, where U is layer's G.
+
+    Under a linear feature map the feature block is Z = [X 1] Wf, with Wf
+    the (d+1) x m*p stack of the feature weights over their biases, so its
+    rank is at most d+1. With the thin QR Wf' = Q R (Q of m*p x k with
+    orthonormal columns, R of k x (d+1)), Z = [X 1] R' Q', and
+    G = [Z H] = U diag(Q', I) for U = [[X 1] R', H]: the state matrix of a
+    layer with one linear feature group, R' over its bias row, and the
+    enhancement weights Q' We_j with the same biases. So the ridge solution
+    on G is [Q b1; b2] for the solution b on U, b1 its first k rows
+    (linalg._output_weights), and the N x m*p block Z is never formed.
+    """
+    cfg, d = layer.config, layer.input_dim
+    if cfg.feature_activation != "linear":
+        return layer, None
+    Wf = np.vstack((np.hstack(layer.feature_weights), np.hstack(layer.feature_biases)))
+    Q, R = np.linalg.qr(Wf.T)
+    return RandomLayer(_solved_config(cfg, d), d, (R.T[:d],), (R.T[d:],),
+                       tuple(Q.T @ W for W in layer.enhancement_weights),
+                       layer.enhancement_biases), Q
 
 
 def _check_input_dim(input_dim) -> int:

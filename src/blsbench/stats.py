@@ -10,13 +10,16 @@ computes each quantity at the level where it varies:
   bls, delta for f-bls, the kernel parameters for if-bls), spread over
   grid_search's worker processes, at one BLAS thread as in fit;
 - per network (m, p, q and the rest of NetworkConfig), once per slice of
-  cells: the random layer, and buffers for the arrays below, each sized
+  cells: the random layer and the layer the ridge step solves on
+  (network._solved_layer), and buffers for the arrays below, each sized
   once for the slice's largest network (trainer._scratch);
-- per network and fold: the training state matrix and the dual's G G',
-  written into their buffers (trainer._states), and the test state
-  matrix;
+- per network and fold: the solved layer's training state matrix U (of
+  r = k + l*q columns under a linear feature map, k = min(m*p, d+1)) and
+  the dual's U U', written into their buffers (trainer._states), and the
+  test state matrix of the network's own layer;
 - per weighting: the ridge step (linalg._output_weights), which builds
-  the system's C-free part, then per C solves it from a factor copy;
+  the system's C-free part, then per C solves it from a factor copy and
+  maps the solution back to the network's output weights;
 - per C: the test scores, their argmax and the accuracy.
 
 Every fold accuracy equals that of fit and accuracy on the same fold, bit
@@ -235,8 +238,8 @@ def _cells(folds: dict, weights: dict, tasks) -> list:
     C values) task in order, on built folds and weight vectors; an error in
     a cell raises there, so a run stops at its first failing cell.
 
-    Each run of tasks on one network draws its layer once, and each run on
-    one fold within it builds the state matrices, and the dual's G G', once,
+    Each run of tasks on one network draws its layers once, and each run on
+    one fold within it builds the state matrices, and the dual's U U', once,
     after the first weight vector as fit does. They, the primal's system of
     each weighting and the factor copies are written into buffers sized
     once for the largest network, so no cell allocates them.
@@ -245,24 +248,25 @@ def _cells(folds: dict, weights: dict, tasks) -> list:
     scratch = trainer._scratch(runs)
     results = []
     for net, net_tasks in itertools.groupby(tasks, lambda t: t[0]):
-        layer = None
+        layers = None
         for fold, fold_tasks in itertools.groupby(net_tasks, lambda t: t[1]):
-            part, G, G_test = folds[fold], None, None  # free the last test state matrix first
+            part, U, G_test = folds[fold], None, None  # free the last test state matrix first
             for _, _, weighting, _, c_regs in fold_tasks:
                 s = weights[fold, weighting]
-                if G is None:
-                    layer, G, gram, G_test = _states(net, layer, part, scratch)
-                solutions = linalg._output_weights(G, gram, s, part.T, c_regs, scratch)
+                if U is None:
+                    layers, U, gram, G_test = _states(net, layers, part, scratch)
+                solutions = linalg._output_weights(U, gram, s, part.T, c_regs, scratch, layers[2])
                 results.append([np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices)
                                 / len(G_test) for W in solutions])
     return results
 
 
-def _states(net: network.NetworkConfig, layer, part: _Fold, scratch: dict) -> tuple:
-    """trainer._states on the fold's training rows, and the test state matrix."""
-    layer, G, gram = trainer._states(net, layer, part.Xn, scratch)
+def _states(net: network.NetworkConfig, layers, part: _Fold, scratch: dict) -> tuple:
+    """trainer._states on the fold's training rows, and the test state
+    matrix of the network's own layer, which predict scores."""
+    layers, U, gram = trainer._states(net, layers, part.Xn, scratch)
     # decision_scores' _forward behind its checks; the benchmark traces this call.
-    return layer, G, gram, network.state_matrix(layer, part.Xn_test)
+    return layers, U, gram, network.state_matrix(layers[0], part.Xn_test)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,19 @@
 Fitting builds the random layer, forms the state matrix, computes the
 per-sample weight vector for the chosen variant (all-ones for plain BLS),
 and solves the weighted ridge problem for the output weights, picking the
-primal or dual form by comparing the state width against the sample
-count. Prediction replays normalization and the frozen random layer,
-then takes a per-row argmax over the class columns.
+primal or dual form by comparing the width r of the matrix it solves on
+against the sample count. Under a linear feature map that matrix is the
+state matrix of network._solved_layer's equivalent layer, r = k + l*q
+with k = min(m*p, d+1), and its solution is mapped back to the network's
+m*p + l*q output weights; under a nonlinear one it is the state matrix
+itself, r = m*p + l*q. Prediction replays normalization and the frozen
+random layer, then takes a per-row argmax over the class columns.
 
 fit is the validation boundary: it checks X, the labels and the feature
 ranges once (_prepare), then runs the private steps of the layer modules
-(fuzzy._scores, if_scores._score_vector, network._forward, linalg._gram,
-linalg._output_weights), which trust their inputs. decision_scores is
+(fuzzy._scores, if_scores._score_vector, network._solved_layer,
+network._forward, linalg._gram, linalg._output_weights), which trust
+their inputs. decision_scores is
 _test_rows, its checks of X_test, then network._forward.
 
 fit is _prepare, _sample_weights, then _states and the ridge step
@@ -18,7 +23,8 @@ linalg._output_weights for one C, in the buffers of a _scratch sized for
 its network. stats' cross-validation engine runs the same steps, each at
 the level where it varies: _prepare, _test_rows and _sample_weights once
 per fold and weighting of a run; _states once per network and fold,
-drawing the layer on the network's first; and the ridge step once per
+drawing the layer and its solved layer on the network's first; and the
+ridge step once per
 weighting, for all its C values; in the buffers of one _scratch sized for
 its largest network. So fit and every fold write the state matrix, the
 system and the factor copies into buffers of linalg._buffer_sizes'
@@ -182,12 +188,15 @@ class TrainedModel:
 
     @property
     def solve_branch_used(self) -> str:
-        """The system fit solved, from the width and the training-row count."""
-        return _solve_branch(self.config.network.width, self.score_vector.shape[0])
+        """The system fit solved, from the width of the matrix it solved on
+        and the training-row count."""
+        solved = network._solved_config(self.config.network, self.layer.input_dim)
+        return _solve_branch(solved.width, self.score_vector.shape[0])
 
 
 def _solve_branch(width: int, n_samples: int) -> str:
-    """Solve the smaller system: primal is width x width, dual is N x N."""
+    """Solve the smaller system on an N x width state matrix: primal is
+    width x width, dual is N x N."""
     return "primal" if width <= n_samples else "dual"
 
 
@@ -257,38 +266,49 @@ def _test_rows(norm: NormState, input_dim: int, X_test) -> np.ndarray:
 
 
 def _network_bytes(n: int, d: int, net: network.NetworkConfig) -> int:
-    """The bytes of net's layer on d inputs and of its buffers on n rows."""
-    layer = sum(groups * (rows + 1) * cols for *_, groups, rows, cols in network._stages(net, d))
-    return 8 * (layer + sum(linalg._buffer_sizes(n, net.width).values()))
+    """The bytes of net's layer on d inputs, of the layer the ridge step
+    solves on and its back-map Q (network._solved_layer) where they are
+    new arrays, and of the ridge step's buffers on n rows."""
+    solved = network._solved_config(net, d)
+    layers = [net] if solved is net else [net, solved]
+    elements = sum(groups * (rows + 1) * cols for cfg in layers
+                   for *_, groups, rows, cols in network._stages(cfg, d))
+    back = 0 if solved is net else net.m * net.p * solved.p
+    return 8 * (elements + back + sum(linalg._buffer_sizes(n, solved.width).values()))
 
 
 def _scratch(runs) -> dict:
     """linalg._buffer's scratch for the (n, d, net) runs of a network on n
     training rows of d features: per key one flat array, as long as the
     largest run whose memory check passes needs. Every key grows with the
-    width, across branches too, so together they hold what the widest such
-    network needs on the most rows. A run that fails its check raises in
-    _states before it writes anything."""
+    width r of the solved state matrix, across branches too, so together
+    they hold what the widest such network needs on the most rows. A run
+    that fails its check raises in _states before it writes anything."""
     sizes: dict = {}
     for n, d, net in runs:
         if _network_bytes(n, d, net) <= linalg._physical_memory():
-            for key, size in linalg._buffer_sizes(n, net.width).items():
+            r = network._solved_config(net, d).width
+            for key, size in linalg._buffer_sizes(n, r).items():
                 sizes[key] = max(sizes.get(key, 0), size)
     return {key: np.empty(size) for key, size in sizes.items()}
 
 
-def _states(net: network.NetworkConfig, layer, Xn: np.ndarray, scratch: dict) -> tuple:
+def _states(net: network.NetworkConfig, layers, Xn: np.ndarray, scratch: dict) -> tuple:
     """net's memory check on the rows Xn, a ConfigError before anything is
-    drawn when _network_bytes exceed physical memory; then its layer (drawn
-    unless given), the state matrix G of Xn in scratch["state"] and, on the
-    dual, G G' in scratch["system"]: (layer, G, G G' or None on the primal)."""
-    (n, d), width = Xn.shape, net.width
+    drawn when _network_bytes exceed physical memory; then its layers (drawn
+    unless given): the layer, and the layer the ridge step solves on with
+    its back-map (network._solved_layer); the solved layer's state matrix U
+    of Xn in scratch["state"] and, on the dual, U U' in scratch["system"]:
+    (layers, U, U U' or None on the primal)."""
+    n, d = Xn.shape
     linalg._check_memory(_network_bytes(n, d, net),
                          f"network m={net.m}, p={net.p}, l={net.l}, q={net.q} on {n} rows")
-    if layer is None:
+    if layers is None:
         layer = network.init_random_layer(net, d)
-    G = network._forward(layer, Xn, linalg._buffer(scratch, "state", (n, width)))
-    return layer, G, None if _solve_branch(width, n) == "primal" else linalg._gram(G, scratch)
+        layers = (layer, *network._solved_layer(layer))
+    width = layers[1].config.width
+    U = network._forward(layers[1], Xn, linalg._buffer(scratch, "state", (n, width)))
+    return layers, U, None if _solve_branch(width, n) == "primal" else linalg._gram(U, scratch)
 
 
 @linalg._single_threaded_blas()
@@ -298,9 +318,9 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     Xn, norm, class_labels, indices = _prepare(X, labels, cfg.variant)
     scores = _sample_weights(Xn, indices, cfg)
     scratch = _scratch([(*Xn.shape, cfg.network)])
-    layer, G, gram = _states(cfg.network, None, Xn, scratch)
-    (w_out,) = linalg._output_weights(G, gram, scores, np.eye(len(class_labels))[indices],
-                                      [cfg.c_reg], scratch)
+    (layer, _, back), U, gram = _states(cfg.network, None, Xn, scratch)
+    (w_out,) = linalg._output_weights(U, gram, scores, np.eye(len(class_labels))[indices],
+                                      [cfg.c_reg], scratch, back)
     return TrainedModel(cfg, layer, w_out, norm, class_labels, scores)
 
 

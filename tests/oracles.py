@@ -85,19 +85,43 @@ def scipy_solve(A, rhs, c_reg: float, branch: str, G):
 
 
 def fit_w_out(X, labels, cfg):
-    """fit's output weights composed from fresh arrays: the state matrix, then
-    the whole system, G' (S^2 G) on the primal or S^2 (G G') on the dual, then
-    scipy_solve; every step at one BLAS thread, as fit runs."""
+    """fit's output weights composed from fresh arrays: the matrix the ridge
+    step solves on, then the whole system, U' (S^2 U) on the primal or
+    S^2 (U U') on the dual, then scipy_solve; every step at one BLAS thread,
+    as fit runs. Under a linear feature map U is [Z, act(Z (Q' We_j) + be_j)]
+    with Z = Xn R'[:d] + R'[d], from the thin QR Wf' = Q R of the feature
+    weights stacked over their biases, and the solution b is mapped back to
+    [Q b1; b2], b1 its first k rows; under a nonlinear one U is the state
+    matrix G."""
     with linalg._single_threaded_blas():
         Xn, _, classes, indices = trainer._prepare(X, labels, cfg.variant)
         s = trainer._sample_weights(Xn, indices, cfg)
         s2 = s * s
-        G = network._forward(network.init_random_layer(cfg.network, Xn.shape[1]), Xn)
+        layer = network.init_random_layer(cfg.network, Xn.shape[1])
+        if cfg.network.feature_activation == "linear":
+            d, act = Xn.shape[1], ACTIVATIONS[cfg.network.enhancement_activation]
+            Wf = np.vstack((np.hstack(layer.feature_weights), np.hstack(layer.feature_biases)))
+            Q, R = np.linalg.qr(Wf.T)
+            Z = Xn @ R.T[:d] + R.T[d:]
+            U = np.hstack([Z] + [act(Z @ (Q.T @ W) + b) for W, b in
+                                 zip(layer.enhancement_weights, layer.enhancement_biases)])
+        else:
+            Q, U = None, network._forward(layer, Xn)
         T = np.eye(len(classes))[indices]
-        if trainer._solve_branch(G.shape[1], G.shape[0]) == "primal":
-            return scipy_solve(G.T @ (s2[:, None] * G), G.T @ (s2[:, None] * T), cfg.c_reg,
-                               "primal", G)
-        return scipy_solve(s2[:, None] * (G @ G.T), s2[:, None] * T, cfg.c_reg, "dual", G)
+        if trainer._solve_branch(U.shape[1], U.shape[0]) == "primal":
+            b = scipy_solve(U.T @ (s2[:, None] * U), U.T @ (s2[:, None] * T), cfg.c_reg,
+                            "primal", U)
+        else:
+            b = scipy_solve(s2[:, None] * (U @ U.T), s2[:, None] * T, cfg.c_reg, "dual", U)
+        return b if Q is None else np.vstack((Q @ b[:Q.shape[1]], b[Q.shape[1]:]))
+
+
+def svd_ridge(G, s, T, c_reg):
+    """The weighted ridge solution on the full state matrix G by the SVD of
+    S G = U diag(sigma) V': V diag(sigma / (sigma^2 + 1/C)) U' S T, with no
+    normal equations formed."""
+    u, sigma, vt = np.linalg.svd(s[:, None] * G, full_matrices=False)
+    return vt.T @ ((sigma / (sigma * sigma + 1.0 / c_reg))[:, None] * (u.T @ (s[:, None] * T)))
 
 
 def pairwise_sq_dist(A, B):

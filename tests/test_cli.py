@@ -140,8 +140,8 @@ class TestTrainPredict:
         assert not out.exists()
 
     def test_rank_deficient_primal_is_factorization_error(self, tmp_path, capsys):
-        # At C = 1e100 the ridge term vanishes next to the Gram matrix of 75
-        # state columns built from 2 features, and the Cholesky fails.
+        # At C = 1e100 the ridge term vanishes next to the Gram matrix of 28
+        # solved state columns built from 2 features, and the Cholesky fails.
         from blsbench import cli
 
         path = write_dataset(tmp_path / "blobs100.csv", n=100)
@@ -301,7 +301,7 @@ class TestTrainPredict:
         assert list(manifest["datasets"]) == [os.path.join(str(store), "blobs.csv")]
 
     def test_model_bytes_independent_of_blas_threads(self, tmp_path):
-        # A primal fit (N=1200, width 375) large enough for OpenBLAS to split
+        # A primal fit (N=1200, solved on 336 columns) large enough for OpenBLAS to split
         # its products across threads when it is allowed to.
         X, y = make_blobs(600, [(0.0,) * 10, (0.8,) * 10], 1.0, seed=5)
         train = tmp_path / "train.csv"

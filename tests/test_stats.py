@@ -124,18 +124,19 @@ class TestCrossValidate:
         )
 
     @pytest.mark.parametrize("variant", ["bls", "f-bls"])
-    @pytest.mark.parametrize("branch,net", [("primal", NetworkConfig(m=10, p=30, q=300)),
-                                            ("dual", NetworkConfig(m=21, p=50, q=105))])
+    @pytest.mark.parametrize("branch,net", [("primal", NetworkConfig(m=10, p=30, q=600)),
+                                            ("dual", NetworkConfig(m=21, p=50, q=900))])
     def test_peak_memory_is_the_memory_estimate(self, variant, branch, net):
         # The engine writes what its memory check counts: its peak is
         # _network_bytes on the 800 training rows of a fold, plus the 200-row
         # test state matrix, plus 12 X.nbytes for the run's folds (their
         # normalized rows alone are 5 X.nbytes), the vectors, the K-column
-        # arrays and numpy's ufunc buffers. 1,000 rows of 10 features; on the
-        # dual an N x N bool mask breaks the bound.
+        # arrays and numpy's ufunc buffers. 1,000 rows of 10 features, solved
+        # on 611 and 911 columns; on the dual an N x N bool mask breaks the
+        # bound.
         X, y = make_blobs(500, [(0.0,) * 10, (1.0,) * 10], 1.0, seed=3)
         ds, plan = data.Dataset("blobs", X, y), data.make_folds(1000, 5, 0)
-        assert trainer._solve_branch(net.width, 800) == branch
+        assert trainer._solve_branch(network._solved_config(net, 10).width, 800) == branch
         tracemalloc.start()
         try:
             stats.cross_validate(ds, ModelConfig(variant, net), plan)
@@ -242,16 +243,16 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_failure_in_cell_order_stops_the_grid(self, jobs, monkeypatch):
-        # Widths 5 and 7 on 32 training rows, both primal. In config order (C
-        # outermost) the first failing config is C=1 at width 7; in cell order
-        # (network, fold, C) the first failure is the width-5 network's fold-0
-        # cell at C=100.
+        # Solved widths 5 and 6 on 32 training rows, both primal. In config
+        # order (C outermost) the first failing config is C=1 at width 6; in
+        # cell order (network, fold, C) the first failure is the width-5
+        # network's fold-0 cell at C=100.
         solve_system, solves = linalg._solve_system, []
 
         def failing(A, r, rhs, c, scratch):
             solves.append(c)
             w = A.shape[0]
-            if (c, w) in ((1.0, 7), (100.0, 5)):
+            if (c, w) in ((1.0, 6), (100.0, 5)):
                 raise FactorizationFailure(f"fail C={c:g} width={w}")
             return solve_system(A, r, rhs, c, scratch)
 
@@ -266,15 +267,15 @@ class TestGridSearch:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_network_major_order_reports_the_first_failure(self, jobs, monkeypatch):
         # 42 rows in 5 folds: folds 0 and 1 train on 33 rows, folds 2-4 on 34.
-        # The width-5 network fails on 34 training rows and the width-7 one on
-        # 33. Fold-major order (fold, then network) would stop at the width-7
-        # network on fold 0; network-major order finishes folds 0 and 1 of the
-        # width-5 network and stops at its fold 2.
+        # The network of solved width 5 fails on 34 training rows and that of
+        # solved width 6 on 33. Fold-major order (fold, then network) would
+        # stop at the width-6 network on fold 0; network-major order finishes
+        # folds 0 and 1 of the width-5 network and stops at its fold 2.
         forward = network._forward
 
         def failing(layer, X, out=None):
             width, rows = layer.config.width, X.shape[0]
-            if (width, rows) in ((5, 34), (7, 33)):
+            if (width, rows) in ((5, 34), (6, 33)):
                 raise FactorizationFailure(f"fail width={width} rows={rows}")
             return forward(layer, X, out)
 
@@ -378,39 +379,44 @@ class TestGridSearch:
         assert len(into) == len(fresh) == 20
         assert len({out.ctypes.data for out in into}) == 1
 
-    @pytest.mark.parametrize("p,branch", [(2, "primal"), (12, "dual")])
-    def test_engine_memory_check_counts_its_buffers(self, p, branch, monkeypatch):
-        # 8 bytes x (layer weights and biases + the state matrix, the system and
-        # the factor copy: S^2 G, which the F x F copy reuses, on the primal, N x
-        # N each on the dual, where G G' is the system), on 24 training rows,
-        # against page size x pages: fit's estimate.
+    @pytest.mark.parametrize("p,q,branch", [(2, 6, "primal"), (12, 30, "dual")])
+    def test_engine_memory_check_counts_its_buffers(self, p, q, branch, monkeypatch):
+        # 8 bytes x (layer weights and biases + the solved layer's, k x (d + 1)
+        # and (k + 1) x q, and its m p x k back-map Q + the solved state matrix
+        # of r = k + q columns, the system and the factor copy: S^2 U, which
+        # the r x r copy reuses, on the primal, N x N each on the dual, where
+        # U U' is the system), on 24 training rows, against page size x pages:
+        # fit's estimate.
         ds = toy_dataset(seed=9, n=30)
         plan = data.make_folds(ds.n_samples, 5, seed=0)
-        net = NetworkConfig(m=2, p=p, q=6)
-        n, d, f, mp = 24, 2, net.width, net.m * net.p
-        assert trainer._solve_branch(f, n) == branch
-        arrays = 2 * n * f + f * f if branch == "primal" else n * f + 2 * n * n
-        need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + arrays)
+        net = NetworkConfig(m=2, p=p, q=q)
+        n, d, mp = 24, 2, net.m * net.p
+        k = min(mp, d + 1)
+        r = k + net.l * net.q
+        assert trainer._solve_branch(r, n) == branch
+        arrays = 2 * n * r + r * r if branch == "primal" else n * r + 2 * n * n
+        solved = k * (d + 1) + net.l * net.q * (k + 1) + mp * k
+        need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + solved + arrays)
         for pages, refused in ((need, False), (need - 1, True)):
             monkeypatch.setattr(os, "sysconf", lambda key: {"SC_PAGE_SIZE": 1,
                                                              "SC_PHYS_PAGES": pages}[key])
             if refused:
                 with pytest.raises(ConfigError, match=(
-                        rf"^network m=2, p={p}, l=1, q=6 on 24 rows needs about ")):
+                        rf"^network m=2, p={p}, l=1, q={q} on 24 rows needs about ")):
                     stats.cross_validate(ds, ModelConfig("bls", net), plan)
             else:
                 stats.cross_validate(ds, ModelConfig("bls", net), plan)
 
     def test_mixed_branch_buffers_hold_the_widest_networks_need(self):
-        # A slice of a primal (width 10) and a dual (width 30) network on 24
-        # rows shares one buffer per key: together exactly what the dual's
-        # memory check counts, so the primal adds nothing beside it.
-        primal, dual = NetworkConfig(m=2, p=2, q=6), NetworkConfig(m=2, p=12, q=6)
-        assert [trainer._solve_branch(net.width, 24) for net in (primal, dual)] == [
-            "primal", "dual"]
+        # A slice of a primal (solved width 9) and a dual (solved width 33)
+        # network on 24 rows shares one buffer per key: together exactly what
+        # the dual's memory check counts, so the primal adds nothing beside it.
+        primal, dual = NetworkConfig(m=2, p=2, q=6), NetworkConfig(m=2, p=12, q=30)
+        widths = [network._solved_config(net, 2).width for net in (primal, dual)]
+        assert [trainer._solve_branch(r, 24) for r in widths] == ["primal", "dual"]
         for runs in ([(24, 2, primal), (24, 2, dual)], [(24, 2, dual), (24, 2, primal)]):
             sizes = {key: len(buf) for key, buf in trainer._scratch(runs).items()}
-            assert sizes == linalg._buffer_sizes(24, dual.width)
+            assert sizes == linalg._buffer_sizes(24, widths[1])
 
     @pytest.mark.parametrize("name", ["c_reg", "m", "p", "q", "mu", "delta", "epsilon"])
     def test_empty_list_rejected(self, name):
@@ -488,15 +494,16 @@ class TestEngineMatchesFit:
         assert_engine_matches_fit(ds, variant, grid, plan)
 
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
-    @pytest.mark.parametrize("p,branch", [(2, "primal"), (12, "dual")])
-    def test_each_variant_and_branch_with_a_single_class_complement(self, variant, p, branch):
-        # 30 rows in 5 folds: 24 training rows against widths 2*2+6 = 10 and
-        # 2*12+6 = 30. A fold that tests a b sample trains without b (bls) or
-        # on one b (f-bls and if-bls need 2), and is skipped.
+    @pytest.mark.parametrize("p,q,branch", [(2, 6, "primal"), (12, 30, "dual")])
+    def test_each_variant_and_branch_with_a_single_class_complement(self, variant, p, q,
+                                                                     branch):
+        # 30 rows in 5 folds: 24 training rows against solved widths
+        # min(2p, 3) + q = 9 and 33. A fold that tests a b sample trains without
+        # b (bls) or on one b (f-bls and if-bls need 2), and is skipped.
         ds = rare_class_dataset(3, 30, 2, 2, 1 if variant == "bls" else 2)
         plan = data.make_folds(ds.n_samples, 5, 0)
-        grid = stats.GridSpec(c_reg=(0.01, 100.0), m=(2,), p=(p,), q=(6,), mu=(2.0**-5, 1.0))
-        assert trainer._solve_branch(2 * p + 6, 24) == branch
+        grid = stats.GridSpec(c_reg=(0.01, 100.0), m=(2,), p=(p,), q=(q,), mu=(2.0**-5, 1.0))
+        assert trainer._solve_branch(min(2 * p, 3) + q, 24) == branch
         results = assert_engine_matches_fit(ds, variant, grid, plan)
         assert all(r.skipped and None in r.per_fold_accuracy for r in results)
         assert all(len(r.skipped) < 5 for r in results)
@@ -511,11 +518,12 @@ class TestEngineMatchesFit:
         assert not any(r.skipped for r in results)
 
     def test_rank_deficient_grid_raises_the_first_failure(self, blobs_overlap):
-        # At C = 1e100 the Cholesky of the width-35 Gram fails on 80 rows of 2
-        # features; the width-85 network is a dual solve, which succeeds.
+        # At C = 1e100 the Cholesky of the solved width-28 Gram fails on 80 rows
+        # of 2 features; the solved width-83 network is a dual solve, which
+        # succeeds.
         ds = data.Dataset("overlap", *blobs_overlap)
         plan = data.make_folds(ds.n_samples, 5, 0)
-        grid = stats.GridSpec(c_reg=(1.0, 1e100), m=(1, 6), p=(10,), q=(25,))
+        grid = stats.GridSpec(c_reg=(1.0, 1e100), m=(1,), p=(10,), q=(25, 80))
         assert assert_engine_matches_fit(ds, "bls", grid, plan) is None
 
     def test_test_row_overflow_keeps_its_message(self):

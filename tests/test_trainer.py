@@ -33,6 +33,16 @@ def small_net(seed=0, **kw):
     return NetworkConfig(**defaults)
 
 
+def solved_width(net, d=2):
+    """The width r of the state matrix the ridge step solves on for net on d
+    inputs: k + l*q with k = min(m*p, d+1) under a linear feature map."""
+    return network._solved_config(net, d).width
+
+
+# A dual network on the 80 rows of blobs: r = 3 + 80 columns.
+DUAL = small_net(m=20, p=5, q=80)
+
+
 class TestModelConfig:
     def test_defaults_filled_per_variant(self):
         f = ModelConfig("f-bls", small_net())
@@ -84,11 +94,18 @@ class TestFit:
         assert model2.class_labels == ("a", "b")
 
     def test_branch_rule(self, blobs):
+        # The branch follows the width of the matrix solved on: under a linear
+        # feature map d + 1 + q columns of 2 features, else m p + q.
         X, y = blobs  # 80 samples
-        narrow = fit(X, y, ModelConfig("bls", small_net()))  # width 18
+        narrow = fit(X, y, ModelConfig("bls", small_net()))  # solved width 11
         assert narrow.solve_branch_used == "primal"
-        wide = fit(X, y, ModelConfig("bls", small_net(m=10, p=10, q=20)))  # 120
+        reduced = fit(X, y, ModelConfig("bls", small_net(m=10, p=10, q=20)))  # width 120, r 23
+        assert reduced.solve_branch_used == "primal"
+        wide = fit(X, y, ModelConfig("bls", small_net(m=10, p=10, q=80)))  # width 180, r 83
         assert wide.solve_branch_used == "dual"
+        tanh = fit(X, y, ModelConfig("bls", small_net(m=10, p=10, q=20,
+                                                      feature_activation="tanh")))  # 120
+        assert tanh.solve_branch_used == "dual"
 
     def test_primal_fit_matches_dual_solve(self, blobs):
         # The primal branch fit takes must agree with the dual solve of the
@@ -136,11 +153,13 @@ class TestFit:
 
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
     def test_rank_deficient_primal_raises_factorization_failure(self, variant, blobs_overlap):
-        # 75 state columns from 2 features leave the Gram matrix singular,
-        # and 1/C = 1e-100 cannot lift it.
+        # 93 solved state columns from 2 features (3 linear and 90 tanh) leave
+        # the Gram matrix of 100 rows singular, and 1/C = 1e-100 cannot lift it.
         X, y = blobs_overlap
+        net = NetworkConfig(q=90)
+        assert trainer._solve_branch(solved_width(net), len(y)) == "primal"
         with pytest.raises(FactorizationFailure, match="Cholesky factorization"):
-            fit(X, y, ModelConfig(variant, NetworkConfig(), c_reg=1e100))
+            fit(X, y, ModelConfig(variant, net, c_reg=1e100))
 
     def test_oversized_network_refused_before_drawing(self, blobs, monkeypatch):
         def draw(*args):
@@ -153,17 +172,21 @@ class TestFit:
                 r"\S+ GiB; this machine has \S+ GiB$")):
             fit(X, y, ModelConfig("bls", NetworkConfig(m=100000, p=100000)))
 
-    @pytest.mark.parametrize("branch,net", [("primal", small_net()),
-                                            ("dual", small_net(m=20, p=5, q=8))])
+    @pytest.mark.parametrize("branch,net", [("primal", small_net()), ("dual", DUAL)])
     def test_memory_estimate_is_the_refusal_bound(self, branch, net, blobs, monkeypatch):
-        # 8 bytes x (layer weights and biases + the state matrix, the system and
-        # the factor copy: S^2 G then the F x F copy on the primal, N x N each on
-        # the dual), against page size x pages.
+        # 8 bytes x (layer weights and biases + the solved layer's, k x (d + 1)
+        # and (k + 1) x q, and its m p x k back-map Q + the solved state matrix
+        # of r = k + q columns, the system and the factor copy: S^2 U then the
+        # r x r copy on the primal, N x N each on the dual), against page size
+        # x pages.
         X, y = blobs
-        n, d, f, mp = X.shape[0], X.shape[1], net.width, net.m * net.p
-        assert trainer._solve_branch(f, n) == branch
-        arrays = 2 * n * f + f * f if branch == "primal" else n * f + 2 * n * n
-        need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + arrays)
+        n, d, mp = X.shape[0], X.shape[1], net.m * net.p
+        k = min(mp, d + 1)
+        r = k + net.l * net.q
+        assert trainer._solve_branch(r, n) == branch
+        arrays = 2 * n * r + r * r if branch == "primal" else n * r + 2 * n * n
+        solved = k * (d + 1) + net.l * net.q * (k + 1) + mp * k
+        need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + solved + arrays)
         for l in (1, 2):  # the layer term is the element count of the drawn arrays
             layer = network.init_random_layer(dataclasses.replace(net, l=l), d)
             drawn = (*layer.feature_weights, *layer.feature_biases,
@@ -175,8 +198,7 @@ class TestFit:
             with pytest.raises(ConfigError) if refused else contextlib.nullcontext():
                 fit(X, y, ModelConfig("bls", net))
 
-    @pytest.mark.parametrize("branch,net", [("primal", small_net()),
-                                            ("dual", small_net(m=20, p=5, q=8))])
+    @pytest.mark.parametrize("branch,net", [("primal", small_net()), ("dual", DUAL)])
     def test_every_c_solved_from_one_unchanged_system(self, branch, net, blobs, monkeypatch):
         # No per-C copy of A: the solve leaves A as it is, so the memory
         # estimate's system and factor buffers are A (the dual's G G') and the
@@ -195,10 +217,10 @@ class TestFit:
         monkeypatch.setattr(linalg, "_solve_system", recording)
         scratch = trainer._scratch([(*Xn.shape, net)])
         with linalg._single_threaded_blas():
-            _, G, gram = trainer._states(net, None, Xn, scratch)
-            weights = linalg._output_weights(G, gram, s, np.eye(len(classes))[indices], c_regs,
-                                             scratch)
-        assert trainer._solve_branch(net.width, len(y)) == branch
+            (_, _, back), U, gram = trainer._states(net, None, Xn, scratch)
+            weights = linalg._output_weights(U, gram, s, np.eye(len(classes))[indices], c_regs,
+                                             scratch, back)
+        assert trainer._solve_branch(solved_width(net), len(y)) == branch
         assert len(systems) == len(c_regs)
         A, before = systems[0]
         assert all(a is A and np.array_equal(seen, before) for a, seen in systems)
@@ -207,28 +229,31 @@ class TestFit:
             assert np.array_equal(w_out, fit(X, y, ModelConfig("f-bls", net, c_reg=c_reg)).w_out)
 
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
-    @pytest.mark.parametrize("branch,net", [("primal", small_net()),
-                                            ("dual", small_net(m=20, p=5, q=8))])
+    @pytest.mark.parametrize("branch,net", [
+        ("primal", small_net()), ("dual", DUAL),
+        ("primal", small_net(m=1, p=3)),  # m p <= d + 1: k = m p
+        ("dual", small_net(m=10, p=10, q=20, feature_activation="tanh"))])
     def test_fit_is_the_fresh_array_composition_bit_for_bit(self, variant, branch, net, blobs):
         # fit writes its steps into buffers and on the dual scales its factor
-        # copy of G G' by S^2; the reference writes each step into a fresh array
+        # copy of U U' by S^2; the reference writes each step into a fresh array
         # and solves through scipy.linalg.
         X, y = blobs
-        assert trainer._solve_branch(net.width, len(y)) == branch
+        assert trainer._solve_branch(solved_width(net), len(y)) == branch
         cfg = ModelConfig(variant, net)
         assert np.array_equal(fit(X, y, cfg).w_out, oracles.fit_w_out(X, y, cfg))
 
     @pytest.mark.parametrize("variant", ["bls", "f-bls"])
-    @pytest.mark.parametrize("branch,net", [("primal", NetworkConfig(m=10, p=30, q=300)),
-                                            ("dual", NetworkConfig(m=21, p=50, q=105))])
+    @pytest.mark.parametrize("branch,net", [("primal", NetworkConfig(m=10, p=30, q=600)),
+                                            ("dual", NetworkConfig(m=21, p=50, q=900))])
     def test_peak_memory_is_the_memory_estimate(self, variant, branch, net):
         # fit writes what its memory check counts: its peak is _network_bytes,
         # plus 3% for the vectors, the K-column arrays and numpy's ufunc
-        # buffers, plus the N x d normalized rows. 800 rows of 10 features; on
-        # the dual an N x N bool mask (3.4% of _network_bytes) breaks the
-        # bound, and a third N x N float array more so.
+        # buffers (about 200 kB on a column block of the state matrix), plus
+        # the N x d normalized rows. 800 rows of 10 features, solved on 611 and
+        # 911 columns; on the dual an N x N bool mask (2.7% of _network_bytes)
+        # breaks the bound, and a third N x N float array more so.
         X, y = make_blobs(400, [(0.0,) * 10, (1.0,) * 10], 1.0, seed=3)
-        assert trainer._solve_branch(net.width, len(y)) == branch
+        assert trainer._solve_branch(solved_width(net, 10), len(y)) == branch
         tracemalloc.start()
         try:
             fit(X, y, ModelConfig(variant, net))
@@ -357,8 +382,7 @@ class TestInputBoundary:
             assert len(predict(model, X * 1e4)) == len(y)
 
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
-    @pytest.mark.parametrize("net,branch", [(small_net(), "primal"),
-                                            (small_net(m=10, p=10, q=20), "dual")])
+    @pytest.mark.parametrize("net,branch", [(small_net(), "primal"), (DUAL, "dual")])
     def test_fit_checks_x_once(self, variant, net, branch, blobs, monkeypatch):
         # Only the N x d input is scanned; the normalized X, the weights'
         # inputs, the state matrix G and the targets T are not.
@@ -369,8 +393,7 @@ class TestInputBoundary:
         assert calls == [("X", X.shape)]
 
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
-    @pytest.mark.parametrize("net,branch", [(small_net(), "primal"),
-                                            (small_net(m=10, p=10, q=20), "dual")])
+    @pytest.mark.parametrize("net,branch", [(small_net(), "primal"), (DUAL, "dual")])
     def test_predict_checks_x_test_once(self, variant, net, branch, blobs, monkeypatch):
         # _test_rows checks X_test; the forward pass does not check it again.
         X, y = blobs
@@ -689,8 +712,8 @@ class TestPersistence:
                 assert a.read() == b.read()
 
     def test_dual_model_round_trip(self, blobs, tmp_path):
-        X, y = blobs  # 80 samples, width 120
-        model = fit(X, y, ModelConfig("f-bls", small_net(m=10, p=10, q=20)))
+        X, y = blobs  # 80 samples, solved width 83
+        model = fit(X, y, ModelConfig("f-bls", DUAL))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
