@@ -168,17 +168,23 @@ def check_seed(seed, name: str) -> int:
     return _check_integer(seed, 0, f"{name} must be a nonnegative integer")
 
 
-def _check_positive(value, name: str, zero: bool = False) -> None:
-    """Raise ConfigError unless value is a finite real (no bool) > 0, or >= 0 with zero."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and (value >= 0 if zero else value > 0))):
-        raise ConfigError(f"{name} must be {'nonnegative' if zero else 'positive'}, got {value!r}")
+def _check_positive(value, name: str, zero: bool = False, rule: str = "") -> None:
+    """Raise ConfigError unless value is a real (no bool) within float64's
+    finite range, > 0, or >= 0 with zero. The message says that name must be
+    rule, by default positive, or nonnegative with zero."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value) and (value >= 0 if zero else value > 0))
+    except OverflowError:  # math.isfinite of a real beyond float64, such as the int 10**400
+        ok = False
+    if not ok:
+        rule = rule or ("nonnegative" if zero else "positive")
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 def make_folds(n: int, k: int, seed: int) -> FoldPlan:
     """Deterministic shuffled round-robin fold assignment."""
-    if k < 2:
-        raise ConfigError(f"k must be >= 2, got {k}")
+    k = _check_integer(k, 2, "k must be an integer >= 2")
     if k > n:
         raise ConfigError(f"k = {k} exceeds the sample count {n}")
     perm = np.random.default_rng(check_seed(seed, "fold seed")).permutation(n)
@@ -195,7 +201,8 @@ def inject_gaussian_noise(ds: Dataset, level: float, seed: int) -> Dataset:
     Unselected rows and all labels are untouched; the input dataset is
     never mutated.
     """
-    if not (0.0 <= level <= 100.0):
+    _check_positive(level, "noise level", zero=True, rule="in [0, 100]")
+    if level > 100.0:
         raise ConfigError(f"noise level must be in [0, 100], got {level!r}")
     rng = np.random.default_rng(check_seed(seed, "noise seed"))
     n = ds.n_samples

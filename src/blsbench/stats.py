@@ -56,7 +56,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import if_scores, linalg, network, trainer
-from .data import Dataset, FoldPlan, _check_integer
+from .data import Dataset, FoldPlan, _check_integer, _check_positive
 from .errors import ClassBalanceError, ConfigError
 from .trainer import ModelConfig
 
@@ -416,8 +416,7 @@ def win_tie_loss(a, b, tie_tol: float = DEFAULT_TIE_TOL) -> WinTieLoss:
     contribute toward its victory total when testing the threshold
     K/2 + 1.96*sqrt(K)/2. tie_tol must be finite and non-negative.
     """
-    if not (np.isfinite(tie_tol) and tie_tol >= 0.0):
-        raise ConfigError(f"tie_tol must be finite and non-negative, got {tie_tol!r}")
+    _check_positive(tie_tol, "tie_tol", zero=True, rule="finite and non-negative")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.shape[0] < 1:

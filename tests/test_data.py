@@ -171,13 +171,21 @@ class TestFolds:
         assert not np.array_equal(a.assignments, c.assignments)
 
     @pytest.mark.parametrize("n,k,message", [
-        (10, 1, "k must be >= 2, got 1"),
-        (10, 0, "k must be >= 2, got 0"),
+        (10, 1, "k must be an integer >= 2, got 1"),
+        (10, 0, "k must be an integer >= 2, got 0"),
+        (10, 2.0, "k must be an integer >= 2, got 2.0"),
+        (10, True, "k must be an integer >= 2, got True"),
         (4, 5, "k = 5 exceeds the sample count 4"),
     ])
     def test_fold_count_out_of_range_rejected(self, n, k, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError) as exc:
             data.make_folds(n, k, seed=0)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_fold_count_accepted(self):
+        plan = data.make_folds(23, np.int64(5), 3)
+        assert plan.k == 5 and type(plan.k) is int
+        np.testing.assert_array_equal(plan.assignments, data.make_folds(23, 5, 3).assignments)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, np.int64(-1)])
     def test_bad_seed_rejected(self, seed):
@@ -262,6 +270,12 @@ class TestNoise:
         with pytest.raises(ConfigError) as exc:
             data.inject_gaussian_noise(self.make_ds(), level=level, seed=seed)
         assert str(exc.value) == f"noise seed must be a nonnegative integer, got {seed!r}"
+
+    @pytest.mark.parametrize("level", ["50", True, None, -1, 101.0, float("nan")])
+    def test_level_outside_the_rule_is_config_error(self, level):
+        with pytest.raises(ConfigError) as exc:
+            data.inject_gaussian_noise(self.make_ds(), level=level, seed=0)
+        assert str(exc.value) == f"noise level must be in [0, 100], got {level!r}"
 
     def test_invalid_level_rejected(self):
         ds = self.make_ds()

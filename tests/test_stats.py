@@ -700,6 +700,12 @@ class TestWinTieLoss:
         with pytest.raises(ConfigError, match="tie_tol must be finite and non-negative"):
             stats.win_tie_loss(np.ones(5), np.zeros(5), tie_tol)
 
+    @pytest.mark.parametrize("tie_tol", ["x", "0.1", True, None])
+    def test_tie_tol_that_is_not_a_real_rejected(self, tie_tol):
+        with pytest.raises(ConfigError) as exc:
+            stats.win_tie_loss(np.ones(5), np.zeros(5), tie_tol)
+        assert str(exc.value) == f"tie_tol must be finite and non-negative, got {tie_tol!r}"
+
     @pytest.mark.parametrize("a,b,message", [
         (np.ones(3), np.ones(2), "equal-length nonempty flat sequences"),
         (np.ones((2, 2)), np.ones((2, 2)), "equal-length nonempty flat sequences"),

@@ -63,7 +63,9 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="delta must be positive"):
             ModelConfig("f-bls", small_net(), delta=delta)
 
-    @pytest.mark.parametrize("c_reg", [0.0, -1.0, np.nan, np.inf, True, "1", None])
+    @pytest.mark.parametrize("c_reg", [0.0, -1.0, np.nan, np.inf, True, "1", None,
+                                       pytest.param(10**400, id="int-beyond-float64"),
+                                       pytest.param(-10**400, id="negative-int-beyond-float64")])
     def test_invalid_c_reg_rejected(self, c_reg):
         with pytest.raises(ConfigError, match="c_reg must be positive"):
             ModelConfig("bls", small_net(), c_reg=c_reg)
@@ -310,6 +312,56 @@ def corrupt(X, kind, rows):
     else:
         X[rows[0], 1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind]
     return X
+
+
+class TestLowRankStep:
+    # Under a linear feature map fit solves on the r = k + q columns of the
+    # solved layer's state matrix, k = min(m p, d + 1), and maps the solution
+    # back. Its test scores are checked against the SVD ridge solution on the
+    # full state matrix G, which forms no normal equations, at every power of
+    # 10 from 1e-6 to 1e6. The relative error of the normal equations grows
+    # with the condition number of G'S^2G + I/C, at most linear in C; the
+    # bound is 1e-13 + 1e-12 C, at least 4x the largest error measured.
+    C_VALUES = [10.0**e for e in range(-6, 7)]
+
+    @pytest.mark.parametrize("variant,n_per,d,net,mu,branch", [
+        ("bls", 200, 10, NetworkConfig(m=9, p=30, q=105), None, "primal"),  # k = d + 1
+        ("bls", 200, 10, NetworkConfig(m=2, p=4, q=20), None, "primal"),  # k = m p = 8
+        ("bls", 30, 10, NetworkConfig(m=5, p=10, q=80), None, "dual"),  # r = 91 > N = 60
+        ("f-bls", 200, 10, NetworkConfig(m=21, p=50, q=105), None, "primal"),
+        ("if-bls", 100, 4, NetworkConfig(m=5, p=10, q=25), 0.5, "primal"),  # 42 zero weights
+    ])
+    def test_scores_match_the_svd_ridge_solution_per_c(self, variant, n_per, d, net, mu,
+                                                       branch):
+        X, y = make_blobs(n_per, [(0.0,) * d, (1.0,) * d], 1.0, seed=1)
+        X_test, _ = make_blobs(50, [(0.0,) * d, (1.0,) * d], 1.0, seed=101)
+        extra = {} if mu is None else {"kernel": KernelParams(mu=mu)}
+        for c_reg in self.C_VALUES:
+            model = fit(X, y, ModelConfig(variant, net, c_reg=c_reg, **extra))
+            assert model.solve_branch_used == branch
+            G = network.state_matrix(model.layer, model.norm_state.apply(X))
+            T = np.eye(2)[[model.class_labels.index(str(v)) for v in y]]
+            W = oracles.svd_ridge(G, model.score_vector, T, c_reg)
+            want = network.state_matrix(model.layer, model.norm_state.apply(X_test)) @ W
+            error = np.abs(trainer.decision_scores(model, X_test) - want).max()
+            assert error <= (1e-13 + 1e-12 * c_reg) * np.abs(want).max(), c_reg
+        if mu is not None:  # the weight vector holds zeros, and not only zeros
+            assert 0 < np.count_nonzero(model.score_vector == 0.0) < len(y)
+
+    def test_solved_layer_is_the_layer_on_k_columns(self):
+        # The solved layer's state matrix U and the back-map Q give the state
+        # matrix G = [U_1 Q', U_2]; under a nonlinear feature map U is G.
+        X = np.random.default_rng(4).uniform(size=(30, 3))
+        for net, k in ((small_net(m=3, p=5), 4), (small_net(m=1, p=3), 3)):
+            layer = network.init_random_layer(net, 3)
+            solved, Q = network._solved_layer(layer)
+            assert solved.config == network._solved_config(net, 3)
+            assert Q.shape == (net.m * net.p, k) and solved.config.width == k + net.q
+            np.testing.assert_allclose(Q.T @ Q, np.eye(k), atol=1e-14)
+            U, G = network.state_matrix(solved, X), network.state_matrix(layer, X)
+            np.testing.assert_allclose(np.hstack((U[:, :k] @ Q.T, U[:, k:])), G, atol=1e-13)
+        tanh = network.init_random_layer(small_net(feature_activation="tanh"), 3)
+        assert network._solved_layer(tanh) == (tanh, None)
 
 
 class TestInputBoundary:
