@@ -157,12 +157,13 @@ def _solved_layer(layer: RandomLayer) -> tuple[RandomLayer, Optional[np.ndarray]
     on G is [Q b1; b2] for the solution b on U, b1 its first k rows
     (linalg._output_weights), and the N x m*p block Z is never formed.
     """
-    cfg, d = layer.config, layer.input_dim
-    if cfg.feature_activation != "linear":
+    d = layer.input_dim
+    solved = _solved_config(layer.config, d)
+    if solved is layer.config:
         return layer, None
     Wf = np.vstack((np.hstack(layer.feature_weights), np.hstack(layer.feature_biases)))
     Q, R = np.linalg.qr(Wf.T)
-    return RandomLayer(_solved_config(cfg, d), d, (R.T[:d],), (R.T[d:],),
+    return RandomLayer(solved, d, (R.T[:d],), (R.T[d:],),
                        tuple(Q.T @ W for W in layer.enhancement_weights),
                        layer.enhancement_biases), Q
 

@@ -15,8 +15,8 @@ fit is the validation boundary: it checks X, the labels and the feature
 ranges once (_prepare), then runs the private steps of the layer modules
 (fuzzy._scores, if_scores._score_vector, network._solved_layer,
 network._forward, linalg._gram, linalg._output_weights), which trust
-their inputs. decision_scores is
-_test_rows, its checks of X_test, then network._forward.
+their inputs. decision_scores is _test_rows, its checks of X_test, then
+network._forward.
 
 fit is _prepare, _sample_weights, then _states and the ridge step
 linalg._output_weights for one C, in the buffers of a _scratch sized for
@@ -24,11 +24,11 @@ its network. stats' cross-validation engine runs the same steps, each at
 the level where it varies: _prepare, _test_rows and _sample_weights once
 per fold and weighting of a run; _states once per network and fold,
 drawing the layer and its solved layer on the network's first; and the
-ridge step once per
-weighting, for all its C values; in the buffers of one _scratch sized for
-its largest network. So fit and every fold write the state matrix, the
-system and the factor copies into buffers of linalg._buffer_sizes'
-layout, which one memory model counts (_network_bytes).
+ridge step once per weighting, for all its C values; in the buffers of
+one _scratch sized for its largest network. So fit and every fold write
+the N x r state matrix, the system of order min(r, N) and the factor
+copies into buffers of linalg._buffer_sizes' layout, which one memory
+model counts (_network_bytes).
 """
 
 from __future__ import annotations
