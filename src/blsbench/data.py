@@ -168,13 +168,15 @@ def check_seed(seed, name: str) -> int:
     return _check_integer(seed, 0, f"{name} must be a nonnegative integer")
 
 
-def _check_positive(value, name: str, zero: bool = False, rule: str = "") -> None:
+def _check_positive(value, name: str, zero: bool = False, rule: str = "",
+                    most: float = math.inf) -> None:
     """Raise ConfigError unless value is a real (no bool) within float64's
-    finite range, > 0, or >= 0 with zero. The message says that name must be
-    rule, by default positive, or nonnegative with zero."""
+    finite range, > 0, or >= 0 with zero, and at most most. The message says
+    that name must be rule, by default positive, or nonnegative with zero."""
     try:
         ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
-              and math.isfinite(value) and (value >= 0 if zero else value > 0))
+              and math.isfinite(value) and (value >= 0 if zero else value > 0)
+              and value <= most)
     except OverflowError:  # math.isfinite of a real beyond float64, such as the int 10**400
         ok = False
     if not ok:
@@ -201,9 +203,7 @@ def inject_gaussian_noise(ds: Dataset, level: float, seed: int) -> Dataset:
     Unselected rows and all labels are untouched; the input dataset is
     never mutated.
     """
-    _check_positive(level, "noise level", zero=True, rule="in [0, 100]")
-    if level > 100.0:
-        raise ConfigError(f"noise level must be in [0, 100], got {level!r}")
+    _check_positive(level, "noise level", zero=True, rule="in [0, 100]", most=100.0)
     rng = np.random.default_rng(check_seed(seed, "noise seed"))
     n = ds.n_samples
     n_corrupt = int(round(level / 100.0 * n))

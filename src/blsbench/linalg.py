@@ -8,9 +8,9 @@ for a diagonal sample-weight matrix S. The primal form factorizes an
 r x r system, the dual form an N x N system; they are algebraically
 identical via the push-through identity, and the caller picks whichever
 dimension is smaller. G is the N x r state matrix of the layer that
-network._solved_layer gives: under a linear feature map r = k + l*q with
-k = min(m*p, d+1), and the solution is mapped back to the m*p + l*q rows
-of the network's own output weights. _output_weights, the one ridge step,
+network._solved_layer gives: under a linear feature map of m*p > d+1
+columns r = k + l*q with k = d+1, and the solution is mapped back to the
+m*p + l*q rows of the network's own output weights. _output_weights, the one ridge step,
 builds the part of the system that C leaves alone and solves it for each
 C by _solve_system, in buffers of the layout that _buffer_sizes states.
 
@@ -25,8 +25,9 @@ are the program's only parallelism.
 The thread cap and the solve find the OpenBLAS libraries that the numpy
 and scipy wheels bundle from where the packages are installed, without
 importing scipy. _solve_system calls LAPACK's dpotrf, dpotrs, dgetrf and
-dgetrs through ctypes: the routines and operands that scipy.linalg would
-use, so its results are bit for bit those of scipy.linalg. They come from
+dgetrs through ctypes, and _thin_qr dgeqrf and dorgqr: the routines and
+operands that scipy.linalg would use, so their results are bit for bit
+those of scipy.linalg. They come from
 scipy's bundle, so no command imports scipy.linalg; only a scipy built
 against another BLAS, whose wheel bundles no OpenBLAS, has them taken from
 scipy.linalg.cython_lapack, which imports scipy.linalg.
@@ -85,17 +86,21 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-# The arguments of the four LAPACK routines _solve_system calls, in order,
-# before INFO: all by reference, the integers 32-bit (scipy's LAPACK is LP64)
-# and each matrix a writeable column-major float64 array.
+# The arguments of the LAPACK routines that _solve_system and _thin_qr call,
+# in order, before INFO: all by reference, the integers 32-bit (scipy's
+# LAPACK is LP64), each matrix a writeable column-major float64 array and
+# each vector a writeable float64 one.
 _CHAR, _INT = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
 _MATRIX = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS,WRITEABLE")
+_VECTOR = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
 _PIVOTS = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
 _LAPACK_ARGS = {
     "dpotrf": [_CHAR, _INT, _MATRIX, _INT],
     "dpotrs": [_CHAR, _INT, _INT, _MATRIX, _INT, _MATRIX, _INT],
     "dgetrf": [_INT, _INT, _MATRIX, _INT, _PIVOTS],
     "dgetrs": [_CHAR, _INT, _INT, _MATRIX, _INT, _PIVOTS, _MATRIX, _INT],
+    "dgeqrf": [_INT, _INT, _MATRIX, _INT, _VECTOR, _VECTOR, _INT],
+    "dorgqr": [_INT, _INT, _INT, _MATRIX, _INT, _VECTOR, _VECTOR, _INT],
 }
 
 
@@ -232,8 +237,12 @@ def _output_weights(G: np.ndarray, gram, s: np.ndarray, T: np.ndarray, c_regs,
     for c in c_regs:
         W = _solve_system(A, r, rhs, float(c), scratch)
         W = np.ascontiguousarray(W if r is None else G.T @ W)
-        if back is not None:
-            W = np.vstack((back @ W[:back.shape[1]], W[back.shape[1]:]))
+        if back is not None:  # Q b1 written into its rows of [Q b1; b2], with no temporary
+            m, k = back.shape
+            out = np.empty((m + len(W) - k, W.shape[1]))
+            np.matmul(back, W[:k], out=out[:m])
+            out[m:] = W[k:]
+            W = out
         weights.append(W)
     return weights
 
@@ -274,6 +283,20 @@ def _solve_system(A: np.ndarray, r, rhs: np.ndarray, c_reg: float, scratch: dict
         raise FactorizationFailure("I/C + S^2GG' is singular")
     _call_lapack("dgetrs", b"N", n, k, a, n, pivots, b, n)
     return b
+
+
+def _thin_qr(a: np.ndarray) -> np.ndarray:
+    """The thin QR a = Q R of a column-major m x n array with m >= n, made in
+    place: a is overwritten with Q, whose n columns are orthonormal, and the
+    n x n upper-triangular R is returned. dgeqrf and dorgqr, the routines
+    and operands of scipy.linalg.qr(a, mode="economic"), work in a itself,
+    so no m x n copy is made."""
+    m, n = a.shape
+    tau, work = np.empty(n), np.empty(64 * n)  # room for a block of 64 columns
+    _call_lapack("dgeqrf", m, n, a, m, tau, work, work.size)
+    R = np.triu(a[:n])
+    _call_lapack("dorgqr", m, n, n, a, m, tau, work, work.size)
+    return R
 
 
 def pairwise_sq_dist(A, B) -> np.ndarray:

@@ -7,9 +7,9 @@ blocks is the state matrix G, whose product with the output weights
 scores a row.
 
 The output-layer solver trains on the state matrix of _solved_layer's
-layer: under a linear feature map an equivalent layer of one feature group
-of k = min(m*p, d+1) columns, whose state matrix has r = k + l*q columns,
-not m*p + l*q; under a nonlinear one the layer itself.
+layer: under a linear feature map of m*p > d+1 columns an equivalent layer
+of one feature group of k = d+1 columns, whose state matrix has
+r = k + l*q columns, not m*p + l*q; otherwise the layer itself.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import _check_integer, check_seed
 from .errors import ConfigError, DimensionMismatch
-from .linalg import as_matrix
+from .linalg import _thin_qr, as_matrix
 
 __all__ = [
     "FEATURE_ACTIVATIONS",
@@ -135,34 +135,39 @@ def init_random_layer(cfg: NetworkConfig, input_dim: int) -> RandomLayer:
 
 def _solved_config(cfg: NetworkConfig, input_dim: int) -> NetworkConfig:
     """The config of _solved_layer's layer on input_dim inputs: under a
-    linear feature map one feature group of k = min(m*p, input_dim + 1)
-    columns and cfg's enhancement groups, else cfg itself."""
-    if cfg.feature_activation != "linear":
+    linear feature map of m*p > input_dim + 1 columns one feature group of
+    k = input_dim + 1 columns and cfg's enhancement groups, else cfg itself."""
+    if cfg.feature_activation != "linear" or cfg.m * cfg.p <= input_dim + 1:
         return cfg
-    return dataclasses.replace(cfg, m=1, p=min(cfg.m * cfg.p, input_dim + 1))
+    return dataclasses.replace(cfg, m=1, p=input_dim + 1)
 
 
 def _solved_layer(layer: RandomLayer) -> tuple[RandomLayer, Optional[np.ndarray]]:
     """The layer whose state matrix U the ridge step solves on, and the
-    back-map Q from its output weights to layer's; (layer, None) under a
-    nonlinear feature map, where U is layer's G.
+    back-map Q from its output weights to layer's; (layer, None) where
+    _solved_config leaves the config as it is, and U is layer's G.
 
     Under a linear feature map the feature block is Z = [X 1] Wf, with Wf
     the (d+1) x m*p stack of the feature weights over their biases, so its
     rank is at most d+1. With the thin QR Wf' = Q R (Q of m*p x k with
-    orthonormal columns, R of k x (d+1)), Z = [X 1] R' Q', and
-    G = [Z H] = U diag(Q', I) for U = [[X 1] R', H]: the state matrix of a
-    layer with one linear feature group, R' over its bias row, and the
+    orthonormal columns, R of k x (d+1), k = d+1 < m*p), Z = [X 1] R' Q',
+    and G = [Z H] = U diag(Q', I) for U = [[X 1] R', H]: the state matrix
+    of a layer with one linear feature group, R' over its bias row, and the
     enhancement weights Q' We_j with the same biases. So the ridge solution
     on G is [Q b1; b2] for the solution b on U, b1 its first k rows
     (linalg._output_weights), and the N x m*p block Z is never formed.
+    Wf' is written group by group into the array that the QR then
+    overwrites with Q, so the step makes no other m*p x k array.
     """
-    d = layer.input_dim
-    solved = _solved_config(layer.config, d)
-    if solved is layer.config:
+    cfg, d = layer.config, layer.input_dim
+    solved = _solved_config(cfg, d)
+    if solved is cfg:
         return layer, None
-    Wf = np.vstack((np.hstack(layer.feature_weights), np.hstack(layer.feature_biases)))
-    Q, R = np.linalg.qr(Wf.T)
+    Q = np.empty((cfg.m * cfg.p, d + 1), order="F")
+    for g, (W, b) in enumerate(zip(layer.feature_weights, layer.feature_biases)):
+        Q[g * cfg.p:(g + 1) * cfg.p, :d] = W.T
+        Q[g * cfg.p:(g + 1) * cfg.p, d] = b[0]
+    R = _thin_qr(Q)
     return RandomLayer(solved, d, (R.T[:d],), (R.T[d:],),
                        tuple(Q.T @ W for W in layer.enhancement_weights),
                        layer.enhancement_biases), Q

@@ -14,7 +14,7 @@ computes each quantity at the level where it varies:
   (network._solved_layer), and buffers for the arrays below, each sized
   once for the slice's largest network (trainer._scratch);
 - per network and fold: the solved layer's training state matrix U (of
-  r = k + l*q columns under a linear feature map, k = min(m*p, d+1)) and
+  r = min(m*p, d+1) + l*q columns under a linear feature map) and
   the dual's U U', written into their buffers (trainer._states), and the
   test state matrix of the network's own layer;
 - per weighting: the ridge step (linalg._output_weights), which builds

@@ -4,10 +4,10 @@ Fitting builds the random layer, forms the state matrix, computes the
 per-sample weight vector for the chosen variant (all-ones for plain BLS),
 and solves the weighted ridge problem for the output weights, picking the
 primal or dual form by comparing the width r of the matrix it solves on
-against the sample count. Under a linear feature map that matrix is the
-state matrix of network._solved_layer's equivalent layer, r = k + l*q
-with k = min(m*p, d+1), and its solution is mapped back to the network's
-m*p + l*q output weights; under a nonlinear one it is the state matrix
+against the sample count. Under a linear feature map of m*p > d+1 columns
+that matrix is the state matrix of network._solved_layer's equivalent
+layer, r = k + l*q with k = d+1, and its solution is mapped back to the
+network's m*p + l*q output weights; otherwise it is the state matrix
 itself, r = m*p + l*q. Prediction replays normalization and the frozen
 random layer, then takes a per-row argmax over the class columns.
 
@@ -185,19 +185,22 @@ class TrainedModel:
     norm_state: NormState
     class_labels: tuple[str, ...]
     score_vector: np.ndarray = field(repr=False)
-
-    @property
-    def solve_branch_used(self) -> str:
-        """The system fit solved, from the width of the matrix it solved on
-        and the training-row count."""
-        solved = network._solved_config(self.config.network, self.layer.input_dim)
-        return _solve_branch(solved.width, self.score_vector.shape[0])
+    solve_branch_used: str  # the system fit solved: "primal" or "dual"
 
 
 def _solve_branch(width: int, n_samples: int) -> str:
     """Solve the smaller system on an N x width state matrix: primal is
     width x width, dual is N x N."""
     return "primal" if width <= n_samples else "dual"
+
+
+def _solve_branches(net: network.NetworkConfig, input_dim: int, n_samples: int) -> list:
+    """The branches that a model file of net on n_samples training rows may
+    hold: the one fit solves, on the solved layer's width, then the one a
+    fit before the low-rank ridge step solved, on the full width, where
+    that differs."""
+    widths = (network._solved_config(net, input_dim).width, net.width)
+    return list(dict.fromkeys(_solve_branch(w, n_samples) for w in widths))
 
 
 def _classes(labels, variant: str) -> tuple[str, ...]:
@@ -321,7 +324,8 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     (layer, _, back), U, gram = _states(cfg.network, None, Xn, scratch)
     (w_out,) = linalg._output_weights(U, gram, scores, np.eye(len(class_labels))[indices],
                                       [cfg.c_reg], scratch, back)
-    return TrainedModel(cfg, layer, w_out, norm, class_labels, scores)
+    return TrainedModel(cfg, layer, w_out, norm, class_labels, scores,
+                        "primal" if gram is None else "dual")
 
 
 @linalg._single_threaded_blas()
@@ -355,7 +359,8 @@ def accuracy(model: TrainedModel, X, labels: Sequence) -> float:
 # as float.hex() so round trips are bit-exact. load_model accepts a file only
 # if the decoded model's document matches it: arrays by their shape as
 # written, everything else as JSON. What that comparison cannot see has one
-# owner each: _classes, _model_from_doc's finite check, _check_score_vector.
+# owner each: _classes, _model_from_doc's finite check and its check of
+# solve_branch_used against _solve_branches, _check_score_vector.
 
 
 def _hex(key: str, value):
@@ -472,8 +477,10 @@ def _cut(text: str, start: int) -> str:
 def _model_from_doc(doc: dict) -> TrainedModel:
     """The model a document decodes to, each array in the shape that the
     config, input_dim and the classes give it (the layer's by
-    network._stages). Decoding takes each array's "hex" list out of doc,
-    leaving what load_model compares."""
+    network._stages), and its solve_branch_used one of _solve_branches, so
+    a file written before the low-rank ridge step keeps the branch it
+    holds. Decoding takes each array's "hex" list out of doc, leaving what
+    load_model compares."""
     flat = {k: doc[k] for k in ("variant", "c_reg", "delta")}
     for group in ("network", "kernel"):
         flat.update(doc[group] if isinstance(doc[group], dict) else {})
@@ -506,13 +513,20 @@ def _model_from_doc(doc: dict) -> TrainedModel:
         arrays(f"{name}_{part}", shape, groups)
         for name, _, groups, rows, cols in network._stages(net, input_dim)
         for part, shape in (("weights", (rows, cols)), ("biases", (1, cols)))))
+    score_vector = arrays("score_vector", (-1,))
+    branch, branches = doc["solve_branch_used"], _solve_branches(
+        net, input_dim, score_vector.shape[0])
+    if branch not in branches:
+        raise DataFormatError(f"solve_branch_used is {json.dumps(branch)} where fit solves "
+                              + " or ".join(map(json.dumps, branches)))
     return TrainedModel(
         config=cfg,
         layer=layer,
         w_out=arrays("w_out", (net.width, len(labels))),
         norm_state=NormState(arrays("norm_min", (input_dim,)), arrays("norm_range", (input_dim,))),
         class_labels=labels,
-        score_vector=arrays("score_vector", (-1,)),
+        score_vector=score_vector,
+        solve_branch_used=branch,
     )
 
 

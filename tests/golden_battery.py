@@ -11,12 +11,13 @@ that rewrites any golden file lists it in CHANGES.md.
 
 The battery covers bls, f-bls and if-bls, a 3-class bls dataset, one
 primal and one dual width (a 96-row training complement against widths 20
-and 110), and grid search at --jobs 1 and 2 on an f-bls delta grid and an
-if-bls mu and epsilon grid whose mu = 2^-5 gives all-zero weights. Each
-variant is trained on all 120 rows of two_class.csv at a primal and a dual
-width and predicts features.csv, and so is bls under each nonlinear feature
-map (tanh and sigmoid); noise corrupts two_class.csv, and stats reports on
-the published 28 x 7 table.
+and 200, whose linear feature map solves on 15 and 105 columns), and grid
+search at --jobs 1 and 2 over a primal and a dual network on an f-bls
+delta grid and an if-bls mu and epsilon grid whose mu = 2^-5 gives
+all-zero weights. Each variant is trained on all 120 rows of
+two_class.csv at a primal and a dual width and predicts features.csv, and
+so is bls under each nonlinear feature map (tanh and sigmoid); noise
+corrupts two_class.csv, and stats reports on the published 28 x 7 table.
 """
 
 from __future__ import annotations
@@ -36,22 +37,28 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 WIDTHS = {"primal": ["--m", "2", "--p", "5", "--q", "10"],
-          "dual": ["--m", "2", "--p", "50", "--q", "10"]}
+          "dual": ["--m", "2", "--p", "50", "--q", "100"]}
 SEEDS = ["--k", "5", "--fold-seed", "1", "--seed", "2"]
-_BASE_GRID = "[grid]\nc_reg = 0.01, 1, 100\nm = 2\np = 5, 50\nq = 10\n"
+_BASE_GRID = "[grid]\nc_reg = 0.01, 1, 100\nm = 2\np = 5\nq = 10, 100\n"
 GRIDS = {
     "bls": ("two_class.csv", "bls", _BASE_GRID),
     "f-bls": ("two_class.csv", "f-bls", _BASE_GRID + "delta = 0.0001, 0.1\n"),
     "if-bls": ("two_class.csv", "if-bls",
                _BASE_GRID + "mu = 0.03125, 0.5, 2\nepsilon = median_heuristic, 0.8\n"),
-    "bls3": ("three_class.csv", "bls", "[grid]\nc_reg = 0.1, 10\nm = 2\np = 5, 30\nq = 20\n"),
+    "bls3": ("three_class.csv", "bls", "[grid]\nc_reg = 0.1, 10\nm = 2\np = 5\nq = 20, 80\n"),
 }
 JOBS = ("1", "2")
-# train fits all 120 rows of two_class.csv, so its dual width must exceed 120.
-TRAIN_WIDTHS = {"primal": WIDTHS["primal"], "dual": ["--m", "3", "--p", "50", "--q", "10"]}
-# Each variant trains under the default linear feature map, and bls under each of these too.
-TRAININGS = [(variant, []) for variant in ("bls", "f-bls", "if-bls")] + [
-    (f"bls_{act}", ["--feature-activation", act]) for act in ("tanh", "sigmoid")]
+# train fits all 120 rows of two_class.csv, so its dual width must exceed 120:
+# under the linear feature map the 5 + l*q columns it solves on, under tanh
+# and sigmoid the width m*p + l*q.
+TRAIN_WIDTHS = {"primal": WIDTHS["primal"], "dual": ["--m", "3", "--p", "50", "--q", "120"]}
+NONLINEAR_TRAIN_WIDTHS = {"primal": WIDTHS["primal"],
+                          "dual": ["--m", "3", "--p", "50", "--q", "10"]}
+# (name, flags, widths): each variant trains under the default linear feature
+# map, and bls under each nonlinear one too.
+TRAININGS = [(variant, [], TRAIN_WIDTHS) for variant in ("bls", "f-bls", "if-bls")] + [
+    (f"bls_{act}", ["--feature-activation", act], NONLINEAR_TRAIN_WIDTHS)
+    for act in ("tanh", "sigmoid")]
 STATS_REPORTS = ("ranks.csv", "friedman.csv", "wilcoxon.csv", "win_tie_loss.csv")
 
 
@@ -113,8 +120,8 @@ def commands(inputs: Path, work: Path):
                 "gridsearch", "--data", str(inputs / data), "--variant", variant,
                 "--grid", str(grid_path), *SEEDS, "--jobs", jobs, "--out", str(out)], \
                 {f"gridsearch_{name}.csv": out}
-    for name, activation in TRAININGS:
-        for width, flags in TRAIN_WIDTHS.items():
+    for name, activation, widths in TRAININGS:
+        for width, flags in widths.items():
             model = work / f"train_{name}_{width}.model"
             yield model.name, ["train", *two_class, "--variant", name.split("_")[0], *flags,
                                *activation, "--seed", "2", "--out", str(model)], \

@@ -88,20 +88,23 @@ def fit_w_out(X, labels, cfg):
     """fit's output weights composed from fresh arrays: the matrix the ridge
     step solves on, then the whole system, U' (S^2 U) on the primal or
     S^2 (U U') on the dual, then scipy_solve; every step at one BLAS thread,
-    as fit runs. Under a linear feature map U is [Z, act(Z (Q' We_j) + be_j)]
-    with Z = Xn R'[:d] + R'[d], from the thin QR Wf' = Q R of the feature
-    weights stacked over their biases, and the solution b is mapped back to
-    [Q b1; b2], b1 its first k rows; under a nonlinear one U is the state
-    matrix G."""
+    as fit runs. Under a linear feature map of m*p > d+1 columns U is
+    [Z, act(Z (Q' We_j) + be_j)] with Z = Xn R'[:d] + R'[d], from
+    scipy.linalg's thin QR Wf' = Q R of the feature weights stacked over
+    their biases, and the solution b is mapped back to [Q b1; b2], b1 its
+    first k rows; otherwise U is the state matrix G."""
+    import scipy.linalg
+
     with linalg._single_threaded_blas():
         Xn, _, classes, indices = trainer._prepare(X, labels, cfg.variant)
         s = trainer._sample_weights(Xn, indices, cfg)
         s2 = s * s
         layer = network.init_random_layer(cfg.network, Xn.shape[1])
-        if cfg.network.feature_activation == "linear":
-            d, act = Xn.shape[1], ACTIVATIONS[cfg.network.enhancement_activation]
+        d, net = Xn.shape[1], cfg.network
+        if net.feature_activation == "linear" and net.m * net.p > d + 1:
+            act = ACTIVATIONS[net.enhancement_activation]
             Wf = np.vstack((np.hstack(layer.feature_weights), np.hstack(layer.feature_biases)))
-            Q, R = np.linalg.qr(Wf.T)
+            Q, R = scipy.linalg.qr(Wf.T, mode="economic")
             Z = Xn @ R.T[:d] + R.T[d:]
             U = np.hstack([Z] + [act(Z @ (Q.T @ W) + b) for W, b in
                                  zip(layer.enhancement_weights, layer.enhancement_biases)])

@@ -47,7 +47,7 @@ def test_battery_covers_every_golden_output(battery):
     stored |= set(json.loads(golden("models.json")))
     assert {name for name, _ in outputs(battery)} == stored
     assert {name for name, _, _ in battery} == set(json.loads(golden("stdout.json")))
-    trainings = 2 * len(gb.TRAININGS) * len(gb.TRAIN_WIDTHS)  # train and predict, per width
+    trainings = 2 * sum(len(widths) for *_, widths in gb.TRAININGS)  # train and predict
     assert len(battery) == 7 + len(gb.GRIDS) * len(gb.JOBS) + trainings + 2
 
 

@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,17 +246,21 @@ class TestFit:
         assert np.array_equal(fit(X, y, cfg).w_out, oracles.fit_w_out(X, y, cfg))
 
     @pytest.mark.parametrize("variant", ["bls", "f-bls"])
-    @pytest.mark.parametrize("branch,net", [("primal", NetworkConfig(m=10, p=30, q=600)),
-                                            ("dual", NetworkConfig(m=21, p=50, q=900))])
-    def test_peak_memory_is_the_memory_estimate(self, variant, branch, net):
+    @pytest.mark.parametrize("branch,net,d", [("primal", NetworkConfig(m=10, p=30, q=600), 10),
+                                              ("dual", NetworkConfig(m=21, p=50, q=900), 10),
+                                              ("primal", NetworkConfig(m=12, p=500, q=5), 130)],
+                             ids=["primal-net0", "dual-net1", "primal-wide-feature-map"])
+    def test_peak_memory_is_the_memory_estimate(self, variant, branch, net, d):
         # fit writes what its memory check counts: its peak is _network_bytes,
         # plus 3% for the vectors, the K-column arrays and numpy's ufunc
         # buffers (about 200 kB on a column block of the state matrix), plus
         # the N x d normalized rows. 800 rows of 10 features, solved on 611 and
         # 911 columns; on the dual an N x N bool mask (2.7% of _network_bytes)
-        # breaks the bound, and a third N x N float array more so.
-        X, y = make_blobs(400, [(0.0,) * 10, (1.0,) * 10], 1.0, seed=3)
-        assert trainer._solve_branch(solved_width(net, 10), len(y)) == branch
+        # breaks the bound, and a third N x N float array more so. On 130
+        # features the back-map Q of 6,000 x 131 outweighs the ridge step's
+        # buffers on 136 columns; a copy of Wf' in the QR breaks the bound.
+        X, y = make_blobs(400, [(0.0,) * d, (1.0,) * d], 1.0, seed=3)
+        assert trainer._solve_branch(solved_width(net, d), len(y)) == branch
         tracemalloc.start()
         try:
             fit(X, y, ModelConfig(variant, net))
@@ -315,9 +320,11 @@ def corrupt(X, kind, rows):
 
 
 class TestLowRankStep:
-    # Under a linear feature map fit solves on the r = k + q columns of the
-    # solved layer's state matrix, k = min(m p, d + 1), and maps the solution
-    # back. Its test scores are checked against the SVD ridge solution on the
+    # Under a linear feature map of m p > d + 1 columns fit solves on the
+    # r = d + 1 + q columns of the solved layer's state matrix and maps the
+    # solution back; at m p <= d + 1 it solves on the state matrix G itself,
+    # as under a nonlinear map. Its test scores are checked against the SVD
+    # ridge solution on the
     # full state matrix G, which forms no normal equations, at every power of
     # 10 from 1e-6 to 1e6. The relative error of the normal equations grows
     # with the condition number of G'S^2G + I/C, at most linear in C; the
@@ -326,7 +333,7 @@ class TestLowRankStep:
 
     @pytest.mark.parametrize("variant,n_per,d,net,mu,branch", [
         ("bls", 200, 10, NetworkConfig(m=9, p=30, q=105), None, "primal"),  # k = d + 1
-        ("bls", 200, 10, NetworkConfig(m=2, p=4, q=20), None, "primal"),  # k = m p = 8
+        ("bls", 200, 10, NetworkConfig(m=2, p=4, q=20), None, "primal"),  # m p = 8: on G
         ("bls", 30, 10, NetworkConfig(m=5, p=10, q=80), None, "dual"),  # r = 91 > N = 60
         ("f-bls", 200, 10, NetworkConfig(m=21, p=50, q=105), None, "primal"),
         ("if-bls", 100, 4, NetworkConfig(m=5, p=10, q=25), 0.5, "primal"),  # 42 zero weights
@@ -350,18 +357,21 @@ class TestLowRankStep:
 
     def test_solved_layer_is_the_layer_on_k_columns(self):
         # The solved layer's state matrix U and the back-map Q give the state
-        # matrix G = [U_1 Q', U_2]; under a nonlinear feature map U is G.
+        # matrix G = [U_1 Q', U_2]; at m p <= d + 1, and under a nonlinear
+        # feature map, the solved layer is the layer.
         X = np.random.default_rng(4).uniform(size=(30, 3))
-        for net, k in ((small_net(m=3, p=5), 4), (small_net(m=1, p=3), 3)):
+        net = small_net(m=3, p=5)
+        layer = network.init_random_layer(net, 3)
+        solved, Q = network._solved_layer(layer)
+        assert solved.config == network._solved_config(net, 3)
+        assert Q.shape == (15, 4) and Q.flags.f_contiguous and solved.config.width == 4 + net.q
+        np.testing.assert_allclose(Q.T @ Q, np.eye(4), atol=1e-14)
+        U, G = network.state_matrix(solved, X), network.state_matrix(layer, X)
+        np.testing.assert_allclose(np.hstack((U[:, :4] @ Q.T, U[:, 4:])), G, atol=1e-13)
+        for net in (small_net(m=1, p=4), small_net(m=2, p=2), small_net(feature_activation="tanh")):
             layer = network.init_random_layer(net, 3)
-            solved, Q = network._solved_layer(layer)
-            assert solved.config == network._solved_config(net, 3)
-            assert Q.shape == (net.m * net.p, k) and solved.config.width == k + net.q
-            np.testing.assert_allclose(Q.T @ Q, np.eye(k), atol=1e-14)
-            U, G = network.state_matrix(solved, X), network.state_matrix(layer, X)
-            np.testing.assert_allclose(np.hstack((U[:, :k] @ Q.T, U[:, k:])), G, atol=1e-13)
-        tanh = network.init_random_layer(small_net(feature_activation="tanh"), 3)
-        assert network._solved_layer(tanh) == (tanh, None)
+            assert network._solved_config(net, 3) is net
+            assert network._solved_layer(layer) == (layer, None)
 
 
 class TestInputBoundary:
@@ -616,9 +626,9 @@ class TestPersistence:
         (lambda d: d.update(class_labels=["b", "a"]),
          'class_labels is ["b", "a"] where saving the model writes ["a", "b"]'),
         (lambda d: d.update(solve_branch_used="dual"),
-         'solve_branch_used is "dual" where saving the model writes "primal"'),
+         'solve_branch_used is "dual" where fit solves "primal"'),
         (lambda d: d.update(score_vector={"shape": [1], "hex": ["0x1.0000000000000p+0"]}),
-         'solve_branch_used is "primal" where saving the model writes "dual"'),
+         'solve_branch_used is "primal" where fit solves "dual"'),
         (lambda d: d["w_out"]["hex"].__setitem__(1, "nan"), "w_out holds a non-finite value"),
         (lambda d: d["norm_min"]["hex"].__setitem__(0, "inf"),
          "norm_min holds a non-finite value"),
@@ -773,6 +783,29 @@ class TestPersistence:
         assert loaded.solve_branch_used == "dual"
         np.testing.assert_array_equal(loaded.w_out, model.w_out)
         np.testing.assert_array_equal(loaded.score_vector, model.score_vector)
+
+    def test_file_written_before_the_low_rank_step_loads(self, tmp_path):
+        # tests/data/bls_dual_before_low_rank.model was saved by fit before
+        # the low-rank ridge step, which solved the dual on the full width 23
+        # of 12 rows; fit now solves the primal on 3 + 3 columns. The file
+        # loads with the branch it holds, predicts as it did when it was
+        # written, and saves to the same bytes.
+        path = Path(__file__).parent / "data" / "bls_dual_before_low_rank.model"
+        model = load_model(path)
+        net = model.config.network
+        assert (net.m, net.p, net.q, model.score_vector.size) == (4, 5, 3, 12)
+        assert trainer._solve_branches(net, 2, 12) == ["primal", "dual"]
+        assert model.solve_branch_used == "dual"
+        rng = np.random.default_rng(0)
+        rng.normal(size=(12, 2))  # the training rows
+        X_test = rng.normal(size=(8, 2)) + 0.5
+        assert predict(model, X_test) == ["b", "b", "a", "b", "a", "a", "b", "a"]
+        assert [float(v).hex() for v in trainer.decision_scores(model, X_test)[:, 0]] == [
+            "0x1.f894966f83689p-2", "0x1.fdabfeb4cfb0ap-3", "0x1.0964e55f86850p-1",
+            "0x1.a93b1ef5df654p-2", "0x1.307c2260f6ac2p-1", "0x1.1abd3cac9cd26p-1",
+            "0x1.bde00bbbe9a62p-2", "0x1.a48c9a0d92674p-1"]
+        save_model(model, tmp_path / "again.model")
+        assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
 
     def test_nan_delta_rejected(self, blobs, tmp_path):
         X, y = blobs
