@@ -133,8 +133,9 @@ def _lapack() -> dict:
 
 def _call_lapack(name: str, *args) -> int:
     """LAPACK routine name of _lapack() on args, given as bytes for a
-    character, int for an integer and the array itself for a matrix; its
-    INFO, which is >= 0 as a negative INFO (an illegal argument) raises."""
+    character, int for an integer and the array itself for a matrix or a
+    vector; its INFO, which is >= 0 as a negative INFO (an illegal
+    argument) raises."""
     routine = _lapack()[name]
     info = ctypes.c_int()
     refs = [ctypes.byref(ctypes.c_int(a)) if isinstance(a, int) else a for a in args]

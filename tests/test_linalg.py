@@ -121,6 +121,21 @@ class TestDirectLapack:
         # Both sources factorize copies: every C is solved from the same A and rhs.
         assert np.array_equal(A, A0) and np.array_equal(rhs, rhs0)
 
+    # Shapes of Wf' of the paper grid's widest network on 10 and on 57
+    # features, and one past dgeqrf's crossover to blocked code (128 columns).
+    @pytest.mark.parametrize("bundled", [True, False])
+    @pytest.mark.parametrize("m,n", [(1050, 11), (1050, 58), (400, 140)])
+    def test_thin_qr_is_scipy_linalg_bit_for_bit_in_place(self, m, n, bundled, monkeypatch):
+        import scipy.linalg
+
+        if not bundled:
+            without_bundled_lapack(monkeypatch)
+        a = np.asfortranarray(np.random.default_rng(m + n).uniform(-1.0, 1.0, size=(m, n)))
+        with linalg._single_threaded_blas():
+            Q_want, R_want = scipy.linalg.qr(a, mode="economic")
+            R = linalg._thin_qr(a)
+        assert np.array_equal(a, Q_want) and np.array_equal(R, R_want)
+
     @pytest.mark.parametrize("bundled", [True, False])
     def test_failed_cholesky_names_the_minor(self, bundled, monkeypatch):
         if not bundled:
