@@ -186,6 +186,7 @@ def _check_positive(value, name: str, zero: bool = False, rule: str = "",
 
 def make_folds(n: int, k: int, seed: int) -> FoldPlan:
     """Deterministic shuffled round-robin fold assignment."""
+    n = _check_integer(n, 0, "the sample count must be a nonnegative integer")
     k = _check_integer(k, 2, "k must be an integer >= 2")
     if k > n:
         raise ConfigError(f"k = {k} exceeds the sample count {n}")

@@ -76,14 +76,10 @@ class NetworkConfig:
         for name in ("m", "p", "l", "q"):
             object.__setattr__(self, name, _check_integer(
                 getattr(self, name), 1, f"{name} must be an integer >= 1"))
-        if self.feature_activation not in FEATURE_ACTIVATIONS:
-            raise ConfigError(
-                f"unknown feature activation {self.feature_activation!r}"
-            )
-        if self.enhancement_activation not in ENHANCEMENT_ACTIVATIONS:
-            raise ConfigError(
-                f"unknown enhancement activation {self.enhancement_activation!r}"
-            )
+        for kind, known in _ACTIVATIONS.items():
+            name = getattr(self, f"{kind}_activation")
+            if not isinstance(name, str) or name not in known:  # a list is unhashable
+                raise ConfigError(f"unknown {kind} activation {name!r}")
         object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
 
     @property

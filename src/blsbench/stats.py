@@ -13,10 +13,11 @@ computes each quantity at the level where it varies:
   cells: the random layer and the layer the ridge step solves on
   (network._solved_layer), and buffers for the arrays below, each sized
   once for the slice's largest network (trainer._scratch);
-- per network and fold: the solved layer's training state matrix U (of
-  r = min(m*p, d+1) + l*q columns under a linear feature map) and
-  the dual's U U', written into their buffers (trainer._states), and the
-  test state matrix of the network's own layer;
+- per network and fold: the memory check (trainer._network_bytes, which
+  counts the test state matrix too); the solved layer's training state
+  matrix U (of r = min(m*p, d+1) + l*q columns under a linear feature
+  map) and the dual's U U', written into their buffers (trainer._states),
+  and the N_test x (m*p + l*q) test state matrix of the network's layer;
 - per weighting: the ridge step (linalg._output_weights), which builds
   the system's C-free part, then per C solves it from a factor copy and
   maps the solution back to the network's output weights;
@@ -26,13 +27,13 @@ Every fold accuracy equals that of fit and accuracy on the same fold, bit
 for bit: fit runs the same steps (trainer._states and
 linalg._output_weights) on the same operands, in buffers of its own. A
 cell is one network, fold and weighting with all its C values; _cells
-runs cells in that order, and grid_search's worker processes each run one
-contiguous slice of them, merged in enumeration order. A fold whose
-training part breaks fit's class rule (a ClassBalanceError: a single
-class, or for f-bls and if-bls other than 2 classes or a class of one
-row) is skipped. The rule reads only the labels, the fold plan and the
-variant, so _evaluate decides it once per run, right after building the
-folds: a skipped fold has no cells, every result of the run shares one
+runs cells in that order, one contiguous slice of them per worker process
+of grid_search or one slice in this process, merged in enumeration order.
+A fold whose training part breaks fit's class rule (a ClassBalanceError:
+a single class, or for f-bls and if-bls other than 2 classes or a class
+of one row) is skipped. The rule reads only the labels, the fold plan and
+the variant, so _evaluate decides it once per run, right after building
+the folds: a skipped fold has no cells, every result of the run shares one
 tuple of skipped-fold notes, and a run whose every fold is skipped
 raises before any weight vector or worker. Any other error raises where
 it is found: one in building a fold or a weight vector stops the run
@@ -48,8 +49,10 @@ its statistics; the caller picks the significance level and the names.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
@@ -163,22 +166,19 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
     pairs = [(fold, weighting) for fold in folds for weighting in weightings.values()]
     parts, kinds = [folds[fold] for fold, _ in pairs], [weighting for _, weighting in pairs]
     workers = min(jobs, len(configs), len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    # One contiguous slice of cells per worker; only a network cut at an edge
+    # is drawn twice. One worker runs both phases in this process.
+    edges = [len(tasks) * i // workers for i in range(workers + 1)]
+    slices = [tasks[a:b] for a, b in zip(edges, edges[1:])]
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        # One run of weight vectors per worker, then one contiguous slice of
-        # cells per worker; only a network cut at an edge is drawn twice.
-        edges = [len(tasks) * i // workers for i in range(workers + 1)]
-        slices = [tasks[a:b] for a, b in zip(edges, edges[1:])]
-        per_worker = max(1, math.ceil(len(pairs) / workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            vectors = pool.map(_weights, parts, kinds, chunksize=per_worker)
-            weights = dict(zip(pairs, vectors))
-            chunks = pool.map(_cells, [folds] * workers, [weights] * workers, slices)
-            results = list(itertools.chain(*chunks))
-    else:
-        weights = dict(zip(pairs, map(_weights, parts, kinds)))
-        results = _cells(folds, weights, tasks)
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        weights = dict(zip(pairs, run(_weights, parts, kinds)))
+        results = list(itertools.chain(*run(_cells, [folds] * workers, [weights] * workers,
+                                            slices)))
     accuracies = [[None] * plan.k for _ in configs]
     for (_, fold, _, group, _), result in zip(tasks, results):
         for i, acc in zip(group, result):
@@ -242,7 +242,8 @@ def _cells(folds: dict, weights: dict, tasks) -> list:
     one fold within it builds the state matrices, and the dual's U U', once,
     after the first weight vector as fit does. They, the primal's system of
     each weighting and the factor copies are written into buffers sized
-    once for the largest network, so no cell allocates them.
+    once for the largest network, so no cell allocates them; the test state
+    matrix, which the memory check counts too, is one fresh array per fold.
     """
     runs = dict.fromkeys((*folds[fold].Xn.shape, net) for net, fold, *_ in tasks)
     scratch = trainer._scratch(runs)
@@ -254,25 +255,20 @@ def _cells(folds: dict, weights: dict, tasks) -> list:
             for _, _, weighting, _, c_regs in fold_tasks:
                 s = weights[fold, weighting]
                 if U is None:
-                    layers, U, gram, G_test = _states(net, layers, part, scratch)
+                    layers, U, gram = trainer._states(net, layers, part.Xn, scratch,
+                                                      len(part.Xn_test))
+                    # decision_scores' _forward behind its checks; the benchmark traces this call.
+                    G_test = network.state_matrix(layers[0], part.Xn_test)
                 solutions = linalg._output_weights(U, gram, s, part.T, c_regs, scratch, layers[2])
                 results.append([np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices)
                                 / len(G_test) for W in solutions])
     return results
 
 
-def _states(net: network.NetworkConfig, layers, part: _Fold, scratch: dict) -> tuple:
-    """trainer._states on the fold's training rows, and the test state
-    matrix of the network's own layer, which predict scores."""
-    layers, U, gram = trainer._states(net, layers, part.Xn, scratch)
-    # decision_scores' _forward behind its checks; the benchmark traces this call.
-    return layers, U, gram, network.state_matrix(layers[0], part.Xn_test)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Candidate lists for flat config keys (see ModelConfig.from_flat), each
-    nonempty and without a repeated value.
+    a nonempty iterable, not a string, of distinct values, kept as a tuple.
 
     mu, delta, and epsilon apply only to the variants that use them and
     default to the model defaults; the enumeration order (and tie-break
@@ -290,6 +286,10 @@ class GridSpec:
     def __post_init__(self):
         for f in fields(self):
             values = getattr(self, f.name)
+            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+                raise ConfigError(f"grid list {f.name!r} must be a sequence, got {values!r}")
+            values = tuple(values)  # a string would split into its characters
+            object.__setattr__(self, f.name, values)
             if len(values) == 0:
                 raise ConfigError(f"grid list {f.name!r} must be nonempty")
             for i, value in enumerate(values):

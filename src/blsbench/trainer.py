@@ -28,7 +28,7 @@ ridge step once per weighting, for all its C values; in the buffers of
 one _scratch sized for its largest network. So fit and every fold write
 the N x r state matrix, the system of order min(r, N) and the factor
 copies into buffers of linalg._buffer_sizes' layout, which one memory
-model counts (_network_bytes).
+model counts (_network_bytes), with a fold's test state matrix.
 """
 
 from __future__ import annotations
@@ -268,14 +268,15 @@ def _test_rows(norm: NormState, input_dim: int, X_test) -> np.ndarray:
     return Xn
 
 
-def _network_bytes(n: int, d: int, net: network.NetworkConfig) -> int:
+def _network_bytes(n: int, d: int, net: network.NetworkConfig, n_test: int = 0) -> int:
     """The bytes of net's layer on d inputs, of the layer the ridge step
     solves on and its back-map Q (network._solved_layer) where they are
-    new arrays, and of the ridge step's buffers on n rows."""
+    new arrays, of the ridge step's buffers on n rows, and of the state
+    matrix of n_test test rows that a cross-validation fold scores."""
     solved = network._solved_config(net, d)
     layers = [net] if solved is net else [net, solved]
-    elements = sum(groups * (rows + 1) * cols for cfg in layers
-                   for *_, groups, rows, cols in network._stages(cfg, d))
+    elements = n_test * net.width + sum(groups * (rows + 1) * cols for cfg in layers
+                                        for *_, groups, rows, cols in network._stages(cfg, d))
     back = 0 if solved is net else net.m * net.p * solved.p
     return 8 * (elements + back + sum(linalg._buffer_sizes(n, solved.width).values()))
 
@@ -283,10 +284,10 @@ def _network_bytes(n: int, d: int, net: network.NetworkConfig) -> int:
 def _scratch(runs) -> dict:
     """linalg._buffer's scratch for the (n, d, net) runs of a network on n
     training rows of d features: per key one flat array, as long as the
-    largest run whose memory check passes needs. Every key grows with the
-    width r of the solved state matrix, across branches too, so together
-    they hold what the widest such network needs on the most rows. A run
-    that fails its check raises in _states before it writes anything."""
+    largest run that fits in memory on its training rows needs. Every key
+    grows with the width r of the solved state matrix, across branches too,
+    so together they hold what the widest such network needs on the most
+    rows. A run that fails its check in _states raises before it writes."""
     sizes: dict = {}
     for n, d, net in runs:
         if _network_bytes(n, d, net) <= linalg._physical_memory():
@@ -296,15 +297,16 @@ def _scratch(runs) -> dict:
     return {key: np.empty(size) for key, size in sizes.items()}
 
 
-def _states(net: network.NetworkConfig, layers, Xn: np.ndarray, scratch: dict) -> tuple:
-    """net's memory check on the rows Xn, a ConfigError before anything is
-    drawn when _network_bytes exceed physical memory; then its layers (drawn
-    unless given): the layer, and the layer the ridge step solves on with
-    its back-map (network._solved_layer); the solved layer's state matrix U
-    of Xn in scratch["state"] and, on the dual, U U' in scratch["system"]:
-    (layers, U, U U' or None on the primal)."""
+def _states(net: network.NetworkConfig, layers, Xn: np.ndarray, scratch: dict,
+            n_test: int = 0) -> tuple:
+    """net's memory check on the rows Xn and n_test test rows, a ConfigError
+    before anything is drawn when _network_bytes exceed physical memory;
+    then its layers (drawn unless given): the layer, and the layer the ridge
+    step solves on with its back-map (network._solved_layer); the solved
+    layer's state matrix U of Xn in scratch["state"] and, on the dual, U U'
+    in scratch["system"]: (layers, U, U U' or None on the primal)."""
     n, d = Xn.shape
-    linalg._check_memory(_network_bytes(n, d, net),
+    linalg._check_memory(_network_bytes(n, d, net, n_test),
                          f"network m={net.m}, p={net.p}, l={net.l}, q={net.q} on {n} rows")
     if layers is None:
         layer = network.init_random_layer(net, d)

@@ -176,6 +176,7 @@ class TestFolds:
         (10, 2.0, "k must be an integer >= 2, got 2.0"),
         (10, True, "k must be an integer >= 2, got True"),
         (4, 5, "k = 5 exceeds the sample count 4"),
+        (10.0, 2, "the sample count must be a nonnegative integer, got 10.0"),
     ])
     def test_fold_count_out_of_range_rejected(self, n, k, message):
         with pytest.raises(ConfigError) as exc:

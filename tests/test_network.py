@@ -38,6 +38,7 @@ class TestConfig:
         ("m", True), ("p", 2.0), ("l", np.float64(1.0)), ("q", "5"),
         ("feature_activation", "relu"),
         ("enhancement_activation", "linear"),
+        ("feature_activation", ["linear"]), ("enhancement_activation", ["tanh"]),
         ("seed", -1),
     ])
     def test_invalid_config_rejected(self, field, value):

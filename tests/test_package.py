@@ -105,6 +105,29 @@ def test_one_training_path():
                              "trainer.fit linalg._output_weights"]
 
 
+def test_one_memory_model():
+    # A network's memory check is trainer._states' one call of
+    # _network_bytes, the state matrix of a fold's test rows included, and
+    # _scratch sizes the buffers from the same count on the training rows;
+    # IF scoring checks its own N x N buffer. A second estimate or check
+    # would show here as a second caller.
+    calls = []
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"blsbench.{name}")))
+        owner = {}
+        for func in ast.walk(tree):  # breadth first, so an inner def names its own nodes
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        calls += [f"{name}.{owner.get(node, '<module>')} {ast.unparse(node.func)}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("_check_memory", "_network_bytes")]
+    assert sorted(calls) == ["if_scores._score_vector _check_memory",
+                             "trainer._scratch _network_bytes",
+                             "trainer._states _network_bytes",
+                             "trainer._states linalg._check_memory"]
+
+
 def _outside_functions(node):
     """The nodes under node that run when it runs: all but function bodies."""
     for child in ast.iter_child_nodes(node):

@@ -128,12 +128,11 @@ class TestCrossValidate:
                                             ("dual", NetworkConfig(m=21, p=50, q=900))])
     def test_peak_memory_is_the_memory_estimate(self, variant, branch, net):
         # The engine writes what its memory check counts: its peak is
-        # _network_bytes on the 800 training rows of a fold, plus the 200-row
-        # test state matrix, plus 12 X.nbytes for the run's folds (their
-        # normalized rows alone are 5 X.nbytes), the vectors, the K-column
-        # arrays and numpy's ufunc buffers. 1,000 rows of 10 features, solved
-        # on 611 and 911 columns; on the dual an N x N bool mask breaks the
-        # bound.
+        # _network_bytes on the 800 training rows and 200 test rows of a
+        # fold, plus 12 X.nbytes for the run's folds (their normalized rows
+        # alone are 5 X.nbytes), the vectors, the K-column arrays and numpy's
+        # ufunc buffers. 1,000 rows of 10 features, solved on 611 and 911
+        # columns; on the dual an N x N bool mask breaks the bound.
         X, y = make_blobs(500, [(0.0,) * 10, (1.0,) * 10], 1.0, seed=3)
         ds, plan = data.Dataset("blobs", X, y), data.make_folds(1000, 5, 0)
         assert trainer._solve_branch(network._solved_config(net, 10).width, 800) == branch
@@ -143,7 +142,7 @@ class TestCrossValidate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= trainer._network_bytes(800, 10, net) + 200 * net.width * 8 + 12 * X.nbytes
+        assert peak <= trainer._network_bytes(800, 10, net, 200) + 12 * X.nbytes
 
 
 class TestGridSearch:
@@ -385,18 +384,19 @@ class TestGridSearch:
         # and (k + 1) x q, and its m p x k back-map Q + the solved state matrix
         # of r = k + q columns, the system and the factor copy: S^2 U, which
         # the r x r copy reuses, on the primal, N x N each on the dual, where
-        # U U' is the system), on 24 training rows, against page size x pages:
-        # fit's estimate.
+        # U U' is the system + the state matrix of the 6 test rows, on the
+        # layer's m p + q columns), on 24 training rows, against page size x
+        # pages: fit's estimate plus the test rows.
         ds = toy_dataset(seed=9, n=30)
         plan = data.make_folds(ds.n_samples, 5, seed=0)
         net = NetworkConfig(m=2, p=p, q=q)
-        n, d, mp = 24, 2, net.m * net.p
+        n, n_test, d, mp = 24, 6, 2, net.m * net.p
         k = min(mp, d + 1)
         r = k + net.l * net.q
         assert trainer._solve_branch(r, n) == branch
         arrays = 2 * n * r + r * r if branch == "primal" else n * r + 2 * n * n
         solved = k * (d + 1) + net.l * net.q * (k + 1) + mp * k
-        need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + solved + arrays)
+        need = 8 * (mp * (d + 1) + net.l * net.q * (mp + 1) + solved + arrays + n_test * net.width)
         for pages, refused in ((need, False), (need - 1, True)):
             monkeypatch.setattr(os, "sysconf", lambda key: {"SC_PAGE_SIZE": 1,
                                                              "SC_PHYS_PAGES": pages}[key])
@@ -423,6 +423,13 @@ class TestGridSearch:
         lists = {"c_reg": (1.0,), "m": (2,), "p": (4,), "q": (5,), name: ()}
         with pytest.raises(ConfigError, match=f"grid list '{name}' must be nonempty"):
             stats.GridSpec(**lists)
+
+    @pytest.mark.parametrize("values", ["15", 1.0])
+    def test_string_or_scalar_list_rejected(self, values):
+        # A string would split into its characters: c_reg "15" into 1.0 and 5.0.
+        with pytest.raises(ConfigError) as exc:
+            stats.GridSpec(c_reg=values, m=(1,), p=(2,), q=(3,))
+        assert str(exc.value) == f"grid list 'c_reg' must be a sequence, got {values!r}"
 
     @pytest.mark.parametrize("name,values,shown", [
         ("c_reg", (1, 10.0, 1.0), "1.0"),

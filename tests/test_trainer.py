@@ -337,6 +337,9 @@ class TestLowRankStep:
         ("bls", 30, 10, NetworkConfig(m=5, p=10, q=80), None, "dual"),  # r = 91 > N = 60
         ("f-bls", 200, 10, NetworkConfig(m=21, p=50, q=105), None, "primal"),
         ("if-bls", 100, 4, NetworkConfig(m=5, p=10, q=25), 0.5, "primal"),  # 42 zero weights
+        ("bls", 200, 10, NetworkConfig(m=9, p=30, l=2, q=40), None, "primal"),
+        ("bls", 30, 10, NetworkConfig(m=5, p=10, l=3, q=80, enhancement_activation="relu"),
+         None, "dual"),
     ])
     def test_scores_match_the_svd_ridge_solution_per_c(self, variant, n_per, d, net, mu,
                                                        branch):
@@ -357,17 +360,20 @@ class TestLowRankStep:
 
     def test_solved_layer_is_the_layer_on_k_columns(self):
         # The solved layer's state matrix U and the back-map Q give the state
-        # matrix G = [U_1 Q', U_2]; at m p <= d + 1, and under a nonlinear
-        # feature map, the solved layer is the layer.
+        # matrix G = [U_1 Q', U_2], every enhancement group in U_2; at
+        # m p <= d + 1, and under a nonlinear feature map, the solved layer is
+        # the layer.
         X = np.random.default_rng(4).uniform(size=(30, 3))
-        net = small_net(m=3, p=5)
-        layer = network.init_random_layer(net, 3)
-        solved, Q = network._solved_layer(layer)
-        assert solved.config == network._solved_config(net, 3)
-        assert Q.shape == (15, 4) and Q.flags.f_contiguous and solved.config.width == 4 + net.q
-        np.testing.assert_allclose(Q.T @ Q, np.eye(4), atol=1e-14)
-        U, G = network.state_matrix(solved, X), network.state_matrix(layer, X)
-        np.testing.assert_allclose(np.hstack((U[:, :4] @ Q.T, U[:, 4:])), G, atol=1e-13)
+        for net in (small_net(m=3, p=5), NetworkConfig(m=9, p=30, l=2, q=40),
+                    NetworkConfig(m=5, p=10, l=3, q=80, enhancement_activation="relu")):
+            layer = network.init_random_layer(net, 3)
+            solved, Q = network._solved_layer(layer)
+            assert solved.config == network._solved_config(net, 3)
+            assert Q.shape == (net.m * net.p, 4) and Q.flags.f_contiguous
+            assert solved.config.width == 4 + net.l * net.q
+            np.testing.assert_allclose(Q.T @ Q, np.eye(4), atol=1e-14)
+            U, G = network.state_matrix(solved, X), network.state_matrix(layer, X)
+            np.testing.assert_allclose(np.hstack((U[:, :4] @ Q.T, U[:, 4:])), G, atol=1e-13)
         for net in (small_net(m=1, p=4), small_net(m=2, p=2), small_net(feature_activation="tanh")):
             layer = network.init_random_layer(net, 3)
             assert network._solved_config(net, 3) is net
