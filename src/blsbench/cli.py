@@ -76,7 +76,7 @@ def _load_config_file(path: str, keys) -> dict:
     """
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")
         flat = {
             key.replace("-", "_"): value
             for section in parser.sections()

@@ -53,10 +53,23 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Per-sample fold assignment; fold sizes differ by at most one."""
+    """Per-sample fold assignment: a 1-D integer array of values in [0, k)
+    that leaves no fold empty. make_folds' fold sizes differ by at most one."""
 
     k: int
     assignments: np.ndarray
+
+    def __post_init__(self):
+        k, a = _check_integer(self.k, 2, "k must be an integer >= 2"), self.assignments
+        if not isinstance(a, np.ndarray) or a.ndim != 1 or a.dtype.kind not in "iu":
+            got = f"{a.ndim}-D {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
+            raise ConfigError(f"fold assignments must be a 1-D integer array, got a {got}")
+        bad = a[(a < 0) | (a >= k)]
+        if bad.size:
+            raise ConfigError(f"fold assignments must lie in [0, {k}), got {bad[0]}")
+        empty = np.flatnonzero(np.bincount(a.astype(np.intp), minlength=k) == 0)
+        if empty.size:
+            raise ConfigError(f"fold {empty[0]} of {k} has no rows")
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignments == fold)[0]
@@ -80,7 +93,7 @@ def read_csv(
     the file, row and column of the first bad row or cell in file order.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:  # its offset counts from a read buffer, not the file
         bad = exc.object[exc.start]

@@ -12,12 +12,13 @@ computes each quantity at the level where it varies:
 - per network (m, p, q and the rest of NetworkConfig), once per slice of
   cells: the random layer and the layer the ridge step solves on
   (network._solved_layer), and buffers for the arrays below, each sized
-  once for the slice's largest network (trainer._scratch);
-- per network and fold: the memory check (trainer._network_bytes, which
-  counts the test state matrix too); the solved layer's training state
-  matrix U (of r = min(m*p, d+1) + l*q columns under a linear feature
-  map) and the dual's U U', written into their buffers (trainer._states),
-  and the N_test x (m*p + l*q) test state matrix of the network's layer;
+  once for the slice's largest network that passes its memory check
+  (trainer._scratch);
+- per network and fold, in one step (trainer._states): the memory check
+  (trainer._network_bytes); the solved layer's training state matrix U
+  (of r = min(m*p, d+1) + l*q columns under a linear feature map) and the
+  dual's U U', written into their buffers; and the N_test x (m*p + l*q)
+  test state matrix of the network's layer, a fresh array;
 - per weighting: the ridge step (linalg._output_weights), which builds
   the system's C-free part, then per C solves it from a factor copy and
   maps the solution back to the network's output weights;
@@ -58,7 +59,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import if_scores, linalg, network, trainer
+from . import if_scores, linalg, trainer
 from .data import Dataset, FoldPlan, _check_integer, _check_positive
 from .errors import ClassBalanceError, ConfigError
 from .trainer import ModelConfig
@@ -120,15 +121,11 @@ def cross_validate(
 ) -> CvResult:
     """Train on each fold's complement, test on the fold, aggregate.
 
-    The one-config case of the engine that grid_search runs (see the
-    module docstring); each fold's accuracy is that of fit and accuracy.
-    A fold whose training complement breaks fit's class rule, the
-    ClassBalanceError of a single class or, for f-bls and if-bls, of other
-    than 2 classes or a class of one row, is skipped once the folds are
-    built, before any fit: its accuracy is None, the reason goes into
-    skipped, and the aggregates cover the remaining folds. If every fold
-    is skipped, ClassBalanceError lists their distinct reasons in fold
-    order, before any weight vector is computed.
+    The one-config case of the engine that grid_search runs; each fold's
+    accuracy is that of fit and accuracy. A fold skipped by fit's class
+    rule (see the module docstring) has accuracy None and its reason in
+    skipped, and the aggregates cover the remaining folds; if every fold
+    is skipped, ClassBalanceError lists their distinct reasons in fold order.
     """
     return _evaluate(ds, [cfg], plan, jobs=1)[0]
 
@@ -137,9 +134,8 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
     """The CvResult of each config, in order, from jobs processes at most."""
     if plan.assignments.shape[0] != ds.n_samples:
         raise ConfigError("fold plan does not match the dataset size")
-    # Every fold, in order, before any weight vector or cell. fit's class rule
-    # reads only the labels, the fold plan and the variant, so a fold that breaks
-    # it is skipped for every config; any other error stops the run here.
+    # Every fold, in order, before any weight vector or cell; a fold that breaks
+    # fit's class rule is skipped for every config, any other error stops the run.
     variant = configs[0].variant
     folds, skips = {}, {}
     for fold in range(plan.k):
@@ -235,31 +231,21 @@ def _weights(part: _Fold, weighting: ModelConfig) -> np.ndarray:
 @linalg._single_threaded_blas()
 def _cells(folds: dict, weights: dict, tasks) -> list:
     """The accuracy per C of each (network, fold, weighting, config indices,
-    C values) task in order, on built folds and weight vectors; an error in
-    a cell raises there, so a run stops at its first failing cell.
-
-    Each run of tasks on one network draws its layers once, and each run on
-    one fold within it builds the state matrices, and the dual's U U', once,
-    after the first weight vector as fit does. They, the primal's system of
-    each weighting and the factor copies are written into buffers sized
-    once for the largest network, so no cell allocates them; the test state
-    matrix, which the memory check counts too, is one fresh array per fold.
-    """
-    runs = dict.fromkeys((*folds[fold].Xn.shape, net) for net, fold, *_ in tasks)
+    C values) task in order, on built folds and weight vectors, each
+    quantity computed at its level (see the module docstring); an error in
+    a cell raises there, so a run stops at its first failing cell."""
+    runs = dict.fromkeys((*folds[fold].Xn.shape, net, len(folds[fold].Xn_test))
+                         for net, fold, *_ in tasks)
     scratch = trainer._scratch(runs)
     results = []
     for net, net_tasks in itertools.groupby(tasks, lambda t: t[0]):
         layers = None
         for fold, fold_tasks in itertools.groupby(net_tasks, lambda t: t[1]):
-            part, U, G_test = folds[fold], None, None  # free the last test state matrix first
+            part, G_test = folds[fold], None  # free the last test state matrix first
+            layers, U, gram, G_test = trainer._states(net, layers, part.Xn, scratch, part.Xn_test)
             for _, _, weighting, _, c_regs in fold_tasks:
-                s = weights[fold, weighting]
-                if U is None:
-                    layers, U, gram = trainer._states(net, layers, part.Xn, scratch,
-                                                      len(part.Xn_test))
-                    # decision_scores' _forward behind its checks; the benchmark traces this call.
-                    G_test = network.state_matrix(layers[0], part.Xn_test)
-                solutions = linalg._output_weights(U, gram, s, part.T, c_regs, scratch, layers[2])
+                solutions = linalg._output_weights(U, gram, weights[fold, weighting], part.T,
+                                                   c_regs, scratch, layers[2])
                 results.append([np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices)
                                 / len(G_test) for W in solutions])
     return results
@@ -330,11 +316,10 @@ def grid_search(
 
     The model seed is held fixed across configurations so they compete on
     identical random layers. Ties break toward the earlier enumeration
-    position regardless of evaluation order or job count. jobs is the
-    number of worker processes, at most one per config and one per cell
-    (a network with one fold and one weighting, see the module docstring;
-    a skipped fold has none); results do not depend on it. Returns the winner plus every per-config
-    result in enumeration order.
+    position. jobs is the number of worker processes, at most one per
+    config and one per cell (see the module docstring); results do not
+    depend on it. Returns the winner plus every per-config result in
+    enumeration order.
     """
     jobs = _check_integer(jobs, 1, "jobs must be an integer >= 1")
     configs = grid.configs(variant, seed)

@@ -21,14 +21,12 @@ network._forward.
 fit is _prepare, _sample_weights, then _states and the ridge step
 linalg._output_weights for one C, in the buffers of a _scratch sized for
 its network. stats' cross-validation engine runs the same steps, each at
-the level where it varies: _prepare, _test_rows and _sample_weights once
-per fold and weighting of a run; _states once per network and fold,
-drawing the layer and its solved layer on the network's first; and the
-ridge step once per weighting, for all its C values; in the buffers of
-one _scratch sized for its largest network. So fit and every fold write
-the N x r state matrix, the system of order min(r, N) and the factor
-copies into buffers of linalg._buffer_sizes' layout, which one memory
-model counts (_network_bytes), with a fold's test state matrix.
+the level where it varies (see the stats module docstring), in the
+buffers of one _scratch sized for its largest network, and _states forms
+each fold's test state matrix too. So fit and every fold write the N x r
+state matrix, the system of order min(r, N) and the factor copies into
+buffers of linalg._buffer_sizes' layout, which _states' memory check
+(_network_bytes) counts with the test state matrix.
 """
 
 from __future__ import annotations
@@ -282,15 +280,15 @@ def _network_bytes(n: int, d: int, net: network.NetworkConfig, n_test: int = 0) 
 
 
 def _scratch(runs) -> dict:
-    """linalg._buffer's scratch for the (n, d, net) runs of a network on n
-    training rows of d features: per key one flat array, as long as the
-    largest run that fits in memory on its training rows needs. Every key
-    grows with the width r of the solved state matrix, across branches too,
-    so together they hold what the widest such network needs on the most
-    rows. A run that fails its check in _states raises before it writes."""
+    """linalg._buffer's scratch for the (n, d, net, n_test) runs of a network
+    on n training rows of d features and n_test test rows: per key one flat
+    array, as long as the largest run that passes _states' memory check
+    needs; _states refuses any other before it writes. Every key grows with
+    the width r of the solved state matrix, across branches too, so together
+    they hold what the widest such network needs on the most rows."""
     sizes: dict = {}
-    for n, d, net in runs:
-        if _network_bytes(n, d, net) <= linalg._physical_memory():
+    for n, d, net, n_test in runs:
+        if _network_bytes(n, d, net, n_test) <= linalg._physical_memory():
             r = network._solved_config(net, d).width
             for key, size in linalg._buffer_sizes(n, r).items():
                 sizes[key] = max(sizes.get(key, 0), size)
@@ -298,22 +296,26 @@ def _scratch(runs) -> dict:
 
 
 def _states(net: network.NetworkConfig, layers, Xn: np.ndarray, scratch: dict,
-            n_test: int = 0) -> tuple:
-    """net's memory check on the rows Xn and n_test test rows, a ConfigError
-    before anything is drawn when _network_bytes exceed physical memory;
-    then its layers (drawn unless given): the layer, and the layer the ridge
-    step solves on with its back-map (network._solved_layer); the solved
-    layer's state matrix U of Xn in scratch["state"] and, on the dual, U U'
-    in scratch["system"]: (layers, U, U U' or None on the primal)."""
+            Xn_test: Optional[np.ndarray] = None) -> tuple:
+    """net's memory check on the rows Xn and test rows Xn_test, a ConfigError
+    before anything is drawn when _network_bytes exceed physical memory; then
+    its layers (drawn unless given): the layer, and the layer the ridge step
+    solves on with its back-map (network._solved_layer); the solved layer's
+    state matrix U of Xn in scratch["state"], on the dual U U' in
+    scratch["system"], and the layer's state matrix G_test of Xn_test:
+    (layers, U, U U' or None on the primal, G_test or None)."""
     n, d = Xn.shape
-    linalg._check_memory(_network_bytes(n, d, net, n_test),
+    linalg._check_memory(_network_bytes(n, d, net, 0 if Xn_test is None else len(Xn_test)),
                          f"network m={net.m}, p={net.p}, l={net.l}, q={net.q} on {n} rows")
     if layers is None:
         layer = network.init_random_layer(net, d)
         layers = (layer, *network._solved_layer(layer))
     width = layers[1].config.width
     U = network._forward(layers[1], Xn, linalg._buffer(scratch, "state", (n, width)))
-    return layers, U, None if _solve_branch(width, n) == "primal" else linalg._gram(U, scratch)
+    gram = None if _solve_branch(width, n) == "primal" else linalg._gram(U, scratch)
+    # decision_scores' _forward behind its checks; the benchmark traces this call.
+    G_test = None if Xn_test is None else network.state_matrix(layers[0], Xn_test)
+    return layers, U, gram, G_test
 
 
 @linalg._single_threaded_blas()
@@ -322,8 +324,8 @@ def fit(X, labels: Sequence, cfg: ModelConfig) -> TrainedModel:
     lexicographically and targets are one-hot rows over that order."""
     Xn, norm, class_labels, indices = _prepare(X, labels, cfg.variant)
     scores = _sample_weights(Xn, indices, cfg)
-    scratch = _scratch([(*Xn.shape, cfg.network)])
-    (layer, _, back), U, gram = _states(cfg.network, None, Xn, scratch)
+    scratch = _scratch([(*Xn.shape, cfg.network, 0)])
+    (layer, _, back), U, gram, _ = _states(cfg.network, None, Xn, scratch)
     (w_out,) = linalg._output_weights(U, gram, scores, np.eye(len(class_labels))[indices],
                                       [cfg.c_reg], scratch, back)
     return TrainedModel(cfg, layer, w_out, norm, class_labels, scores,

@@ -633,6 +633,29 @@ def test_non_utf8_file_is_one_error_line(command, flag, dataset_csv, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,text,args", [
+    ("--data", "f0,f1,f2\na,0.1,0.2\nb,0.9,0.8\na,0.2,0.3\nb,0.7,0.9\n",
+     ["--label-column", "f0", "--variant", "bls"]),
+    ("--data", "0.1,0.2,a\n0.9,0.8,b\n0.2,0.3,a\n0.7,0.9,b\n",
+     ["--no-header", "--variant", "bls"]),
+    ("--config", "[model]\nvariant = bls\nq = 6\n", ["--data", None]),
+], ids=["headed-csv", "headerless-csv", "config-ini"])
+def test_byte_order_mark_is_read_past(flag, text, args, dataset_csv, tmp_path):
+    # Excel's "CSV UTF-8" and older Notepad start a file with a UTF-8 byte
+    # order mark; such a file trains the same model as the file without it.
+    from blsbench import cli
+
+    args = [str(dataset_csv) if a is None else a for a in args]
+    models = []
+    for bom in ("", "\ufeff"):
+        path, out = tmp_path / f"in{len(models)}", tmp_path / f"model{len(models)}.json"
+        path.write_text(bom + text, encoding="utf-8")
+        assert cli.main(["train", flag, str(path), *args, "--m", "2", "--p", "4",
+                         "--out", str(out)]) == 0
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
+
+
 @pytest.mark.parametrize("command", ["train", "cv", "gridsearch"])
 def test_empty_label_is_one_error_line(command, tmp_path, capsys):
     from blsbench import cli

@@ -188,6 +188,26 @@ class TestFolds:
         assert plan.k == 5 and type(plan.k) is int
         np.testing.assert_array_equal(plan.assignments, data.make_folds(23, 5, 3).assignments)
 
+    @pytest.mark.parametrize("k,assignments,message", [
+        (2.0, np.array([0, 1]), "k must be an integer >= 2, got 2.0"),
+        (1, np.array([0, 0]), "k must be an integer >= 2, got 1"),
+        (2, [0, 1], "fold assignments must be a 1-D integer array, got a list"),
+        (2, np.array([[0, 1]], dtype=np.int64),
+         "fold assignments must be a 1-D integer array, got a 2-D int64 array"),
+        (2, np.array([0.0, 1.0]),
+         "fold assignments must be a 1-D integer array, got a 1-D float64 array"),
+        (2, np.array([0] * 10 + [7] * 10), "fold assignments must lie in [0, 2), got 7"),
+        (2, np.array([0, -1, 1]), "fold assignments must lie in [0, 2), got -1"),
+        (3, np.array([0, 1] * 5), "fold 2 of 3 has no rows"),
+    ], ids=["float-k", "k-below-2", "list", "2-d", "float-array", "above-k", "negative",
+            "empty-fold"])
+    def test_hand_built_fold_plan_checked(self, k, assignments, message):
+        # A plan that make_folds did not build reaches the engine only through
+        # these checks: an out-of-range fold would leave a fold that tests no row.
+        with pytest.raises(ConfigError) as exc:
+            data.FoldPlan(k, assignments)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, np.int64(-1)])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ConfigError) as exc:

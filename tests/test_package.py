@@ -53,6 +53,27 @@ def test_cli_reaches_only_public_names():
     assert private == []
 
 
+def _trees():
+    """Each module's name, its AST and a map from each node to the name of
+    the function that holds it."""
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"blsbench.{name}")))
+        owner = {}
+        for func in ast.walk(tree):  # breadth first, so an inner def names its own nodes
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        yield name, tree, owner
+
+
+def _calls(*names):
+    """The sorted "module.function callee" of each call, in any module, of a
+    function or method named in names."""
+    return sorted(f"{name}.{owner.get(node, '<module>')} {ast.unparse(node.func)}"
+                  for name, tree, owner in _trees() for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) in names)
+
+
 def test_only_the_cli_catches_a_failure():
     # A failure raises where it is found: a fold's or a weight vector's before
     # any cell, and a cell's at the first failing cell. The engine catches only
@@ -62,14 +83,9 @@ def test_only_the_cli_catches_a_failure():
     failures = {"BlsBenchError", "FactorizationFailure", "MemoryError", "BrokenProcessPool",
                 "Exception", "BaseException"}
     caught = []
-    for name in MODULES:
+    for name, tree, owner in _trees():
         if name == "cli":
             continue
-        tree = ast.parse(inspect.getsource(importlib.import_module(f"blsbench.{name}")))
-        owner = {}
-        for func in ast.walk(tree):  # breadth first, so an inner def names its own nodes
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((node, func.name) for node in ast.walk(func))
         for handler in ast.walk(tree):
             if isinstance(handler, ast.ExceptHandler):
                 names = {"BaseException"} if handler.type is None else {
@@ -87,45 +103,32 @@ def test_one_training_path():
     # that one memory check counts, and then through linalg._output_weights,
     # the one ridge step and the only caller of the solve; a second training
     # or solve path would show here as a second caller.
-    calls = []
-    for name in MODULES:
-        tree = ast.parse(inspect.getsource(importlib.import_module(f"blsbench.{name}")))
-        owner = {}
-        for func in ast.walk(tree):  # breadth first, so an inner def names its own nodes
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((node, func.name) for node in ast.walk(func))
-        calls += [f"{name}.{owner.get(node, '<module>')} {ast.unparse(node.func)}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Call)
-                  and getattr(node.func, "attr", getattr(node.func, "id", None))
-                  in ("init_random_layer", "_gram", "_output_weights", "_solve_system")]
-    assert sorted(calls) == ["linalg._output_weights _solve_system",
-                             "stats._cells linalg._output_weights",
-                             "trainer._states linalg._gram",
-                             "trainer._states network.init_random_layer",
-                             "trainer.fit linalg._output_weights"]
+    assert _calls("init_random_layer", "_gram", "_output_weights", "_solve_system") == [
+        "linalg._output_weights _solve_system",
+        "stats._cells linalg._output_weights",
+        "trainer._states linalg._gram",
+        "trainer._states network.init_random_layer",
+        "trainer.fit linalg._output_weights"]
 
 
 def test_one_memory_model():
     # A network's memory check is trainer._states' one call of
     # _network_bytes, the state matrix of a fold's test rows included, and
-    # _scratch sizes the buffers from the same count on the training rows;
+    # _scratch sizes the buffers only for a run that passes that count;
     # IF scoring checks its own N x N buffer. A second estimate or check
     # would show here as a second caller.
-    calls = []
-    for name in MODULES:
-        tree = ast.parse(inspect.getsource(importlib.import_module(f"blsbench.{name}")))
-        owner = {}
-        for func in ast.walk(tree):  # breadth first, so an inner def names its own nodes
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((node, func.name) for node in ast.walk(func))
-        calls += [f"{name}.{owner.get(node, '<module>')} {ast.unparse(node.func)}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Call)
-                  and getattr(node.func, "attr", getattr(node.func, "id", None))
-                  in ("_check_memory", "_network_bytes")]
-    assert sorted(calls) == ["if_scores._score_vector _check_memory",
-                             "trainer._scratch _network_bytes",
-                             "trainer._states _network_bytes",
-                             "trainer._states linalg._check_memory"]
+    assert _calls("_check_memory", "_network_bytes") == [
+        "if_scores._score_vector _check_memory",
+        "trainer._scratch _network_bytes",
+        "trainer._states _network_bytes",
+        "trainer._states linalg._check_memory"]
+
+
+def test_one_step_forms_the_test_state_matrix():
+    # trainer._states forms every array its memory check counts, a fold's
+    # test state matrix too, through the checked network.state_matrix that
+    # the benchmark traces; no other step of the package calls it.
+    assert _calls("state_matrix") == ["trainer._states network.state_matrix"]
 
 
 def _outside_functions(node):

@@ -407,14 +407,38 @@ class TestGridSearch:
             else:
                 stats.cross_validate(ds, ModelConfig("bls", net), plan)
 
+    @pytest.mark.parametrize("p,q", [(2, 6), (12, 30)])
+    def test_refused_network_gets_no_buffers(self, p, q, monkeypatch):
+        # At one page less than the need that _states checks, the 6 test rows
+        # included, _scratch sizes no buffer for the network _states refuses.
+        ds = toy_dataset(seed=9, n=30)
+        plan = data.make_folds(ds.n_samples, 5, seed=0)
+        net = NetworkConfig(m=2, p=p, q=q)
+        pages = trainer._network_bytes(24, 2, net, 6) - 1
+        monkeypatch.setattr(os, "sysconf", lambda key: {"SC_PAGE_SIZE": 1,
+                                                         "SC_PHYS_PAGES": pages}[key])
+        scratch, sized = trainer._scratch, []
+
+        def recording(runs):
+            sized.append(scratch(runs))
+            return sized[-1]
+
+        monkeypatch.setattr(trainer, "_scratch", recording)
+        with pytest.raises(ConfigError, match=(
+                rf"^network m=2, p={p}, l=1, q={q} on 24 rows needs about \S+ GiB; "
+                r"this machine has \S+ GiB$")):
+            stats.cross_validate(ds, ModelConfig("bls", net), plan)
+        assert sized == [{}]
+
     def test_mixed_branch_buffers_hold_the_widest_networks_need(self):
         # A slice of a primal (solved width 9) and a dual (solved width 33)
-        # network on 24 rows shares one buffer per key: together exactly what
-        # the dual's memory check counts, so the primal adds nothing beside it.
+        # network on 24 training and 6 test rows shares one buffer per key:
+        # together exactly the dual's buffers, so the primal adds nothing.
         primal, dual = NetworkConfig(m=2, p=2, q=6), NetworkConfig(m=2, p=12, q=30)
         widths = [network._solved_config(net, 2).width for net in (primal, dual)]
         assert [trainer._solve_branch(r, 24) for r in widths] == ["primal", "dual"]
-        for runs in ([(24, 2, primal), (24, 2, dual)], [(24, 2, dual), (24, 2, primal)]):
+        pair = [(24, 2, primal, 6), (24, 2, dual, 6)]
+        for runs in (pair, pair[::-1]):
             sizes = {key: len(buf) for key, buf in trainer._scratch(runs).items()}
             assert sizes == linalg._buffer_sizes(24, widths[1])
 

@@ -218,9 +218,9 @@ class TestFit:
         Xn, _, classes, indices = trainer._prepare(X, y, cfg.variant)
         s = trainer._sample_weights(Xn, indices, cfg)
         monkeypatch.setattr(linalg, "_solve_system", recording)
-        scratch = trainer._scratch([(*Xn.shape, net)])
+        scratch = trainer._scratch([(*Xn.shape, net, 0)])
         with linalg._single_threaded_blas():
-            (_, _, back), U, gram = trainer._states(net, None, Xn, scratch)
+            (_, _, back), U, gram, _ = trainer._states(net, None, Xn, scratch)
             weights = linalg._output_weights(U, gram, s, np.eye(len(classes))[indices], c_regs,
                                              scratch, back)
         assert trainer._solve_branch(solved_width(net), len(y)) == branch
@@ -327,9 +327,12 @@ class TestLowRankStep:
     # ridge solution on the
     # full state matrix G, which forms no normal equations, at every power of
     # 10 from 1e-6 to 1e6. The relative error of the normal equations grows
-    # with the condition number of G'S^2G + I/C, at most linear in C; the
-    # bound is 1e-13 + 1e-12 C, at least 4x the largest error measured.
+    # with the condition number of G'S^2G + I/C, at most 1 + C ||S G||^2:
+    # every case is within 40 eps (1 + C ||S G||^2), at least 4x the largest
+    # error measured. All but the relu primal cases, whose unbounded columns
+    # raise ||S G||, are also within 1e-13 + 1e-12 C, tighter at large C.
     C_VALUES = [10.0**e for e in range(-6, 7)]
+    RELU = {"enhancement_activation": "relu"}
 
     @pytest.mark.parametrize("variant,n_per,d,net,mu,branch", [
         ("bls", 200, 10, NetworkConfig(m=9, p=30, q=105), None, "primal"),  # k = d + 1
@@ -338,8 +341,10 @@ class TestLowRankStep:
         ("f-bls", 200, 10, NetworkConfig(m=21, p=50, q=105), None, "primal"),
         ("if-bls", 100, 4, NetworkConfig(m=5, p=10, q=25), 0.5, "primal"),  # 42 zero weights
         ("bls", 200, 10, NetworkConfig(m=9, p=30, l=2, q=40), None, "primal"),
-        ("bls", 30, 10, NetworkConfig(m=5, p=10, l=3, q=80, enhancement_activation="relu"),
-         None, "dual"),
+        ("bls", 30, 10, NetworkConfig(m=5, p=10, l=3, q=80, **RELU), None, "dual"),
+        ("bls", 200, 10, NetworkConfig(m=9, p=30, l=3, q=40, **RELU), None, "primal"),
+        ("bls", 200, 10, NetworkConfig(m=9, p=30, l=3, q=10, **RELU), None, "primal"),
+        ("f-bls", 200, 10, NetworkConfig(m=21, p=50, l=3, q=105, **RELU), None, "primal"),
     ])
     def test_scores_match_the_svd_ridge_solution_per_c(self, variant, n_per, d, net, mu,
                                                        branch):
@@ -354,7 +359,11 @@ class TestLowRankStep:
             W = oracles.svd_ridge(G, model.score_vector, T, c_reg)
             want = network.state_matrix(model.layer, model.norm_state.apply(X_test)) @ W
             error = np.abs(trainer.decision_scores(model, X_test) - want).max()
-            assert error <= (1e-13 + 1e-12 * c_reg) * np.abs(want).max(), c_reg
+            sg2 = np.linalg.norm(model.score_vector[:, None] * G, 2) ** 2
+            scale = np.abs(want).max()
+            assert error <= 40 * np.finfo(float).eps * (1 + c_reg * sg2) * scale, c_reg
+            if branch == "dual" or net.enhancement_activation != "relu":
+                assert error <= (1e-13 + 1e-12 * c_reg) * scale, c_reg
         if mu is not None:  # the weight vector holds zeros, and not only zeros
             assert 0 < np.count_nonzero(model.score_vector == 0.0) < len(y)
 
