@@ -22,7 +22,9 @@ computes each quantity at the level where it varies:
 - per weighting: the ridge step (linalg._output_weights), which builds
   the system's C-free part, then per C solves it from a factor copy and
   maps the solution back to the network's output weights;
-- per C: the test scores, their argmax and the accuracy.
+- per C: the test scores, their argmax and the accuracy;
+- per config: its row of the accuracy table (configs x kept folds), along
+  which _evaluate takes every mean and standard deviation at once.
 
 Every fold accuracy equals that of fit and accuracy on the same fold, bit
 for bit: fit runs the same steps (trainer._states and
@@ -175,24 +177,17 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
         weights = dict(zip(pairs, run(_weights, parts, kinds)))
         results = list(itertools.chain(*run(_cells, [folds] * workers, [weights] * workers,
                                             slices)))
-    accuracies = [[None] * plan.k for _ in configs]
+    # The accuracy table: a row per config and a column per kept fold, since
+    # the skipped folds are the same for every config.
+    columns = {fold: j for j, fold in enumerate(folds)}
+    table = np.empty((len(configs), len(folds)))
     for (_, fold, _, group, _), result in zip(tasks, results):
-        for i, acc in zip(group, result):
-            accuracies[i][fold] = acc
-    return [_aggregate(cfg, row, skipped) for cfg, row in zip(configs, accuracies)]
-
-
-def _aggregate(cfg: ModelConfig, per_fold: list, skipped: tuple[str, ...]) -> CvResult:
-    """A config's CvResult from its fold accuracies, None for a skipped fold,
-    and the run's skipped-fold notes."""
-    present = [a for a in per_fold if a is not None]
-    return CvResult(
-        per_fold_accuracy=tuple(per_fold),
-        mean_accuracy=float(np.mean(present)),
-        std_dev=float(np.std(present, ddof=1)) if len(present) > 1 else 0.0,
-        best_config=cfg,
-        skipped=skipped,
-    )
+        table[group, columns[fold]] = result
+    stds = table.std(axis=1, ddof=1) if len(folds) > 1 else np.zeros(len(configs))
+    per_fold = np.full((len(configs), plan.k), None, dtype=object)
+    per_fold[:, list(folds)] = table  # Python floats, None at a skipped fold
+    return [CvResult(tuple(row), mean, std, cfg, skipped) for cfg, row, mean, std in
+            zip(configs, per_fold.tolist(), table.mean(axis=1).tolist(), stds.tolist())]
 
 
 @dataclass(frozen=True)
@@ -333,11 +328,7 @@ def rank_models(accuracy) -> np.ndarray:
     accuracy in the row."""
     from scipy import stats as sp_stats  # slow to import; only two functions use it
 
-    acc = np.asarray(accuracy, dtype=np.float64)
-    if acc.ndim != 2:
-        raise ConfigError("the accuracy table must be 2-D (datasets x models)")
-    if not np.isfinite(acc).all():
-        raise ConfigError("the accuracy table contains non-finite entries")
+    acc, = _floats("the accuracies", "2-D (datasets x models)", 2, accuracy)
     if acc.shape[0] == 0:
         raise ConfigError("the accuracy table has no dataset rows")
     return sp_stats.rankdata(-acc, method="average", axis=1)
@@ -347,18 +338,20 @@ def friedman_test(average_rank, n_datasets: int) -> FriedmanResult:
     """Friedman chi-square over each model's average rank on n_datasets
     datasets, plus the Iman-Davenport F form.
 
-    When every dataset ranks the models alike, chi2 = K(D-1) and f_stat is
-    inf, the limit of the F form.
+    D models' average ranks lie in [1, D] and sum to D(D+1)/2, within D/100
+    so that ranks rounded to 2 decimals pass. When every dataset ranks the
+    models alike, chi2 = K(D-1) and f_stat is inf, the limit of the F form.
     """
-    avg = np.asarray(average_rank, dtype=np.float64)
     if not isinstance(n_datasets, (int, np.integer)):
         raise ConfigError(f"n_datasets must be an integer, got {n_datasets!r}")
+    avg, = _floats("the average ranks", "a flat sequence, one per model", 1, average_rank)
     k = int(n_datasets)
     d = avg.shape[0]
     if k < 2 or d < 2:
         raise ConfigError(f"need at least 2 datasets and 2 models, got K={k}, D={d}")
-    if not np.isfinite(avg).all():
-        raise ConfigError("the average ranks contain non-finite entries")
+    if avg.min() < 1 or avg.max() > d or abs(avg.sum() - d * (d + 1) / 2) > d / 100:
+        raise ConfigError(f"the average ranks of {d} models must lie in [1, {d}] and sum to "
+                          f"{d * (d + 1) // 2} within {d / 100:g}, got {avg.tolist()}")
     # Dividing last keeps chi2 exactly K(D-1), so F is inf, on a unanimous table.
     chi2 = 12.0 * k * (float(np.sum(avg**2)) - d * (d + 1) ** 2 / 4.0) / (d * (d + 1))
     denom = k * (d - 1) - chi2
@@ -379,12 +372,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """
     from scipy import stats as sp_stats
 
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ConfigError("a and b must be equal-length flat sequences")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ConfigError("a and b contain non-finite entries")
+    a, b = _floats("a and b", "equal-length flat sequences", 1, a, b)
     if a.shape[0] < 5:
         raise ConfigError("need at least 5 pairs")
     n = int(np.count_nonzero(a - b))
@@ -402,12 +390,9 @@ def win_tie_loss(a, b, tie_tol: float = DEFAULT_TIE_TOL) -> WinTieLoss:
     K/2 + 1.96*sqrt(K)/2. tie_tol must be finite and non-negative.
     """
     _check_positive(tie_tol, "tie_tol", zero=True, rule="finite and non-negative")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.shape[0] < 1:
+    a, b = _floats("a and b", "equal-length nonempty flat sequences", 1, a, b)
+    if a.shape[0] == 0:
         raise ConfigError("a and b must be equal-length nonempty flat sequences")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ConfigError("a and b contain non-finite entries")
     d = a - b
     wins_a = int(np.sum(d > tie_tol))
     wins_b = int(np.sum(d < -tie_tol))
@@ -415,10 +400,21 @@ def win_tie_loss(a, b, tie_tol: float = DEFAULT_TIE_TOL) -> WinTieLoss:
     k = a.shape[0]
     threshold = k / 2.0 + 1.96 * math.sqrt(k) / 2.0
     significant = (wins_a + ties / 2.0 >= threshold) or (wins_b + ties / 2.0 >= threshold)
-    return WinTieLoss(
-        wins_a=wins_a,
-        ties=ties,
-        wins_b=wins_b,
-        threshold=threshold,
-        significant=significant,
-    )
+    return WinTieLoss(wins_a, ties, wins_b, threshold, significant)
+
+
+def _floats(what: str, rule: str, ndim: int, *values) -> list:
+    """values as float64 arrays that hold real numbers (not text, bool or
+    objects), are rule (ndim dimensions, one shape) and are finite; otherwise
+    a ConfigError whose subject is what."""
+    try:
+        arrays = [np.asarray(value) for value in values]
+    except ValueError:  # a ragged nesting
+        raise ConfigError(f"{what} must be {rule}") from None
+    if any(array.dtype.kind not in "iuf" for array in arrays):
+        raise ConfigError(f"{what} must hold real numbers")
+    if any(array.ndim != ndim or array.shape != arrays[0].shape for array in arrays):
+        raise ConfigError(f"{what} must be {rule}")
+    if not all(np.isfinite(array).all() for array in arrays):
+        raise ConfigError(f"{what} contain non-finite entries")
+    return [array.astype(np.float64) for array in arrays]

@@ -131,6 +131,15 @@ def test_one_step_forms_the_test_state_matrix():
     assert _calls("state_matrix") == ["trainer._states network.state_matrix"]
 
 
+def test_one_aggregation_of_fold_accuracies():
+    # Every config's mean and standard deviation are taken along its row of
+    # _evaluate's accuracy table; a second aggregation path in stats would
+    # show here as a second caller.
+    assert [call for call in _calls("mean", "std", "var", "average", "nanmean", "nanstd")
+            if call.startswith("stats.")] == ["stats._evaluate table.mean",
+                                              "stats._evaluate table.std"]
+
+
 def _outside_functions(node):
     """The nodes under node that run when it runs: all but function bodies."""
     for child in ast.iter_child_nodes(node):

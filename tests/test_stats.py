@@ -567,6 +567,46 @@ class TestEngineMatchesFit:
             stats.cross_validate(ds, trainer.ModelConfig("bls"), plan)
 
 
+def per_row_reference(name, result):
+    """The CvResult that oracles._cv_result, one np.mean and np.std per
+    config, gives for result's fold accuracies and skipped folds."""
+    reasons = {int(note.split()[1]): note.split(" skipped: ", 1)[1] for note in result.skipped}
+    outcomes = [ClassBalanceError(reasons[fold]) if accuracy is None else accuracy
+                for fold, accuracy in enumerate(result.per_fold_accuracy)]
+    return oracles._cv_result(name, result.best_config, outcomes)
+
+
+class TestAccuracyTable:
+    """Each config's mean and deviation, taken along its row of the engine's
+    accuracy table, equal the per-row reference's in every bit."""
+
+    GRID = stats.GridSpec(c_reg=(0.01, 1.0, 100.0), m=(1, 3), p=(4,), q=(5, 20))
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 10])  # numpy's pairwise sum unrolls from 8 terms
+    def test_each_row_equals_the_per_row_reference(self, k):
+        ds = rare_class_dataset(k, 80, 2, 2, None)
+        _, results = stats.grid_search(ds, "bls", self.GRID, data.make_folds(80, k, k))
+        assert len({r.std_dev for r in results}) > 1
+        for result in results:
+            assert result == per_row_reference(ds.name, result)
+
+    @pytest.mark.parametrize("k,kept", [(5, 4), (2, 1)])
+    def test_a_skipped_fold_is_left_out_of_every_row(self, k, kept):
+        # Two overlapping blobs, and fold 0 holds every "b" row: it trains on
+        # "a" alone and is skipped, and the other folds test "a" rows against
+        # both classes. With one fold kept, every deviation is 0.
+        X, y = make_blobs(30, [(0.0, 0.0), (1.0, 1.0)], 1.0, seed=2)
+        assignments = np.zeros(60, dtype=np.int64)
+        assignments[y == "a"] = np.arange(30) % k
+        ds, plan = data.Dataset("b-in-fold-0", X, y), data.FoldPlan(k, assignments)
+        _, results = stats.grid_search(ds, "bls", self.GRID, plan)
+        for result in results:
+            assert result.per_fold_accuracy[0] is None and len(result.skipped) == 1
+            assert sum(a is not None for a in result.per_fold_accuracy) == kept
+            assert result == per_row_reference(ds.name, result)
+        assert (max(r.std_dev for r in results) == 0.0) == (kept == 1)
+
+
 class TestRanks:
     def test_published_rank_table_reproduced(self):
         ranks = stats.rank_models(pt.ACCURACY)
@@ -653,6 +693,35 @@ class TestFriedman:
         assert res.f_stat == pytest.approx(pt.FRIEDMAN_F, abs=1e-3)
         assert res.chi2_dof == 6
         assert res.f_dof == (6, 6 * 27)
+
+    @pytest.mark.parametrize("average_rank", [3.0, [[1, 2], [2, 1]], [[1, 2], [1]]],
+                             ids=["scalar", "2-D", "ragged"])
+    def test_average_ranks_not_a_flat_sequence_rejected(self, average_rank):
+        # A scalar raised a raw IndexError, and a 2-D table gave chi2 = 55, F = -4.4.
+        with pytest.raises(ConfigError) as exc:
+            stats.friedman_test(average_rank, 5)
+        assert str(exc.value) == "the average ranks must be a flat sequence, one per model"
+
+    @pytest.mark.parametrize("average_rank", [[1.0, 5.0], [0.5, 2.5], [1.0, 1.0, 1.0],
+                                              [1.0, 2.0, 3.05], [3.0, 3.0, 3.0]],
+                             ids=["above-D", "below-1", "sum-low", "sum-high", "sum-high-in-range"])
+    def test_average_ranks_no_rank_table_gives_rejected(self, average_rank):
+        # D models' average ranks lie in [1, D] and sum to D(D+1)/2; [1, 5] on
+        # 3 datasets gave chi2 = 129 and F = -2.05.
+        d = len(average_rank)
+        with pytest.raises(ConfigError) as exc:
+            stats.friedman_test(average_rank, 3)
+        assert str(exc.value) == (f"the average ranks of {d} models must lie in [1, {d}] and sum "
+                                  f"to {d * (d + 1) // 2} within {d / 100:g}, got {average_rank}")
+
+    def test_rounded_average_ranks_accepted(self):
+        # The published 4-decimal ranks sum to 28.0001; ranks rounded to 2
+        # decimals miss D(D+1)/2 by at most D/200.
+        assert sum(pt.AVERAGE_RANKS) != 28.0
+        avg = stats.rank_models(np.random.default_rng(3).normal(size=(12, 7))).mean(axis=0)
+        rounded = np.round(avg, 2)
+        assert rounded.sum() != 28.0
+        assert stats.friedman_test(rounded, 12).chi2_dof == 6
 
 
 class TestWilcoxon:
@@ -751,3 +820,21 @@ class TestWinTieLoss:
     def test_zero_tie_tol_counts_exact_ties_only(self):
         res = stats.win_tie_loss(np.array([1.0, 0.5, 0.2]), np.array([1.0, 0.6, 0.1]), 0.0)
         assert (res.wins_a, res.ties, res.wins_b) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stats.rank_models([["0.9", "0.8"], ["0.7", "0.6"]]),
+    lambda: stats.rank_models([[True, False]]),
+    lambda: stats.friedman_test(["1", "2"], 5),
+    lambda: stats.wilcoxon_signed_rank(["a"] * 5, ["b"] * 5),
+    lambda: stats.wilcoxon_signed_rank(np.arange(5.0), [0.0, 1.0, None, 3.0, 4.0]),
+    lambda: stats.win_tie_loss(["a"], ["b"]),
+    lambda: stats.win_tie_loss([0.9], ["0.8"]),
+], ids=["table-text", "table-bool", "ranks-text", "wilcoxon-text", "wilcoxon-none",
+        "win-tie-loss-text", "win-tie-loss-numeric-text"])
+def test_statistics_refuse_what_is_not_real_numbers(call):
+    # numpy read text as floats where it could and raised a raw ValueError
+    # where it could not; the CLI parses its floats itself.
+    with pytest.raises(ConfigError, match="^(the accuracies|the average ranks|a and b) "
+                                          "must hold real numbers$"):
+        call()
