@@ -23,8 +23,9 @@ computes each quantity at the level where it varies:
   the system's C-free part, then per C solves it from a factor copy and
   maps the solution back to the network's output weights;
 - per C: the test scores, their argmax and the accuracy;
-- per config: its row of the accuracy table (configs x kept folds), along
-  which _evaluate takes every mean and standard deviation at once.
+- per config, a point of networks x weightings x C values (_product):
+  its row of the accuracy table (configs x kept folds), a reshape of the
+  cells' results, along which _evaluate takes every mean and deviation.
 
 Every fold accuracy equals that of fit and accuracy on the same fold, bit
 for bit: fit runs the same steps (trainer._states and
@@ -61,7 +62,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import if_scores, linalg, trainer
+from . import if_scores, linalg, network, trainer
 from .data import Dataset, FoldPlan, _check_integer, _check_positive
 from .errors import ClassBalanceError, ConfigError
 from .trainer import ModelConfig
@@ -129,16 +130,18 @@ def cross_validate(
     skipped, and the aggregates cover the remaining folds; if every fold
     is skipped, ClassBalanceError lists their distinct reasons in fold order.
     """
-    return _evaluate(ds, [cfg], plan, jobs=1)[0]
+    return _evaluate(ds, [cfg.network], [cfg], (cfg.c_reg,), plan, jobs=1)[0]
 
 
-def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int) -> list[CvResult]:
-    """The CvResult of each config, in order, from jobs processes at most."""
+def _evaluate(ds: Dataset, nets: list, weightings: list, c_regs: tuple, plan: FoldPlan,
+              jobs: int) -> list[CvResult]:
+    """Each config's CvResult in _product's order, from jobs processes at most."""
+    configs = _product(nets, weightings, c_regs)  # every config check before any fold
     if plan.assignments.shape[0] != ds.n_samples:
         raise ConfigError("fold plan does not match the dataset size")
     # Every fold, in order, before any weight vector or cell; a fold that breaks
     # fit's class rule is skipped for every config, any other error stops the run.
-    variant = configs[0].variant
+    variant = weightings[0].variant
     folds, skips = {}, {}
     for fold in range(plan.k):
         try:
@@ -150,39 +153,26 @@ def _evaluate(ds: Dataset, configs: list[ModelConfig], plan: FoldPlan, jobs: int
                                 + "; ".join(dict.fromkeys(skips.values())))
     skipped = tuple(f"fold {fold} of {ds.name!r} skipped: {reason}"
                     for fold, reason in skips.items())
-    # Configs that differ only in C share a cell: a network, a kept fold and a
-    # weighting. A weighting stands for its first config, whose variant, delta
-    # and kernel are what _sample_weights reads.
-    networks: dict = {}
-    weightings: dict = {}
-    for i, cfg in enumerate(configs):
-        weighting = weightings.setdefault((cfg.delta, cfg.kernel), cfg)
-        networks.setdefault(cfg.network, {}).setdefault(weighting, []).append(i)
-    tasks = [(net, fold, weighting, group, tuple(configs[i].c_reg for i in group))
-             for net, groups in networks.items() for fold in folds
-             for weighting, group in groups.items()]
-    pairs = [(fold, weighting) for fold in folds for weighting in weightings.values()]
-    parts, kinds = [folds[fold] for fold, _ in pairs], [weighting for _, weighting in pairs]
-    workers = min(jobs, len(configs), len(tasks))
+    cells = list(itertools.product(nets, folds, weightings))
+    pairs = list(itertools.product(folds, weightings))
+    workers = min(jobs, len(configs), len(cells))
     # One contiguous slice of cells per worker; only a network cut at an edge
     # is drawn twice. One worker runs both phases in this process.
-    edges = [len(tasks) * i // workers for i in range(workers + 1)]
-    slices = [tasks[a:b] for a, b in zip(edges, edges[1:])]
+    edges = [len(cells) * i // workers for i in range(workers + 1)]
+    slices = [cells[a:b] for a, b in zip(edges, edges[1:])]
     with contextlib.ExitStack() as stack:
         run = map
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        weights = dict(zip(pairs, run(_weights, parts, kinds)))
+        weights = dict(zip(pairs, run(_weights, [folds[fold] for fold, _ in pairs],
+                                      [weighting for _, weighting in pairs])))
         results = list(itertools.chain(*run(_cells, [folds] * workers, [weights] * workers,
-                                            slices)))
-    # The accuracy table: a row per config and a column per kept fold, since
-    # the skipped folds are the same for every config.
-    columns = {fold: j for j, fold in enumerate(folds)}
-    table = np.empty((len(configs), len(folds)))
-    for (_, fold, _, group, _), result in zip(tasks, results):
-        table[group, columns[fold]] = result
+                                            [c_regs] * workers, slices)))
+    # A row per config and a column per kept fold, as every config skips alike.
+    table = np.array(results).reshape(len(nets), len(folds), len(weightings), len(c_regs))
+    table = table.transpose(3, 0, 2, 1).reshape(len(configs), len(folds))
     stds = table.std(axis=1, ddof=1) if len(folds) > 1 else np.zeros(len(configs))
     per_fold = np.full((len(configs), plan.k), None, dtype=object)
     per_fold[:, list(folds)] = table  # Python floats, None at a skipped fold
@@ -224,21 +214,20 @@ def _weights(part: _Fold, weighting: ModelConfig) -> np.ndarray:
 
 
 @linalg._single_threaded_blas()
-def _cells(folds: dict, weights: dict, tasks) -> list:
-    """The accuracy per C of each (network, fold, weighting, config indices,
-    C values) task in order, on built folds and weight vectors, each
-    quantity computed at its level (see the module docstring); an error in
-    a cell raises there, so a run stops at its first failing cell."""
+def _cells(folds: dict, weights: dict, c_regs: tuple, cells) -> list:
+    """The accuracy at each of c_regs of each (network, fold, weighting) cell
+    in order, on built folds and weight vectors (see the module docstring);
+    an error in a cell raises there, so a run stops at its first failing cell."""
     runs = dict.fromkeys((*folds[fold].Xn.shape, net, len(folds[fold].Xn_test))
-                         for net, fold, *_ in tasks)
+                         for net, fold, _ in cells)
     scratch = trainer._scratch(runs)
     results = []
-    for net, net_tasks in itertools.groupby(tasks, lambda t: t[0]):
+    for net, net_cells in itertools.groupby(cells, lambda cell: cell[0]):
         layers = None
-        for fold, fold_tasks in itertools.groupby(net_tasks, lambda t: t[1]):
+        for fold, fold_cells in itertools.groupby(net_cells, lambda cell: cell[1]):
             part, G_test = folds[fold], None  # free the last test state matrix first
             layers, U, gram, G_test = trainer._states(net, layers, part.Xn, scratch, part.Xn_test)
-            for _, _, weighting, _, c_regs in fold_tasks:
+            for *_, weighting in fold_cells:
                 solutions = linalg._output_weights(U, gram, weights[fold, weighting], part.T,
                                                    c_regs, scratch, layers[2])
                 results.append([np.count_nonzero(np.argmax(G_test @ W, axis=1) == part.test_indices)
@@ -248,7 +237,7 @@ def _cells(folds: dict, weights: dict, tasks) -> list:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Candidate lists for flat config keys (see ModelConfig.from_flat), each
+    """Candidate lists for flat config keys (see ModelConfig.to_flat), each
     a nonempty iterable, not a string, of distinct values, kept as a tuple.
 
     mu, delta, and epsilon apply only to the variants that use them and
@@ -291,12 +280,26 @@ class GridSpec:
 
     def configs(self, variant: str, seed: int) -> list[ModelConfig]:
         """Materialize the Cartesian product for one variant."""
-        applies = ModelConfig(variant).to_flat()
-        keys = [f.name for f in fields(self) if f.name in applies]
-        return [
-            ModelConfig.from_flat({"variant": variant, "seed": seed, **dict(zip(keys, point))})
-            for point in itertools.product(*(getattr(self, k) for k in keys))
-        ]
+        return _product(*self._parts(variant, seed))
+
+    def _parts(self, variant: str, seed: int) -> tuple[list, list, tuple]:
+        """The grid's networks and weightings (configs for _sample_weights),
+        each built and checked once, and its C values, in enumeration order."""
+        nets = [network.NetworkConfig(m=m, p=p, q=q, seed=seed)
+                for m, p, q in itertools.product(self.m, self.p, self.q)]
+        kernels, deltas = [None], self.delta if variant == "f-bls" else [None]
+        if variant == "if-bls":
+            kernels = [if_scores.KernelParams(*point)
+                       for point in itertools.product(self.mu, self.delta, self.epsilon)]
+        weightings = [ModelConfig(variant, nets[0], delta=delta, kernel=kernel)
+                      for delta in deltas for kernel in kernels]
+        return nets, weightings, self.c_reg
+
+
+def _product(nets: list, weightings: list, c_regs: tuple) -> list[ModelConfig]:
+    """The config of each C value, network and weighting, in that order."""
+    return [ModelConfig(weighting.variant, net, c_reg, weighting.delta, weighting.kernel)
+            for c_reg in c_regs for net in nets for weighting in weightings]
 
 
 def grid_search(
@@ -317,8 +320,7 @@ def grid_search(
     enumeration order.
     """
     jobs = _check_integer(jobs, 1, "jobs must be an integer >= 1")
-    configs = grid.configs(variant, seed)
-    results = _evaluate(ds, configs, plan, jobs)
+    results = _evaluate(ds, *grid._parts(variant, seed), plan, jobs)
     best_idx = max(range(len(results)), key=lambda i: (results[i].mean_accuracy, -i))
     return results[best_idx], results
 

@@ -98,7 +98,7 @@ class ModelConfig:
 
     @classmethod
     def from_flat(cls, flat) -> "ModelConfig":
-        """Build a config from flat keys: CLI flags, INI values or a grid point.
+        """Build a config from flat keys: CLI flags, INI values or a model file.
 
         Text values are parsed by FLAT_CASTS, missing keys take the field
         defaults, and keys that do not apply to the variant are ignored.

@@ -1,5 +1,8 @@
 """Scalar reference formulas the vectorized package code is checked against."""
 
+import itertools
+from dataclasses import fields
+
 import numpy as np
 
 from blsbench import if_scores, linalg, network, stats, trainer
@@ -281,6 +284,17 @@ def if_score_vector(X, labels, params):
         score=scores,
         epsilon_used=epsilon,
     )
+
+
+def configs_by_flat(grid, variant, seed):
+    """stats.GridSpec.configs as one ModelConfig.from_flat per grid point, over
+    the flat keys that apply to the variant, c_reg outermost: the reference
+    that building each network and weighting once reproduces."""
+    applies = trainer.ModelConfig(variant).to_flat()
+    keys = [f.name for f in fields(grid) if f.name in applies]
+    return [trainer.ModelConfig.from_flat({"variant": variant, "seed": seed,
+                                           **dict(zip(keys, point))})
+            for point in itertools.product(*(getattr(grid, k) for k in keys))]
 
 
 def cross_validate_by_fit(ds, cfg, plan):

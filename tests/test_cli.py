@@ -543,6 +543,42 @@ class TestGridSearch:
         assert err.startswith("error:") and "jobs" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("variant,key,values", [
+        ("bls", "c_reg", "1, 0"),
+        ("f-bls", "c_reg", "1, 1e-320"),
+        ("bls", "m", "2, 0"),
+        ("bls", "p", "4, -2"),
+        ("bls", "q", "5, -1"),
+        ("if-bls", "mu", "1, 0"),
+        ("f-bls", "delta", "0.1, -1"),
+        ("if-bls", "delta", "0.1, 0"),
+        ("if-bls", "epsilon", "0.5, nope"),
+        ("if-bls", "epsilon", "median_heuristic, -1"),
+    ])
+    def test_bad_grid_list_is_one_error_line(self, variant, key, values, tmp_path, capsys):
+        # The per-point builder's message, before any fold: every fold of the
+        # one-class data would be skipped, a ClassBalanceError.
+        import argparse
+
+        import oracles
+        from blsbench import cli
+        from blsbench.errors import ConfigError
+
+        lists = {"c_reg": "1", "m": "2", "p": "4", "q": "5", key: values}
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\n" + "".join(f"{k} = {v}\n" for k, v in lists.items()))
+        with pytest.raises(ConfigError) as expected:
+            oracles.configs_by_flat(cli._parse_grid(argparse.Namespace(grid=str(grid))),
+                                    variant, 0)
+        path = tmp_path / "one_class.csv"
+        path.write_text("x,label\n" + "".join(f"{i / 10},a\n" for i in range(20)))
+        out = tmp_path / "grid.csv"
+        code = cli.main(["gridsearch", "--data", str(path), "--variant", variant,
+                         "--grid", str(grid), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert not out.exists()
+
     def test_nan_delta_in_grid_is_runtime_error(self, dataset_csv, tmp_path, capsys):
         from blsbench import cli
 

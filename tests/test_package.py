@@ -140,6 +140,19 @@ def test_one_aggregation_of_fold_accuracies():
                                               "stats._evaluate table.std"]
 
 
+def test_one_product_of_the_grid():
+    # A grid builds each network and weighting once (GridSpec._parts) and
+    # combines them per C in stats._product alone; flat keys become a config
+    # only at the CLI's entry points and in a model file's decoding. A
+    # per-point round trip or a second grouping path would show here.
+    assert _calls("ModelConfig", "from_flat") == [
+        "cli.cmd_cv trainer.ModelConfig.from_flat",
+        "cli.cmd_train trainer.ModelConfig.from_flat",
+        "stats._parts ModelConfig",
+        "stats._product ModelConfig",
+        "trainer._model_from_doc ModelConfig.from_flat"]
+
+
 def _outside_functions(node):
     """The nodes under node that run when it runs: all but function bodies."""
     for child in ast.iter_child_nodes(node):

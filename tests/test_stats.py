@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from blsbench import data, linalg, network, stats, trainer
+from blsbench import data, if_scores, linalg, network, stats, trainer
 from blsbench.errors import (BlsBenchError, ClassBalanceError, ConfigError, FactorizationFailure,
                              NonFiniteInput)
 from blsbench.network import NetworkConfig
@@ -143,6 +143,23 @@ class TestCrossValidate:
         finally:
             tracemalloc.stop()
         assert peak <= trainer._network_bytes(800, 10, net, 200) + 12 * X.nbytes
+
+
+# One bad grid list each: the variant, or a list whose second value fails
+# one of the checks that a grid value meets.
+BAD_LISTS = [
+    ("svm", {}),
+    ("bls", {"c_reg": (1.0, 0.0)}),
+    ("f-bls", {"c_reg": (1.0, 1e-320)}),
+    ("bls", {"m": (2, 0)}),
+    ("bls", {"p": (4, -2)}),
+    ("bls", {"q": (5, 2.0)}),
+    ("if-bls", {"mu": (1.0, 0.0)}),
+    ("f-bls", {"delta": (0.1, -1.0)}),
+    ("if-bls", {"delta": (0.1, 0.0)}),
+    ("if-bls", {"epsilon": (0.5, "nope")}),
+    ("if-bls", {"epsilon": ("median_heuristic", -1.0)}),
+]
 
 
 class TestGridSearch:
@@ -465,6 +482,60 @@ class TestGridSearch:
         lists = {"c_reg": (1.0,), "m": (2,), "p": (4,), "q": (5,), name: values}
         with pytest.raises(ConfigError, match=f"^grid list '{name}' repeats {shown}$"):
             stats.GridSpec(**lists)
+
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    @pytest.mark.parametrize("grid", [
+        stats.GridSpec.benchmark_default(),
+        stats.GridSpec(c_reg=(1, 100.0), m=(1, 3), p=(2,), q=(5, 7), mu=(0.5, 2.0),
+                       delta=(1e-4, 0.1), epsilon=("median_heuristic", 0.5)),
+    ], ids=["paper", "two-delta-two-epsilon"])
+    def test_configs_equal_the_per_point_builder(self, variant, grid):
+        # Equal and repr for repr, in order: an int c_reg stays an int.
+        configs, expected = grid.configs(variant, 3), oracles.configs_by_flat(grid, variant, 3)
+        assert configs == expected
+        assert list(map(repr, configs)) == list(map(repr, expected))
+
+    def test_each_network_and_kernel_built_once_per_run(self, monkeypatch):
+        # 2 m x 2 p x 1 q networks and 2 mu x 2 delta x 2 epsilon kernels, each
+        # built and checked once for the 64 configs; on 10 features no solved
+        # layer differs from its network (m p <= d + 1), so none is built there.
+        built = []
+        for cls in (NetworkConfig, if_scores.KernelParams):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__:
+                                built.append(type(self).__name__) or check(self))
+        X, y = make_blobs(15, [(0.0,) * 10, (1.5,) * 10], 1.0, seed=4)
+        ds, plan = data.Dataset("blobs", X, y), data.make_folds(30, 3, 0)
+        grid = stats.GridSpec(c_reg=(0.1, 10.0), m=(1, 2), p=(2, 4), q=(3,), mu=(0.5, 2.0),
+                              delta=(1e-4, 0.1), epsilon=("median_heuristic", 0.5))
+        _, results = stats.grid_search(ds, "if-bls", grid, plan)
+        assert len(results) == 64
+        assert sorted(built) == ["KernelParams"] * 8 + ["NetworkConfig"] * 4
+
+    @pytest.mark.parametrize("variant", ["f-bls", "if-bls"])
+    def test_every_axis_of_the_product_in_enumeration_order(self, variant):
+        # 2 C values x 4 networks x 2 or 4 weightings on overlapping classes
+        # give 10 and 15 distinct rows of fold accuracies, so a reshape that
+        # put a config's results in another's row would show here.
+        ds = rare_class_dataset(5, 60, 2, 2, None)
+        grid = stats.GridSpec(c_reg=(0.01, 100.0), m=(1, 3), p=(2, 6), q=(5,), mu=(0.5, 2.0),
+                              delta=(1e-4, 0.5), epsilon=(0.5,))
+        results = assert_engine_matches_fit(ds, variant, grid, data.make_folds(60, 4, 1))
+        assert len({r.per_fold_accuracy for r in results}) >= 10
+
+    @pytest.mark.parametrize("variant,lists", BAD_LISTS)
+    def test_bad_list_raises_before_any_fold(self, variant, lists, monkeypatch):
+        # Every fold of the one-class data is skipped, so a config check made
+        # after the folds would raise a ClassBalanceError instead.
+        grid = stats.GridSpec(**{"c_reg": (1.0,), "m": (2,), "p": (4,), "q": (5,), **lists})
+        with pytest.raises(ConfigError) as expected:
+            oracles.configs_by_flat(grid, variant, 0)
+        fold, built = stats._fold, []
+        monkeypatch.setattr(stats, "_fold", lambda *args: built.append(args) or fold(*args))
+        ds = data.Dataset("one-class", toy_dataset().X[:20], ("a",) * 20)
+        with pytest.raises(ConfigError) as raised:
+            stats.grid_search(ds, variant, grid, data.make_folds(20, 4, 0), jobs=2)
+        assert str(raised.value) == str(expected.value)
+        assert built == []
 
     def test_benchmark_grid_sizes(self):
         grid = stats.GridSpec.benchmark_default()
